@@ -1,6 +1,6 @@
 # Single entry point for local development and CI.
 #
-#   make check   build + vet + simcheck + test — what CI gates on
+#   make check   fmt + build + vet + simcheck + test — what CI gates on
 #   make race    full test suite under the race detector
 #   make shuffle test suite with shuffled execution order
 #   make soak    quick chaos-experiment soak run
@@ -12,9 +12,15 @@
 
 GO ?= go
 
-.PHONY: check build vet simcheck simcheck-bench test race shuffle soak figures trace parity bench
+.PHONY: check fmt build vet simcheck simcheck-bench test race shuffle soak figures trace parity bench
 
-check: build vet simcheck test
+check: fmt build vet simcheck test
+
+# Formatting gate: every Go file in the module is gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt: unformatted files:"; echo "$$out"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

@@ -26,10 +26,10 @@ import (
 
 // entry is one benchmark's parsed results.
 type entry struct {
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op"`
-	AllocsPerOp float64            `json:"allocs_per_op"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Metrics holds b.ReportMetric values keyed by unit (the figure's
 	// headline metric, e.g. "k_msgs/s").
 	Metrics map[string]float64 `json:"metrics,omitempty"`

@@ -61,7 +61,7 @@ const (
 // Edge is one call site inside a node's body (closures included).
 type Edge struct {
 	Pos    token.Pos
-	Callee string   // node key; resolved lazily for interface/dynamic calls
+	Callee string // node key; resolved lazily for interface/dynamic calls
 	Kind   EdgeKind
 	Name   string // callee method/function name as written at the site
 	// RecvCanon is the canonical form of the receiver expression at the

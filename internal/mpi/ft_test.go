@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpicontend/internal/fault"
+	"mpicontend/internal/mpi/vci"
 )
 
 // withCrash is a testWorld option scheduling fail-stop crashes.
@@ -398,33 +399,43 @@ func TestFailedRequestIsNotPooled(t *testing.T) {
 	// Satellite regression for the request pool: a failed request must
 	// never be recycled, even when marked poolable — late protocol events
 	// (a straggling ack, a retransmit timer) may still reference it, and
-	// recycling would hand its memory to an unrelated operation.
-	w := testWorld(t, 2)
-	w.SetErrhandler(ErrorsReturn)
-	p := w.Procs[0]
+	// recycling would hand its memory to an unrelated operation. Pinned on
+	// the shard pool the request lives on, with one shard and with four.
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("vcis=%d", n), func(t *testing.T) {
+			w := testWorld(t, 2, withVCIs(n, vci.PerTagHash))
+			w.SetErrhandler(ErrorsReturn)
+			p := w.Procs[0]
+			v := n - 1
+			sh := p.vcis[v]
 
-	bad := w.allocRequest()
-	*bad = Request{p: p, kind: SendReq, dst: 1, poolable: true}
-	p.outstanding++
-	bad.fail(ErrProcFailed, 0)
-	bad.free()
-	if err := bad.release(); err == nil {
-		t.Fatal("release must surface the failure")
-	}
-	if w.reqFree != nil {
-		t.Fatal("failed request was recycled into the pool")
-	}
+			bad := p.allocReq(v)
+			*bad = Request{p: p, kind: SendReq, dst: 1, poolable: true, vci: v}
+			p.outstanding++
+			bad.fail(ErrProcFailed, 0)
+			bad.free()
+			if err := bad.release(); err == nil {
+				t.Fatal("release must surface the failure")
+			}
+			if sh.reqFree != nil {
+				t.Fatal("failed request was recycled into the pool")
+			}
 
-	good := w.allocRequest()
-	*good = Request{p: p, kind: SendReq, dst: 1, poolable: true}
-	p.outstanding++
-	good.markComplete(0)
-	good.free()
-	if err := good.release(); err != nil {
-		t.Fatal(err)
-	}
-	if w.reqFree != good {
-		t.Fatal("healthy poolable request was not recycled")
+			good := p.allocReq(v)
+			*good = Request{p: p, kind: SendReq, dst: 1, poolable: true, vci: v}
+			p.outstanding++
+			good.markComplete(0)
+			good.free()
+			if err := good.release(); err != nil {
+				t.Fatal(err)
+			}
+			if sh.reqFree != good {
+				t.Fatal("healthy poolable request was not recycled into its shard's pool")
+			}
+			if again := p.allocReq(v); again != good {
+				t.Fatal("shard pool did not hand the recycled request back")
+			}
+		})
 	}
 }
 

@@ -140,25 +140,25 @@ func (c *csLock) exit(th *Thread, cl simlock.Class) {
 // section under GranBrief/GranFine (the queue update itself).
 const briefCSWork = 60
 
-// mainBegin opens an MPI call's main-path state section, charging the
-// main-path work split according to the granularity. Callers must pair it
-// with mainEnd.
-func (th *Thread) mainBegin() {
+// mainBegin opens the main-path section of an MPI call mapped to shard v,
+// charging the main-path work split according to the granularity. Callers
+// must pair it with mainEnd. Sharded procs run GranGlobal only (enforced
+// at NewWorld), so the sub-CS granularities always see shard 0.
+func (th *Thread) mainBegin(v int) {
 	th.checkCrashed()
 	th.checkThreadLevel()
 	cost := th.cost()
 	p := th.P
 	switch p.w.Cfg.Granularity {
-	case GranGlobal:
-		p.vcis[0].cs.enter(th, simlock.High)
-		th.S.Sleep(cost.MainPathWork)
-	case GranBrief:
-		th.S.Sleep(cost.MainPathWork - briefCSWork)
-		// The held-lock walk is flow-insensitive and sees the GranGlobal
-		// arm's enter as still held here; switch cases are exclusive.
-		//simcheck:allow lockorder granularity arms are mutually exclusive; the GranGlobal enter is a different mode
-		p.vcis[0].cs.enter(th, simlock.High)
-		th.S.Sleep(briefCSWork)
+	case GranGlobal, GranBrief:
+		work := cost.MainPathWork
+		if p.w.Cfg.Granularity == GranBrief {
+			// Brief Global runs all but the queue update outside.
+			th.S.Sleep(cost.MainPathWork - briefCSWork)
+			work = briefCSWork
+		}
+		p.vcis[v].cs.enter(th, simlock.High)
+		th.S.Sleep(work)
 	case GranFine:
 		th.S.Sleep(cost.MainPathWork - briefCSWork)
 		p.queueCS.enter(th, simlock.High)
@@ -168,12 +168,12 @@ func (th *Thread) mainBegin() {
 	}
 }
 
-// mainEnd closes the section opened by mainBegin.
-func (th *Thread) mainEnd() {
+// mainEnd closes the section opened by mainBegin(v).
+func (th *Thread) mainEnd(v int) {
 	p := th.P
 	switch p.w.Cfg.Granularity {
 	case GranGlobal, GranBrief:
-		p.vcis[0].cs.exit(th, simlock.High)
+		p.vcis[v].cs.exit(th, simlock.High)
 	case GranFine:
 		p.queueCS.exit(th, simlock.High)
 	case GranLockFree:
@@ -181,15 +181,15 @@ func (th *Thread) mainEnd() {
 	th.exitThreadLevel()
 }
 
-// stateBegin opens a short request-state section (completion checks,
-// frees) without charging main-path work.
-func (th *Thread) stateBegin(cl simlock.Class) {
+// stateBegin opens a short request-state section on shard v (completion
+// checks, frees) without charging main-path work.
+func (th *Thread) stateBegin(v int, cl simlock.Class) {
 	th.checkCrashed()
 	th.checkThreadLevel()
 	p := th.P
 	switch p.w.Cfg.Granularity {
 	case GranGlobal, GranBrief:
-		p.vcis[0].cs.enter(th, cl)
+		p.vcis[v].cs.enter(th, cl)
 	case GranFine:
 		p.queueCS.enter(th, cl)
 	case GranLockFree:
@@ -197,12 +197,12 @@ func (th *Thread) stateBegin(cl simlock.Class) {
 	}
 }
 
-// stateEnd closes a stateBegin section.
-func (th *Thread) stateEnd(cl simlock.Class) {
+// stateEnd closes a stateBegin(v, cl) section.
+func (th *Thread) stateEnd(v int, cl simlock.Class) {
 	p := th.P
 	switch p.w.Cfg.Granularity {
 	case GranGlobal, GranBrief:
-		p.vcis[0].cs.exit(th, cl)
+		p.vcis[v].cs.exit(th, cl)
 	case GranFine:
 		p.queueCS.exit(th, cl)
 	case GranLockFree:
@@ -210,29 +210,31 @@ func (th *Thread) stateEnd(cl simlock.Class) {
 	th.exitThreadLevel()
 }
 
-// progressRound runs one progress-engine iteration with the granularity's
-// locking: under Global/Brief the whole poll holds the global CS (the
-// paper's progress loop); under Fine the completion queue is drained under
-// the NIC lock and each event is handled under the queue lock; under
-// LockFree only atomic costs are charged. cl is the scheduling class used
-// for global-CS acquisition (Low in blocking progress loops, High in
-// MPI_Test). If post is non-nil it runs under request-state protection —
-// inside the same critical-section hold where the granularity allows —
-// letting callers check and free requests as MPICH's progress loop does.
-func (th *Thread) progressRound(cl simlock.Class, post func()) {
+// progressRound runs one progress-engine iteration on shard v with the
+// granularity's locking: under Global/Brief the whole poll holds the
+// shard's critical section (the paper's progress loop); under Fine the
+// completion queue is drained under the NIC lock and each event is
+// handled under the queue lock; under LockFree only atomic costs are
+// charged. cl is the scheduling class used for the section acquisition
+// (Low in blocking progress loops, High in MPI_Test). If post is non-nil
+// it runs under request-state protection — inside the same critical-
+// section hold where the granularity allows — letting callers check and
+// free requests as MPICH's progress loop does.
+func (th *Thread) progressRound(v int, cl simlock.Class, post func()) {
 	th.checkCrashed()
 	th.checkThreadLevel()
 	defer th.exitThreadLevel()
 	p := th.P
 	cost := th.cost()
+	sh := p.vcis[v]
 	switch p.w.Cfg.Granularity {
 	case GranGlobal, GranBrief:
-		p.vcis[0].cs.enter(th, cl)
-		p.pollOnce(th)
+		sh.cs.enter(th, cl)
+		p.pollShard(th, v)
 		if post != nil {
 			post()
 		}
-		p.vcis[0].cs.exit(th, cl)
+		sh.cs.exit(th, cl)
 	case GranFine:
 		p.nicCS.enter(th, cl)
 		var pollFrom int64
@@ -242,9 +244,9 @@ func (th *Thread) progressRound(cl simlock.Class, post func()) {
 		th.S.Sleep(cost.ProgressPollWork)
 		p.Polls++
 		var pkts []*fabric.Packet
-		for len(p.vcis[0].cq) > 0 && len(pkts) < maxEventsPerPoll {
-			pkts = append(pkts, p.vcis[0].cq[0])
-			p.vcis[0].cq = p.vcis[0].cq[1:]
+		for len(sh.cq) > 0 && len(pkts) < maxEventsPerPoll {
+			pkts = append(pkts, sh.cq[0])
+			sh.cq = sh.cq[1:]
 		}
 		th.holdUseful = len(pkts) > 0
 		if p.w.tel != nil {
@@ -266,7 +268,7 @@ func (th *Thread) progressRound(cl simlock.Class, post func()) {
 			th.S.Sleep(cost.ProgressHandleWork)
 			p.handlePacket(th, pkt)
 			if p.rel == nil {
-				p.w.Fab.FreePacket(pkt) // see pollOnce: fault-free packets die here
+				p.w.Fab.FreePacket(pkt) // see pollShard: fault-free packets die here
 			}
 			p.queueCS.exit(th, cl)
 		}
@@ -283,14 +285,14 @@ func (th *Thread) progressRound(cl simlock.Class, post func()) {
 		th.S.Sleep(cost.ProgressPollWork + cost.AtomicOpCost)
 		p.Polls++
 		handled := 0
-		for len(p.vcis[0].cq) > 0 && handled < maxEventsPerPoll {
-			pkt := p.vcis[0].cq[0]
-			p.vcis[0].cq[0] = nil
-			p.vcis[0].cq = p.vcis[0].cq[1:]
+		for len(sh.cq) > 0 && handled < maxEventsPerPoll {
+			pkt := sh.cq[0]
+			sh.cq[0] = nil
+			sh.cq = sh.cq[1:]
 			th.S.Sleep(cost.ProgressHandleWork + cost.AtomicOpCost)
 			p.handlePacket(th, pkt)
 			if p.rel == nil {
-				p.w.Fab.FreePacket(pkt) // see pollOnce: fault-free packets die here
+				p.w.Fab.FreePacket(pkt) // see pollShard: fault-free packets die here
 			}
 			handled++
 		}

@@ -1,9 +1,11 @@
 package mpi
 
 import (
+	"fmt"
 	"testing"
 
 	"mpicontend/internal/machine"
+	"mpicontend/internal/mpi/vci"
 	"mpicontend/internal/simlock"
 )
 
@@ -23,6 +25,21 @@ func testWorld(t *testing.T, nodes int, opts ...func(*Config)) *World {
 		t.Fatal(err)
 	}
 	return w
+}
+
+// forEachVCI runs fn as a subtest under each shard layout the wait family
+// must handle: one shard and four, each under a tag-hashed mapping (where
+// AnyTag receives and probes take the cross-shard wildcard path) and a
+// per-communicator one (where they do not). opt configures the world.
+func forEachVCI(t *testing.T, fn func(t *testing.T, opt func(*Config))) {
+	for _, n := range []int{1, 4} {
+		for _, pol := range []vci.Policy{vci.PerTagHash, vci.PerComm} {
+			n, pol := n, pol
+			t.Run(fmt.Sprintf("vcis=%d/%v", n, pol), func(t *testing.T) {
+				fn(t, withVCIs(n, pol))
+			})
+		}
+	}
 }
 
 func TestEagerSendRecv(t *testing.T) {
@@ -195,60 +212,105 @@ func TestMessageOrderingPerPair(t *testing.T) {
 }
 
 func TestWaitallWindow(t *testing.T) {
-	w := testWorld(t, 2)
-	c := w.Comm()
-	const window = 64
-	w.Spawn(0, "sender", func(th *Thread) {
-		var rs []*Request
-		for i := 0; i < window; i++ {
-			rs = append(rs, th.Isend(c, 1, 0, 8, i))
+	forEachVCI(t, func(t *testing.T, opt func(*Config)) {
+		w := testWorld(t, 2, opt)
+		c := w.Comm()
+		const window = 64
+		w.Spawn(0, "sender", func(th *Thread) {
+			var rs []*Request
+			for i := 0; i < window; i++ {
+				// Spread the window over several tags, so a tag-hashed
+				// mapping spreads it over several shards.
+				rs = append(rs, th.Isend(c, 1, i%4, 8, i))
+			}
+			th.Waitall(rs)
+		})
+		received := 0
+		w.Spawn(1, "receiver", func(th *Thread) {
+			var rs []*Request
+			for i := 0; i < window; i++ {
+				rs = append(rs, th.Irecv(c, 0, i%4))
+			}
+			th.Waitall(rs)
+			for i, r := range rs {
+				if r.Data() != i {
+					t.Errorf("receive %d got %v", i, r.Data())
+				}
+			}
+			received = window
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
 		}
-		th.Waitall(rs)
-	})
-	received := 0
-	w.Spawn(1, "receiver", func(th *Thread) {
-		var rs []*Request
-		for i := 0; i < window; i++ {
-			rs = append(rs, th.Irecv(c, 0, 0))
+		if received != window {
+			t.Fatal("waitall did not finish")
 		}
-		th.Waitall(rs)
-		received = window
+		if w.DanglingNow() != 0 {
+			t.Fatalf("dangling after waitall: %d", w.DanglingNow())
+		}
+		if got := w.Proc(0).Outstanding() + w.Proc(1).Outstanding(); got != 0 {
+			t.Fatalf("outstanding after waitall: %d", got)
+		}
 	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if received != window {
-		t.Fatal("waitall did not finish")
-	}
-	if w.DanglingNow() != 0 {
-		t.Fatalf("dangling after waitall: %d", w.DanglingNow())
-	}
-	if got := w.Proc(0).Outstanding() + w.Proc(1).Outstanding(); got != 0 {
-		t.Fatalf("outstanding after waitall: %d", got)
-	}
 }
 
 func TestTestPolling(t *testing.T) {
-	w := testWorld(t, 2)
-	c := w.Comm()
-	w.Spawn(0, "sender", func(th *Thread) {
-		th.S.Sleep(10_000)
-		th.Send(c, 1, 0, 8, "x")
-	})
-	polls := 0
-	w.Spawn(1, "receiver", func(th *Thread) {
-		r := th.Irecv(c, 0, 0)
-		for !th.Test(r) {
-			polls++
-			th.S.Sleep(500)
+	forEachVCI(t, func(t *testing.T, opt func(*Config)) {
+		w := testWorld(t, 2, opt)
+		c := w.Comm()
+		w.Spawn(0, "sender", func(th *Thread) {
+			th.S.Sleep(10_000)
+			th.Send(c, 1, 0, 8, "x")
+			th.S.Sleep(10_000)
+			for tag := 1; tag <= 4; tag++ {
+				th.Send(c, 1, tag, 8, tag)
+			}
+		})
+		polls, testallPolls := 0, 0
+		w.Spawn(1, "receiver", func(th *Thread) {
+			r := th.Irecv(c, 0, 0)
+			for !th.Test(r) {
+				polls++
+				th.S.Sleep(500)
+			}
+			// An AnyTag receive under a tag-hashed mapping is an unbound
+			// cross-shard wildcard until a message binds it.
+			wild := th.Irecv(c, 0, AnyTag)
+			for !th.Test(wild) {
+				th.S.Sleep(500)
+			}
+			if wild.Data() != 1 {
+				t.Errorf("wildcard Test got %v, want the first message (1)", wild.Data())
+			}
+			var rs []*Request
+			for tag := 2; tag <= 4; tag++ {
+				rs = append(rs, th.Irecv(c, 0, tag))
+			}
+			all := append([]*Request(nil), rs...)
+			for len(rs) > 0 {
+				rs = th.Testall(rs)
+				testallPolls++
+				th.S.Sleep(500)
+			}
+			for i, r := range all {
+				if !r.Freed() || r.Data() != i+2 {
+					t.Errorf("Testall request %d: freed=%v data=%v", i, r.Freed(), r.Data())
+				}
+			}
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if polls == 0 {
+			t.Fatal("Test returned true before the message could arrive")
+		}
+		if testallPolls == 0 {
+			t.Fatal("Testall loop never ran")
+		}
+		if w.DanglingNow() != 0 {
+			t.Fatalf("dangling after Test/Testall: %d", w.DanglingNow())
 		}
 	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if polls == 0 {
-		t.Fatal("Test returned true before the message could arrive")
-	}
 }
 
 func TestDanglingAccounting(t *testing.T) {
@@ -263,7 +325,7 @@ func TestDanglingAccounting(t *testing.T) {
 		// Busy-wait without freeing: once complete, it must be dangling.
 		for !r.Complete() {
 			th.enter(simlock.Low)
-			th.P.pollOnce(th)
+			th.P.pollShard(th, 0)
 			th.exit(simlock.Low)
 			th.progressYield()
 		}
@@ -615,77 +677,111 @@ func TestOnGrantHookReceivesTraffic(t *testing.T) {
 }
 
 func TestIprobeAndProbe(t *testing.T) {
-	w := testWorld(t, 2)
-	c := w.Comm()
-	w.Spawn(0, "s", func(th *Thread) {
-		th.S.Sleep(5000)
-		th.Send(c, 1, 7, 48, "probed")
+	forEachVCI(t, func(t *testing.T, opt func(*Config)) {
+		w := testWorld(t, 2, opt)
+		c := w.Comm()
+		w.Spawn(0, "s", func(th *Thread) {
+			th.S.Sleep(5000)
+			th.Send(c, 1, 7, 48, "probed")
+			th.Send(c, 1, 3, 16, "second")
+		})
+		w.Spawn(1, "r", func(th *Thread) {
+			if _, ok := th.Iprobe(c, 0, 7); ok {
+				t.Error("Iprobe true before send")
+			}
+			if _, ok := th.Iprobe(c, AnySource, AnyTag); ok {
+				t.Error("AnyTag Iprobe true before send")
+			}
+			st := th.Probe(c, 0, 7)
+			if st.Source != 0 || st.Tag != 7 || st.Bytes != 48 {
+				t.Errorf("status = %+v", st)
+			}
+			// A wildcard probe reports the earliest matching arrival.
+			if st := th.Probe(c, AnySource, AnyTag); st.Tag != 7 || st.Bytes != 48 {
+				t.Errorf("AnyTag status = %+v, want the tag-7 message", st)
+			}
+			// The message must still be receivable after probing.
+			if got := th.Recv(c, 0, 7); got != "probed" {
+				t.Errorf("got %v", got)
+			}
+			if st := th.Probe(c, 0, AnyTag); st.Tag != 3 || st.Bytes != 16 {
+				t.Errorf("AnyTag status after receive = %+v, want the tag-3 message", st)
+			}
+			if got := th.Recv(c, 0, AnyTag); got != "second" {
+				t.Errorf("AnyTag receive got %v", got)
+			}
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
 	})
-	w.Spawn(1, "r", func(th *Thread) {
-		if _, ok := th.Iprobe(c, 0, 7); ok {
-			t.Error("Iprobe true before send")
-		}
-		st := th.Probe(c, 0, 7)
-		if st.Source != 0 || st.Tag != 7 || st.Bytes != 48 {
-			t.Errorf("status = %+v", st)
-		}
-		// The message must still be receivable after probing.
-		if got := th.Recv(c, 0, 7); got != "probed" {
-			t.Errorf("got %v", got)
-		}
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestWaitany(t *testing.T) {
-	w := testWorld(t, 2)
-	c := w.Comm()
-	w.Spawn(0, "s", func(th *Thread) {
-		th.S.Sleep(2000)
-		th.Send(c, 1, 5, 8, "fast") // only tag 5 is ever sent
-	})
-	w.Spawn(1, "r", func(th *Thread) {
-		slow := th.Irecv(c, 0, 9)
-		fast := th.Irecv(c, 0, 5)
-		idx := th.Waitany([]*Request{slow, fast})
-		if idx != 1 {
-			t.Errorf("Waitany picked %d", idx)
+	forEachVCI(t, func(t *testing.T, opt func(*Config)) {
+		w := testWorld(t, 2, opt)
+		c := w.Comm()
+		w.Spawn(0, "s", func(th *Thread) {
+			th.S.Sleep(2000)
+			th.Send(c, 1, 5, 8, "fast") // only tag 5 is ever sent
+		})
+		w.Spawn(1, "r", func(th *Thread) {
+			slow := th.Irecv(c, 0, 9)
+			fast := th.Irecv(c, 0, 5)
+			// Posted after fast, so the tag-5 message matches fast; the
+			// wildcard stays unmatched (and, under a tag-hashed mapping,
+			// unbound and cross-posted on every shard).
+			wild := th.Irecv(c, 0, AnyTag)
+			idx := th.Waitany([]*Request{slow, fast, wild})
+			if idx != 1 {
+				t.Errorf("Waitany picked %d", idx)
+			}
+			if fast.Data() != "fast" {
+				t.Errorf("payload %v", fast.Data())
+			}
+			th.CancelRecv(slow)
+			th.CancelRecv(wild)
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
 		}
-		if fast.Data() != "fast" {
-			t.Errorf("payload %v", fast.Data())
+		if got := w.Proc(1).Outstanding(); got != 0 {
+			t.Fatalf("outstanding after cancel: %d", got)
 		}
-		th.CancelRecv(slow)
 	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestWaitsome(t *testing.T) {
-	w := testWorld(t, 2)
-	c := w.Comm()
-	w.Spawn(0, "s", func(th *Thread) {
-		for i := 0; i < 3; i++ {
-			th.Send(c, 1, i, 8, i)
-		}
-	})
-	w.Spawn(1, "r", func(th *Thread) {
-		rs := []*Request{th.Irecv(c, 0, 0), th.Irecv(c, 0, 1), th.Irecv(c, 0, 2)}
-		got := map[int]bool{}
-		for len(got) < 3 {
-			for _, i := range th.Waitsome(rs) {
-				got[i] = true
+	forEachVCI(t, func(t *testing.T, opt func(*Config)) {
+		w := testWorld(t, 2, opt)
+		c := w.Comm()
+		w.Spawn(0, "s", func(th *Thread) {
+			for i := 0; i < 3; i++ {
+				th.Send(c, 1, i, 8, i)
 			}
+		})
+		w.Spawn(1, "r", func(th *Thread) {
+			rs := []*Request{th.Irecv(c, 0, 0), th.Irecv(c, 0, 1), th.Irecv(c, 0, 2)}
+			got := map[int]bool{}
+			for len(got) < 3 {
+				for _, i := range th.Waitsome(rs) {
+					if got[i] {
+						t.Errorf("Waitsome returned index %d twice", i)
+					}
+					got[i] = true
+					if rs[i].Data() != i {
+						t.Errorf("request %d got %v", i, rs[i].Data())
+					}
+				}
+			}
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if w.DanglingNow() != 0 {
+			t.Fatalf("dangling: %d", w.DanglingNow())
 		}
 	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if w.DanglingNow() != 0 {
-		t.Fatalf("dangling: %d", w.DanglingNow())
-	}
 }
 
 func TestAllgather(t *testing.T) {

@@ -14,8 +14,8 @@ func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{})
 	worldDst := c.world(dst)
 	v := p.selectVCI(c, tag)
 	tel := th.telStart()
-	th.mainBeginVCI(v)
-	r := p.allocReqVCI(v)
+	th.mainBegin(v)
+	r := p.allocReq(v)
 	*r = Request{
 		p: p, kind: SendReq, dst: worldDst, src: p.Rank,
 		tag: tag, ctx: c.ctx, bytes: bytes, payload: payload,
@@ -26,7 +26,7 @@ func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{})
 	if p.ftIssue(r) {
 		// Revoked context or known-dead peer: the request failed at issue
 		// and nothing reaches the wire (fail-fast, ft.go).
-		th.mainEndVCI(v)
+		th.mainEnd(v)
 		th.telCall("Isend", tel)
 		return r
 	}
@@ -48,7 +48,7 @@ func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{})
 		}
 		p.sendShard(th, pkt, false, r)
 	}
-	th.mainEndVCI(v)
+	th.mainEnd(v)
 	th.telCall("Isend", tel)
 	return r
 }
@@ -74,14 +74,14 @@ func (th *Thread) IrecvN(c *Comm, src, tag int, maxBytes int64) *Request {
 	cost := th.cost()
 	v := p.selectVCI(c, tag)
 	tel := th.telStart()
-	th.mainBeginVCI(v)
-	r := p.allocReqVCI(v)
+	th.mainBegin(v)
+	r := p.allocReq(v)
 	*r = Request{p: p, kind: RecvReq, src: src, tag: tag, ctx: c.ctx,
 		comm: c, maxBytes: maxBytes, vci: v}
 	p.outstanding++
 	p.armDeadline(r)
 	if p.ftIssue(r) {
-		th.mainEndVCI(v)
+		th.mainEnd(v)
 		th.telCall("Irecv", tel)
 		return r
 	}
@@ -113,7 +113,7 @@ func (th *Thread) IrecvN(c *Comm, src, tag int, maxBytes int64) *Request {
 	} else {
 		p.vcis[v].posted = append(p.vcis[v].posted, r)
 	}
-	th.mainEndVCI(v)
+	th.mainEnd(v)
 	th.telCall("Irecv", tel)
 	return r
 }
@@ -121,14 +121,14 @@ func (th *Thread) IrecvN(c *Comm, src, tag int, maxBytes int64) *Request {
 // irecvWild posts a cross-VCI wildcard receive: the request is posted on
 // every shard's queue under all shard locks (ascending order), after a
 // deterministic earliest-arrival scan of every shard's unexpected queue.
-// The request object comes from the world pool and — receives are never
+// The request object comes from shard 0's pool and — receives are never
 // recycled — provably outlives its tombstone copies on unmatched shards.
 func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
 	p := th.P
 	cost := th.cost()
 	tel := th.telStart()
 	th.wildBegin()
-	r := p.w.allocRequest()
+	r := p.allocReq(0)
 	*r = Request{p: p, kind: RecvReq, src: src, tag: tag, ctx: c.ctx,
 		comm: c, maxBytes: maxBytes, vci: -1, wild: true}
 	p.outstanding++
@@ -199,9 +199,10 @@ func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
 
 // Wait blocks until the request completes, then frees it. While waiting it
 // iterates the progress loop, yielding the critical section between polls
-// (low priority under the priority lock). It returns the request's error,
-// if any, after the configured error handler runs (MPI_ERRORS_ARE_FATAL,
-// the default, panics instead of returning).
+// (low priority under the priority lock). The loop drives only the
+// shard(s) the request can complete on (progressReq). It returns the
+// request's error, if any, after the configured error handler runs
+// (MPI_ERRORS_ARE_FATAL, the default, panics instead of returning).
 func (th *Thread) Wait(r *Request) error {
 	if r.freed && !r.complete {
 		return r.raiseAs(ErrRequest)
@@ -214,57 +215,18 @@ func (th *Thread) Wait(r *Request) error {
 	if r.freed {
 		return r.raiseAs(ErrRequest)
 	}
-	if th.P.numVCI() > 1 {
-		return th.waitVCI(r)
-	}
 	cost := th.cost()
 	tel := th.telStart()
-	th.stateBegin(simlock.High)
+	v := reqShard(r)
+	th.stateBegin(v, simlock.High)
 	if r.complete {
 		th.S.Sleep(cost.RequestFreeWork)
 		r.free()
-		th.stateEnd(simlock.High)
+		th.stateEnd(v, simlock.High)
 		th.telCall("Wait", tel)
 		return r.release()
 	}
-	th.stateEnd(simlock.High)
-	th.pollBackoff = 0
-	for {
-		done := false
-		th.progressRound(simlock.Low, func() {
-			if r.complete {
-				th.S.Sleep(cost.RequestFreeWork)
-				r.free()
-				done = true
-			}
-		})
-		if done {
-			th.telCall("Wait", tel)
-			return r.release()
-		}
-		th.progressYield()
-	}
-}
-
-// waitVCI is Wait on a sharded runtime: the progress loop drives only the
-// shard(s) the request can complete on — its own VCI, or every VCI while a
-// wildcard is still unbound (re-read each round; a bind narrows the loop).
-func (th *Thread) waitVCI(r *Request) error {
-	cost := th.cost()
-	tel := th.telStart()
-	v0 := r.vci
-	if v0 < 0 {
-		v0 = 0
-	}
-	th.stateBeginVCI(v0, simlock.High)
-	if r.complete {
-		th.S.Sleep(cost.RequestFreeWork)
-		r.free()
-		th.stateEndVCI(v0, simlock.High)
-		th.telCall("Wait", tel)
-		return r.release()
-	}
-	th.stateEndVCI(v0, simlock.High)
+	th.stateEnd(v, simlock.High)
 	th.pollBackoff = 0
 	done := false
 	check := func() {
@@ -275,13 +237,7 @@ func (th *Thread) waitVCI(r *Request) error {
 		}
 	}
 	for {
-		if v := r.vci; v >= 0 {
-			th.progressRoundVCI(v, simlock.Low, check)
-		} else {
-			for v := 0; v < th.P.numVCI() && !done; v++ {
-				th.progressRoundVCI(v, simlock.Low, check)
-			}
-		}
+		th.progressReq(r, simlock.Low, check, &done)
 		if done {
 			th.telCall("Wait", tel)
 			return r.release()
@@ -292,9 +248,10 @@ func (th *Thread) waitVCI(r *Request) error {
 
 // Waitall blocks until every request completes. Requests are freed as their
 // completion is detected, so a starving caller leaves its completed
-// requests dangling — the §4.4 effect. It returns the first request error
-// encountered (after the error handler runs); the remaining requests are
-// still waited for and freed.
+// requests dangling — the §4.4 effect. Each progress round polls only the
+// shards that still have a pending request on them. It returns the first
+// request error encountered (after the error handler runs); the remaining
+// requests are still waited for and freed.
 func (th *Thread) Waitall(rs []*Request) error {
 	if len(rs) == 0 {
 		return nil
@@ -305,117 +262,49 @@ func (th *Thread) Waitall(rs []*Request) error {
 	case ProgressContinuation:
 		return th.waitallCont(rs)
 	}
-	if th.P.numVCI() > 1 {
-		return th.waitallVCI(rs)
-	}
 	cost := th.cost()
-	remaining := len(rs)
 	pending := make([]*Request, len(rs))
 	copy(pending, rs)
 	var firstErr error
-
-	reap := func() {
-		for i := 0; i < len(pending); {
-			if pending[i].complete {
-				th.S.Sleep(cost.RequestFreeWork)
-				r := pending[i]
-				r.free()
-				if err := r.release(); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				pending[i] = pending[len(pending)-1]
-				pending = pending[:len(pending)-1]
-				remaining--
-			} else {
-				i++
-			}
-		}
-	}
-
-	tel := th.telStart()
-	th.stateBegin(simlock.High)
-	reap()
-	th.stateEnd(simlock.High)
-	if remaining == 0 {
-		th.telCall("Waitall", tel)
-		return firstErr
-	}
-	th.pollBackoff = 0
-	for {
-		th.progressRound(simlock.Low, reap)
-		if remaining == 0 {
-			th.telCall("Waitall", tel)
-			return firstErr
-		}
-		th.progressYield()
-	}
-}
-
-// waitallVCI is Waitall on a sharded runtime: each round polls only the
-// shards that still have a pending request on them.
-func (th *Thread) waitallVCI(rs []*Request) error {
-	cost := th.cost()
-	remaining := len(rs)
-	pending := make([]*Request, len(rs))
-	copy(pending, rs)
-	var firstErr error
-
-	reap := func() {
-		for i := 0; i < len(pending); {
-			if pending[i].complete {
-				th.S.Sleep(cost.RequestFreeWork)
-				r := pending[i]
-				r.free()
-				if err := r.release(); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				pending[i] = pending[len(pending)-1]
-				pending = pending[:len(pending)-1]
-				remaining--
-			} else {
-				i++
-			}
-		}
-	}
-
-	tel := th.telStart()
-	th.sweepDone(pending, func(_ int, r *Request) {
+	// take frees a completed request after dropping it from pending, so
+	// nothing refers to an object release may recycle. The vacated tail
+	// slot is cleared: pollLoop's full-length view of pending must see
+	// exactly the requests still pending.
+	take := func(i int) {
+		r := pending[i]
+		last := len(pending) - 1
+		pending[i] = pending[last]
+		pending[last] = nil
+		pending = pending[:last]
 		th.S.Sleep(cost.RequestFreeWork)
 		r.free()
-		for i, q := range pending {
-			if q == r {
-				pending[i] = pending[len(pending)-1]
-				pending = pending[:len(pending)-1]
-				break
-			}
-		}
-		remaining--
 		if err := r.release(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+	}
+	reap := func() {
+		for i := 0; i < len(pending); {
+			if pending[i].complete {
+				take(i)
+			} else {
+				i++
+			}
+		}
+	}
+	tel := th.telStart()
+	th.pollPrecheck(pending, reap, func(_ int, r *Request) {
+		for i, q := range pending {
+			if q == r {
+				take(i)
+				return
+			}
+		}
 	})
-	if remaining == 0 {
-		th.telCall("Waitall", tel)
-		return firstErr
+	if len(pending) > 0 {
+		th.pollLoop(pending, reap, func() bool { return len(pending) == 0 })
 	}
-	th.pollBackoff = 0
-	shards := make(shardSet, th.P.numVCI())
-	for {
-		if !shards.gather(pending) {
-			shards[0] = true
-		}
-		for v := range shards {
-			if !shards[v] {
-				continue
-			}
-			th.progressRoundVCI(v, simlock.Low, reap)
-			if remaining == 0 {
-				th.telCall("Waitall", tel)
-				return firstErr
-			}
-		}
-		th.progressYield()
-	}
+	th.telCall("Waitall", tel)
+	return firstErr
 }
 
 // Test polls the runtime once and reports whether the request completed;
@@ -433,17 +322,7 @@ func (th *Thread) Test(r *Request) bool {
 			done = true
 		}
 	}
-	if th.P.numVCI() > 1 {
-		if v := r.vci; v >= 0 {
-			th.progressRoundVCI(v, simlock.High, check)
-		} else {
-			for v := 0; v < th.P.numVCI() && !done; v++ {
-				th.progressRoundVCI(v, simlock.High, check)
-			}
-		}
-	} else {
-		th.progressRound(simlock.High, check)
-	}
+	th.progressReq(r, simlock.High, check, &done)
 	th.telCall("Test", tel)
 	if done {
 		// Run the error handler (panic under MPI_ERRORS_ARE_FATAL);
@@ -455,51 +334,43 @@ func (th *Thread) Test(r *Request) bool {
 
 // Testall polls once and frees/report-counts the completed requests,
 // removing them from rs in place; it returns the still-pending remainder.
+// Each shard with work — a pending or completed request (shard 0 when
+// there is none) — is polled and reaped in one high-class hold, so every
+// request is freed under its own shard's section.
 func (th *Thread) Testall(rs []*Request) []*Request {
 	cost := th.cost()
-	var out []*Request
 	var failed []*Request
-	reap := func() {
-		out = rs[:0]
-		for _, r := range rs {
-			if r.complete {
+	shards := make(shardSet, len(th.P.vcis))
+	work := shards.gather(rs)
+	eachDone(rs, func(_ int, r *Request) {
+		shards[reqShard(r)] = true
+		work = true
+	})
+	if !work {
+		shards[0] = true
+	}
+	for v, on := range shards {
+		if !on {
+			continue
+		}
+		th.progressRound(v, simlock.High, func() {
+			eachDone(rs, func(_ int, r *Request) {
+				if reqShard(r) != v {
+					return
+				}
 				th.S.Sleep(cost.RequestFreeWork)
 				r.free()
 				if r.err != nil {
 					failed = append(failed, r)
 				}
-			} else {
-				out = append(out, r)
-			}
-		}
-	}
-	if th.P.numVCI() > 1 {
-		// Poll each shard with pending work, then reap the completed
-		// requests shard by shard under their own state sections.
-		shards := make(shardSet, th.P.numVCI())
-		if !shards.gather(rs) {
-			shards[0] = true
-		}
-		for v := range shards {
-			if shards[v] {
-				th.progressRoundVCI(v, simlock.High, nil)
-			}
-		}
-		th.sweepDone(rs, func(_ int, r *Request) {
-			th.S.Sleep(cost.RequestFreeWork)
-			r.free()
-			if r.err != nil {
-				failed = append(failed, r)
-			}
+			})
 		})
-		out = rs[:0]
-		for _, r := range rs {
-			if !r.freed {
-				out = append(out, r)
-			}
+	}
+	out := rs[:0]
+	for _, r := range rs {
+		if !r.freed {
+			out = append(out, r)
 		}
-	} else {
-		th.progressRound(simlock.High, reap)
 	}
 	for _, r := range failed {
 		_ = r.raise()
@@ -517,7 +388,7 @@ func (th *Thread) CancelRecv(r *Request) {
 	}
 	p := th.P
 	cost := th.cost()
-	if p.numVCI() > 1 && r.wild && r.vci < 0 {
+	if r.wild && r.vci < 0 {
 		// Unbound wildcard: withdraw every cross-posted copy under all
 		// shard locks.
 		th.wildBegin()
@@ -543,14 +414,11 @@ func (th *Thread) CancelRecv(r *Request) {
 		th.wildEnd()
 		return
 	}
-	v := r.vci
-	if v < 0 {
-		v = 0
-	}
-	th.stateBeginVCI(v, simlock.High)
+	v := reqShard(r)
+	th.stateBegin(v, simlock.High)
 	th.S.Sleep(cost.RequestFreeWork)
 	if r.complete {
-		th.stateEndVCI(v, simlock.High)
+		th.stateEnd(v, simlock.High)
 		panic("mpi: CancelRecv on a completed request")
 	}
 	for i, q := range p.vcis[v].posted {
@@ -565,7 +433,7 @@ func (th *Thread) CancelRecv(r *Request) {
 	}
 	r.freed = true
 	p.outstanding--
-	th.stateEndVCI(v, simlock.High)
+	th.stateEnd(v, simlock.High)
 }
 
 // Send is a blocking send (Isend + Wait).

@@ -295,8 +295,8 @@ func (th *Thread) Pstart(pr *Prequest) {
 	}
 	v := pr.vci
 	tel := th.telStart()
-	th.mainBeginVCI(v)
-	r := p.allocReqVCI(v)
+	th.mainBegin(v)
+	r := p.allocReq(v)
 	if pr.send {
 		*r = Request{
 			p: p, kind: SendReq, dst: pr.wdst, src: p.Rank,
@@ -318,7 +318,7 @@ func (th *Thread) Pstart(pr *Prequest) {
 	if p.ftIssue(r) {
 		// Revoked context or known-dead peer: the epoch failed at issue
 		// (fail-fast, ft.go); Parrived and the Wait family surface it.
-		th.mainEndVCI(v)
+		th.mainEnd(v)
 		th.telCall("Pstart", tel)
 		return
 	}
@@ -328,7 +328,7 @@ func (th *Thread) Pstart(pr *Prequest) {
 			sh.pposted = append(sh.pposted, r)
 		}
 	}
-	th.mainEndVCI(v)
+	th.mainEnd(v)
 	th.telCall("Pstart", tel)
 }
 
@@ -445,11 +445,11 @@ func (th *Thread) partTrigger(pr *Prequest) {
 	v := pr.vci
 	r := pr.r
 	tel := th.telStart()
-	th.mainBeginVCI(v)
+	th.mainBegin(v)
 	if r.complete {
 		// The epoch already failed (deadline, dead peer): nothing to
 		// inject — the error surfaces through Parrived/Wait.
-		th.mainEndVCI(v)
+		th.mainEnd(v)
 		th.telCall("Pready", tel)
 		return
 	}
@@ -477,7 +477,7 @@ func (th *Thread) partTrigger(pr *Prequest) {
 	w := p.w
 	w.partStats.Aggregates++
 	w.partStats.Partitions += int64(pr.parts)
-	th.mainEndVCI(v)
+	th.mainEnd(v)
 	th.telCall("Pready", tel)
 }
 

@@ -23,45 +23,33 @@ func (th *Thread) Iprobe(c *Comm, src, tag int) (Status, bool) {
 	var st Status
 	found := false
 	p := th.P
-	if p.numVCI() > 1 {
-		if p.vciWildcard(tag) {
-			// Cross-VCI probe: poll every shard, then report the earliest
-			// matching arrival across all unexpected queues under all
-			// shard locks (the same order a single queue would give).
-			for v := 0; v < p.numVCI(); v++ {
-				th.progressRoundVCI(v, simlock.High, nil)
-			}
-			var bestAt sim.Time
-			th.wildBegin()
-			for _, sh := range p.vcis {
-				for _, e := range sh.unexp {
-					if e.matches(src, tag, c.ctx) {
-						if !found || e.arrivedAt < bestAt {
-							st = Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
-							bestAt = e.arrivedAt
-							found = true
-						}
-						break
-					}
-				}
-			}
-			th.wildEnd()
-			return st, found
+	if p.vciWildcard(tag) {
+		// Cross-VCI probe: poll every shard, then report the earliest
+		// matching arrival across all unexpected queues under all shard
+		// locks (the same order a single queue would give).
+		for v := range p.vcis {
+			th.progressRound(v, simlock.High, nil)
 		}
-		v := p.selectVCI(c, tag)
-		th.progressRoundVCI(v, simlock.High, func() {
-			for _, e := range p.vcis[v].unexp {
+		var bestAt sim.Time
+		th.wildBegin()
+		for _, sh := range p.vcis {
+			for _, e := range sh.unexp {
 				if e.matches(src, tag, c.ctx) {
-					st = Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
-					found = true
+					if !found || e.arrivedAt < bestAt {
+						st = Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
+						bestAt = e.arrivedAt
+						found = true
+					}
 					break
 				}
 			}
-		})
+		}
+		th.wildEnd()
 		return st, found
 	}
-	th.progressRound(simlock.High, func() {
-		for _, e := range p.vcis[0].unexp {
+	v := p.selectVCI(c, tag)
+	th.progressRound(v, simlock.High, func() {
+		for _, e := range p.vcis[v].unexp {
 			if e.matches(src, tag, c.ctx) {
 				st = Status{Source: e.src, Tag: e.tag, Bytes: e.bytes}
 				found = true
@@ -92,62 +80,19 @@ func (th *Thread) Waitany(rs []*Request) int {
 	}
 	cost := th.cost()
 	idx := -1
-	check := func() {
-		for i, r := range rs {
-			if r != nil && r.complete {
-				th.S.Sleep(cost.RequestFreeWork)
-				r.free()
-				idx = i
-				return
-			}
+	take := func(i int, r *Request) {
+		if idx < 0 {
+			th.S.Sleep(cost.RequestFreeWork)
+			r.free()
+			idx = i
 		}
 	}
-	if th.P.numVCI() > 1 {
-		// Free the first already-completed request under its own shard's
-		// state section (a fixed shard-0 sweep would serialize callers on
-		// one lock regardless of where their requests live).
-		for i, r := range rs {
-			if r != nil && r.complete && !r.freed {
-				v := reqShard(r)
-				th.stateBeginVCI(v, simlock.High)
-				th.S.Sleep(cost.RequestFreeWork)
-				r.free()
-				th.stateEndVCI(v, simlock.High)
-				return i
-			}
-		}
-		th.pollBackoff = 0
-		shards := make(shardSet, th.P.numVCI())
-		for {
-			if !shards.gather(rs) {
-				shards[0] = true
-			}
-			for v := range shards {
-				if !shards[v] {
-					continue
-				}
-				th.progressRoundVCI(v, simlock.Low, check)
-				if idx >= 0 {
-					return idx
-				}
-			}
-			th.progressYield()
-		}
+	reap := func() { eachDone(rs, take) }
+	th.pollPrecheck(rs, reap, take)
+	if idx < 0 {
+		th.pollLoop(rs, reap, func() bool { return idx >= 0 })
 	}
-	th.stateBegin(simlock.High)
-	check()
-	th.stateEnd(simlock.High)
-	if idx >= 0 {
-		return idx
-	}
-	th.pollBackoff = 0
-	for {
-		th.progressRound(simlock.Low, check)
-		if idx >= 0 {
-			return idx
-		}
-		th.progressYield()
-	}
+	return idx
 }
 
 // Waitsome blocks until at least one request completes, frees all the
@@ -155,57 +100,15 @@ func (th *Thread) Waitany(rs []*Request) int {
 func (th *Thread) Waitsome(rs []*Request) []int {
 	cost := th.cost()
 	var done []int
-	reap := func() {
-		for i, r := range rs {
-			if r != nil && r.complete && !r.freed {
-				th.S.Sleep(cost.RequestFreeWork)
-				r.free()
-				done = append(done, i)
-			}
-		}
+	take := func(i int, r *Request) {
+		th.S.Sleep(cost.RequestFreeWork)
+		r.free()
+		done = append(done, i)
 	}
-	if th.P.numVCI() > 1 {
-		// Reap already-completed requests shard by shard under their own
-		// state sections (see sweepDone); done holds rs indices in
-		// shard-major order.
-		th.sweepDone(rs, func(i int, r *Request) {
-			th.S.Sleep(cost.RequestFreeWork)
-			r.free()
-			done = append(done, i)
-		})
-		if len(done) > 0 {
-			return done
-		}
-		th.pollBackoff = 0
-		shards := make(shardSet, th.P.numVCI())
-		for {
-			if !shards.gather(rs) {
-				shards[0] = true
-			}
-			for v := range shards {
-				if !shards[v] {
-					continue
-				}
-				th.progressRoundVCI(v, simlock.Low, reap)
-				if len(done) > 0 {
-					return done
-				}
-			}
-			th.progressYield()
-		}
+	reap := func() { eachDone(rs, take) }
+	th.pollPrecheck(rs, reap, take)
+	if len(done) == 0 {
+		th.pollLoop(rs, reap, func() bool { return len(done) > 0 })
 	}
-	th.stateBegin(simlock.High)
-	reap()
-	th.stateEnd(simlock.High)
-	if len(done) > 0 {
-		return done
-	}
-	th.pollBackoff = 0
-	for {
-		th.progressRound(simlock.Low, reap)
-		if len(done) > 0 {
-			return done
-		}
-		th.progressYield()
-	}
+	return done
 }

@@ -27,13 +27,6 @@ type ctsMeta struct {
 // lock-cycling dynamics the paper studies.
 const maxEventsPerPoll = 2
 
-// pollOnce runs one iteration of the progress engine on VCI 0 — the whole
-// engine in the unsharded runtime. Must be called with the process's
-// critical section held.
-//
-//simcheck:hotpath progress-engine receive path, runs inside the critical section
-func (p *Proc) pollOnce(th *Thread) { p.pollShard(th, 0) }
-
 // pollShard runs one progress iteration on shard v: it polls the shard's
 // network completion queue and handles up to maxEventsPerPoll events. Must
 // be called with shard v's critical section held; the costs it charges are
@@ -176,15 +169,7 @@ func (p *Proc) handlePacket(th *Thread, pkt *fabric.Packet) {
 		// A peer revoked a communicator (ULFM, ulfm.go). Apply it and
 		// re-flood once, so revocation completes even if the initiator
 		// died mid-broadcast.
-		m := pkt.Meta.(revokeMeta)
-		if p.ft != nil && !p.ft.revoked[m.ctx] {
-			size := len(m.ranks)
-			if m.ranks == nil {
-				size = len(p.w.Procs)
-			}
-			p.applyRevoke(m.ctx, now)
-			p.floodRevoke(m.ctx, m.ranks, size)
-		}
+		p.revokeFrom(pkt.Meta.(revokeMeta), now)
 
 	default:
 		panic(fmt.Sprintf("mpi: unhandled packet kind %v", pkt.Kind))
@@ -196,6 +181,20 @@ func (p *Proc) handlePacket(th *Thread, pkt *fabric.Packet) {
 	if pkt.Rel && p.rel != nil {
 		p.rel.ackDelivered(pkt)
 	}
+}
+
+// revokeFrom applies a revocation received from a peer and re-floods it
+// once, unless this process already observed it.
+func (p *Proc) revokeFrom(m revokeMeta, now int64) {
+	if p.ft == nil || p.ft.revoked[m.ctx] {
+		return
+	}
+	size := len(m.ranks)
+	if m.ranks == nil {
+		size = len(p.w.Procs)
+	}
+	p.applyRevoke(m.ctx, now)
+	p.floodRevoke(m.ctx, m.ranks, size)
 }
 
 // matchPostedShard scans shard v's posted queue for a receive matching the

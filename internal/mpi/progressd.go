@@ -39,9 +39,8 @@ type ProgressMode int
 
 const (
 	// ProgressPolling is the paper's shape: blocked application threads
-	// iterate the progress loop from Wait, re-acquiring the critical
-	// section at low class around every poll. The default; all pre-VCI
-	// and per-VCI code paths are byte-identical under it.
+	// iterate the progress loop from Wait, re-acquiring their requests'
+	// shard sections at low class around every poll. The default.
 	ProgressPolling ProgressMode = iota
 	// ProgressStrong runs a dedicated progress daemon per VCI shard;
 	// application threads block without polling.
@@ -106,7 +105,7 @@ func progressDaemon(th *Thread, p *Proc, v int) {
 			p.activity.Wait(th.S)
 			continue
 		}
-		th.progressRoundVCI(v, simlock.Low, nil)
+		th.progressRound(v, simlock.Low, nil)
 		th.S.Sleep(cost.ProgressLoopOverhead)
 	}
 }
@@ -132,13 +131,13 @@ func (r *Request) OnComplete(th *Thread, fn func(r *Request, err error)) {
 	}
 	tel := th.telStart()
 	v := reqShard(r)
-	th.stateBeginVCI(v, simlock.High)
+	th.stateBegin(v, simlock.High)
 	if r.freed {
-		th.stateEndVCI(v, simlock.High)
+		th.stateEnd(v, simlock.High)
 		panic("mpi: OnComplete on a freed request")
 	}
 	if r.onComplete != nil || r.cq != nil {
-		th.stateEndVCI(v, simlock.High)
+		th.stateEnd(v, simlock.High)
 		panic("mpi: OnComplete registered twice")
 	}
 	r.onComplete = fn
@@ -148,7 +147,7 @@ func (r *Request) OnComplete(th *Thread, fn func(r *Request, err error)) {
 		// exactly once and still under the shard section.
 		r.fire(th.S.Now())
 	}
-	th.stateEndVCI(v, simlock.High)
+	th.stateEnd(v, simlock.High)
 	th.telCall("OnComplete", tel)
 }
 
@@ -166,15 +165,7 @@ func (r *Request) fire(at sim.Time) {
 	//simcheck:allow hotalloc continuation dispatch; callback work is the registrant's and is modeled by the registrant
 	fn(r, r.Err())
 	r.free()
-	if r.poolable && r.err == nil {
-		if len(r.p.vcis) > 1 {
-			sh := r.p.vcis[r.vci]
-			r.nextFree = sh.reqFree
-			sh.reqFree = r
-		} else {
-			r.p.w.recycleRequest(r)
-		}
-	}
+	r.p.recycle(r)
 }
 
 // CompletionQueue is the event-queue completion API of continuation mode:
@@ -203,9 +194,9 @@ func (th *Thread) NewCompletionQueue() *CompletionQueue {
 func (q *CompletionQueue) Add(r *Request) {
 	th := q.th
 	v := reqShard(r)
-	th.stateBeginVCI(v, simlock.High)
+	th.stateBegin(v, simlock.High)
 	q.addLocked(r, th.S.Now())
-	th.stateEndVCI(v, simlock.High)
+	th.stateEnd(v, simlock.High)
 }
 
 // addLocked registers one request; the caller holds r's shard section.
@@ -302,19 +293,19 @@ func (th *Thread) waitEvent(r *Request) error {
 		th.checkCrashed()
 		seq := p.completeSeq
 		v := reqShard(r)
-		th.stateBeginVCI(v, simlock.High)
+		th.stateBegin(v, simlock.High)
 		if r.complete {
 			if r.freed {
-				th.stateEndVCI(v, simlock.High)
+				th.stateEnd(v, simlock.High)
 				panic("mpi: Wait on a request with a continuation attached")
 			}
 			th.S.Sleep(cost.RequestFreeWork)
 			r.free()
-			th.stateEndVCI(v, simlock.High)
+			th.stateEnd(v, simlock.High)
 			th.telCall("Wait", tel)
 			return r.release()
 		}
-		th.stateEndVCI(v, simlock.High)
+		th.stateEnd(v, simlock.High)
 		if p.completeSeq == seq {
 			p.activity.Wait(th.S)
 		}
@@ -372,7 +363,7 @@ func (th *Thread) waitallCont(rs []*Request) error {
 	p := th.P
 	tel := th.telStart()
 	q := th.ensureCQ()
-	mark := make(shardSet, p.numVCI())
+	mark := make(shardSet, len(p.vcis))
 	for _, r := range rs {
 		mark[reqShard(r)] = true
 	}
@@ -380,13 +371,13 @@ func (th *Thread) waitallCont(rs []*Request) error {
 		if !mark[v] {
 			continue
 		}
-		th.stateBeginVCI(v, simlock.High)
+		th.stateBegin(v, simlock.High)
 		for _, r := range rs {
 			if reqShard(r) == v {
 				q.addLocked(r, th.S.Now())
 			}
 		}
-		th.stateEndVCI(v, simlock.High)
+		th.stateEnd(v, simlock.High)
 	}
 	var firstErr error
 	for n := len(rs); n > 0; n-- {

@@ -245,13 +245,25 @@ func TestOnCompleteAlreadyCompleted(t *testing.T) {
 // that fails must observe the error code at dispatch, and the errored
 // object must not be recycled — while a healthy fired request is.
 func TestOnCompleteErrorBeforeRecycle(t *testing.T) {
-	w := testWorld(t, 2, withProgress(ProgressContinuation))
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("vcis=%d", n), func(t *testing.T) {
+			testOnCompleteErrorBeforeRecycle(t, n)
+		})
+	}
+}
+
+// testOnCompleteErrorBeforeRecycle runs the regression on the last shard
+// of an n-shard proc, asserting on that shard's pool.
+func testOnCompleteErrorBeforeRecycle(t *testing.T, n int) {
+	w := testWorld(t, 2, withProgress(ProgressContinuation), withVCIs(n, vci.PerTagHash))
 	w.SetErrhandler(ErrorsReturn)
 	p := w.Procs[0]
+	v := n - 1
+	sh := p.vcis[v]
 
 	for _, code := range []Errcode{ErrProcFailed, ErrTimeout} {
-		bad := w.allocRequest()
-		*bad = Request{p: p, kind: SendReq, dst: 1, poolable: true}
+		bad := p.allocReq(v)
+		*bad = Request{p: p, kind: SendReq, dst: 1, poolable: true, vci: v}
 		p.outstanding++
 		var sawErr error
 		fired := 0
@@ -273,13 +285,13 @@ func TestOnCompleteErrorBeforeRecycle(t *testing.T) {
 		if !bad.freed {
 			t.Fatalf("%v: fired request was not freed", code)
 		}
-		if w.reqFree != nil {
+		if sh.reqFree != nil {
 			t.Fatalf("%v: failed request was recycled into the pool", code)
 		}
 	}
 
-	good := w.allocRequest()
-	*good = Request{p: p, kind: SendReq, dst: 1, poolable: true}
+	good := p.allocReq(v)
+	*good = Request{p: p, kind: SendReq, dst: 1, poolable: true, vci: v}
 	p.outstanding++
 	fired := 0
 	good.onComplete = func(r *Request, err error) {
@@ -292,8 +304,8 @@ func TestOnCompleteErrorBeforeRecycle(t *testing.T) {
 	if fired != 1 {
 		t.Fatalf("healthy continuation fired %d times, want 1", fired)
 	}
-	if w.reqFree != good {
-		t.Fatal("healthy fired request was not recycled")
+	if sh.reqFree != good {
+		t.Fatal("healthy fired request was not recycled into its shard's pool")
 	}
 }
 

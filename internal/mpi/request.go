@@ -68,7 +68,7 @@ type Request struct {
 	// callers read Data() after waiting; reliable-mode requests because
 	// retransmit state may still reference them.
 	poolable bool
-	// nextFree links the world's request free list while pooled.
+	// nextFree links the shard's request free list while pooled.
 	nextFree *Request
 
 	// onComplete is the registered continuation (progressd.go): dispatched
@@ -80,7 +80,7 @@ type Request struct {
 	cq *CompletionQueue
 
 	// vci is the virtual communication interface the request lives on
-	// (always 0 in the unsharded runtime). A cross-VCI wildcard receive
+	// (always 0 on a one-shard proc). A cross-VCI wildcard receive
 	// starts at -1 (posted on every shard) and is bound to the shard that
 	// matches it.
 	vci int
@@ -241,21 +241,11 @@ func (r *Request) free() {
 }
 
 // release runs the error handler for a freed request and, when the object
-// is provably dead, returns it to the world pool. The caller must not
+// is provably dead, returns it to its shard's pool. The caller must not
 // touch r afterwards (standard MPI: a waited-on request is inactive).
 func (r *Request) release() error {
 	err := r.raise()
-	if r.poolable && r.err == nil {
-		if len(r.p.vcis) > 1 {
-			// Sharded runtime: the object goes back to its shard's pool,
-			// keeping request recycling contention-free per VCI.
-			sh := r.p.vcis[r.vci]
-			r.nextFree = sh.reqFree
-			sh.reqFree = r
-		} else {
-			r.p.w.recycleRequest(r)
-		}
-	}
+	r.p.recycle(r)
 	return err
 }
 
@@ -269,7 +259,7 @@ type envelope struct {
 	rndv          bool
 	senderReq     *Request // rendezvous: origin request to CTS back to
 	arrivedAt     sim.Time
-	vci           int // shard the message arrived on (0 when unsharded)
+	vci           int // shard the message arrived on (0 on a one-shard proc)
 }
 
 // matches reports whether the envelope satisfies a receive for (src, tag,

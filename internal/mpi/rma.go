@@ -43,8 +43,8 @@ func (th *Thread) rmaOp(kind fabric.PacketKind, win *Win, target int,
 	offset int64, count int64, payload []float64) *Request {
 	p := th.P
 	tel := th.telStart()
-	th.mainBegin()
-	r := p.w.allocRequest()
+	th.mainBegin(0)
+	r := p.allocReq(0)
 	*r = Request{p: p, kind: RMAReq, dst: target, src: p.Rank,
 		bytes: count * win.elemSize, win: win,
 		// Gets are excluded from pooling: callers read Data() after the
@@ -54,7 +54,7 @@ func (th *Thread) rmaOp(kind fabric.PacketKind, win *Win, target int,
 	win.pending++
 	p.armDeadline(r)
 	if p.ftIssue(r) {
-		th.mainEnd()
+		th.mainEnd(0)
 		th.telCall(kind.String(), tel)
 		return r
 	}
@@ -71,7 +71,7 @@ func (th *Thread) rmaOp(kind fabric.PacketKind, win *Win, target int,
 		Payload: data,
 	}
 	p.send(pkt, false, r)
-	th.mainEnd()
+	th.mainEnd(0)
 	th.telCall(kind.String(), tel)
 	return r
 }

@@ -78,13 +78,13 @@ func (th *Thread) Revoke(c *Comm) {
 	p := th.P
 	tel := th.telStart()
 	th.BeginErrPath()
-	th.mainBegin()
+	th.mainBegin(0)
 	if !p.ft.revoked[c.ctx] {
 		p.w.ft.revokes++
 		p.applyRevoke(c.ctx, th.S.Now())
 		p.floodRevoke(c.ctx, c.ranks, c.size)
 	}
-	th.mainEnd()
+	th.mainEnd(0)
 	th.EndErrPath()
 	th.telCall("Revoke", tel)
 }

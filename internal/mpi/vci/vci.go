@@ -50,8 +50,8 @@ func (p Policy) String() string {
 // Config is the sharding configuration of one world: how many VCIs each
 // proc runs and how operations are mapped onto them.
 type Config struct {
-	// N is the number of VCIs per proc; 0 normalizes to 1 (the unsharded
-	// runtime, byte-identical to the pre-VCI code path).
+	// N is the number of VCIs per proc; 0 normalizes to 1 (one shard,
+	// whose section is the global critical section).
 	N int
 	// Policy is the mapping policy.
 	Policy Policy
@@ -96,7 +96,7 @@ func Select(p Policy, ctx, tag, hint, n int) int {
 	}
 	switch p {
 	case PerTagHash:
-		return int(mix(uint64(int64(ctx))*0x9e3779b97f4a7c15 ^ uint64(int64(tag))) % uint64(n))
+		return int(mix(uint64(int64(ctx))*0x9e3779b97f4a7c15^uint64(int64(tag))) % uint64(n))
 	case Explicit:
 		if hint != NoHint {
 			if hint < 0 || hint >= n {

@@ -1,17 +1,18 @@
 package mpi
 
-// This file implements the per-VCI runtime mode: the shard type holding
-// one virtual communication interface's matching queues, completion queue,
-// request pool and critical-section lock, plus the VCI-aware variants of
-// the critical-section protocol (main-path, state and progress sections on
-// a single shard, and the cross-VCI wildcard path that owns every shard at
-// once). Like granularity.go, the section helpers here open and close
-// critical sections across function boundaries by design; the lockpair
-// analyzer enforces pairing at their call sites.
-//
-// With one VCI per proc (the default) none of the multi-shard paths run:
-// every helper degrades to the exact pre-VCI code path on shard 0, keeping
-// single-VCI output byte-identical.
+// This file implements the sharded runtime: the shard type holding one
+// virtual communication interface's matching queues, completion queue,
+// request pool and critical-section lock, the cross-VCI wildcard section
+// that owns every shard at once, and the wait-family helpers that sweep
+// shards. There is one code path: an unsharded proc is a proc with one
+// shard, whose section is the paper's global critical section. Four rules
+// depend on the shard count, each reading Proc.sharded and documented at
+// its site: the shared-NIC injection lock (sendShard), cross-shard
+// wildcard receives (vciWildcard), the polling wait family's pre-check
+// (pollPrecheck), and driver-level Revoke consumption (Proc.onPacket).
+// Like granularity.go, the section helpers here open and close critical
+// sections across function boundaries by design; the lockpair analyzer
+// enforces pairing at their call sites.
 //
 //simcheck:allow-file lockpair protocol wrappers; pairing is enforced at call sites
 
@@ -42,34 +43,27 @@ type vciShard struct {
 	pposted []*Request
 	punexp  []*penvelope
 
-	// reqFree pools request objects of this shard (multi-VCI mode only;
-	// the single-VCI runtime keeps using the world pool).
+	// reqFree pools provably-dead request objects of this shard (see
+	// Request.poolable); every request is drawn from and recycled into
+	// the pool of the shard it lives on.
 	reqFree *Request
 }
 
-// numVCI returns the number of VCIs of this proc (>= 1).
-func (p *Proc) numVCI() int { return len(p.vcis) }
-
 // selectVCI maps an operation on (comm, tag) to its shard.
 func (p *Proc) selectVCI(c *Comm, tag int) int {
-	if len(p.vcis) == 1 {
-		return 0
-	}
 	return vci.Select(p.w.Cfg.VCIPolicy, c.ctx, tag, c.vciHint(), len(p.vcis))
 }
 
 // vciWildcard reports whether a receive with the given tag cannot be
-// mapped to one shard and must take the cross-VCI path.
+// mapped to one shard and must take the cross-VCI path. N-dependent rule:
+// a one-shard proc has no cross-shard receive — every tag maps to shard
+// 0, which already holds the whole matching order.
 func (p *Proc) vciWildcard(tag int) bool {
-	return len(p.vcis) > 1 && vci.Wildcard(p.w.Cfg.VCIPolicy, tag, AnyTag)
+	return p.sharded && vci.Wildcard(p.w.Cfg.VCIPolicy, tag, AnyTag)
 }
 
-// allocReqVCI returns a zeroed request from shard v's pool (multi-VCI) or
-// the world pool (single-VCI, preserving the pre-VCI allocation pattern).
-func (p *Proc) allocReqVCI(v int) *Request {
-	if len(p.vcis) == 1 {
-		return p.w.allocRequest()
-	}
+// allocReq returns a zeroed request from shard v's pool.
+func (p *Proc) allocReq(v int) *Request {
 	sh := p.vcis[v]
 	if r := sh.reqFree; r != nil {
 		sh.reqFree = r.nextFree
@@ -77,6 +71,18 @@ func (p *Proc) allocReqVCI(v int) *Request {
 		return r
 	}
 	return new(Request)
+}
+
+// recycle returns a freed request to its shard's pool when the object is
+// provably dead (Request.poolable). Errored requests are never pooled:
+// late protocol events may still reference them.
+func (p *Proc) recycle(r *Request) {
+	if !r.poolable || r.err != nil {
+		return
+	}
+	sh := p.vcis[r.vci]
+	r.nextFree = sh.reqFree
+	sh.reqFree = r
 }
 
 // cqEmpty reports whether every shard's completion queue is empty (the
@@ -88,81 +94,6 @@ func (p *Proc) cqEmpty() bool {
 		}
 	}
 	return true
-}
-
-// mainBeginVCI opens the main-path section of an MPI call mapped to shard
-// v. With one VCI it defers to the granularity-aware mainBegin; with many
-// (GranGlobal only, enforced at NewWorld) it enters shard v's critical
-// section directly.
-func (th *Thread) mainBeginVCI(v int) {
-	p := th.P
-	if len(p.vcis) == 1 {
-		th.mainBegin()
-		return
-	}
-	th.checkCrashed()
-	th.checkThreadLevel()
-	// The held-lock walk is flow-insensitive and sees the len==1 arm's
-	// mainBegin effects (GranFine's queueCS among them) as still held
-	// here; the arms are mutually exclusive — multi-VCI requires
-	// GranGlobal, enforced at NewWorld.
-	//simcheck:allow lockorder single- and multi-VCI arms are mutually exclusive; multi-VCI forbids GranFine
-	p.vcis[v].cs.enter(th, simlock.High)
-	th.S.Sleep(th.cost().MainPathWork)
-}
-
-// mainEndVCI closes a mainBeginVCI section.
-func (th *Thread) mainEndVCI(v int) {
-	p := th.P
-	if len(p.vcis) == 1 {
-		th.mainEnd()
-		return
-	}
-	p.vcis[v].cs.exit(th, simlock.High)
-	th.exitThreadLevel()
-}
-
-// stateBeginVCI opens a short request-state section on shard v.
-func (th *Thread) stateBeginVCI(v int, cl simlock.Class) {
-	p := th.P
-	if len(p.vcis) == 1 {
-		th.stateBegin(cl)
-		return
-	}
-	th.checkCrashed()
-	th.checkThreadLevel()
-	p.vcis[v].cs.enter(th, cl)
-}
-
-// stateEndVCI closes a stateBeginVCI section.
-func (th *Thread) stateEndVCI(v int, cl simlock.Class) {
-	p := th.P
-	if len(p.vcis) == 1 {
-		th.stateEnd(cl)
-		return
-	}
-	p.vcis[v].cs.exit(th, cl)
-	th.exitThreadLevel()
-}
-
-// progressRoundVCI runs one progress-engine iteration on shard v: poll its
-// completion queue and run post under its critical section. With one VCI
-// it is exactly progressRound.
-func (th *Thread) progressRoundVCI(v int, cl simlock.Class, post func()) {
-	p := th.P
-	if len(p.vcis) == 1 {
-		th.progressRound(cl, post)
-		return
-	}
-	th.checkCrashed()
-	th.checkThreadLevel()
-	defer th.exitThreadLevel()
-	p.vcis[v].cs.enter(th, cl)
-	p.pollShard(th, v)
-	if post != nil {
-		post()
-	}
-	p.vcis[v].cs.exit(th, cl)
 }
 
 // wildBegin opens the cross-VCI wildcard section: every shard's critical
@@ -197,14 +128,15 @@ func (th *Thread) wildEnd() {
 // punishes locks with poor hand-off under burst pressure.
 const nicInjectWork = 10
 
-// sendShard injects a protocol packet of shard v. In multi-VCI mode the
-// shared NIC is the one arbitration site left between shards: injection
-// runs under the nicVCI lock (always high class — the driver does not
-// discriminate), nested inside the caller's shard section, giving the
-// invariant lock order shard CS -> NIC. Single-VCI mode bypasses the NIC
-// lock entirely, preserving the pre-VCI path.
+// sendShard injects a protocol packet from the caller's shard section.
+// N-dependent rule: the shared NIC is the one arbitration site left
+// between the shards of a sharded proc, so injection runs under the
+// nicVCI lock (always high class — the driver does not discriminate),
+// nested inside the caller's shard section, giving the invariant lock
+// order shard CS -> NIC. A one-shard proc's section already serializes
+// every injection, so it hands the packet to the NIC directly.
 func (p *Proc) sendShard(th *Thread, pkt *fabric.Packet, notifyTx bool, owner *Request) {
-	if len(p.vcis) == 1 {
+	if !p.sharded {
 		p.send(pkt, notifyTx, owner)
 		return
 	}
@@ -217,22 +149,12 @@ func (p *Proc) sendShard(th *Thread, pkt *fabric.Packet, notifyTx bool, owner *R
 }
 
 // consumeRevoke applies a communicator revocation at driver level (engine
-// context) — the sharded runtime's analogue of progress.go's Revoke
-// handling. Only reached with the fault-tolerance plane armed (Revoke
+// context). Only reached with the fault-tolerance plane armed (Revoke
 // packets do not otherwise exist), where the reliable transport is active
 // and the ACK must be issued here, since the packet never reaches a
 // progress loop.
 func (p *Proc) consumeRevoke(pkt *fabric.Packet) {
-	now := p.w.Eng.Now()
-	m := pkt.Meta.(revokeMeta)
-	if p.ft != nil && !p.ft.revoked[m.ctx] {
-		size := len(m.ranks)
-		if m.ranks == nil {
-			size = len(p.w.Procs)
-		}
-		p.applyRevoke(m.ctx, now)
-		p.floodRevoke(m.ctx, m.ranks, size)
-	}
+	p.revokeFrom(pkt.Meta.(revokeMeta), p.w.Eng.Now())
 	if pkt.Rel && p.rel != nil {
 		p.rel.ackDelivered(pkt)
 	}
@@ -248,6 +170,16 @@ func reqShard(r *Request) int {
 	return r.vci
 }
 
+// eachDone runs fn on every completed, unfreed request of rs, in index
+// order. The caller holds the section guarding them.
+func eachDone(rs []*Request, fn func(i int, r *Request)) {
+	for i, r := range rs {
+		if r != nil && r.complete && !r.freed {
+			fn(i, r)
+		}
+	}
+}
+
 // sweepDone visits the already-completed, unfreed requests of rs shard by
 // shard: each shard holding at least one opens its own state section and
 // fn runs on that shard's completed requests (with the rs index they were
@@ -258,18 +190,16 @@ func reqShard(r *Request) int {
 // nothing has completed, no section is opened at all.
 func (th *Thread) sweepDone(rs []*Request, fn func(i int, r *Request)) {
 	p := th.P
-	done := make(shardSet, p.numVCI())
+	done := make(shardSet, len(p.vcis))
 	type snap struct {
 		i int
 		r *Request
 	}
 	var snaps []snap
-	for i, r := range rs {
-		if r != nil && r.complete && !r.freed {
-			done[reqShard(r)] = true
-			snaps = append(snaps, snap{i, r})
-		}
-	}
+	eachDone(rs, func(i int, r *Request) {
+		done[reqShard(r)] = true
+		snaps = append(snaps, snap{i, r})
+	})
 	if len(snaps) == 0 {
 		return
 	}
@@ -277,13 +207,70 @@ func (th *Thread) sweepDone(rs []*Request, fn func(i int, r *Request)) {
 		if !done[v] {
 			continue
 		}
-		th.stateBeginVCI(v, simlock.High)
+		th.stateBegin(v, simlock.High)
 		for _, s := range snaps {
 			if reqShard(s.r) == v && s.r.complete && !s.r.freed {
 				fn(s.i, s.r)
 			}
 		}
-		th.stateEndVCI(v, simlock.High)
+		th.stateEnd(v, simlock.High)
+	}
+}
+
+// pollPrecheck is the polling wait family's look before its progress
+// loop, reaping the requests of rs that already completed. N-dependent
+// rule: a one-shard proc enters shard 0 before looking — the paper's
+// lock-then-check, one high-class acquisition per call whether or not
+// anything completed — and runs reap, the same reap its progress rounds
+// run; a sharded proc peeks and locks only the shards holding
+// completions, running fn on each completed request (sweepDone), so
+// waiters on different shards never meet on one lock. The event-driven
+// waits always use sweepDone.
+func (th *Thread) pollPrecheck(rs []*Request, reap func(), fn func(i int, r *Request)) {
+	if th.P.sharded {
+		th.sweepDone(rs, fn)
+		return
+	}
+	th.stateBegin(0, simlock.High)
+	reap()
+	th.stateEnd(0, simlock.High)
+}
+
+// pollLoop is the polling wait family's progress loop: each sweep runs
+// one low-class progress round, with post, on every shard still holding a
+// pending request of rs (shard 0 when none is), until done reports true;
+// sweeps are separated by progressYield.
+func (th *Thread) pollLoop(rs []*Request, post func(), done func() bool) {
+	th.pollBackoff = 0
+	shards := make(shardSet, len(th.P.vcis))
+	for {
+		if !shards.gather(rs) {
+			shards[0] = true
+		}
+		for v, on := range shards {
+			if !on {
+				continue
+			}
+			th.progressRound(v, simlock.Low, post)
+			if done() {
+				return
+			}
+		}
+		th.progressYield()
+	}
+}
+
+// progressReq runs one progress round, with check, on each shard r can
+// complete on: its own VCI, or every VCI while a wildcard is still
+// unbound (re-read each call; a bind narrows the sweep), stopping early
+// once check sets *done.
+func (th *Thread) progressReq(r *Request, cl simlock.Class, check func(), done *bool) {
+	if v := r.vci; v >= 0 {
+		th.progressRound(v, cl, check)
+		return
+	}
+	for v := 0; v < len(th.P.vcis) && !*done; v++ {
+		th.progressRound(v, cl, check)
 	}
 }
 

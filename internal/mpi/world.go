@@ -100,8 +100,12 @@ type Config struct {
 	// VCIs is the number of virtual communication interfaces per process:
 	// independent runtime shards (matching queues, completion queue,
 	// request pool, transport flows), each with its own critical-section
-	// lock of the configured Kind. 0 or 1 selects the unsharded runtime,
-	// byte-identical to the pre-VCI code path. More than one VCI requires
+	// lock of the configured Kind. 0 or 1 gives one shard, whose section
+	// is the paper's global critical section; every count runs the same
+	// code path. Four rules depend on whether a process has more than one
+	// shard (Proc.sharded): the shared-NIC injection lock, cross-shard
+	// wildcard receives, the polling wait family's pre-check, and
+	// driver-level Revoke consumption. More than one VCI requires
 	// GranGlobal (sub-CS granularities and sharding answer the same
 	// question at different layers and do not compose).
 	VCIs int
@@ -109,12 +113,12 @@ type Config struct {
 	// per-tag-hash, explicit hint); see internal/mpi/vci.
 	VCIPolicy vci.Policy
 	// Progress selects who drives the progress engine (progressd.go):
-	// ProgressPolling (default, the paper's poll-from-Wait shape,
-	// byte-identical to the pre-existing code paths), ProgressStrong
-	// (a dedicated progress daemon per VCI shard; blocked threads park),
-	// or ProgressContinuation (strong progress plus OnComplete callbacks
-	// and CompletionQueue draining). Non-polling modes require
-	// MPI_THREAD_MULTIPLE and GranGlobal.
+	// ProgressPolling (default, the paper's poll-from-Wait shape: blocked
+	// threads iterate the progress loop of their requests' shards),
+	// ProgressStrong (a dedicated progress daemon per VCI shard; blocked
+	// threads park), or ProgressContinuation (strong progress plus
+	// OnComplete callbacks and CompletionQueue draining). Non-polling
+	// modes require MPI_THREAD_MULTIPLE and GranGlobal.
 	Progress ProgressMode
 	// Tel, when non-nil, attaches the telemetry plane: MPI-call spans,
 	// lock wait/hold spans per priority class, progress-poll spans,
@@ -157,27 +161,6 @@ type World struct {
 	// partStats are the partitioned-communication counters
 	// (partitioned.go); surfaced through World.PartStats.
 	partStats PartStats
-
-	// reqFree pools request objects released by Wait/Waitall (see
-	// Request.poolable for the safety conditions).
-	reqFree *Request
-}
-
-// allocRequest returns a zeroed request, reusing a pooled object when one
-// is available.
-func (w *World) allocRequest() *Request {
-	if r := w.reqFree; r != nil {
-		w.reqFree = r.nextFree
-		*r = Request{}
-		return r
-	}
-	return new(Request)
-}
-
-// recycleRequest returns a provably-dead request to the pool.
-func (w *World) recycleRequest(r *Request) {
-	r.nextFree = w.reqFree
-	w.reqFree = r
 }
 
 // NewWorld builds the world: engine, fabric, and one Proc per rank with its
@@ -262,23 +245,23 @@ func NewWorld(cfg Config) (*World, error) {
 			Node:      node,
 			firstCore: (rank % cfg.ProcsPerNode) * coresPerProc,
 			coreCount: coresPerProc,
+			sharded:   cfg.VCIs > 1,
 		}
 		lcfg := &simlock.Config{Eng: w.Eng, Cost: cfg.Cost}
 		if cfg.OnGrant != nil {
 			lcfg.OnGrant = cfg.OnGrant(rank)
 		}
-		if cfg.VCIs == 1 {
-			sh := &vciShard{idx: 0}
+		for v := 0; v < cfg.VCIs; v++ {
+			sh := &vciShard{idx: v}
 			sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines}
-			sh.cs.instrument(w.tel, fmt.Sprintf("cs[r%d]", rank))
-			p.vcis = []*vciShard{sh}
-		} else {
-			for v := 0; v < cfg.VCIs; v++ {
-				sh := &vciShard{idx: v}
-				sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines}
-				sh.cs.instrument(w.tel, fmt.Sprintf("cs[r%d.v%d]", rank, v))
-				p.vcis = append(p.vcis, sh)
+			name := fmt.Sprintf("cs[r%d]", rank)
+			if cfg.VCIs > 1 {
+				name = fmt.Sprintf("cs[r%d.v%d]", rank, v)
 			}
+			sh.cs.instrument(w.tel, name)
+			p.vcis = append(p.vcis, sh)
+		}
+		if cfg.VCIs > 1 {
 			// The shared-NIC injection point: the one arbitration site the
 			// sharding cannot remove (all VCIs funnel into one physical NIC).
 			p.nicVCI = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2}
@@ -382,10 +365,15 @@ type Proc struct {
 	coreCount int
 
 	// vcis are the proc's virtual communication interfaces (always >= 1).
-	// Shard 0 of a single-VCI world carries the global critical section
-	// (Fig. 6a) plus all queues, exactly the pre-VCI layout.
-	vcis    []*vciShard
-	nicVCI  csLock // shared-NIC injection lock (multi-VCI mode only)
+	// Every call runs on its shard's section; with one shard, shard 0's
+	// section is the global critical section (Fig. 6a) and holds all
+	// queues.
+	vcis []*vciShard
+	// sharded is set when the proc has more than one shard. It is read
+	// only by the four rules that depend on the shard count: sendShard,
+	// vciWildcard, pollPrecheck and onPacket's Revoke consumption.
+	sharded bool
+	nicVCI  csLock // shared-NIC injection lock (sharded procs only)
 	queueCS csLock // matching-queue lock (GranFine)
 	nicCS   csLock // completion-queue lock (GranFine)
 	ep      *fabric.Endpoint
@@ -462,11 +450,14 @@ func (p *Proc) onPacket(pkt *fabric.Packet) {
 				p.rel.ackDelivered(rp)
 				continue
 			}
-			if len(p.vcis) > 1 && rp.Kind == fabric.Revoke {
-				// Sharded runtime: revocations are consumed at driver
-				// level, like heartbeats — the threads a Revoke must
-				// unblock may only ever poll other shards, so it cannot
-				// wait in one shard's completion queue.
+			if p.sharded && rp.Kind == fabric.Revoke {
+				// N-dependent rule: a sharded proc consumes revocations
+				// at driver level, like heartbeats — the threads a Revoke
+				// must unblock may only ever poll other shards, so it
+				// cannot wait in one shard's completion queue. A one-shard
+				// proc's every poller drives shard 0, so the Revoke waits
+				// in its queue and is applied by the progress loop, under
+				// the section, like any other event.
 				p.consumeRevoke(rp)
 				continue
 			}
@@ -577,18 +568,12 @@ func (w *World) SpawnAsyncProgress(rank int) *Thread {
 	th := w.spawn(rank, "async-progress", func(th *Thread) {
 		th.S.SetDaemon()
 		th.noBackoff = true
-		if th.P.numVCI() > 1 {
-			// One async thread drives every shard's progress engine in
-			// turn, taking each shard lock independently.
-			for {
-				for v := range th.P.vcis {
-					th.progressRoundVCI(v, simlock.Low, nil)
-				}
-				th.progressYield()
-			}
-		}
+		// One async thread drives every shard's progress engine in turn,
+		// taking each shard lock independently.
 		for {
-			th.progressRound(simlock.Low, nil)
+			for v := range th.P.vcis {
+				th.progressRound(v, simlock.Low, nil)
+			}
 			th.progressYield()
 		}
 	})

@@ -296,13 +296,12 @@ func (e *Engine) shutdown() {
 	close(e.kill)
 	for _, t := range e.threads {
 		if t.state == stateParked || t.state == stateSleeping || t.state == stateNew {
-			// Unblock the goroutine; it aborts via killErr.
-			select {
-			case t.resume <- struct{}{}:
-				<-e.baton
-			default:
-				// Goroutine already observed the kill channel.
-			}
+			// Unblock the goroutine: it reads kill only after resume, so
+			// it aborts via killed and hands the baton back once. The
+			// send must block — a thread that has just yielded the baton
+			// may not have reached its resume receive yet.
+			t.resume <- struct{}{}
+			<-e.baton
 		}
 	}
 	e.q.drain()

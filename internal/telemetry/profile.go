@@ -138,14 +138,14 @@ type lockState struct {
 	// waitStart maps thread → wait-span start (lookup only; never ranged).
 	waitStart map[int32]int64
 
-	lastEnd              int64
-	lastThread           int32
-	lastSock, lastCore   int16
-	haveLast             bool
-	runT, runC, runS     int64
-	bestT, bestC, bestS  int64
-	byThread             map[int32]int64
-	byPlace              map[[2]int16]int64
+	lastEnd             int64
+	lastThread          int32
+	lastSock, lastCore  int16
+	haveLast            bool
+	runT, runC, runS    int64
+	bestT, bestC, bestS int64
+	byThread            map[int32]int64
+	byPlace             map[[2]int16]int64
 }
 
 // Profile derives the contention, progress and critical-path reports from

@@ -191,7 +191,7 @@ func RunPattern(p PatternParams) (PatternResult, error) {
 				for i := 0; i < p.Msgs; i++ {
 					r := th.Isend(c, 1, t, p.MsgBytes, nil)
 					th.S.Sleep(p.ComputeNs) // overlapped computation
-					th.Wait(r) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
+					th.Wait(r)              //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
 				}
 				stamp(th)
 			})
