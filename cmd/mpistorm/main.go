@@ -44,7 +44,7 @@ func main() {
 		"progress mode for the experiments that honour it: polling|strong|continuation (see docs/PROGRESS.md)")
 	flag.Parse()
 
-	progress, err := parseProgress(*progressFlag)
+	progress, err := mpisim.ParseProgressMode(*progressFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpistorm: %v\n", err)
 		os.Exit(2)
@@ -91,58 +91,21 @@ func main() {
 	}
 
 	start := time.Now()
-	if *jobs <= 1 {
-		// Strictly serial: every point runs on this goroutine, in
-		// declaration order, exactly as the original single-threaded
-		// driver did.
-		for _, id := range ids {
-			expStart := time.Now()
-			var figs []mpisim.Figure
-			figs, err = mpisim.RunExperimentMode(id, *quick, *seed, progress)
-			if err != nil {
-				break
-			}
-			for _, f := range figs {
-				if err = emit(f); err != nil {
-					break
+	err = mpisim.SweepFunc(
+		mpisim.SweepConfig{IDs: ids, Quick: *quick, Seed: *seed, Jobs: *jobs,
+			Progress: progress},
+		func(r mpisim.SweepResult) error {
+			for _, f := range r.Figures {
+				if err := emit(f); err != nil {
+					return err
 				}
 			}
-			if err != nil {
-				break
-			}
-			fmt.Fprintf(os.Stderr, "(%s took %.1fs)\n", id, time.Since(expStart).Seconds())
-		}
-	} else {
-		err = mpisim.SweepFunc(
-			mpisim.SweepConfig{IDs: ids, Quick: *quick, Seed: *seed, Jobs: *jobs,
-				Progress: progress},
-			func(r mpisim.SweepResult) error {
-				for _, f := range r.Figures {
-					if err := emit(f); err != nil {
-						return err
-					}
-				}
-				fmt.Fprintf(os.Stderr, "(%s done at %.1fs)\n", r.ID, time.Since(start).Seconds())
-				return nil
-			})
-	}
+			fmt.Fprintf(os.Stderr, "(%s done at %.1fs)\n", r.ID, time.Since(start).Seconds())
+			return nil
+		})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpistorm: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "(total %.1fs, jobs=%d)\n", time.Since(start).Seconds(), *jobs)
-}
-
-// parseProgress maps the -progress flag value to a progress mode.
-func parseProgress(s string) (mpisim.ProgressMode, error) {
-	switch s {
-	case "polling", "":
-		return mpisim.PollingProgress, nil
-	case "strong":
-		return mpisim.StrongProgress, nil
-	case "continuation":
-		return mpisim.ContinuationProgress, nil
-	default:
-		return 0, fmt.Errorf("unknown -progress mode %q (polling|strong|continuation)", s)
-	}
 }

@@ -51,7 +51,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mpitrace: -experiment is required (see mpistorm -list)")
 		os.Exit(2)
 	}
-	progress, err := parseProgress(*progressFlag)
+	progress, err := mpisim.ParseProgressMode(*progressFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mpitrace: %v\n", err)
 		os.Exit(2)
@@ -66,7 +66,8 @@ func main() {
 	// like any other point sweep: fan across workers, render in id order.
 	results := make([]traced, len(ids))
 	err = mpisim.RunPoints(*jobs, len(ids), func(i int) error {
-		tel, desc, err := mpisim.TraceExperimentMode(ids[i], *quick, *seed, progress)
+		tel, desc, err := mpisim.TraceExperiment(ids[i],
+			mpisim.Options{Quick: *quick, Seed: *seed, Progress: progress})
 		if err != nil {
 			return err
 		}
@@ -128,18 +129,4 @@ func render(id string, r traced, dir string, check, multi bool) error {
 		fmt.Print(r.tel.ProfileText())
 	}
 	return nil
-}
-
-// parseProgress maps the -progress flag value to a progress mode.
-func parseProgress(s string) (mpisim.ProgressMode, error) {
-	switch s {
-	case "polling", "":
-		return mpisim.PollingProgress, nil
-	case "strong":
-		return mpisim.StrongProgress, nil
-	case "continuation":
-		return mpisim.ContinuationProgress, nil
-	default:
-		return 0, fmt.Errorf("unknown -progress mode %q (polling|strong|continuation)", s)
-	}
 }

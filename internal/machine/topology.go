@@ -95,6 +95,9 @@ func (b Binding) String() string {
 	}
 }
 
+// Valid reports whether b names one of the binding policies above.
+func (b Binding) Valid() bool { return b == Compact || b == Scatter }
+
 // Bind returns the place for thread index i of a process whose core
 // allotment starts at node-local core firstCore and spans coreCount cores.
 // Threads beyond coreCount wrap around (oversubscription).

@@ -180,6 +180,16 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("mpi: %d processes per node exceed %d cores",
 			cfg.ProcsPerNode, cfg.Topo.CoresPerNode())
 	}
+	switch {
+	case !cfg.Lock.Valid():
+		return nil, fmt.Errorf("mpi: unknown lock kind %d", int(cfg.Lock))
+	case cfg.Granularity < GranGlobal || cfg.Granularity > GranLockFree:
+		return nil, fmt.Errorf("mpi: unknown granularity %d", int(cfg.Granularity))
+	case !cfg.Binding.Valid():
+		return nil, fmt.Errorf("mpi: unknown binding %d", int(cfg.Binding))
+	case cfg.Progress < ProgressPolling || cfg.Progress > ProgressContinuation:
+		return nil, fmt.Errorf("mpi: unknown progress mode %d", int(cfg.Progress))
+	}
 	if err := (vci.Config{N: cfg.VCIs, Policy: cfg.VCIPolicy}).Validate(); err != nil {
 		return nil, err
 	}

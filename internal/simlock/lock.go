@@ -167,6 +167,9 @@ func (k Kind) String() string {
 	}
 }
 
+// Valid reports whether k names one of the lock kinds above.
+func (k Kind) Valid() bool { return k >= KindMutex && k <= KindCLH }
+
 // NullLock is a no-op "lock" modelling MPI_THREAD_SINGLE: no atomic
 // operations, no serialization. Using it with more than one thread in the
 // runtime is undefined, exactly like calling a THREAD_SINGLE MPI library

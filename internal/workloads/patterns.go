@@ -101,6 +101,9 @@ type PatternResult struct {
 func RunPattern(p PatternParams) (PatternResult, error) {
 	p = p.withDefaults()
 	var res PatternResult
+	if p.Pattern < PatternConcurrentPairs || p.Pattern > PatternComputeOverlap {
+		return res, fmt.Errorf("pattern: unknown pattern %d", int(p.Pattern))
+	}
 	w, err := mpi.NewWorld(mpi.Config{
 		Topo:    machine.Nehalem2x4(2),
 		Lock:    p.Lock,

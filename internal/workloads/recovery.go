@@ -195,6 +195,9 @@ func ckptSumAtOrBefore(h []ckptEntry, it int) int64 {
 func Recovery(p RecoveryParams) (RecoveryResult, error) {
 	p = p.withDefaults()
 	var res RecoveryResult
+	if p.Strategy != RecoverShrink && p.Strategy != RecoverCheckpoint {
+		return res, fmt.Errorf("recovery: unknown strategy %d", int(p.Strategy))
+	}
 	ppn := p.ProcsPerNode
 	if ppn <= 0 {
 		ppn = 1

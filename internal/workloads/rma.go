@@ -104,6 +104,9 @@ type RMAResult struct {
 func RMA(p RMAParams) (RMAResult, error) {
 	p = p.withDefaults()
 	var res RMAResult
+	if p.Op < OpPut || p.Op > OpAcc {
+		return res, fmt.Errorf("rma: unknown op %d", int(p.Op))
+	}
 	// Paper runs 8 processes on the cluster; place 4 per node on 2 nodes.
 	ppn := 4
 	nodes := (p.Procs + ppn - 1) / ppn

@@ -14,6 +14,17 @@
 //	})
 //	fmt.Printf("%.0f msgs/s\n", res.RateMsgsPerSec)
 //
+// The experimental variables — Lock, Granularity, Binding, VCIPolicy,
+// ProgressMode, RMAOp, PatternKind, RecoveryStrategy — and the fault and
+// statistics types are aliases of the runtime's own types, so a value
+// means exactly what the runtime means by it, and an out-of-range value
+// is rejected with an error by the run it configures. The per-benchmark
+// Config structs are plain field copies onto the workloads' parameters.
+//
+// RunExperiment regenerates one table or figure, TraceExperiment records
+// the telemetry of its representative point, and Sweep/SweepFunc
+// regenerate many across OS workers; all three take the same Options.
+//
 // mpisim fronts the deterministic core (docs/ARCHITECTURE.md): every call
 // builds an isolated engine from its config and seed and is a pure
 // function of them. Sweep and RunPoints fan such isolated runs across OS
@@ -41,247 +52,74 @@ import (
 // transport's tuning. The zero value is a perfect network: no faults, no
 // reliability layer, zero overhead — fault-free runs are byte-identical
 // with or without this feature. All fault randomness is seeded, so a
-// faulty run is exactly reproducible.
-type FaultConfig struct {
-	// DropProb is the probability a wire packet is silently discarded.
-	DropProb float64
-	// DupProb is the probability a packet is delivered twice.
-	DupProb float64
-	// DelayProb is the probability a packet suffers extra latency,
-	// uniform in [1, DelayMaxNs] — reordering packets behind it.
-	DelayProb  float64
-	DelayMaxNs int64
-	// BrownoutPeriodNs > 0 enables periodic link brownouts: every period
-	// the inter-node links run at BrownoutFactor of nominal bandwidth
-	// for BrownoutDurationNs.
-	BrownoutPeriodNs   int64
-	BrownoutDurationNs int64
-	BrownoutFactor     float64
-	// NICStallProb is the probability one injection stalls the NIC for
-	// NICStallNs.
-	NICStallProb float64
-	NICStallNs   int64
-	// PreemptProb is the probability a thread is preempted for PreemptNs
-	// right after acquiring a runtime critical-section lock.
-	PreemptProb float64
-	PreemptNs   int64
-	// RTONs is the base retransmit timeout (default 50µs, doubling per
-	// retry); MaxRetries bounds retransmissions before the transport
-	// gives up and surfaces an MPI-style error.
-	RTONs      int64
-	MaxRetries int
-	// RequestTimeoutNs > 0 arms a per-request deadline surfaced as a
-	// timeout error through Wait/Test/Waitall.
-	RequestTimeoutNs int64
-	// WatchdogNs > 0 runs the progress watchdog at this interval.
-	WatchdogNs int64
-	// Seed drives the plane's private random streams (0 = derive from
-	// the world seed).
-	Seed uint64
-	// Crashes is the fail-stop schedule: each spec kills one rank (or its
-	// whole node) at a simulated time, turning it into a silent packet
-	// blackhole. A non-empty schedule arms the heartbeat failure detector
-	// and the ULFM-style recovery primitives.
-	Crashes []CrashSpec
-	// HeartbeatNs is the failure-detector heartbeat period (default 100µs);
-	// a peer silent for HeartbeatNs x HeartbeatMiss (default 3) is declared
-	// dead and its pending operations fail with a process-failure error.
-	HeartbeatNs   int64
-	HeartbeatMiss int
-}
+// faulty run is exactly reproducible. A non-empty Crashes schedule arms
+// the heartbeat failure detector and the ULFM-style recovery primitives.
+type FaultConfig = fault.Config
 
-// CrashSpec schedules one fail-stop failure.
-type CrashSpec struct {
-	// Rank is the world rank to kill.
-	Rank int
-	// AtNs is the simulated time of death.
-	AtNs int64
-	// OnLockHold delays the crash until the victim next holds a runtime
-	// critical-section lock at or after AtNs — the nastiest spot, since
-	// local waiters are queued behind a corpse.
-	OnLockHold bool
-	// Node kills every rank co-located on the victim's node.
-	Node bool
-}
-
-func (c FaultConfig) config() fault.Config {
-	crashes := make([]fault.CrashSpec, len(c.Crashes))
-	for i, cs := range c.Crashes {
-		crashes[i] = fault.CrashSpec{Rank: cs.Rank, AtNs: cs.AtNs,
-			OnLockHold: cs.OnLockHold, Node: cs.Node}
-	}
-	if len(crashes) == 0 {
-		crashes = nil
-	}
-	return fault.Config{
-		DropProb: c.DropProb, DupProb: c.DupProb,
-		DelayProb: c.DelayProb, DelayMaxNs: c.DelayMaxNs,
-		BrownoutPeriodNs: c.BrownoutPeriodNs, BrownoutDurationNs: c.BrownoutDurationNs,
-		BrownoutFactor: c.BrownoutFactor,
-		NICStallProb:   c.NICStallProb, NICStallNs: c.NICStallNs,
-		PreemptProb: c.PreemptProb, PreemptNs: c.PreemptNs,
-		RTONs: c.RTONs, MaxRetries: c.MaxRetries,
-		RequestTimeoutNs: c.RequestTimeoutNs, WatchdogNs: c.WatchdogNs,
-		Seed:    c.Seed,
-		Crashes: crashes, HeartbeatNs: c.HeartbeatNs, HeartbeatMiss: c.HeartbeatMiss,
-	}
-}
+// CrashSpec schedules one fail-stop failure: it kills one rank (or its
+// whole node) at a simulated time, turning it into a silent packet
+// blackhole.
+type CrashSpec = fault.CrashSpec
 
 // NetStats reports the resilient transport's counters for one run; all
-// fields are zero on a perfect network.
-type NetStats struct {
-	// Dropped/Duplicated/Delayed/NICStalls/Preempts/BrownoutSends count
-	// injected faults.
-	Dropped, Duplicated, Delayed, NICStalls, Preempts, BrownoutSends int64
-	// Retransmits and FastRetransmits count recovery sends; DupsSuppressed
-	// counts receiver-side duplicate discards.
-	Retransmits, FastRetransmits, DupsSuppressed int64
-	// GiveUps counts packets abandoned after MaxRetries; RequestFailures
-	// counts requests completed with an error; WatchdogStalls counts
-	// progress-watchdog abort reports.
-	GiveUps, RequestFailures, WatchdogStalls int64
-}
+// fields are zero on a perfect network. Injected faults are counted under
+// Fault.
+type NetStats = mpi.NetStats
 
 // PartStats reports the MPI-4 partitioned-communication counters for one
 // run; all fields are zero unless a partitioned mode was enabled.
-type PartStats struct {
-	// PreadyFast counts Pready calls that stayed on the lock-free path
-	// (atomic bitmap flips, no critical section); PreadyTrigger counts the
-	// readiness-completing calls that entered the runtime and injected the
-	// aggregate — one per epoch.
-	PreadyFast, PreadyTrigger int64
-	// Aggregates counts aggregated wire transfers and Partitions the
-	// partitions they carried; Partitions/Aggregates is the aggregation
-	// ratio (messages saved per lock acquisition).
-	Aggregates, Partitions int64
-	// PartRetransmits counts partitions re-sent by partition-granularity
-	// recovery on a lossy network.
-	PartRetransmits int64
-}
-
-func partStats(s mpi.PartStats) PartStats {
-	return PartStats{
-		PreadyFast: s.PreadyFast, PreadyTrigger: s.PreadyTrigger,
-		Aggregates: s.Aggregates, Partitions: s.Partitions,
-		PartRetransmits: s.PartRetransmits,
-	}
-}
-
-func netStats(s mpi.NetStats) NetStats {
-	return NetStats{
-		Dropped: s.Fault.Dropped, Duplicated: s.Fault.Duplicated,
-		Delayed: s.Fault.Delayed, NICStalls: s.Fault.NICStalls,
-		Preempts: s.Fault.Preempts, BrownoutSends: s.Fault.BrownoutSends,
-		Retransmits: s.Retransmits, FastRetransmits: s.FastRetransmits,
-		DupsSuppressed: s.DupsSuppressed, GiveUps: s.GiveUps,
-		RequestFailures: s.RequestFailures, WatchdogStalls: s.WatchdogStalls,
-	}
-}
+// Partitions/Aggregates is the aggregation ratio (messages saved per lock
+// acquisition).
+type PartStats = mpi.PartStats
 
 // Lock selects the critical-section arbitration used by the simulated MPI
-// runtime.
-type Lock int
+// runtime. Its String names the lock as in the paper's figures.
+type Lock = simlock.Kind
 
 // Arbitration methods. Mutex is the paper's baseline; Ticket and Priority
 // are its remedies; Single models MPI_THREAD_SINGLE (one thread, no lock);
 // the rest are related-work and ablation variants.
 const (
-	Mutex Lock = iota
-	Ticket
-	Priority
-	Single
-	TAS
-	MCS
-	PrioMutex
-	SocketPriority
+	Mutex          = simlock.KindMutex
+	Ticket         = simlock.KindTicket
+	Priority       = simlock.KindPriority
+	Single         = simlock.KindNone
+	TAS            = simlock.KindTAS
+	MCS            = simlock.KindMCS
+	PrioMutex      = simlock.KindPrioMutex
+	SocketPriority = simlock.KindSocketPriority
 	// Cohort is a NUMA-aware bounded-batch cohort lock (extension).
-	Cohort
+	Cohort = simlock.KindCohort
 	// CLH is the CLH queue lock: FCFS hand-off on per-waiter flags
 	// (related work; the queue-lock family's cache-friendly variant).
-	CLH
+	CLH = simlock.KindCLH
 )
 
-// String names the lock as in the paper's figures.
-func (l Lock) String() string { return l.kind().String() }
-
-func (l Lock) kind() simlock.Kind {
-	switch l {
-	case Mutex:
-		return simlock.KindMutex
-	case Ticket:
-		return simlock.KindTicket
-	case Priority:
-		return simlock.KindPriority
-	case Single:
-		return simlock.KindNone
-	case TAS:
-		return simlock.KindTAS
-	case MCS:
-		return simlock.KindMCS
-	case PrioMutex:
-		return simlock.KindPrioMutex
-	case SocketPriority:
-		return simlock.KindSocketPriority
-	case Cohort:
-		return simlock.KindCohort
-	case CLH:
-		return simlock.KindCLH
-	default:
-		panic(fmt.Sprintf("mpisim: unknown lock %d", int(l)))
-	}
-}
-
 // Binding selects how threads are pinned to cores.
-type Binding int
+type Binding = machine.Binding
 
 // Thread-to-core binding policies (paper §4.2).
 const (
 	// Compact fills one socket before the next.
-	Compact Binding = iota
+	Compact = machine.Compact
 	// Scatter round-robins threads over sockets.
-	Scatter
+	Scatter = machine.Scatter
 )
 
-// String names the binding policy.
-func (b Binding) String() string { return b.binding().String() }
-
-func (b Binding) binding() machine.Binding {
-	if b == Scatter {
-		return machine.Scatter
-	}
-	return machine.Compact
-}
-
 // Granularity selects the critical-section granularity (paper Fig. 1).
-type Granularity int
+type Granularity = mpi.Granularity
 
 // Critical-section granularities, coarse to fine.
 const (
 	// Global is the paper's baseline: one critical section per call.
-	Global Granularity = iota
+	Global = mpi.GranGlobal
 	// BriefGlobal shrinks the section to the queue updates.
-	BriefGlobal
+	BriefGlobal = mpi.GranBrief
 	// FineGrain gives the matching queues and NIC separate locks.
-	FineGrain
+	FineGrain = mpi.GranFine
 	// LockFree models idealized atomic queues.
-	LockFree
+	LockFree = mpi.GranLockFree
 )
-
-// String names the granularity as in Fig. 1.
-func (g Granularity) String() string { return g.gran().String() }
-
-func (g Granularity) gran() mpi.Granularity {
-	switch g {
-	case BriefGlobal:
-		return mpi.GranBrief
-	case FineGrain:
-		return mpi.GranFine
-	case LockFree:
-		return mpi.GranLockFree
-	default:
-		return mpi.GranGlobal
-	}
-}
 
 // ThroughputConfig parametrizes the osu_bw-derived multithreaded
 // throughput benchmark (paper §4.1).
@@ -337,12 +175,12 @@ func Throughput(c ThroughputConfig) (ThroughputResult, error) {
 		}
 	}
 	r, err := workloads.Throughput(workloads.ThroughputParams{
-		Lock: c.Lock.kind(), Granularity: c.Granularity.gran(),
-		SelectiveWakeup: c.SelectiveWakeup, Binding: c.Binding.binding(),
+		Lock: c.Lock, Granularity: c.Granularity,
+		SelectiveWakeup: c.SelectiveWakeup, Binding: c.Binding,
 		Threads: c.Threads, MsgBytes: c.MsgBytes,
 		Window: c.Window, Windows: c.Windows,
 		ProcsPerNode: c.ProcsPerNode, Seed: c.Seed, TraceRank: tr,
-		Fault: c.Fault.config(), Tel: c.Telemetry.recorder(),
+		Fault: c.Fault, Tel: c.Telemetry.recorder(),
 	})
 	if err != nil {
 		return ThroughputResult{}, err
@@ -350,7 +188,7 @@ func Throughput(c ThroughputConfig) (ThroughputResult, error) {
 	return ThroughputResult{
 		Messages: r.Messages, SimNs: r.SimNs, RateMsgsPerSec: r.RateMsgsPerSec,
 		BiasCore: r.BiasCore, BiasSocket: r.BiasSocket, DanglingAvg: r.DanglingAvg,
-		Net: netStats(r.Net),
+		Net: r.Net,
 	}, nil
 }
 
@@ -381,78 +219,65 @@ type LatencyResult struct {
 // Latency runs the multithreaded ping-pong latency benchmark.
 func Latency(c LatencyConfig) (LatencyResult, error) {
 	r, err := workloads.Latency(workloads.LatencyParams{
-		Lock: c.Lock.kind(), Binding: c.Binding.binding(),
+		Lock: c.Lock, Binding: c.Binding,
 		Threads: c.Threads, MsgBytes: c.MsgBytes, Iters: c.Iters, Seed: c.Seed,
-		Fault: c.Fault.config(), Tel: c.Telemetry.recorder(),
+		Fault: c.Fault, Tel: c.Telemetry.recorder(),
 	})
 	if err != nil {
 		return LatencyResult{}, err
 	}
-	return LatencyResult{AvgOneWayUs: r.AvgOneWayUs, SimNs: r.SimNs,
-		Net: netStats(r.Net)}, nil
+	return LatencyResult{AvgOneWayUs: r.AvgOneWayUs, SimNs: r.SimNs, Net: r.Net}, nil
 }
 
 // VCIPolicy selects how operations are mapped onto a proc's virtual
-// communication interfaces when VCIs > 1.
-type VCIPolicy int
+// communication interfaces when VCIs > 1. Its String names the policy as
+// used in figures and flags.
+type VCIPolicy = vci.Policy
 
 // Mapping policies of the sharded runtime.
 const (
 	// PerComm maps all traffic of one communicator to one VCI.
-	PerComm VCIPolicy = iota
+	PerComm = vci.PerComm
 	// PerTagHash maps by (communicator, tag), spreading one communicator
 	// over all VCIs when tags differ (e.g. one tag per thread).
-	PerTagHash
+	PerTagHash = vci.PerTagHash
 	// ExplicitVCI uses the communicator's explicit VCI assignment,
 	// falling back to PerComm for unassigned communicators.
-	ExplicitVCI
+	ExplicitVCI = vci.Explicit
 )
 
-// String names the policy as used in figures and flags.
-func (p VCIPolicy) String() string { return p.policy().String() }
-
-func (p VCIPolicy) policy() vci.Policy {
-	switch p {
-	case PerTagHash:
-		return vci.PerTagHash
-	case ExplicitVCI:
-		return vci.Explicit
-	default:
-		return vci.PerComm
-	}
-}
-
 // ProgressMode selects who drives the MPI progress engine
-// (docs/PROGRESS.md).
-type ProgressMode int
+// (docs/PROGRESS.md). Its String names the mode as used in figures and
+// flags; ParseProgressMode is the inverse.
+type ProgressMode = mpi.ProgressMode
 
 // Progress modes of the runtime.
 const (
 	// PollingProgress is the paper's shape: blocked application threads
 	// iterate the progress loop from Wait, re-acquiring the critical
 	// section around every poll. The default.
-	PollingProgress ProgressMode = iota
+	PollingProgress = mpi.ProgressPolling
 	// StrongProgress runs a dedicated progress daemon per VCI shard;
 	// blocked application threads park instead of polling.
-	StrongProgress
+	StrongProgress = mpi.ProgressStrong
 	// ContinuationProgress is strong progress plus completion-time
 	// callbacks and completion-queue draining: Waitall becomes one
 	// batched enqueue and a drain.
-	ContinuationProgress
+	ContinuationProgress = mpi.ProgressContinuation
 )
 
-// String names the progress mode as used in figures and flags.
-func (m ProgressMode) String() string { return m.mode().String() }
-
-func (m ProgressMode) mode() mpi.ProgressMode {
-	switch m {
-	case StrongProgress:
-		return mpi.ProgressStrong
-	case ContinuationProgress:
-		return mpi.ProgressContinuation
-	default:
-		return mpi.ProgressPolling
+// ParseProgressMode maps a mode name, as printed by ProgressMode.String,
+// back to the mode; the empty string means PollingProgress.
+func ParseProgressMode(s string) (ProgressMode, error) {
+	for _, m := range []ProgressMode{PollingProgress, StrongProgress, ContinuationProgress} {
+		if s == m.String() {
+			return m, nil
+		}
 	}
+	if s == "" {
+		return PollingProgress, nil
+	}
+	return 0, fmt.Errorf("unknown -progress mode %q (polling|strong|continuation)", s)
 }
 
 // N2NConfig parametrizes the all-to-all streaming benchmark (paper §5.2).
@@ -505,29 +330,27 @@ type N2NResult struct {
 // N2N runs the all-to-all streaming benchmark.
 func N2N(c N2NConfig) (N2NResult, error) {
 	r, err := workloads.N2N(workloads.N2NParams{
-		Lock: c.Lock.kind(), Procs: c.Procs, Threads: c.Threads,
+		Lock: c.Lock, Procs: c.Procs, Threads: c.Threads,
 		MsgBytes: c.MsgBytes, Windows: c.Windows, Seed: c.Seed,
 		PerThreadTags: c.PerThreadTags, Partitioned: c.Partitioned,
-		VCIs: c.VCIs, VCIPolicy: c.VCIPolicy.policy(),
-		Progress: c.Progress.mode(),
-		Fault:    c.Fault.config(), Tel: c.Telemetry.recorder(),
+		VCIs: c.VCIs, VCIPolicy: c.VCIPolicy, Progress: c.Progress,
+		Fault: c.Fault, Tel: c.Telemetry.recorder(),
 	})
 	if err != nil {
 		return N2NResult{}, err
 	}
 	return N2NResult{RateMsgsPerSec: r.RateMsgsPerSec, SimNs: r.SimNs,
-		UnexpectedHits: r.UnexpectedHits, Net: netStats(r.Net),
-		Part: partStats(r.Part)}, nil
+		UnexpectedHits: r.UnexpectedHits, Net: r.Net, Part: r.Part}, nil
 }
 
 // RMAOp selects the one-sided operation.
-type RMAOp int
+type RMAOp = workloads.RMAOp
 
 // One-sided operations (paper §6.1.2).
 const (
-	Put RMAOp = iota
-	Get
-	Accumulate
+	Put        = workloads.OpPut
+	Get        = workloads.OpGet
+	Accumulate = workloads.OpAcc
 )
 
 // RMAConfig parametrizes the ARMCI-style one-sided benchmark with
@@ -558,24 +381,16 @@ type RMAResult struct {
 
 // RMA runs the one-sided benchmark.
 func RMA(c RMAConfig) (RMAResult, error) {
-	op := workloads.OpPut
-	switch c.Op {
-	case Get:
-		op = workloads.OpGet
-	case Accumulate:
-		op = workloads.OpAcc
-	}
 	r, err := workloads.RMA(workloads.RMAParams{
-		Lock: c.Lock.kind(), Op: op, Procs: c.Procs,
+		Lock: c.Lock, Op: c.Op, Procs: c.Procs,
 		ElemBytes: c.ElemBytes, Ops: c.Ops, Window: 1, Seed: c.Seed,
-		SelectiveWakeup: c.SelectiveWakeup, Fault: c.Fault.config(),
+		SelectiveWakeup: c.SelectiveWakeup, Fault: c.Fault,
 		Tel: c.Telemetry.recorder(),
 	})
 	if err != nil {
 		return RMAResult{}, err
 	}
-	return RMAResult{RateElemPerSec: r.RateElemPerSec, SimNs: r.SimNs,
-		Net: netStats(r.Net)}, nil
+	return RMAResult{RateElemPerSec: r.RateElemPerSec, SimNs: r.SimNs, Net: r.Net}, nil
 }
 
 // BFSConfig parametrizes the Graph500 BFS kernel (paper §6.2.1).
@@ -603,15 +418,15 @@ type BFSResult struct {
 // BFS runs the Graph500 BFS kernel.
 func BFS(c BFSConfig) (BFSResult, error) {
 	r, err := graph500.Run(graph500.Params{
-		Lock: c.Lock.kind(), Binding: c.Binding.binding(),
+		Lock: c.Lock, Binding: c.Binding,
 		Procs: c.Procs, Threads: c.Threads, Scale: c.Scale, Seed: c.Seed,
-		Fault: c.Fault.config(),
+		Fault: c.Fault,
 	})
 	if err != nil {
 		return BFSResult{}, err
 	}
 	return BFSResult{MTEPS: r.MTEPS, SimNs: r.SimNs,
-		VisitedVertices: r.VisitedVertices, Net: netStats(r.Net)}, nil
+		VisitedVertices: r.VisitedVertices, Net: r.Net}, nil
 }
 
 // StencilConfig parametrizes the 3-D 7-point stencil kernel (paper §6.2.2).
@@ -653,18 +468,17 @@ type StencilResult struct {
 // Stencil runs the 3-D stencil kernel.
 func Stencil(c StencilConfig) (StencilResult, error) {
 	r, err := stencil.Run(stencil.Params{
-		Lock: c.Lock.kind(), Procs: c.Procs, Threads: c.Threads,
+		Lock: c.Lock, Procs: c.Procs, Threads: c.Threads,
 		NX: c.NX, NY: c.NY, NZ: c.NZ, Iters: c.Iters, Seed: c.Seed,
 		Funneled: c.Funneled, Partitioned: c.Partitioned,
-		Progress: c.Progress.mode(),
-		Fault:    c.Fault.config(),
+		Progress: c.Progress, Fault: c.Fault,
 	})
 	if err != nil {
 		return StencilResult{}, err
 	}
 	return StencilResult{GFlops: r.GFlops, SimNs: r.SimNs, MPIPct: r.MPIPct,
 		ComputePct: r.ComputePct, SyncPct: r.SyncPct, Checksum: r.Checksum,
-		Net: netStats(r.Net), Part: partStats(r.Part)}, nil
+		Net: r.Net, Part: r.Part}, nil
 }
 
 // AssemblyConfig parametrizes the SWAP-style genome assembly application
@@ -692,15 +506,15 @@ type AssemblyResult struct {
 // Assembly runs the genome assembly application.
 func Assembly(c AssemblyConfig) (AssemblyResult, error) {
 	r, err := genome.Run(genome.Params{
-		Lock: c.Lock.kind(), Procs: c.Procs,
+		Lock: c.Lock, Procs: c.Procs,
 		GenomeLen: c.GenomeLen, Reads: c.Reads, Seed: c.Seed,
-		Fault: c.Fault.config(),
+		Fault: c.Fault,
 	})
 	if err != nil {
 		return AssemblyResult{}, err
 	}
 	return AssemblyResult{SimNs: r.SimNs, Contigs: len(r.Contigs),
-		ContigBases: r.ContigBases, N50: r.N50, Net: netStats(r.Net)}, nil
+		ContigBases: r.ContigBases, N50: r.N50, Net: r.Net}, nil
 }
 
 // Figure is a rendered experiment table.
@@ -719,40 +533,27 @@ type Figure struct {
 // paper plus ablations).
 func Experiments() []string { return experiments.IDs() }
 
-// RunExperiment regenerates the given table/figure. quick shrinks the
-// sweep for fast runs.
-func RunExperiment(id string, quick bool) ([]Figure, error) {
-	return RunExperimentSeeded(id, quick, 0)
-}
+// Options sizes, seeds and configures an experiment run: Quick shrinks
+// the sweep for fast runs, Seed is the base RNG seed (0 = the default
+// seed) and Progress sets the progress mode of the experiments that honour
+// it (the N2N-shaped figures; the progress experiment sweeps every mode
+// itself). The zero value is the full-size, default-seed, polling run.
+type Options = experiments.Options
 
-// RunExperimentSeeded is RunExperiment with an explicit base RNG seed
-// (0 = the default seed).
-func RunExperimentSeeded(id string, quick bool, seed uint64) ([]Figure, error) {
-	return RunExperimentMode(id, quick, seed, PollingProgress)
-}
-
-// RunExperimentMode is RunExperimentSeeded with an explicit progress mode
-// for the experiments that honour it (the N2N-shaped figures; the
-// progress experiment sweeps every mode itself). PollingProgress
-// reproduces RunExperimentSeeded exactly.
-func RunExperimentMode(id string, quick bool, seed uint64, progress ProgressMode) ([]Figure, error) {
-	e, err := experiments.Get(id)
+// RunExperiment regenerates the given table/figure. It is Sweep over the
+// one id at Jobs 1, so every point runs serially on the calling goroutine.
+func RunExperiment(id string, o Options) ([]Figure, error) {
+	res, err := Sweep(SweepConfig{IDs: []string{id}, Quick: o.Quick,
+		Seed: o.Seed, Progress: o.Progress, Jobs: 1})
 	if err != nil {
 		return nil, err
 	}
-	if id == "table1" {
-		return figuresFor(e, nil), nil
-	}
-	tables, err := e.Run(experiments.Options{Quick: quick, Seed: seed, Progress: progress.mode()})
-	if err != nil {
-		return nil, err
-	}
-	return figuresFor(e, tables), nil
+	return res[0].Figures, nil
 }
 
 // figuresFor converts an experiment's rendered tables to public Figures.
-// It is the single table→Figure path, shared by the one-experiment entry
-// points and the parallel Sweep, so both produce identical bytes.
+// It is the single table→Figure path, so RunExperiment and Sweep produce
+// identical bytes.
 func figuresFor(e experiments.Experiment, tables []*report.Table) []Figure {
 	if e.ID == "table1" {
 		// Table 1 is static machine-specification text, not a data series.
@@ -771,18 +572,18 @@ func figuresFor(e experiments.Experiment, tables []*report.Table) []Figure {
 
 // PatternKind selects a scenario of the multithreaded MPI pattern battery
 // (after Thakur & Gropp; paper §8 ref [27]).
-type PatternKind int
+type PatternKind = workloads.Pattern
 
 // Battery scenarios.
 const (
 	// ConcurrentPairs pairs thread i of each rank.
-	ConcurrentPairs PatternKind = iota
+	ConcurrentPairs = workloads.PatternConcurrentPairs
 	// FanIn drives all sender threads into one receiver.
-	FanIn
+	FanIn = workloads.PatternFanIn
 	// FanOut feeds all receiver threads from one sender.
-	FanOut
+	FanOut = workloads.PatternFanOut
 	// ComputeOverlap interleaves computation with communication.
-	ComputeOverlap
+	ComputeOverlap = workloads.PatternComputeOverlap
 )
 
 // PatternConfig parametrizes one battery run.
@@ -807,38 +608,28 @@ type PatternResult struct {
 
 // Pattern runs one scenario of the multithreaded pattern battery.
 func Pattern(c PatternConfig) (PatternResult, error) {
-	pat := workloads.PatternConcurrentPairs
-	switch c.Pattern {
-	case FanIn:
-		pat = workloads.PatternFanIn
-	case FanOut:
-		pat = workloads.PatternFanOut
-	case ComputeOverlap:
-		pat = workloads.PatternComputeOverlap
-	}
 	r, err := workloads.RunPattern(workloads.PatternParams{
-		Lock: c.Lock.kind(), Pattern: pat, Threads: c.Threads,
+		Lock: c.Lock, Pattern: c.Pattern, Threads: c.Threads,
 		MsgBytes: c.MsgBytes, Msgs: c.Msgs, Seed: c.Seed,
-		Fault: c.Fault.config(),
+		Fault: c.Fault,
 	})
 	if err != nil {
 		return PatternResult{}, err
 	}
-	return PatternResult{RateMsgsPerSec: r.RateMsgsPerSec, SimNs: r.SimNs,
-		Net: netStats(r.Net)}, nil
+	return PatternResult{RateMsgsPerSec: r.RateMsgsPerSec, SimNs: r.SimNs, Net: r.Net}, nil
 }
 
 // RecoveryStrategy selects how survivors continue after a rank failure.
-type RecoveryStrategy int
+type RecoveryStrategy = workloads.RecoveryStrategy
 
 // Recovery strategies.
 const (
 	// Shrink is shrink-and-redistribute: survivors revoke, shrink to a new
 	// communicator and continue forward with the dead rank's domain share.
-	Shrink RecoveryStrategy = iota
+	Shrink = workloads.RecoverShrink
 	// Checkpoint is in-memory checkpoint/restart: survivors roll back to
 	// the newest globally consistent checkpoint line and redo.
-	Checkpoint
+	Checkpoint = workloads.RecoverCheckpoint
 )
 
 // RecoveryConfig parametrizes the fault-tolerant iterative workload.
@@ -880,19 +671,14 @@ type RecoveryResult struct {
 // configured crashes, revoke and shrink the communicator (or roll back to a
 // checkpoint) and finish the computation.
 func Recovery(c RecoveryConfig) (RecoveryResult, error) {
-	strat := workloads.RecoverShrink
-	if c.Strategy == Checkpoint {
-		strat = workloads.RecoverCheckpoint
-	}
 	kern := workloads.KernelRing
 	if c.N2N {
 		kern = workloads.KernelN2N
 	}
 	r, err := workloads.Recovery(workloads.RecoveryParams{
-		Lock: c.Lock.kind(), Procs: c.Procs, ProcsPerNode: c.ProcsPerNode,
-		Iters: c.Iters, Strategy: strat, Kernel: kern,
-		CkptInterval: c.CkptInterval, Seed: c.Seed,
-		Fault: c.Fault.config(),
+		Lock: c.Lock, Procs: c.Procs, ProcsPerNode: c.ProcsPerNode,
+		Iters: c.Iters, Strategy: c.Strategy, Kernel: kern,
+		CkptInterval: c.CkptInterval, Seed: c.Seed, Fault: c.Fault,
 	})
 	if err != nil {
 		return RecoveryResult{}, err
@@ -901,6 +687,6 @@ func Recovery(c RecoveryConfig) (RecoveryResult, error) {
 		SimNs: r.SimNs, Survivors: r.Survivors, Checksum: r.Checksum,
 		DetectNs: r.Recovery.DetectNs, RecoverNs: r.RecoverNs,
 		Recoveries: r.Recoveries, ErrPathLocks: r.Recovery.ErrPathLocks,
-		Net: netStats(r.Net),
+		Net: r.Net,
 	}, nil
 }

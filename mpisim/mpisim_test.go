@@ -16,6 +16,17 @@ func TestLockNames(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(l), l.String(), s)
 		}
 	}
+	for _, m := range []ProgressMode{PollingProgress, StrongProgress, ContinuationProgress} {
+		if got, err := ParseProgressMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseProgressMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if m, err := ParseProgressMode(""); err != nil || m != PollingProgress {
+		t.Errorf(`ParseProgressMode("") = %v, %v; want polling`, m, err)
+	}
+	if _, err := ParseProgressMode("eager"); err == nil {
+		t.Error("ParseProgressMode accepted an unknown mode")
+	}
 }
 
 func TestThroughputFacade(t *testing.T) {
@@ -103,7 +114,7 @@ func TestExperimentsListed(t *testing.T) {
 }
 
 func TestRunExperimentTable1(t *testing.T) {
-	figs, err := RunExperiment("table1", true)
+	figs, err := RunExperiment("table1", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +124,13 @@ func TestRunExperimentTable1(t *testing.T) {
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
-	if _, err := RunExperiment("fig99", true); err == nil {
+	if _, err := RunExperiment("fig99", Options{Quick: true}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunExperimentFig2b(t *testing.T) {
-	figs, err := RunExperiment("fig2b", true)
+	figs, err := RunExperiment("fig2b", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ type SweepConfig struct {
 	// IDs are the experiment ids to run, in emission order (nil or empty
 	// = every registered experiment, sorted).
 	IDs []string
-	// Quick shrinks the sweeps as in RunExperiment.
+	// Quick shrinks the sweeps (see Options).
 	Quick bool
 	// Seed is the base RNG seed (0 = default).
 	Seed uint64
@@ -21,7 +21,7 @@ type SweepConfig struct {
 	// at every value — parallelism only changes wall-clock time.
 	Jobs int
 	// Progress sets the progress mode for experiments that honour it
-	// (see RunExperimentMode). Default PollingProgress.
+	// (see Options). Default PollingProgress.
 	Progress ProgressMode
 }
 
@@ -60,7 +60,7 @@ func SweepFunc(c SweepConfig, emit func(SweepResult) error) error {
 	if jobs <= 0 {
 		jobs = sweep.DefaultWorkers()
 	}
-	o := experiments.Options{Quick: c.Quick, Seed: c.Seed, Progress: c.Progress.mode()}
+	o := experiments.Options{Quick: c.Quick, Seed: c.Seed, Progress: c.Progress}
 	return experiments.RunAllFunc(ids, o, jobs,
 		func(idx int, id string, tables []*report.Table) error {
 			e, err := experiments.Get(id)

@@ -43,7 +43,7 @@ func TestExperimentsSorted(t *testing.T) {
 func TestSweepMatchesSerial(t *testing.T) {
 	var serial []SweepResult
 	for _, id := range sweepIDs {
-		figs, err := RunExperimentSeeded(id, true, 0)
+		figs, err := RunExperiment(id, Options{Quick: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,20 +48,13 @@ type FigureData = telemetry.FigureJSON
 
 // TraceExperiment runs the traced representative point of an experiment
 // with the telemetry plane attached and returns the recording plus a
-// one-line description of the traced workload. The run is deterministic:
-// the same (id, quick, seed) triple yields byte-identical PerfettoJSON
-// and ProfileJSON output.
-func TraceExperiment(id string, quick bool, seed uint64) (*Telemetry, string, error) {
-	return TraceExperimentMode(id, quick, seed, PollingProgress)
-}
-
-// TraceExperimentMode is TraceExperiment with an explicit progress mode
-// for the probes that honour it (the N2N-shaped ones). PollingProgress
-// reproduces TraceExperiment exactly.
-func TraceExperimentMode(id string, quick bool, seed uint64, progress ProgressMode) (*Telemetry, string, error) {
+// one-line description of the traced workload. o.Progress applies to the
+// probes that honour it (the N2N-shaped ones). The run is deterministic:
+// the same (id, o) pair yields byte-identical PerfettoJSON and ProfileJSON
+// output.
+func TraceExperiment(id string, o Options) (*Telemetry, string, error) {
 	t := NewTelemetry()
-	desc, err := experiments.Probe(id,
-		experiments.Options{Quick: quick, Seed: seed, Progress: progress.mode()}, t.rec)
+	desc, err := experiments.Probe(id, o, t.rec)
 	if err != nil {
 		return nil, "", err
 	}

@@ -37,14 +37,14 @@ func TestTelemetryAttachedToFacade(t *testing.T) {
 }
 
 func TestTraceExperiment(t *testing.T) {
-	t1, desc, err := TraceExperiment("fig8a", true, 0)
+	t1, desc, err := TraceExperiment("fig8a", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if desc == "" || t1.Spans() == 0 {
 		t.Fatalf("degenerate trace: desc=%q spans=%d", desc, t1.Spans())
 	}
-	t2, _, err := TraceExperiment("fig8a", true, 0)
+	t2, _, err := TraceExperiment("fig8a", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +52,13 @@ func TestTraceExperiment(t *testing.T) {
 		t.Fatal("same-seed traces differ")
 	}
 
-	if _, _, err := TraceExperiment("fig99", true, 0); err == nil {
+	if _, _, err := TraceExperiment("fig99", Options{Quick: true}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
 func TestRunExperimentFigureData(t *testing.T) {
-	figs, err := RunExperimentSeeded("fig2b", true, 0)
+	figs, err := RunExperiment("fig2b", Options{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
