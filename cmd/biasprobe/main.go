@@ -68,12 +68,10 @@ func main() {
 		Lock: lock, Binding: binding, Threads: *threads,
 		MsgBytes: *bytes, Windows: *windows, Seed: *seed, TraceRank: 1,
 	}
-	r, err := workloads.ThroughputWithHook(p, func(rank int) simlock.GrantFunc {
-		if rank != 1 || !*timeline {
-			return nil
-		}
-		return tl.Observe
-	})
+	if *timeline {
+		p.Timeline = tl
+	}
+	r, err := workloads.Throughput(p)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "biasprobe: %v\n", err)
 		os.Exit(1)

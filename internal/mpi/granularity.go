@@ -12,6 +12,7 @@ import (
 	"mpicontend/internal/machine"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
+	"mpicontend/internal/trace"
 )
 
 // Granularity selects the critical-section granularity of the runtime,
@@ -68,6 +69,12 @@ type csLock struct {
 	id        int
 	holdStart int64
 	holdClass uint8
+
+	// Grant observation (§4.3/§4.4): onGrant is nil unless Config.OnGrant
+	// attached an observer to this lock, and only then does waiting track
+	// requests and grants.
+	onGrant func(trace.Grant)
+	waiting trace.WaitSet
 }
 
 // instrument attaches the lock to the telemetry plane under the given
@@ -88,12 +95,20 @@ func telClass(cl simlock.Class) uint8 {
 	return telemetry.ClassHigh
 }
 
+// enter acquires the section for th. It is the one site where grants are
+// observed: the lock models carry no hooks.
 func (c *csLock) enter(th *Thread, cl simlock.Class) {
 	var waitFrom int64
-	if c.tel != nil {
+	if c.tel != nil || c.onGrant != nil {
 		waitFrom = th.S.Now()
 	}
+	if c.onGrant != nil {
+		c.waiting.Request(th.S.ID(), th.lctx.Place, waitFrom)
+	}
 	c.lock.Acquire(&th.lctx, cl)
+	if c.onGrant != nil {
+		c.onGrant(c.waiting.Grant(th.S.ID(), th.lctx.Place, th.S.Now()))
+	}
 	if c.tel != nil {
 		now := th.S.Now()
 		c.tel.LockWait(c.id, th.S.ID(), telClass(cl), waitFrom, now)
@@ -122,7 +137,6 @@ func (c *csLock) enter(th *Thread, cl simlock.Class) {
 		// acquisition, so every waiter pays for it — the pathology the
 		// critical-section arbitration must absorb.
 		if stall := pl.PreemptStall(); stall > 0 {
-			th.P.w.faultEvent("preempt", th.P.Rank)
 			th.S.Sleep(stall)
 		}
 	}

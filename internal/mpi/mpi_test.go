@@ -7,6 +7,7 @@ import (
 	"mpicontend/internal/machine"
 	"mpicontend/internal/mpi/vci"
 	"mpicontend/internal/simlock"
+	"mpicontend/internal/trace"
 )
 
 // testWorld builds a 2-node world with one proc per node unless overridden.
@@ -661,8 +662,8 @@ func TestConfigValidation(t *testing.T) {
 func TestOnGrantHookReceivesTraffic(t *testing.T) {
 	grants := map[int]int{}
 	w := testWorld(t, 2, func(c *Config) {
-		c.OnGrant = func(rank int) simlock.GrantFunc {
-			return func(simlock.GrantInfo) { grants[rank]++ }
+		c.OnGrant = func(rank int) func(trace.Grant) {
+			return func(trace.Grant) { grants[rank]++ }
 		}
 	})
 	c := w.Comm()

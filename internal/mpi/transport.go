@@ -203,7 +203,6 @@ func (rs *relState) onTimeout(rec *txRecord) {
 	if rec.attempts > rs.cfg.MaxRetries {
 		rs.GiveUps++
 		delete(rs.tx, txKey{rec.pkt.Dst, rec.pkt.VCI, rec.pkt.Seq})
-		rs.p.w.faultEvent("giveup", rs.p.Rank)
 		if rec.owner != nil {
 			rec.owner.fail(ErrRetryExhausted, rs.p.w.Eng.Now())
 		}
@@ -211,7 +210,6 @@ func (rs *relState) onTimeout(rec *txRecord) {
 	}
 	rs.Retransmits++
 	rs.p.w.retransmitsTotal++
-	rs.p.w.faultEvent("retransmit", rs.p.Rank)
 	rs.resend(rec)
 	rs.arm(rec)
 }
@@ -296,7 +294,6 @@ func (rs *relState) onNack(pkt *fabric.Packet) {
 	}
 	rs.FastRetransmits++
 	rs.p.w.retransmitsTotal++
-	rs.p.w.faultEvent("retransmit", rs.p.Rank)
 	if rec.timer != nil {
 		rec.timer.Cancel()
 	}

@@ -34,6 +34,7 @@ import (
 	"mpicontend/internal/sim"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
+	"mpicontend/internal/trace"
 )
 
 // Wildcards for receive matching.
@@ -71,8 +72,10 @@ type Config struct {
 	// Seed drives all randomness (CAS jitter etc.).
 	Seed uint64
 	// OnGrant optionally returns a grant observer for the given rank's
-	// critical-section lock (used by the §4.3/§4.4 analyses).
-	OnGrant func(rank int) simlock.GrantFunc
+	// critical-section locks (used by the §4.3/§4.4 analyses). The rank's
+	// VCI shard sections and shared-NIC lock report to it, each with its
+	// own waiting set; the GranFine sub-locks are not observed.
+	OnGrant func(rank int) func(trace.Grant)
 	// MaxEvents aborts the simulation with an error after this many
 	// events — a guard that turns protocol deadlocks (which would spin
 	// in virtual time forever) into diagnosable failures. Zero selects a
@@ -93,10 +96,6 @@ type Config struct {
 	// wall time (see sim.Engine.MaxWall); zero means no limit. Chaos
 	// soaks set it so a runaway scenario cannot hang CI.
 	MaxWall int64
-	// OnFaultEvent, when set, observes resilience events ("retransmit",
-	// "giveup", "preempt") at their virtual time on the given rank —
-	// used to pin marks onto lock-ownership timelines.
-	OnFaultEvent func(event string, at int64, rank int)
 	// VCIs is the number of virtual communication interfaces per process:
 	// independent runtime shards (matching queues, completion queue,
 	// request pool, transport flows), each with its own critical-section
@@ -258,12 +257,13 @@ func NewWorld(cfg Config) (*World, error) {
 			sharded:   cfg.VCIs > 1,
 		}
 		lcfg := &simlock.Config{Eng: w.Eng, Cost: cfg.Cost}
+		var onGrant func(trace.Grant)
 		if cfg.OnGrant != nil {
-			lcfg.OnGrant = cfg.OnGrant(rank)
+			onGrant = cfg.OnGrant(rank)
 		}
 		for v := 0; v < cfg.VCIs; v++ {
 			sh := &vciShard{idx: v}
-			sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines}
+			sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines, onGrant: onGrant}
 			name := fmt.Sprintf("cs[r%d]", rank)
 			if cfg.VCIs > 1 {
 				name = fmt.Sprintf("cs[r%d.v%d]", rank, v)
@@ -274,14 +274,13 @@ func NewWorld(cfg Config) (*World, error) {
 		if cfg.VCIs > 1 {
 			// The shared-NIC injection point: the one arbitration site the
 			// sharding cannot remove (all VCIs funnel into one physical NIC).
-			p.nicVCI = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2}
+			p.nicVCI = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2, onGrant: onGrant}
 			p.nicVCI.instrument(w.tel, fmt.Sprintf("nic[r%d]", rank))
 		}
 		if cfg.Granularity == GranFine {
-			sub := &simlock.Config{Eng: w.Eng, Cost: cfg.Cost}
-			p.queueCS = csLock{lock: simlock.New(cfg.Lock, sub), lines: cfg.Cost.CSStateLines / 2}
+			p.queueCS = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2}
 			p.queueCS.instrument(w.tel, fmt.Sprintf("queue[r%d]", rank))
-			p.nicCS = csLock{lock: simlock.New(cfg.Lock, sub), lines: cfg.Cost.CSStateLines / 2}
+			p.nicCS = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2}
 			p.nicCS.instrument(w.tel, fmt.Sprintf("nic[r%d]", rank))
 		}
 		p.ep = w.Fab.Attach(rank, node, p.onPacket)
@@ -334,13 +333,6 @@ func (w *World) Run() error {
 
 // FaultPlane returns the active fault plane (nil on a perfect network).
 func (w *World) FaultPlane() *fault.Plane { return w.plane }
-
-// faultEvent forwards a resilience event to the configured observer.
-func (w *World) faultEvent(event string, rank int) {
-	if w.Cfg.OnFaultEvent != nil {
-		w.Cfg.OnFaultEvent(event, w.Eng.Now(), rank)
-	}
-}
 
 // Comm is a communicator: a matching context over a group of processes.
 // The world communicator has a nil ranks slice (identity mapping); Dup and

@@ -11,24 +11,14 @@ import (
 // lock over high-priority ones. It exists purely as an ablation so that
 // claim can be measured.
 type PrioMutexLock struct {
-	cfg            *Config
 	h, l, b        *FutexMutex
 	alreadyBlocked bool
 	highHolders    int
-	waitH, waitL   map[*Ctx]bool
 }
 
 // NewPrioMutexLock builds the mutex-based priority composition of §7.
 func NewPrioMutexLock(cfg *Config) *PrioMutexLock {
-	sub := &Config{Eng: cfg.Eng, Cost: cfg.Cost}
-	return &PrioMutexLock{
-		cfg:   cfg,
-		h:     NewFutexMutex(sub),
-		l:     NewFutexMutex(sub),
-		b:     NewFutexMutex(sub),
-		waitH: make(map[*Ctx]bool),
-		waitL: make(map[*Ctx]bool),
-	}
+	return &PrioMutexLock{h: NewFutexMutex(cfg), l: NewFutexMutex(cfg), b: NewFutexMutex(cfg)}
 }
 
 // Name returns the figure label of the lock.
@@ -37,16 +27,13 @@ func (p *PrioMutexLock) Name() string { return "PrioMutex" }
 // Acquire enters the critical section with the given class.
 func (p *PrioMutexLock) Acquire(c *Ctx, cl Class) {
 	if cl == High {
-		p.waitH[c] = true
 		p.h.Acquire(c, High)
 		if !p.alreadyBlocked {
 			p.b.Acquire(c, High)
 			p.alreadyBlocked = true
 		}
 		p.highHolders++
-		delete(p.waitH, c)
 	} else {
-		p.waitL[c] = true
 		// Same shape as PriorityLock.Acquire: the held-lock walk is
 		// flow-insensitive and carries the High arm's b acquisition into
 		// this branch, though the arms are mutually exclusive.
@@ -54,9 +41,7 @@ func (p *PrioMutexLock) Acquire(c *Ctx, cl Class) {
 		p.l.Acquire(c, Low)
 		//simcheck:allow lockorder High and Low arms are exclusive; b is not held on this path
 		p.b.Acquire(c, Low)
-		delete(p.waitL, c)
 	}
-	p.emit(c, cl)
 }
 
 // Release leaves the critical section.
@@ -88,19 +73,6 @@ func (p *PrioMutexLock) releaseB(c *Ctx) {
 	p.b.Release(c, High)
 }
 
-// ContenderCount returns the number of threads waiting on either class.
-func (p *PrioMutexLock) ContenderCount() int { return len(p.waitH) + len(p.waitL) }
-
-func (p *PrioMutexLock) emit(c *Ctx, cl Class) {
-	if p.cfg.OnGrant == nil {
-		return
-	}
-	ws := make([]machine.Place, 0, len(p.waitH)+len(p.waitL))
-	ws = appendCtxPlaces(ws, p.waitH)
-	ws = appendCtxPlaces(ws, p.waitL)
-	p.cfg.emit(GrantInfo{At: p.cfg.Eng.Now(), ThreadID: c.T.ID(), Place: c.Place, Class: cl, Waiters: ws})
-}
-
 // SocketPriorityLock is the socket-aware arbitration §7 discusses and
 // rejects: on release it serves waiters from the releaser's socket first,
 // falling back to other sockets only when the local queue is empty. This
@@ -130,9 +102,6 @@ func NewSocketPriorityLock(cfg *Config) *SocketPriorityLock {
 // Name returns the figure label of the lock.
 func (l *SocketPriorityLock) Name() string { return "SocketPriority" }
 
-// ContenderCount returns the number of queued threads.
-func (l *SocketPriorityLock) ContenderCount() int { return l.total }
-
 func sockKey(p machine.Place) int { return p.Node*64 + p.Socket }
 
 // Acquire blocks until the lock is granted by the socket-aware policy.
@@ -149,7 +118,6 @@ func (l *SocketPriorityLock) Acquire(c *Ctx, _ Class) {
 		if cost > 0 {
 			c.T.Sleep(cost)
 		}
-		l.emit(c, l.cfg.Eng.Now())
 		return
 	}
 	k := sockKey(c.Place)
@@ -194,21 +162,5 @@ func (l *SocketPriorityLock) Release(c *Ctx, _ Class) {
 	l.locked = true
 	l.holder = w.c
 	l.line = w.c.Place
-	l.cfg.Eng.At(at, func() {
-		l.emit(w.c, at)
-		w.c.T.Unpark(at)
-	})
-}
-
-func (l *SocketPriorityLock) emit(c *Ctx, at sim.Time) {
-	if l.cfg.OnGrant == nil {
-		return
-	}
-	var ws []machine.Place
-	for _, k := range l.order {
-		for _, w := range l.queues[k] {
-			ws = append(ws, w.c.Place)
-		}
-	}
-	l.cfg.emit(GrantInfo{At: at, ThreadID: c.T.ID(), Place: c.Place, Class: High, Waiters: ws})
+	l.cfg.Eng.At(at, func() { w.c.T.Unpark(at) })
 }

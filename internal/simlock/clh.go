@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mpicontend/internal/machine"
-	"mpicontend/internal/sim"
 )
 
 // CLHLock models the CLH queue lock (Craig; Landin & Hagersten): each
@@ -43,15 +42,9 @@ type clhWaiter struct {
 
 // NewCLHLock returns a CLH queue lock.
 func NewCLHLock(cfg *Config) *CLHLock {
-	l := &CLHLock{
-		cfg:  cfg,
-		name: "CLH",
-	}
+	l := &CLHLock{cfg: cfg, name: "CLH"}
 	l.wakeFn = func(x interface{}) {
-		c := x.(*Ctx)
-		at := l.cfg.Eng.Now()
-		l.emit(c, at)
-		c.T.Unpark(at)
+		x.(*Ctx).T.Unpark(l.cfg.Eng.Now())
 	}
 	return l
 }
@@ -62,25 +55,11 @@ func (l *CLHLock) Name() string { return l.name }
 // Holder returns the current owner context, or nil when free.
 func (l *CLHLock) Holder() *Ctx { return l.holder }
 
-// ContenderCount returns the number of queued threads.
-func (l *CLHLock) ContenderCount() int { return len(l.waiters) - l.whead }
-
-// WaiterPlaces snapshots the placements of queued threads in queue order,
-// so the snapshot is deterministic.
-func (l *CLHLock) WaiterPlaces() []machine.Place {
-	ps := make([]machine.Place, 0, len(l.waiters)-l.whead)
-	for _, w := range l.waiters[l.whead:] {
-		ps = append(ps, w.c.Place)
-	}
-	return ps
-}
-
 // Acquire swaps a fresh node into the tail and blocks until the
 // predecessor's node flips. An uncontended acquire pays the tail-word line
 // transfer; a queued acquire pays nothing up front (the swap overlaps the
 // spin setup) and is charged the hand-off transfer at release time.
 func (l *CLHLock) Acquire(c *Ctx, _ Class) {
-	eng := l.cfg.Eng
 	if !l.locked && l.whead >= len(l.waiters) {
 		l.locked = true
 		l.holder = c
@@ -93,7 +72,6 @@ func (l *CLHLock) Acquire(c *Ctx, _ Class) {
 		if cost > 0 {
 			c.T.Sleep(cost)
 		}
-		l.emit(c, eng.Now())
 		return
 	}
 	l.waiters = append(l.waiters, clhWaiter{c: c})
@@ -142,16 +120,4 @@ func (l *CLHLock) Release(c *Ctx, _ Class) {
 	l.holder = w.c
 	l.line = w.c.Place
 	eng.AtArg(at, l.wakeFn, w.c)
-}
-
-func (l *CLHLock) emit(c *Ctx, at sim.Time) {
-	if l.cfg.OnGrant != nil {
-		l.cfg.emit(GrantInfo{
-			At:       at,
-			ThreadID: c.T.ID(),
-			Place:    c.Place,
-			Class:    High,
-			Waiters:  l.WaiterPlaces(),
-		})
-	}
 }

@@ -1,10 +1,6 @@
 package simlock
 
-import (
-	"sort"
-
-	"mpicontend/internal/machine"
-)
+import "mpicontend/internal/machine"
 
 // cohortBatch bounds how many consecutive hand-offs stay within one socket
 // before the cohort must pass the lock on; this is what separates a cohort
@@ -23,7 +19,6 @@ type CohortLock struct {
 	cfg    *Config
 	global *TicketLock
 	socks  map[int]*cohortSock
-	holder *Ctx
 }
 
 type cohortSock struct {
@@ -34,8 +29,7 @@ type cohortSock struct {
 
 // NewCohortLock builds the two-level cohort lock.
 func NewCohortLock(cfg *Config) *CohortLock {
-	sub := &Config{Eng: cfg.Eng, Cost: cfg.Cost}
-	g := NewTicketLock(sub)
+	g := NewTicketLock(cfg)
 	g.name = "cohort_global"
 	return &CohortLock{cfg: cfg, global: g, socks: map[int]*cohortSock{}}
 }
@@ -47,8 +41,7 @@ func (l *CohortLock) sock(p machine.Place) *cohortSock {
 	key := p.Node*64 + p.Socket
 	s := l.socks[key]
 	if s == nil {
-		sub := &Config{Eng: l.cfg.Eng, Cost: l.cfg.Cost}
-		tl := NewTicketLock(sub)
+		tl := NewTicketLock(l.cfg)
 		tl.name = "cohort_local"
 		s = &cohortSock{tl: tl}
 		l.socks[key] = s
@@ -65,20 +58,12 @@ func (l *CohortLock) Acquire(c *Ctx, cl Class) {
 		l.global.Acquire(c, cl)
 	}
 	s.cohortOwns = false // consumed; release decides whether to re-grant
-	l.holder = c
-	if l.cfg.OnGrant != nil {
-		l.cfg.emit(GrantInfo{
-			At: l.cfg.Eng.Now(), ThreadID: c.T.ID(), Place: c.Place,
-			Class: cl, Waiters: l.waiterPlaces(),
-		})
-	}
 }
 
 // Release hands off within the socket while waiters remain and the batch
 // allows; otherwise it releases the global lock so another socket runs.
 func (l *CohortLock) Release(c *Ctx, cl Class) {
 	s := l.sock(c.Place)
-	l.holder = nil
 	if s.tl.HasWaiters() && s.batch < cohortBatch {
 		s.batch++
 		s.cohortOwns = true
@@ -88,28 +73,4 @@ func (l *CohortLock) Release(c *Ctx, cl Class) {
 	s.batch = 0
 	l.global.Release(c, cl)
 	s.tl.Release(c, cl)
-}
-
-// ContenderCount returns the number of threads waiting across sockets.
-func (l *CohortLock) ContenderCount() int {
-	n := l.global.ContenderCount()
-	for _, s := range l.socks {
-		n += s.tl.ContenderCount()
-	}
-	return n
-}
-
-func (l *CohortLock) waiterPlaces() []machine.Place {
-	var ps []machine.Place
-	ps = append(ps, l.global.WaiterPlaces()...)
-	// Socket order, not map order, so the snapshot is deterministic.
-	keys := make([]int, 0, len(l.socks))
-	for k := range l.socks {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	for _, k := range keys {
-		ps = append(ps, l.socks[k].tl.WaiterPlaces()...)
-	}
-	return ps
 }

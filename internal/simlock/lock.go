@@ -13,12 +13,15 @@
 // penalty. The earliest observer wins a mutex CAS race; a ticket release
 // instead hands off to the unique next ticket holder.
 //
+// The locks carry no observation hooks. The §4.3/§4.4 grant stream is
+// observed once, in the MPI runtime's critical-section wrapper, which
+// times each request and grant around Acquire; tests drive the same
+// waiting-set rule (internal/trace.WaitSet) around their own Acquire calls.
+//
 // simlock is part of the deterministic core (docs/ARCHITECTURE.md).
 package simlock
 
 import (
-	"sort"
-
 	"mpicontend/internal/machine"
 	"mpicontend/internal/sim"
 )
@@ -59,51 +62,10 @@ type Lock interface {
 	Name() string
 }
 
-// GrantInfo describes one critical-section acquisition, recorded at the
-// moment a thread becomes the owner. It carries everything the paper's
-// §4.3 fairness estimators need.
-type GrantInfo struct {
-	At       sim.Time
-	ThreadID int
-	Place    machine.Place
-	Class    Class
-	// Waiters holds the placements of every thread still waiting for the
-	// lock at grant time (the new owner excluded).
-	Waiters []machine.Place
-}
-
-// GrantFunc observes lock acquisitions; attach one via each lock's OnGrant
-// field. The Waiters slice is only valid during the call.
-type GrantFunc func(GrantInfo)
-
 // Config carries the shared knobs for all simulated locks.
 type Config struct {
 	Eng  *sim.Engine
 	Cost machine.CostModel
-	// OnGrant, if non-nil, observes every acquisition.
-	OnGrant GrantFunc
-}
-
-func (cfg *Config) emit(gi GrantInfo) {
-	if cfg.OnGrant != nil {
-		cfg.OnGrant(gi)
-	}
-}
-
-// appendCtxPlaces appends the placements of a waiting set to dst in
-// thread-id order: Go map iteration order is randomized, and an
-// order-dependent Waiters snapshot would make grant traces differ between
-// runs of the same seed.
-func appendCtxPlaces(dst []machine.Place, m map[*Ctx]bool) []machine.Place {
-	cs := make([]*Ctx, 0, len(m))
-	for c := range m {
-		cs = append(cs, c)
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].T.ID() < cs[j].T.ID() })
-	for _, c := range cs {
-		dst = append(dst, c.Place)
-	}
-	return dst
 }
 
 // Kind enumerates the lock implementations available to the runtime.
@@ -174,23 +136,16 @@ func (k Kind) Valid() bool { return k >= KindMutex && k <= KindCLH }
 // operations, no serialization. Using it with more than one thread in the
 // runtime is undefined, exactly like calling a THREAD_SINGLE MPI library
 // from multiple threads.
-type NullLock struct {
-	cfg *Config
-}
+type NullLock struct{}
 
-// Acquire records the grant (so tracing still works) and returns
-// immediately.
-func (n NullLock) Acquire(c *Ctx, cl Class) {
-	if n.cfg.OnGrant != nil {
-		n.cfg.emit(GrantInfo{At: n.cfg.Eng.Now(), ThreadID: c.T.ID(), Place: c.Place, Class: cl})
-	}
-}
+// Acquire returns immediately.
+func (NullLock) Acquire(*Ctx, Class) {}
 
 // Release does nothing.
-func (n NullLock) Release(*Ctx, Class) {}
+func (NullLock) Release(*Ctx, Class) {}
 
 // Name returns the figure label ("Single").
-func (n NullLock) Name() string { return "Single" }
+func (NullLock) Name() string { return "Single" }
 
 // New constructs a lock of the given kind.
 func New(k Kind, cfg *Config) Lock {
@@ -210,7 +165,7 @@ func New(k Kind, cfg *Config) Lock {
 	case KindSocketPriority:
 		return NewSocketPriorityLock(cfg)
 	case KindNone:
-		return NullLock{cfg: cfg}
+		return NullLock{}
 	case KindCohort:
 		return NewCohortLock(cfg)
 	case KindCLH:

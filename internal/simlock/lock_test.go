@@ -6,17 +6,20 @@ import (
 
 	"mpicontend/internal/machine"
 	"mpicontend/internal/sim"
+	"mpicontend/internal/trace"
 )
 
 // harness runs nthreads simthreads that repeatedly enter a lock's critical
 // section, verifying mutual exclusion, and returns per-thread acquisition
-// counts and the grant trace.
+// counts and the grant trace. Grants are observed the way the MPI runtime
+// observes them: a trace.WaitSet timed around each Acquire.
 type harness struct {
-	eng    *sim.Engine
-	lock   Lock
-	topo   machine.Topology
-	grants []GrantInfo
-	counts []int
+	eng     *sim.Engine
+	lock    Lock
+	topo    machine.Topology
+	waiting trace.WaitSet
+	grants  []trace.Grant
+	counts  []int
 }
 
 func newHarness(t *testing.T, kind Kind, seed uint64) *harness {
@@ -25,18 +28,19 @@ func newHarness(t *testing.T, kind Kind, seed uint64) *harness {
 		eng:  sim.NewEngine(seed),
 		topo: machine.Nehalem2x4(1),
 	}
-	cfg := &Config{
-		Eng:  h.eng,
-		Cost: machine.Default(),
-		OnGrant: func(gi GrantInfo) {
-			ws := make([]machine.Place, len(gi.Waiters))
-			copy(ws, gi.Waiters)
-			gi.Waiters = ws
-			h.grants = append(h.grants, gi)
-		},
-	}
-	h.lock = New(kind, cfg)
+	h.lock = New(kind, &Config{Eng: h.eng, Cost: machine.Default()})
 	return h
+}
+
+// acquire enters the lock's critical section, timing the request and the
+// grant on the harness's waiting set, and records the grant with a private
+// copy of its waiter placements.
+func (h *harness) acquire(c *Ctx, cl Class) {
+	h.waiting.Request(c.T.ID(), c.Place, c.T.Now())
+	h.lock.Acquire(c, cl)
+	g := h.waiting.Grant(c.T.ID(), c.Place, c.T.Now())
+	g.Waiters = append([]machine.Place(nil), g.Waiters...)
+	h.grants = append(h.grants, g)
 }
 
 // run launches nthreads bound per binding, each acquiring iters times with
@@ -56,7 +60,7 @@ func (h *harness) run(t *testing.T, nthreads, iters int, hold, gap int64,
 				if class != nil {
 					cl = class(i, k)
 				}
-				h.lock.Acquire(c, cl)
+				h.acquire(c, cl)
 				if inCS {
 					t.Errorf("mutual exclusion violated by thread %d", i)
 				}
@@ -237,18 +241,18 @@ func TestMutexStarvationSpread(t *testing.T) {
 func TestPriorityHighBeatsLow(t *testing.T) {
 	eng := sim.NewEngine(9)
 	topo := machine.Nehalem2x4(1)
-	var grants []GrantInfo
-	cfg := &Config{Eng: eng, Cost: machine.Default(), OnGrant: func(gi GrantInfo) {
-		grants = append(grants, gi)
-	}}
-	lock := NewPriorityLock(cfg)
+	var waiting trace.WaitSet
+	var grants []trace.Grant
+	lock := NewPriorityLock(&Config{Eng: eng, Cost: machine.Default()})
 	// Three low-priority pollers hammer the lock.
 	for i := 0; i < 3; i++ {
 		place := topo.Bind(machine.Compact, 0, 0, 8, i)
 		eng.Spawn("low", func(th *sim.Thread) {
 			c := &Ctx{T: th, Place: place}
 			for k := 0; k < 300; k++ {
+				waiting.Request(th.ID(), place, th.Now())
 				lock.Acquire(c, Low)
+				grants = append(grants, waiting.Grant(th.ID(), place, th.Now()))
 				th.Sleep(120)
 				lock.Release(c, Low)
 				th.Sleep(25)
@@ -263,7 +267,9 @@ func TestPriorityHighBeatsLow(t *testing.T) {
 		for k := 0; k < 50; k++ {
 			th.Sleep(500)
 			start := th.Now()
+			waiting.Request(th.ID(), hiPlace, start)
 			lock.Acquire(c, High)
+			grants = append(grants, waiting.Grant(th.ID(), hiPlace, th.Now()))
 			waited += th.Now() - start
 			th.Sleep(50)
 			lock.Release(c, High)

@@ -209,28 +209,7 @@ func (m *FutexMutex) grant(w *mutexWaiter, at sim.Time) {
 	m.holder = w.c
 	m.line = w.c.Place
 	m.hasOwn = true
-	if m.cfg.OnGrant != nil {
-		m.cfg.emit(GrantInfo{
-			At:       at,
-			ThreadID: w.c.T.ID(),
-			Place:    w.c.Place,
-			Class:    High,
-			Waiters:  m.waiterPlaces(),
-		})
-	}
 	w.c.T.Unpark(at)
-}
-
-// waiterPlaces snapshots the placements of all still-waiting threads.
-func (m *FutexMutex) waiterPlaces() []machine.Place {
-	ps := make([]machine.Place, 0, len(m.spinners)+len(m.sleepers))
-	for _, s := range m.spinners {
-		ps = append(ps, s.c.Place)
-	}
-	for _, s := range m.sleepers {
-		ps = append(ps, s.c.Place)
-	}
-	return ps
 }
 
 // Release frees the mutex, triggering the user-space CAS race among

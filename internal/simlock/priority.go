@@ -1,9 +1,6 @@
 package simlock
 
-import (
-	"mpicontend/internal/machine"
-	"mpicontend/internal/sim"
-)
+import "mpicontend/internal/sim"
 
 // PriorityLock is the paper's custom two-level arbitration scheme (§5.2,
 // Fig. 7), composed of three ticket locks:
@@ -18,33 +15,20 @@ import (
 // letting low-priority threads through. Fairness within each class is FCFS
 // by construction.
 type PriorityLock struct {
-	cfg            *Config
 	h, l, b        *TicketLock
 	alreadyBlocked bool
-
-	// waiting sets, maintained for grant snapshots (§4.3 estimators).
-	waitH map[*Ctx]bool
-	waitL map[*Ctx]bool
 }
 
 // NewPriorityLock builds the Fig. 7 composition.
 func NewPriorityLock(cfg *Config) *PriorityLock {
-	sub := &Config{Eng: cfg.Eng, Cost: cfg.Cost} // components do not emit grants
 	mk := func(name string) *TicketLock {
-		t := NewTicketLock(sub)
+		t := NewTicketLock(cfg)
 		t.name = name
 		return t
 	}
 	b := mk("ticket_B")
 	b.skipFreeAcquireCharge = true
-	return &PriorityLock{
-		cfg:   cfg,
-		h:     mk("ticket_H"),
-		l:     mk("ticket_L"),
-		b:     b,
-		waitH: make(map[*Ctx]bool),
-		waitL: make(map[*Ctx]bool),
-	}
+	return &PriorityLock{h: mk("ticket_H"), l: mk("ticket_L"), b: b}
 }
 
 // Name returns the figure label of the lock.
@@ -53,15 +37,12 @@ func (p *PriorityLock) Name() string { return "Priority" }
 // Acquire enters the critical section with the given class.
 func (p *PriorityLock) Acquire(c *Ctx, cl Class) {
 	if cl == High {
-		p.waitH[c] = true
 		p.h.Acquire(c, High)
 		if !p.alreadyBlocked {
 			p.b.Acquire(c, High)
 			p.alreadyBlocked = true
 		}
-		delete(p.waitH, c)
 	} else {
-		p.waitL[c] = true
 		// The held-lock walk is flow-insensitive: it sees the High arm's
 		// ticket_B acquisition as still held here, though the arms are
 		// mutually exclusive. The real orders are H->B and L->B only.
@@ -69,9 +50,7 @@ func (p *PriorityLock) Acquire(c *Ctx, cl Class) {
 		p.l.Acquire(c, Low)
 		//simcheck:allow lockorder High and Low arms are exclusive; ticket_B is not held on this path
 		p.b.Acquire(c, Low)
-		delete(p.waitL, c)
 	}
-	p.emit(c, cl)
 }
 
 // Release leaves the critical section. cl must match the class used to
@@ -88,25 +67,6 @@ func (p *PriorityLock) Release(c *Ctx, cl Class) {
 		p.b.Release(c, Low)
 		p.l.Release(c, Low)
 	}
-}
-
-// ContenderCount returns the number of threads waiting on either class.
-func (p *PriorityLock) ContenderCount() int { return len(p.waitH) + len(p.waitL) }
-
-func (p *PriorityLock) emit(c *Ctx, cl Class) {
-	if p.cfg.OnGrant == nil {
-		return
-	}
-	ws := make([]machine.Place, 0, len(p.waitH)+len(p.waitL))
-	ws = appendCtxPlaces(ws, p.waitH)
-	ws = appendCtxPlaces(ws, p.waitL)
-	p.cfg.emit(GrantInfo{
-		At:       p.cfg.Eng.Now(),
-		ThreadID: c.T.ID(),
-		Place:    c.Place,
-		Class:    cl,
-		Waiters:  ws,
-	})
 }
 
 // MCSLock models the queue lock of Mellor-Crummey and Scott (related work
@@ -133,16 +93,12 @@ func NewMCSLock(cfg *Config) *MCSLock { return &MCSLock{cfg: cfg} }
 // Name returns the figure label of the lock.
 func (l *MCSLock) Name() string { return "MCS" }
 
-// ContenderCount returns the number of queued threads.
-func (l *MCSLock) ContenderCount() int { return len(l.queue) }
-
 // Acquire appends the caller to the queue (one atomic swap) and blocks
 // until its predecessor hands off.
 func (l *MCSLock) Acquire(c *Ctx, _ Class) {
 	if !l.locked && len(l.queue) == 0 {
 		l.locked = true
 		l.holder = c
-		l.emit(c, l.cfg.Eng.Now())
 		return
 	}
 	l.queue = append(l.queue, &mcsWaiter{c: c, spinStart: l.cfg.Eng.Now()})
@@ -167,19 +123,5 @@ func (l *MCSLock) Release(c *Ctx, _ Class) {
 	at := l.cfg.Eng.Now() + l.cfg.Cost.Transfer(c.Place, w.c.Place)
 	l.locked = true
 	l.holder = w.c
-	l.cfg.Eng.At(at, func() {
-		l.emit(w.c, at)
-		w.c.T.Unpark(at)
-	})
-}
-
-func (l *MCSLock) emit(c *Ctx, at sim.Time) {
-	if l.cfg.OnGrant == nil {
-		return
-	}
-	ws := make([]machine.Place, 0, len(l.queue))
-	for _, w := range l.queue {
-		ws = append(ws, w.c.Place)
-	}
-	l.cfg.emit(GrantInfo{At: at, ThreadID: c.T.ID(), Place: c.Place, Class: High, Waiters: ws})
+	l.cfg.Eng.At(at, func() { w.c.T.Unpark(at) })
 }

@@ -34,9 +34,6 @@ type TicketLock struct {
 	wakeFn func(interface{})
 
 	name string
-	// emitGrants controls whether this lock reports acquisitions; the
-	// priority lock disables it for its component locks.
-	emitGrants bool
 	// skipFreeAcquireCharge elides the line-transfer cost of taking the
 	// lock uncontended. The priority lock sets it on ticket_B: its line
 	// is fetched concurrently with ticket_H's on the same path.
@@ -51,16 +48,9 @@ type ticketWaiter struct {
 
 // NewTicketLock returns a FCFS ticket lock.
 func NewTicketLock(cfg *Config) *TicketLock {
-	l := &TicketLock{
-		cfg:        cfg,
-		name:       "Ticket",
-		emitGrants: true,
-	}
+	l := &TicketLock{cfg: cfg, name: "Ticket"}
 	l.wakeFn = func(x interface{}) {
-		c := x.(*Ctx)
-		at := l.cfg.Eng.Now()
-		l.emit(c, at)
-		c.T.Unpark(at)
+		x.(*Ctx).T.Unpark(l.cfg.Eng.Now())
 	}
 	return l
 }
@@ -75,23 +65,9 @@ func (l *TicketLock) Holder() *Ctx { return l.holder }
 // holder. The priority lock uses it to detect "last high-priority thread".
 func (l *TicketLock) HasWaiters() bool { return l.whead < len(l.waiters) }
 
-// ContenderCount returns the number of queued threads.
-func (l *TicketLock) ContenderCount() int { return len(l.waiters) - l.whead }
-
-// WaiterPlaces snapshots the placements of queued threads, in ticket
-// (queue) order so the snapshot is deterministic.
-func (l *TicketLock) WaiterPlaces() []machine.Place {
-	ps := make([]machine.Place, 0, len(l.waiters)-l.whead)
-	for _, w := range l.waiters[l.whead:] {
-		ps = append(ps, w.c.Place)
-	}
-	return ps
-}
-
 // Acquire takes a ticket and blocks until served. The class is ignored;
 // priority composition happens in PriorityLock.
 func (l *TicketLock) Acquire(c *Ctx, _ Class) {
-	eng := l.cfg.Eng
 	my := l.nextTicket
 	l.nextTicket++
 	if my == l.nowServing && !l.locked {
@@ -107,10 +83,9 @@ func (l *TicketLock) Acquire(c *Ctx, _ Class) {
 		if cost > 0 {
 			c.T.Sleep(cost)
 		}
-		l.emit(c, eng.Now())
 		return
 	}
-	l.waiters = append(l.waiters, ticketWaiter{ticket: my, c: c, spinStart: eng.Now()})
+	l.waiters = append(l.waiters, ticketWaiter{ticket: my, c: c, spinStart: l.cfg.Eng.Now()})
 	c.T.Park()
 	if l.holder != c {
 		panic("simlock: ticket lock woke a thread out of turn")
@@ -164,16 +139,4 @@ func (l *TicketLock) Release(c *Ctx, _ Class) {
 	l.holder = w.c
 	l.line = w.c.Place
 	eng.AtArg(at, l.wakeFn, w.c)
-}
-
-func (l *TicketLock) emit(c *Ctx, at sim.Time) {
-	if l.emitGrants && l.cfg.OnGrant != nil {
-		l.cfg.emit(GrantInfo{
-			At:       at,
-			ThreadID: c.T.ID(),
-			Place:    c.Place,
-			Class:    High,
-			Waiters:  l.WaiterPlaces(),
-		})
-	}
 }

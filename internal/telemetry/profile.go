@@ -9,8 +9,8 @@ import (
 // ProfileSchema tags the profile JSON layout.
 const ProfileSchema = "mpicontend/profile/v1"
 
-// PlaceCount is the acquisition count of one (socket, core) slot — the
-// generalization of trace.AcquisitionCounter keyed by hardware placement.
+// PlaceCount is the acquisition count of one (socket, core) slot: the
+// per-placement view of a lock's grant stream.
 type PlaceCount struct {
 	Socket       int   `json:"socket"`
 	Core         int   `json:"core"`

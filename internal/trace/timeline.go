@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"mpicontend/internal/simlock"
 )
 
 // TimelineRecorder captures the lock-grant stream so lock ownership can be
@@ -13,10 +11,9 @@ import (
 // one thread's glyph, FCFS as a regular weave.
 type TimelineRecorder struct {
 	grants []timelineEntry
-	marks  []timelineMark
-	// Cap bounds memory; once reached, further grants are dropped (the
-	// head of the run is usually the interesting part is false — the
-	// steady state matters, so we keep the most recent Cap entries).
+	// Cap bounds memory: once Cap grants are recorded, each new grant
+	// drops the oldest, so the recorder keeps the most recent Cap entries
+	// (the steady state matters more than the head of the run).
 	Cap int
 }
 
@@ -26,16 +23,8 @@ type timelineEntry struct {
 	socket int
 }
 
-// timelineMark is an out-of-band event (fault injection, retransmit)
-// pinned to the ownership timeline.
-type timelineMark struct {
-	at    int64
-	glyph byte
-	label string
-}
-
-// Observe records one grant; wire it to a lock's OnGrant.
-func (tr *TimelineRecorder) Observe(gi simlock.GrantInfo) {
+// Observe records one grant.
+func (tr *TimelineRecorder) Observe(gi Grant) {
 	if tr.Cap > 0 && len(tr.grants) >= tr.Cap {
 		copy(tr.grants, tr.grants[1:])
 		tr.grants = tr.grants[:len(tr.grants)-1]
@@ -47,18 +36,6 @@ func (tr *TimelineRecorder) Observe(gi simlock.GrantInfo) {
 
 // Grants returns the number of recorded grants.
 func (tr *TimelineRecorder) Grants() int { return len(tr.grants) }
-
-// Mark records an out-of-band event at virtual time at. Render draws a
-// second row under the ownership line with the glyph in the matching time
-// bucket, so retransmit bursts and fault injections can be read against
-// who owned the lock at that moment. Marks sharing a glyph share a label
-// (the first wins).
-func (tr *TimelineRecorder) Mark(at int64, glyph byte, label string) {
-	tr.marks = append(tr.marks, timelineMark{at: at, glyph: glyph, label: label})
-}
-
-// Marks returns the number of recorded marks.
-func (tr *TimelineRecorder) Marks() int { return len(tr.marks) }
 
 // threadGlyphs label threads in the rendering.
 const threadGlyphs = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -136,41 +113,6 @@ func (tr *TimelineRecorder) Render(width int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "lock ownership over %.1fus (%d grants):\n", float64(span)/1000, len(tr.grants))
 	b.WriteString("  |" + string(line) + "|\n")
-
-	// Mark row: fault/retransmit events against the same time axis.
-	if len(tr.marks) > 0 {
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = ' '
-		}
-		markCounts := map[byte]int{}
-		labels := map[byte]string{}
-		inWindow := 0
-		for _, m := range tr.marks {
-			markCounts[m.glyph]++
-			if _, ok := labels[m.glyph]; !ok {
-				labels[m.glyph] = m.label
-			}
-			if m.at < start || m.at >= end {
-				continue // marks outside the captured grant window
-			}
-			inWindow++
-			bkt := int((m.at - start) * int64(width) / span)
-			if bkt >= width {
-				bkt = width - 1
-			}
-			row[bkt] = m.glyph
-		}
-		b.WriteString("  |" + string(row) + "|\n")
-		var glyphs []byte
-		for g := range markCounts {
-			glyphs = append(glyphs, g)
-		}
-		sort.Slice(glyphs, func(i, j int) bool { return glyphs[i] < glyphs[j] })
-		for _, g := range glyphs {
-			fmt.Fprintf(&b, "  %c = %s x%d\n", g, labels[g], markCounts[g])
-		}
-	}
 
 	counts := map[int]int{}
 	for _, g := range tr.grants {

@@ -1,15 +1,66 @@
 // Package trace implements the paper's profiling machinery: the §4.3
 // arbitration-fairness estimators (Pc, Ps and their bias factors against a
 // fair arbitration) and the §4.4 dangling-request profiler sampled at lock
-// acquisition granularity.
+// acquisition granularity. The grant stream they consume is produced at
+// one site, the runtime's critical-section wrapper, which feeds a WaitSet
+// per lock; the lock models themselves carry no observation hooks.
 //
 // trace is part of the deterministic core (docs/ARCHITECTURE.md).
 package trace
 
-import (
-	"mpicontend/internal/machine"
-	"mpicontend/internal/simlock"
-)
+import "mpicontend/internal/machine"
+
+// Grant describes one critical-section acquisition at the moment a thread
+// becomes the owner. It carries everything the §4.3 estimators need.
+type Grant struct {
+	At       int64
+	ThreadID int
+	Place    machine.Place
+	// Waiters holds the placements of the threads waiting for the lock
+	// at the grant (the new owner excluded), in request order. It is
+	// only valid during the observer call.
+	Waiters []machine.Place
+}
+
+// WaitSet owns the waiting-set rule for one lock: a thread is waiting at
+// a grant if it asked for the lock strictly before the grant's virtual
+// time and has not been granted yet. A request made at the grant instant
+// itself is not a waiter, so the set does not depend on the order in which
+// the engine runs same-time events. The zero value is empty and ready.
+type WaitSet struct {
+	reqs    []waitReq
+	waiters []machine.Place // scratch for Grant.Waiters, reused per grant
+}
+
+type waitReq struct {
+	id    int
+	place machine.Place
+	at    int64
+}
+
+// Request records that thread id, placed at place, asked for the lock at
+// virtual time at.
+func (s *WaitSet) Request(id int, place machine.Place, at int64) {
+	s.reqs = append(s.reqs, waitReq{id: id, place: place, at: at})
+}
+
+// Grant retires thread id's request and describes its acquisition at
+// virtual time at. The returned Waiters alias scratch storage that the
+// next Grant call overwrites.
+func (s *WaitSet) Grant(id int, place machine.Place, at int64) Grant {
+	ws, kept := s.waiters[:0], s.reqs[:0]
+	for _, r := range s.reqs {
+		if r.id == id {
+			continue
+		}
+		kept = append(kept, r)
+		if r.at < at {
+			ws = append(ws, r.place)
+		}
+	}
+	s.reqs, s.waiters = kept, ws
+	return Grant{At: at, ThreadID: id, Place: place, Waiters: ws}
+}
 
 // FairnessAnalyzer consumes the lock-grant stream and computes the paper's
 // §4.3 estimators:
@@ -37,7 +88,7 @@ type FairnessAnalyzer struct {
 // Observe processes one grant. Grants with an empty waiting set are
 // uncontended hand-offs and are skipped: arbitration is only defined when
 // there is a choice to make.
-func (f *FairnessAnalyzer) Observe(gi simlock.GrantInfo) {
+func (f *FairnessAnalyzer) Observe(gi Grant) {
 	if !f.havePrev {
 		f.havePrev = true
 		f.prevID = gi.ThreadID
@@ -126,8 +177,8 @@ type DanglingProfiler struct {
 	max     int64
 }
 
-// Observe samples the metric; wire it to a lock's OnGrant.
-func (d *DanglingProfiler) Observe(simlock.GrantInfo) {
+// Observe samples the metric at one grant.
+func (d *DanglingProfiler) Observe(Grant) {
 	if d.Count == nil {
 		return
 	}
@@ -152,61 +203,3 @@ func (d *DanglingProfiler) Max() int64 { return d.max }
 
 // SamplesTaken returns the number of samples recorded.
 func (d *DanglingProfiler) SamplesTaken() int64 { return d.samples }
-
-// AcquisitionCounter tallies acquisitions per thread, useful for
-// starvation checks.
-type AcquisitionCounter struct {
-	PerThread map[int]int
-	PerClass  map[simlock.Class]int
-}
-
-// NewAcquisitionCounter returns an empty counter.
-func NewAcquisitionCounter() *AcquisitionCounter {
-	return &AcquisitionCounter{
-		PerThread: make(map[int]int),
-		PerClass:  make(map[simlock.Class]int),
-	}
-}
-
-// Observe tallies one grant.
-func (a *AcquisitionCounter) Observe(gi simlock.GrantInfo) {
-	a.PerThread[gi.ThreadID]++
-	a.PerClass[gi.Class]++
-}
-
-// Total returns the number of grants observed.
-func (a *AcquisitionCounter) Total() int {
-	t := 0
-	for _, c := range a.PerThread {
-		t += c
-	}
-	return t
-}
-
-// Spread returns max-min acquisitions across threads that acquired at
-// least once plus the given thread ids (so fully starved threads count 0).
-func (a *AcquisitionCounter) Spread(threadIDs []int) int {
-	if len(threadIDs) == 0 {
-		return 0
-	}
-	min, max := 1<<62, 0
-	for _, id := range threadIDs {
-		c := a.PerThread[id]
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-	}
-	return max - min
-}
-
-// Multi fans one grant stream out to several observers.
-func Multi(obs ...func(simlock.GrantInfo)) simlock.GrantFunc {
-	return func(gi simlock.GrantInfo) {
-		for _, o := range obs {
-			o(gi)
-		}
-	}
-}

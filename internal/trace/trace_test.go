@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"mpicontend/internal/machine"
-	"mpicontend/internal/simlock"
 )
 
 func place(sock, core int) machine.Place { return machine.Place{Node: 0, Socket: sock, Core: core} }
 
-func grant(id int, p machine.Place, waiters ...machine.Place) simlock.GrantInfo {
-	return simlock.GrantInfo{ThreadID: id, Place: p, Waiters: waiters}
+func grant(id int, p machine.Place, waiters ...machine.Place) Grant {
+	return Grant{ThreadID: id, Place: p, Waiters: waiters}
 }
 
 func TestFairnessAllSameThread(t *testing.T) {
@@ -96,7 +95,7 @@ func TestDanglingProfiler(t *testing.T) {
 	i := 0
 	d := DanglingProfiler{Count: func() int { v := vals[i%len(vals)]; i++; return v }}
 	for k := 0; k < 4; k++ {
-		d.Observe(simlock.GrantInfo{})
+		d.Observe(Grant{})
 	}
 	if d.Average() != 5 {
 		t.Fatalf("avg = %v, want 5", d.Average())
@@ -111,51 +110,16 @@ func TestDanglingProfiler(t *testing.T) {
 
 func TestDanglingProfilerNilCount(t *testing.T) {
 	var d DanglingProfiler
-	d.Observe(simlock.GrantInfo{})
+	d.Observe(Grant{})
 	if d.SamplesTaken() != 0 || d.Average() != 0 {
 		t.Fatal("nil Count must be a no-op")
-	}
-}
-
-func TestAcquisitionCounter(t *testing.T) {
-	a := NewAcquisitionCounter()
-	a.Observe(simlock.GrantInfo{ThreadID: 1, Class: simlock.High})
-	a.Observe(simlock.GrantInfo{ThreadID: 1, Class: simlock.Low})
-	a.Observe(simlock.GrantInfo{ThreadID: 2, Class: simlock.High})
-	if a.Total() != 3 {
-		t.Fatalf("total = %d", a.Total())
-	}
-	if a.PerThread[1] != 2 || a.PerThread[2] != 1 {
-		t.Fatalf("per-thread = %v", a.PerThread)
-	}
-	if a.PerClass[simlock.High] != 2 || a.PerClass[simlock.Low] != 1 {
-		t.Fatalf("per-class = %v", a.PerClass)
-	}
-	if got := a.Spread([]int{1, 2, 3}); got != 2 {
-		t.Fatalf("spread = %d, want 2 (thread 3 starved)", got)
-	}
-	if a.Spread(nil) != 0 {
-		t.Fatal("empty spread should be 0")
-	}
-}
-
-func TestMultiFanout(t *testing.T) {
-	n1, n2 := 0, 0
-	fn := Multi(
-		func(simlock.GrantInfo) { n1++ },
-		func(simlock.GrantInfo) { n2++ },
-	)
-	fn(simlock.GrantInfo{})
-	fn(simlock.GrantInfo{})
-	if n1 != 2 || n2 != 2 {
-		t.Fatalf("fanout counts %d %d", n1, n2)
 	}
 }
 
 func TestTimelineRecorder(t *testing.T) {
 	var tr TimelineRecorder
 	for i := 0; i < 10; i++ {
-		tr.Observe(simlock.GrantInfo{At: int64(i * 100), ThreadID: i % 2,
+		tr.Observe(Grant{At: int64(i * 100), ThreadID: i % 2,
 			Place: place(0, i%2)})
 	}
 	if tr.Grants() != 10 {
@@ -174,10 +138,10 @@ func TestTimelineMonopolyMetrics(t *testing.T) {
 	var tr TimelineRecorder
 	// 8 grants to thread 0, then 2 to thread 1.
 	for i := 0; i < 8; i++ {
-		tr.Observe(simlock.GrantInfo{At: int64(i), ThreadID: 0, Place: place(0, 0)})
+		tr.Observe(Grant{At: int64(i), ThreadID: 0, Place: place(0, 0)})
 	}
 	for i := 8; i < 10; i++ {
-		tr.Observe(simlock.GrantInfo{At: int64(i), ThreadID: 1, Place: place(0, 1)})
+		tr.Observe(Grant{At: int64(i), ThreadID: 1, Place: place(0, 1)})
 	}
 	if got := tr.MaxShare(); got != 0.8 {
 		t.Fatalf("MaxShare = %v", got)
@@ -190,7 +154,7 @@ func TestTimelineMonopolyMetrics(t *testing.T) {
 func TestTimelineCap(t *testing.T) {
 	tr := TimelineRecorder{Cap: 5}
 	for i := 0; i < 20; i++ {
-		tr.Observe(simlock.GrantInfo{At: int64(i), ThreadID: i, Place: place(0, 0)})
+		tr.Observe(Grant{At: int64(i), ThreadID: i, Place: place(0, 0)})
 	}
 	if tr.Grants() != 5 {
 		t.Fatalf("cap not enforced: %d", tr.Grants())
@@ -211,44 +175,38 @@ func TestTimelineEmpty(t *testing.T) {
 	}
 }
 
-func TestTimelineMarks(t *testing.T) {
+func TestTimelineNoMarksNoExtraRow(t *testing.T) {
 	var tr TimelineRecorder
-	for i := 0; i < 10; i++ {
-		tr.Observe(simlock.GrantInfo{At: int64(i * 100), ThreadID: i % 2,
-			Place: place(0, i%2)})
-	}
-	tr.Mark(250, '!', "retransmit")
-	tr.Mark(600, '!', "retransmit")
-	tr.Mark(700, '~', "preempt")
-	tr.Mark(5000, '!', "retransmit") // outside the grant window: counted, not drawn
-	if tr.Marks() != 4 {
-		t.Fatalf("marks = %d", tr.Marks())
-	}
-	out := tr.Render(20)
-	if !strings.Contains(out, "! = retransmit x3") {
-		t.Fatalf("mark legend missing:\n%s", out)
-	}
-	if !strings.Contains(out, "~ = preempt x1") {
-		t.Fatalf("preempt legend missing:\n%s", out)
-	}
-	// The mark row is a second |...| line containing the glyphs.
-	lines := strings.Split(out, "\n")
-	rows := 0
-	for _, ln := range lines {
-		if strings.Contains(ln, "|") {
-			rows++
-		}
-	}
-	if rows != 2 {
-		t.Fatalf("want ownership row + mark row, got %d rows:\n%s", rows, out)
+	tr.Observe(Grant{At: 0, ThreadID: 0, Place: place(0, 0)})
+	out := tr.Render(10)
+	if strings.Count(out, "|") != 2 {
+		t.Fatalf("want the ownership row only:\n%s", out)
 	}
 }
 
-func TestTimelineNoMarksNoExtraRow(t *testing.T) {
-	var tr TimelineRecorder
-	tr.Observe(simlock.GrantInfo{At: 0, ThreadID: 0, Place: place(0, 0)})
-	out := tr.Render(10)
-	if strings.Count(out, "|") != 2 {
-		t.Fatalf("mark row must be absent without marks:\n%s", out)
+// TestWaitSetStrictRule pins the waiting-set rule: a thread waits at a
+// grant only if it asked strictly before the grant's virtual time and has
+// not been granted yet.
+func TestWaitSetStrictRule(t *testing.T) {
+	var s WaitSet
+	s.Request(1, place(0, 0), 100)
+	s.Request(2, place(0, 1), 99)  // 1 ns before the grant: waiting
+	s.Request(3, place(1, 0), 100) // at the grant instant: not waiting
+	g := s.Grant(1, place(0, 0), 100)
+	if g.At != 100 || g.ThreadID != 1 || g.Place != place(0, 0) {
+		t.Fatalf("grant = %+v", g)
+	}
+	if len(g.Waiters) != 1 || g.Waiters[0] != place(0, 1) {
+		t.Fatalf("waiters at t=100 = %v, want only thread 2's place", g.Waiters)
+	}
+	// Thread 3's request now predates the next grant; the retired
+	// grantee is gone, and the new grantee is never its own waiter.
+	g = s.Grant(2, place(0, 1), 150)
+	if len(g.Waiters) != 1 || g.Waiters[0] != place(1, 0) {
+		t.Fatalf("waiters at t=150 = %v, want only thread 3's place", g.Waiters)
+	}
+	g = s.Grant(3, place(1, 0), 200)
+	if len(g.Waiters) != 0 {
+		t.Fatalf("waiters of the last grant = %v, want none", g.Waiters)
 	}
 }

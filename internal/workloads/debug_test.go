@@ -1,69 +1,100 @@
 package workloads
 
 import (
+	"sort"
 	"testing"
 
 	"mpicontend/internal/machine"
 	"mpicontend/internal/simlock"
-	"mpicontend/internal/trace"
+	"mpicontend/internal/telemetry"
 )
 
+// lockWaits returns the wait spans of the named lock in grant order. A
+// wait span runs from a thread's request to its grant, so the spans are
+// the lock's grant stream as the telemetry plane records it.
+func lockWaits(tel *telemetry.Recorder, name string) []telemetry.Span {
+	id := -1
+	for i, lp := range tel.Profile().Locks {
+		if lp.Name == name {
+			id = i
+		}
+	}
+	var out []telemetry.Span
+	for _, s := range tel.Spans() {
+		if s.Kind == telemetry.SpanWait && int(s.Lock) == id {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // TestDebugGrantStream dissects the receiver-side grant stream under the
-// mutex to understand arbitration composition. Skipped unless -v digging.
+// mutex to understand arbitration composition, and cross-checks the
+// telemetry plane against the grant observer: the contended grants
+// counted from wait spans under the strict waiting-set rule must equal
+// the fairness analyzer's sample count.
 func TestDebugGrantStream(t *testing.T) {
-	var grants []simlock.GrantInfo
+	tel := telemetry.New()
 	p := ThroughputParams{
 		Lock: simlock.KindMutex, Threads: 8, MsgBytes: 64,
-		Windows: 4, TraceRank: 1, Binding: machine.Compact,
+		Windows: 4, TraceRank: 1, Binding: machine.Compact, Tel: tel,
 	}
-	fairGrab := func(rank int) simlock.GrantFunc {
-		if rank != 1 {
-			return nil
-		}
-		return func(gi simlock.GrantInfo) {
-			ws := make([]machine.Place, len(gi.Waiters))
-			copy(ws, gi.Waiters)
-			gi.Waiters = ws
-			grants = append(grants, gi)
-		}
-	}
-	_ = fairGrab
-	// Re-run manually to capture raw grants.
-	r, err := ThroughputWithHook(p, fairGrab)
+	r, err := Throughput(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("rate %.0f", r.RateMsgsPerSec)
+	grants := lockWaits(tel, "cs[r1]")
 	total := len(grants)
+	// Waiters at grant i: spans requested strictly before its grant time
+	// and granted after it. Grants are in time order, so the i earlier
+	// spans are exactly the ones already granted.
+	starts := make([]int64, total)
+	for i, g := range grants {
+		starts[i] = g.Start
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	waiters := make([]int, total)
+	for i, g := range grants {
+		asked := sort.Search(total, func(k int) bool { return starts[k] >= g.End })
+		waiters[i] = asked - i
+		if g.Start < g.End {
+			waiters[i]-- // the grantee itself
+		}
+	}
 	contended, same, sameContended := 0, 0, 0
 	waiterHist := map[int]int{}
 	for i := 1; i < total; i++ {
-		w := len(grants[i-1].Waiters)
+		w := waiters[i-1]
 		waiterHist[w]++
-		if grants[i].ThreadID == grants[i-1].ThreadID {
+		if grants[i].Thread == grants[i-1].Thread {
 			same++
 		}
 		if w > 0 {
 			contended++
-			if grants[i].ThreadID == grants[i-1].ThreadID {
+			if grants[i].Thread == grants[i-1].Thread {
 				sameContended++
 			}
 		}
 	}
 	t.Logf("grants=%d contended=%d same=%d sameContended=%d", total, contended, same, sameContended)
 	t.Logf("waiter histogram: %v", waiterHist)
-	var f trace.FairnessAnalyzer
-	for _, g := range grants {
-		f.Observe(g)
+	t.Logf("biasCore=%.2f biasSock=%.2f samples=%d", r.BiasCore, r.BiasSocket, r.FairSamples)
+	fairSamples := 0
+	for _, w := range waiters[1:] {
+		if w > 0 {
+			fairSamples++
+		}
 	}
-	t.Logf("Pc=%.3f fairPc=%.3f biasCore=%.2f Ps=%.3f fairPs=%.3f biasSock=%.2f",
-		f.Pc(), f.FairPc(), f.BiasFactorCore(), f.Ps(), f.FairPs(), f.BiasFactorSocket())
+	if fairSamples != r.FairSamples {
+		t.Errorf("telemetry counts %d contended grants, the grant observer %d", fairSamples, r.FairSamples)
+	}
 
 	// Inter-grant gap histogram: who wins after a release? ~<200ns gaps
 	// are spinner/steal wins, ~2500 gaps are futex-wake handoffs.
 	gapHist := map[string]int{}
 	for i := 1; i < total; i++ {
-		gap := grants[i].At - grants[i-1].At
+		gap := grants[i].End - grants[i-1].End
 		var bucket string
 		switch {
 		case gap < 200:
@@ -80,9 +111,9 @@ func TestDebugGrantStream(t *testing.T) {
 		gapHist[bucket]++
 	}
 	t.Logf("gap histogram: %v", gapHist)
-	perThread := map[int]int{}
+	perThread := map[int32]int{}
 	for _, g := range grants {
-		perThread[g.ThreadID]++
+		perThread[g.Thread]++
 	}
 	t.Logf("grants per thread: %v", perThread)
 }
@@ -90,26 +121,22 @@ func TestDebugGrantStream(t *testing.T) {
 // TestDebugRMAGrants dissects rank-0 lock traffic in the RMA benchmark.
 func TestDebugRMAGrants(t *testing.T) {
 	for _, k := range []simlock.Kind{simlock.KindMutex, simlock.KindTicket} {
-		var grants []simlock.GrantInfo
-		p := RMAParams{Lock: k, Op: OpPut, ElemBytes: 64, Ops: 8}
-		p = p.withDefaults()
-		r, err := rmaWithHook(p, func(rank int) simlock.GrantFunc {
-			if rank != 0 {
-				return nil
-			}
-			return func(gi simlock.GrantInfo) { grants = append(grants, gi) }
-		})
+		tel := telemetry.New()
+		p := RMAParams{Lock: k, Op: OpPut, ElemBytes: 64, Ops: 8, Tel: tel}
+		r, err := RMA(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		per := map[int]int{}
-		classes := map[simlock.Class]int{}
+		grants := lockWaits(tel, "cs[r0]")
+		per := map[int32]int{}
+		classes := map[uint8]int{}
 		for _, g := range grants {
-			per[g.ThreadID]++
+			per[g.Thread]++
 			classes[g.Class]++
 		}
-		t.Logf("%v: rate=%.0f grants=%d perThread=%v classes=%v simNs=%d",
-			k, r.RateElemPerSec, len(grants), per, classes, r.SimNs)
+		t.Logf("%v: rate=%.0f grants=%d perThread=%v high/low=%d/%d simNs=%d",
+			k, r.RateElemPerSec, len(grants), per,
+			classes[telemetry.ClassHigh], classes[telemetry.ClassLow], r.SimNs)
 	}
 }
 
@@ -117,32 +144,27 @@ func TestDebugRMAGrants(t *testing.T) {
 // lock in the N2N benchmark.
 func TestDebugN2NClasses(t *testing.T) {
 	for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority} {
-		var grants []simlock.GrantInfo
-		p := N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64, Windows: 6, Mode: N2NStream}
-		p.onGrant = func(rank int) simlock.GrantFunc {
-			if rank != 0 {
-				return nil
-			}
-			return func(gi simlock.GrantInfo) { grants = append(grants, gi) }
-		}
+		tel := telemetry.New()
+		p := N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64, Windows: 6, Mode: N2NStream, Tel: tel}
 		r, err := N2N(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		classes := map[simlock.Class]int{}
+		grants := lockWaits(tel, "cs[r0]")
+		classes := map[uint8]int{}
 		var maxGap, sumGap int64
 		for i, g := range grants {
 			classes[g.Class]++
 			if i > 0 {
-				gap := g.At - grants[i-1].At
+				gap := g.End - grants[i-1].End
 				sumGap += gap
 				if gap > maxGap {
 					maxGap = gap
 				}
 			}
 		}
-		t.Logf("%v: rate=%.0f grants=%d classes=%v avgGap=%d maxGap=%d unexpected=%d",
-			k, r.RateMsgsPerSec, len(grants), classes,
+		t.Logf("%v: rate=%.0f grants=%d high/low=%d/%d avgGap=%d maxGap=%d unexpected=%d",
+			k, r.RateMsgsPerSec, len(grants), classes[telemetry.ClassHigh], classes[telemetry.ClassLow],
 			sumGap/int64(len(grants)), maxGap, r.UnexpectedHits)
 	}
 }

@@ -95,9 +95,6 @@ type N2NParams struct {
 	MaxWall int64
 	// Tel attaches the telemetry plane (nil = disabled, zero overhead).
 	Tel *telemetry.Recorder
-
-	// onGrant is an extra per-rank grant observer for white-box tests.
-	onGrant func(rank int) simlock.GrantFunc
 }
 
 func (p N2NParams) withDefaults() N2NParams {
@@ -151,7 +148,6 @@ func N2N(p N2NParams) (N2NResult, error) {
 		Lock:      p.Lock,
 		Binding:   p.Binding,
 		Seed:      p.Seed,
-		OnGrant:   p.onGrant,
 		Fault:     p.Fault,
 		MaxWall:   p.MaxWall,
 		Tel:       p.Tel,

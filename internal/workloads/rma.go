@@ -61,15 +61,6 @@ type RMAParams struct {
 	MaxWall int64
 	// Tel attaches the telemetry plane (nil = disabled, zero overhead).
 	Tel *telemetry.Recorder
-
-	// onGrant is an extra per-rank grant observer for white-box tests.
-	onGrant func(rank int) simlock.GrantFunc
-}
-
-// rmaWithHook runs the benchmark with a per-rank grant observer attached.
-func rmaWithHook(p RMAParams, hook func(rank int) simlock.GrantFunc) (RMAResult, error) {
-	p.onGrant = hook
-	return RMA(p)
 }
 
 func (p RMAParams) withDefaults() RMAParams {
@@ -119,7 +110,6 @@ func RMA(p RMAParams) (RMAResult, error) {
 		Lock:            p.Lock,
 		ProcsPerNode:    ppn,
 		Seed:            p.Seed,
-		OnGrant:         p.onGrant,
 		SelectiveWakeup: p.SelectiveWakeup,
 		Fault:           p.Fault,
 		MaxWall:         p.MaxWall,

@@ -56,16 +56,9 @@ type ThroughputParams struct {
 	MaxWall int64
 	// Tel attaches the telemetry plane (nil = disabled, zero overhead).
 	Tel *telemetry.Recorder
-
-	// onGrant is an extra per-rank grant observer for white-box tests.
-	onGrant func(rank int) simlock.GrantFunc
-}
-
-// ThroughputWithHook runs the benchmark with an additional per-rank grant
-// observer (used by cmd/biasprobe's timeline and white-box tests).
-func ThroughputWithHook(p ThroughputParams, hook func(rank int) simlock.GrantFunc) (ThroughputResult, error) {
-	p.onGrant = hook
-	return Throughput(p)
+	// Timeline, if non-nil, also records the traced rank's lock grants
+	// (cmd/biasprobe's ownership timeline). Ignored when TraceRank < 0.
+	Timeline *trace.TimelineRecorder
 }
 
 // throughputWithCost runs the benchmark under an explicit cost model.
@@ -137,21 +130,18 @@ func Throughput(p ThroughputParams) (ThroughputResult, error) {
 		MaxWall:         p.MaxWall,
 		Tel:             p.Tel,
 	}
-	if p.TraceRank >= 0 || p.onGrant != nil {
-		cfg.OnGrant = func(rank int) simlock.GrantFunc {
-			var fns []func(simlock.GrantInfo)
-			if rank == p.TraceRank {
-				fns = append(fns, fair.Observe, dang.Observe)
-			}
-			if p.onGrant != nil {
-				if fn := p.onGrant(rank); fn != nil {
-					fns = append(fns, fn)
-				}
-			}
-			if len(fns) == 0 {
+	if p.TraceRank >= 0 {
+		cfg.OnGrant = func(rank int) func(trace.Grant) {
+			if rank != p.TraceRank {
 				return nil
 			}
-			return trace.Multi(fns...)
+			return func(g trace.Grant) {
+				fair.Observe(g)
+				dang.Observe(g)
+				if p.Timeline != nil {
+					p.Timeline.Observe(g)
+				}
+			}
 		}
 	}
 	w, err := mpi.NewWorld(cfg)
