@@ -2,7 +2,7 @@
 // simulated MPI runtime (internal/mpi): every lock acquisition must have a
 // matching release on every return path of the same function, and nothing
 // may block on real concurrency primitives while the critical section is
-// held. An unbalanced section, or a baton-channel operation under the
+// held. An unbalanced section, or a raw channel operation under the
 // lock, corrupts exactly the arbitration measurements the paper is about
 // (who gets the critical section next, and when).
 //

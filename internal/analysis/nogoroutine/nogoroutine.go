@@ -1,10 +1,10 @@
 // Package nogoroutine forbids raw concurrency inside the deterministic
-// core, where it belongs only in the simulation engine (internal/sim,
-// which multiplexes simthreads over goroutines with a baton hand-off) and
-// the real-threads lock library (locks/, whose whole point is real
-// contention). Anywhere else in the core a go statement, a channel, or a
-// sync primitive bypasses the engine's deterministic scheduler and
-// destroys reproducibility.
+// core, the simulation engine (internal/sim) included: simthreads are
+// stdlib coroutines the engine switches between itself, so nothing in the
+// core needs a goroutine. The real-threads lock library (locks/,
+// whose whole point is real contention) is exempt. Anywhere in the core a
+// go statement, a channel, or a sync primitive bypasses the engine's
+// deterministic scheduler and destroys reproducibility.
 //
 // The driver shell is exempt by package allowlist: the sweep orchestrator
 // (internal/sweep) fans isolated experiment points across OS workers, and
@@ -30,13 +30,12 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc: "forbid raw go statements, channels, and sync primitives in the " +
-		"deterministic core: only internal/sim (the engine owns scheduling), " +
-		"locks/ (the real-threads library), and the driver shell " +
-		"(internal/sweep, cmd/*) may use them",
+		"deterministic core, the engine included: only locks/ (the " +
+		"real-threads library) and the driver shell (internal/sweep, cmd/*) " +
+		"may use them",
 	Applies: func(path string) bool {
 		return !analysis.PathHasSegment(path, "locks") &&
 			!analysis.PathHasSegment(path, "cmd") &&
-			!strings.HasSuffix(path, "internal/sim") &&
 			!strings.HasSuffix(path, "internal/sweep")
 	},
 	Run: run,
@@ -48,7 +47,7 @@ func run(pass *analysis.Pass) error {
 			switch strings.Trim(imp.Path.Value, `"`) {
 			case "sync", "sync/atomic":
 				pass.Reportf(imp.Pos(),
-					"import of %s outside internal/sim and locks/; the simulation must multiplex via the engine",
+					"import of %s in the deterministic core; the simulation must multiplex via the engine",
 					strings.Trim(imp.Path.Value, `"`))
 			}
 		}
@@ -56,18 +55,18 @@ func run(pass *analysis.Pass) error {
 			switch x := n.(type) {
 			case *ast.GoStmt:
 				pass.Reportf(x.Pos(),
-					"raw goroutine outside internal/sim; spawn simthreads through the engine instead")
+					"raw goroutine in the deterministic core; spawn simthreads through the engine instead")
 			case *ast.ChanType:
 				pass.Reportf(x.Pos(),
-					"raw channel outside internal/sim; use engine events or thread parking instead")
+					"raw channel in the deterministic core; use engine events or thread parking instead")
 			case *ast.SendStmt:
-				pass.Reportf(x.Pos(), "raw channel send outside internal/sim")
+				pass.Reportf(x.Pos(), "raw channel send in the deterministic core")
 			case *ast.UnaryExpr:
 				if x.Op == token.ARROW {
-					pass.Reportf(x.Pos(), "raw channel receive outside internal/sim")
+					pass.Reportf(x.Pos(), "raw channel receive in the deterministic core")
 				}
 			case *ast.SelectStmt:
-				pass.Reportf(x.Pos(), "select outside internal/sim")
+				pass.Reportf(x.Pos(), "select in the deterministic core")
 			}
 			return true
 		})

@@ -14,15 +14,16 @@ func TestGolden(t *testing.T) {
 
 func TestScope(t *testing.T) {
 	for _, exempt := range []string{
-		"mpicontend/locks", "mpicontend/internal/sim",
-		"mpicontend/internal/sweep", "mpicontend/cmd/mpistorm",
+		"mpicontend/locks", "mpicontend/internal/sweep",
+		"mpicontend/cmd/mpistorm",
 	} {
 		if nogoroutine.Analyzer.Applies(exempt) {
 			t.Errorf("nogoroutine must not apply to %s", exempt)
 		}
 	}
 	for _, core := range []string{
-		"mpicontend/internal/mpi", "mpicontend/internal/experiments",
+		"mpicontend/internal/sim", "mpicontend/internal/mpi",
+		"mpicontend/internal/experiments",
 	} {
 		if !nogoroutine.Analyzer.Applies(core) {
 			t.Errorf("nogoroutine must apply to %s", core)

@@ -1,9 +1,9 @@
 // Package a is golden-test input for the nogoroutine analyzer: raw
-// concurrency outside internal/sim and locks/ must be flagged.
+// concurrency in the deterministic core must be flagged.
 package a
 
 import (
-	"sync" // want `import of sync outside internal/sim`
+	"sync" // want `import of sync in the deterministic core`
 )
 
 func work() {}
@@ -12,14 +12,14 @@ func spawns() {
 	var mu sync.Mutex
 	mu.Lock()
 	defer mu.Unlock()
-	go work() // want `raw goroutine outside internal/sim`
+	go work() // want `raw goroutine in the deterministic core`
 }
 
 func channels() {
-	ch := make(chan int, 1) // want `raw channel outside internal/sim`
-	ch <- 1                 // want `raw channel send outside internal/sim`
-	<-ch                    // want `raw channel receive outside internal/sim`
-	select {}               // want `select outside internal/sim`
+	ch := make(chan int, 1) // want `raw channel in the deterministic core`
+	ch <- 1                 // want `raw channel send in the deterministic core`
+	<-ch                    // want `raw channel receive in the deterministic core`
+	select {}               // want `select in the deterministic core`
 }
 
 func allowedSpawn() {

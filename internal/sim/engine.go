@@ -8,12 +8,19 @@
 // next event. Ties are broken by insertion order, so a simulation with a
 // fixed seed is fully reproducible.
 //
-// Simthreads are backed by goroutines but synchronized with a baton
-// hand-off, so the simulation is sequential and race-free by construction.
+// Each simthread is a stdlib iter.Pull coroutine: dispatching a thread
+// switches straight into it, and blocking switches straight back, so the
+// simulation is sequential and race-free by construction and the Go
+// scheduler never decides who runs next.
 //
-// sim is the foundation of the deterministic core (docs/ARCHITECTURE.md)
-// and the only core package allowed goroutines — everything above it gets
-// concurrency exclusively through this scheduler.
+// sim is the foundation of the deterministic core (docs/ARCHITECTURE.md).
+// Like every core package it uses no goroutines, channels or sync
+// primitives; everything above it gets concurrency exclusively through
+// this scheduler.
+//
+// The module's go directive stays at 1.22 while iter needs 1.23, so the
+// file that imports iter carries a //go:build go1.23 constraint, which
+// raises that file's language version on its own.
 package sim
 
 import (
@@ -36,10 +43,8 @@ type Engine struct {
 	rng *Rand
 
 	threads []*Thread
-	running *Thread // thread currently holding the baton, nil if engine runs
-	baton   chan struct{}
+	running *Thread // thread whose coroutine is executing, nil if engine runs
 
-	kill      chan struct{} // closed on shutdown; parked threads abort
 	stopped   bool
 	eventsRun uint64
 
@@ -67,11 +72,7 @@ const wallCheckEvery = 1024
 
 // NewEngine returns an engine whose random stream is derived from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{
-		rng:   NewRand(seed),
-		baton: make(chan struct{}),
-		kill:  make(chan struct{}),
-	}
+	return &Engine{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -85,7 +86,7 @@ func (e *Engine) EventsRun() uint64 { return e.eventsRun }
 
 // schedule allocates a pooled event at time t (clamped to now) and queues
 // it. The caller fills in exactly one callback field afterwards; nothing
-// fires until Run resumes, so late binding is safe.
+// fires until control returns to Run, so late binding is safe.
 func (e *Engine) schedule(t Time) *event {
 	if t < e.now {
 		t = e.now
@@ -176,20 +177,15 @@ func (e *Engine) Spawn(name string, fn func(t *Thread)) *Thread {
 // SpawnAt creates a simthread that begins executing fn at virtual time
 // start.
 func (e *Engine) SpawnAt(start Time, name string, fn func(t *Thread)) *Thread {
-	t := &Thread{
-		eng:    e,
-		id:     len(e.threads),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateNew,
-	}
+	t := &Thread{eng: e, id: len(e.threads), name: name, state: stateNew}
 	e.threads = append(e.threads, t)
-	go t.run(fn)
+	t.start(fn)
 	e.atThread(start, t)
 	return t
 }
 
-// dispatch hands the baton to t and waits for it to block or finish.
+// dispatch switches into t's coroutine and returns once t blocks or
+// finishes.
 //
 //simcheck:hotpath runs once per thread wakeup; stays allocation-free
 func (e *Engine) dispatch(t *Thread) {
@@ -198,16 +194,26 @@ func (e *Engine) dispatch(t *Thread) {
 	}
 	t.setState(stateRunning)
 	e.running = t
-	t.resume <- struct{}{}
-	<-e.baton
+	t.next()
 	e.running = nil
 }
 
 // Run dispatches events until the queue is empty or the simulation is
 // stopped. It returns an error if simthreads remain parked when no events
-// are left (a deadlock), or if a configured limit was exceeded.
-func (e *Engine) Run() error {
+// are left (a deadlock), if a configured limit was exceeded, or, as a
+// *PanicError, if a dispatched event panicked.
+func (e *Engine) Run() (err error) {
 	defer e.shutdown()
+	defer func() {
+		if r := recover(); r != nil {
+			// Snapshot before shutdown marks every thread done.
+			pe := &PanicError{Value: r, Time: e.now, Events: e.eventsRun, Dump: e.ThreadDump()}
+			if e.running != nil {
+				pe.Thread = e.running.name
+			}
+			err = pe
+		}
+	}()
 	wallStart := time.Now() //simcheck:allow nodeterm wall-clock watchdog; never feeds simulation state
 	for !e.stopped {
 		ev := e.q.pop()
@@ -290,19 +296,36 @@ func (e *Engine) ThreadDump() string {
 // callbacks; from simthread context prefer calling Stop and then parking.
 func (e *Engine) Stop() { e.stopped = true }
 
-// shutdown terminates all still-blocked simthread goroutines and recycles
-// any events left in the queue (releasing the closures they reference).
+// shutdown stops every unfinished simthread and recycles any events left
+// in the queue (releasing the closures they reference). A blocked thread
+// unwinds through its deferred calls; one that never ran is retired
+// without starting its function. Either way it ends marked done.
 func (e *Engine) shutdown() {
-	close(e.kill)
 	for _, t := range e.threads {
-		if t.state == stateParked || t.state == stateSleeping || t.state == stateNew {
-			// Unblock the goroutine: it reads kill only after resume, so
-			// it aborts via killed and hands the baton back once. The
-			// send must block — a thread that has just yielded the baton
-			// may not have reached its resume receive yet.
-			t.resume <- struct{}{}
-			<-e.baton
+		if t.state != stateDone {
+			t.stop()
+			t.setState(stateDone)
 		}
 	}
 	e.q.drain()
+}
+
+// PanicError is Run's error when a panic escapes a dispatched event: a
+// simthread's function or an engine callback. It names where and when
+// the simulation failed.
+type PanicError struct {
+	Value  interface{} // the panic value
+	Thread string      // the running simthread's name; empty for an engine callback
+	Time   Time        // virtual time of the failing event
+	Events uint64      // events dispatched, the failing one included
+	Dump   string      // ThreadDump taken before shutdown
+}
+
+func (p *PanicError) Error() string {
+	where := "engine callback"
+	if p.Thread != "" {
+		where = fmt.Sprintf("simthread %q", p.Thread)
+	}
+	return fmt.Sprintf("sim: panic in %s at virtual time %d after %d events: %v\n%s",
+		where, p.Time, p.Events, p.Value, p.Dump)
 }

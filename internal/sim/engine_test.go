@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"regexp"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -99,7 +102,7 @@ func TestParkUnpark(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != 525 {
-		t.Fatalf("waiter resumed at %d, want 525", got)
+		t.Fatalf("waiter woke at %d, want 525", got)
 	}
 }
 
@@ -112,12 +115,78 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
+// TestStopTerminatesParkedThreads checks what Stop leaves behind: the
+// parked thread unwinds through its deferred calls, the thread due to
+// start after Stop never runs its function, and both end done.
 func TestStopTerminatesParkedThreads(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("stuck", func(th *Thread) { th.Park() })
+	unwound := false
+	stuck := e.Spawn("stuck", func(th *Thread) {
+		defer func() { unwound = true }()
+		th.Park()
+	})
+	late := e.SpawnAt(200, "late", func(th *Thread) {
+		t.Error("thread spawned past Stop ran its function")
+	})
 	e.At(100, func() { e.Stop() })
 	if err := e.Run(); err != nil {
 		t.Fatalf("stop should not be an error: %v", err)
+	}
+	if !unwound {
+		t.Error("parked thread's deferred call did not run at shutdown")
+	}
+	dump := e.ThreadDump()
+	for _, th := range []*Thread{stuck, late} {
+		if !th.Done() {
+			t.Errorf("%s: state %v after Stop, want done", th.Name(), th.State())
+		}
+		if !regexp.MustCompile(`(?m)^\s+` + th.Name() + `\s+done$`).MatchString(dump) {
+			t.Errorf("%s not listed as done in the dump:\n%s", th.Name(), dump)
+		}
+	}
+}
+
+// TestRunReturnsThreadPanic checks that a simthread's panic comes back
+// from Run as a PanicError naming the thread and the virtual time, with a
+// dump taken before shutdown, and that the other threads are reaped.
+func TestRunReturnsThreadPanic(t *testing.T) {
+	e := NewEngine(1)
+	var wq WaitQueue
+	sleeper := e.Spawn("sleeper", func(th *Thread) { th.Sleep(100) })
+	waiter := e.Spawn("waiter", func(th *Thread) { wq.Wait(th) })
+	e.Spawn("bomb", func(th *Thread) {
+		th.Sleep(5)
+		panic("boom")
+	})
+	err := e.Run()
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("Run returned %v, want a *PanicError", err)
+	}
+	if pe.Value != "boom" || pe.Thread != "bomb" || pe.Time != 5 {
+		t.Fatalf("got value %v thread %q time %d, want boom, bomb, 5", pe.Value, pe.Thread, pe.Time)
+	}
+	if !strings.Contains(err.Error(), `simthread "bomb" at virtual time 5`) {
+		t.Errorf("error does not name the thread and time: %v", err)
+	}
+	if !regexp.MustCompile(`(?m)^\s+sleeper\s+sleeping$`).MatchString(pe.Dump) {
+		t.Errorf("dump not taken before shutdown:\n%s", pe.Dump)
+	}
+	for _, th := range []*Thread{sleeper, waiter} {
+		if !th.Done() {
+			t.Errorf("%s: state %v after the failed run, want done", th.Name(), th.State())
+		}
+	}
+}
+
+// TestRunReturnsCallbackPanic checks that a panicking engine callback
+// also comes back as a PanicError, with no thread named.
+func TestRunReturnsCallbackPanic(t *testing.T) {
+	e := NewEngine(1)
+	e.At(7, func() { panic("cb") })
+	var pe *PanicError
+	if err := e.Run(); !errors.As(err, &pe) || pe.Thread != "" || pe.Time != 7 {
+		t.Fatalf("Run returned %v, want a callback PanicError at time 7", err)
 	}
 }
 
@@ -179,7 +248,7 @@ func TestBarrier(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Last arrives at 30; everyone resumes at 35.
+	// Last arrives at 30; everyone leaves at 35.
 	for _, d := range done {
 		if d != 35 {
 			t.Fatalf("done times = %v, want all 35", done)
@@ -370,10 +439,10 @@ func TestDaemonDoesNotDeadlock(t *testing.T) {
 func TestUnparkCancel(t *testing.T) {
 	e := NewEngine(1)
 	var waiter *Thread
-	resumed := false
+	woke := false
 	waiter = e.Spawn("w", func(th *Thread) {
 		th.Park()
-		resumed = true
+		woke = true
 	})
 	e.Spawn("controller", func(th *Thread) {
 		th.Sleep(10)
@@ -385,8 +454,8 @@ func TestUnparkCancel(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !resumed {
-		t.Fatal("waiter never resumed")
+	if !woke {
+		t.Fatal("waiter never woke")
 	}
 }
 

@@ -1,6 +1,11 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // ThreadState is a simthread's scheduling state, exposed to observers via
 // Engine.OnThreadState.
@@ -32,19 +37,29 @@ func (s ThreadState) String() string {
 	}
 }
 
-// killed is the panic payload used to unwind a simthread goroutine when the
-// engine shuts down while the thread is still blocked.
+// killed is the panic payload that unwinds a suspended simthread when the
+// engine shuts down while the thread is still blocked: the coroutine's
+// yield reports the stop, yield panics, and the thread's deferred calls
+// run on the way out. The thread body recovers it, so it never reaches
+// Run.
 type killed struct{}
 
 // Thread is a cooperative simulated thread. All methods must be called from
 // the thread's own function (the engine guarantees only one simthread runs
 // at a time, so no further synchronization is needed).
 type Thread struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	state  ThreadState
+	eng   *Engine
+	id    int
+	name  string
+	state ThreadState
+
+	// next runs the thread's coroutine until it yields or returns; stop
+	// unwinds a suspended coroutine, or retires one that never started
+	// without running its body. coYield is the coroutine's own yield,
+	// captured on first run.
+	next    func() (struct{}, bool)
+	stop    func()
+	coYield func(struct{}) bool
 
 	// Data carries user context (e.g. the machine placement of the
 	// thread). The simulator itself never inspects it.
@@ -85,39 +100,29 @@ func (t *Thread) Engine() *Engine { return t.eng }
 // Now returns the current virtual time.
 func (t *Thread) Now() Time { return t.eng.now }
 
-// run is the goroutine body wrapping the user function.
-func (t *Thread) run(fn func(*Thread)) {
-	<-t.resume // wait for first dispatch
-	select {
-	case <-t.eng.kill:
-		t.setState(stateDone)
-		t.eng.baton <- struct{}{}
-		return
-	default:
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); ok {
-				t.setState(stateDone)
-				t.eng.baton <- struct{}{}
-				return
+// start wraps fn in the thread's coroutine. The body recovers the killed
+// unwind of a shutdown; any other panic escapes through next into Run.
+func (t *Thread) start(fn func(*Thread)) {
+	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
+		t.coYield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				if _, ok := r.(killed); !ok {
+					panic(r)
+				}
 			}
-			panic(r)
-		}
-	}()
-	fn(t)
-	t.setState(stateDone)
-	t.eng.baton <- struct{}{}
+		}()
+		fn(t)
+		t.setState(stateDone)
+	})
 }
 
-// yield transfers control to the engine and blocks until redispatched.
+// yield suspends the thread's coroutine, returning control to the
+// engine's dispatch, until the engine runs it again. It panics killed
+// when the engine stops the coroutine instead.
 func (t *Thread) yield() {
-	t.eng.baton <- struct{}{}
-	<-t.resume
-	select {
-	case <-t.eng.kill:
+	if !t.coYield(struct{}{}) {
 		panic(killed{})
-	default:
 	}
 	t.setState(stateRunning)
 }
@@ -146,9 +151,9 @@ func (t *Thread) Park() {
 	t.yield()
 }
 
-// Unpark schedules the parked thread to resume at virtual time at (clamped
-// to now). It is a no-op if the thread is not parked. Calling Unpark twice
-// before the thread resumes panics, as it indicates a scheduling bug.
+// Unpark schedules the parked thread to run again at virtual time at
+// (clamped to now). Unparking a thread that is not parked, or twice before
+// it runs, panics, as either indicates a scheduling bug.
 func (t *Thread) Unpark(at Time) {
 	if t.state != stateParked {
 		panic(fmt.Sprintf("sim: Unpark of thread %q which is not parked", t.name))

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"mpicontend/internal/sim"
 )
 
 // TestMapOrder checks that results land in index order for every worker
@@ -88,6 +90,38 @@ func TestMapErrorIsLowestIndex(t *testing.T) {
 		}
 		if ran != 50 {
 			t.Fatalf("workers=%d: ran %d jobs, want all 50", workers, ran)
+		}
+	}
+}
+
+// TestMapSimthreadPanicIsJobError checks that a point whose simthread
+// panics fails as that job's error instead of crashing the sweep, and
+// that the other points' results are intact.
+func TestMapSimthreadPanicIsJobError(t *testing.T) {
+	job := func(i int) (sim.Time, error) {
+		e := sim.NewEngine(uint64(i + 1))
+		e.Spawn(fmt.Sprintf("point%d", i), func(th *sim.Thread) {
+			th.Sleep(sim.Time(10 + i))
+			if i == 2 {
+				panic("boom")
+			}
+		})
+		if err := e.Run(); err != nil {
+			return 0, err
+		}
+		return e.Now(), nil
+	}
+	for _, workers := range []int{1, 2} {
+		res, err := Map(workers, 4, job)
+		var pe *sim.PanicError
+		if err == nil || !strings.HasPrefix(err.Error(), "sweep: job 2: ") || !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want job 2's PanicError", workers, err)
+		}
+		if pe.Thread != "point2" || pe.Time != 12 {
+			t.Fatalf("workers=%d: panic in %q at %d, want point2 at 12", workers, pe.Thread, pe.Time)
+		}
+		if want := []sim.Time{10, 11, 0, 13}; fmt.Sprint(res) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: results %v, want %v", workers, res, want)
 		}
 	}
 }
