@@ -301,9 +301,7 @@ func (rs *relState) failPeer(rank int, now sim.Time) {
 	for _, k := range keys {
 		rec := rs.tx[k]
 		rec.acked = true
-		if rec.timer != nil {
-			rec.timer.Cancel()
-		}
+		rec.timer.Cancel()
 		delete(rs.tx, k)
 		rs.p.w.ft.deadAborts++
 		if rec.owner != nil {

@@ -258,9 +258,8 @@ func (th *Thread) progressRound(v int, cl simlock.Class, post func()) {
 		th.S.Sleep(cost.ProgressPollWork)
 		p.Polls++
 		var pkts []*fabric.Packet
-		for len(sh.cq) > 0 && len(pkts) < maxEventsPerPoll {
-			pkts = append(pkts, sh.cq[0])
-			sh.cq = sh.cq[1:]
+		for sh.cq.len() > 0 && len(pkts) < maxEventsPerPoll {
+			pkts = append(pkts, sh.cq.pop())
 		}
 		th.holdUseful = len(pkts) > 0
 		if p.w.tel != nil {
@@ -299,10 +298,8 @@ func (th *Thread) progressRound(v int, cl simlock.Class, post func()) {
 		th.S.Sleep(cost.ProgressPollWork + cost.AtomicOpCost)
 		p.Polls++
 		handled := 0
-		for len(sh.cq) > 0 && handled < maxEventsPerPoll {
-			pkt := sh.cq[0]
-			sh.cq[0] = nil
-			sh.cq = sh.cq[1:]
+		for sh.cq.len() > 0 && handled < maxEventsPerPoll {
+			pkt := sh.cq.pop()
 			th.S.Sleep(cost.ProgressHandleWork + cost.AtomicOpCost)
 			p.handlePacket(th, pkt)
 			if p.rel == nil {

@@ -405,10 +405,7 @@ func (th *Thread) CancelRecv(r *Request) {
 				}
 			}
 		}
-		if r.deadline != nil {
-			r.deadline.Cancel()
-			r.deadline = nil
-		}
+		r.deadline.Cancel()
 		r.freed = true
 		p.outstanding--
 		th.wildEnd()
@@ -427,10 +424,7 @@ func (th *Thread) CancelRecv(r *Request) {
 			break
 		}
 	}
-	if r.deadline != nil {
-		r.deadline.Cancel()
-		r.deadline = nil
-	}
+	r.deadline.Cancel()
 	r.freed = true
 	p.outstanding--
 	th.stateEnd(v, simlock.High)

@@ -44,10 +44,8 @@ func (p *Proc) pollShard(th *Thread, v int) {
 	th.S.Sleep(cost.ProgressPollWork)
 	p.Polls++
 	handled := 0
-	for len(sh.cq) > 0 && handled < maxEventsPerPoll {
-		pkt := sh.cq[0]
-		sh.cq[0] = nil
-		sh.cq = sh.cq[1:]
+	for sh.cq.len() > 0 && handled < maxEventsPerPoll {
+		pkt := sh.cq.pop()
 		th.S.Sleep(cost.ProgressHandleWork)
 		p.handlePacket(th, pkt)
 		if p.rel == nil {

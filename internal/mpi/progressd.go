@@ -101,7 +101,7 @@ func progressDaemon(th *Thread, p *Proc, v int) {
 	cost := th.cost()
 	for {
 		th.checkCrashed()
-		if len(sh.cq) == 0 {
+		if sh.cq.len() == 0 {
 			p.activity.Wait(th.S)
 			continue
 		}

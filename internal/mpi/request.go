@@ -60,7 +60,7 @@ type Request struct {
 	// err records the failure that completed the request, if any.
 	err *Error
 	// deadline is the armed per-request timeout (reliable mode only).
-	deadline *sim.Timer
+	deadline sim.Timer
 
 	// poolable marks requests whose object provably dies at release time
 	// (fault-free sends and RMA put/accumulate: nothing reads them after
@@ -128,10 +128,7 @@ func (r *Request) markComplete(at sim.Time) {
 	}
 	r.complete = true
 	r.completedAt = at
-	if r.deadline != nil {
-		r.deadline.Cancel()
-		r.deadline = nil
-	}
+	r.deadline.Cancel()
 	r.p.w.danglingNow++
 	r.p.danglingNow++
 	r.p.w.completedTotal++

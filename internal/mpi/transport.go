@@ -57,7 +57,7 @@ type txRecord struct {
 	owner    *Request // local request to fail on give-up; may be nil
 	attempts int
 	acked    bool
-	timer    *sim.Timer
+	timer    sim.Timer
 }
 
 // rxFlow is the receiver side of one (source -> this proc) flow:
@@ -279,9 +279,7 @@ func (rs *relState) onAck(pkt *fabric.Packet) {
 		return // duplicate ACK for an already-retired record
 	}
 	rec.acked = true
-	if rec.timer != nil {
-		rec.timer.Cancel()
-	}
+	rec.timer.Cancel()
 	delete(rs.tx, txKey{pkt.Src, pkt.VCI, pkt.Seq})
 }
 
@@ -294,9 +292,7 @@ func (rs *relState) onNack(pkt *fabric.Packet) {
 	}
 	rs.FastRetransmits++
 	rs.p.w.retransmitsTotal++
-	if rec.timer != nil {
-		rec.timer.Cancel()
-	}
+	rec.timer.Cancel()
 	rs.resend(rec)
 	rs.arm(rec)
 }
@@ -421,7 +417,7 @@ func (w *World) CheckClean() error {
 			}
 			posted += live
 			unexp += len(sh.unexp)
-			cq += len(sh.cq)
+			cq += sh.cq.len()
 			pposted += len(sh.pposted)
 			punexp += len(sh.punexp)
 		}
@@ -529,7 +525,7 @@ func (w *World) DanglingReport() string {
 		for _, sh := range p.vcis {
 			posted += len(sh.posted)
 			unexp += len(sh.unexp)
-			cq += len(sh.cq)
+			cq += sh.cq.len()
 		}
 		fmt.Fprintf(&b, "  rank %d: outstanding=%d dangling=%d posted=%d unexpected=%d cq=%d unacked-tx=%d\n",
 			p.Rank, p.outstanding, p.danglingNow, posted, unexp, cq, pending)

@@ -31,9 +31,9 @@ import (
 type vciShard struct {
 	idx    int
 	cs     csLock
-	posted []*Request       // posted receive queue
-	unexp  []*envelope      // unexpected message queue
-	cq     []*fabric.Packet // network completion queue
+	posted []*Request  // posted receive queue
+	unexp  []*envelope // unexpected message queue
+	cq     pktQueue    // network completion queue
 
 	// Partitioned communication keeps its own matching space: a
 	// partitioned aggregate must never match an eager/rendezvous receive
@@ -47,6 +47,39 @@ type vciShard struct {
 	// Request.poolable); every request is drawn from and recycled into
 	// the pool of the shard it lives on.
 	reqFree *Request
+}
+
+// pktQueue is a shard's network completion queue: a FIFO of packets that
+// keeps its backing array. Pops advance a head index and rewind it when
+// the queue empties; a push into a full array slides the live packets
+// down instead of growing it once the consumed prefix is at least half
+// the array, so a steady producer/consumer pair stops allocating as soon
+// as the array fits its largest burst.
+type pktQueue struct {
+	buf  []*fabric.Packet
+	head int
+}
+
+func (q *pktQueue) len() int { return len(q.buf) - q.head }
+
+func (q *pktQueue) push(pkt *fabric.Packet) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, pkt)
+}
+
+// pop removes and returns the oldest packet; the queue must be non-empty.
+func (q *pktQueue) pop() *fabric.Packet {
+	pkt := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return pkt
 }
 
 // selectVCI maps an operation on (comm, tag) to its shard.
@@ -89,7 +122,7 @@ func (p *Proc) recycle(r *Request) {
 // selective-wakeup park condition).
 func (p *Proc) cqEmpty() bool {
 	for _, sh := range p.vcis {
-		if len(sh.cq) > 0 {
+		if sh.cq.len() > 0 {
 			return false
 		}
 	}
@@ -140,11 +173,11 @@ func (p *Proc) sendShard(th *Thread, pkt *fabric.Packet, notifyTx bool, owner *R
 		p.send(pkt, notifyTx, owner)
 		return
 	}
-	//simcheck:allow hotalloc lock-implementation layer; simlock state is per-lock and preallocated, not per-event
+	//simcheck:allow hotalloc lock layer: the futex mutex is checked from its own hotpath roots; the queue and priority locks still allocate per-waiter records, and grant tracing is opt-in
 	p.nicVCI.enter(th, simlock.High)
 	th.S.Sleep(nicInjectWork)
 	p.send(pkt, notifyTx, owner)
-	//simcheck:allow hotalloc lock-implementation layer; simlock state is per-lock and preallocated, not per-event
+	//simcheck:allow hotalloc lock layer: the futex mutex is checked from its own hotpath roots; the queue and priority locks still allocate per-waiter records, and grant tracing is opt-in
 	p.nicVCI.exit(th, simlock.High)
 }
 

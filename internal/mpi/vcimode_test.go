@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"mpicontend/internal/fabric"
 	"mpicontend/internal/fault"
 	"mpicontend/internal/mpi/vci"
+	"mpicontend/internal/sim"
 )
 
 // withVCIs is a testWorld option enabling the sharded runtime.
@@ -387,5 +389,47 @@ func TestPartitionedWildcardVCIDeterministic(t *testing.T) {
 		if first[i] != second[i] {
 			t.Fatalf("wildcard binding diverged between identical runs: %v vs %v", first, second)
 		}
+	}
+}
+
+// TestPktQueueFIFO: the completion queue drains in exactly arrival order
+// under any interleaving of pushes and pops, and a queue that never
+// empties — the busy-shard case, where rewinding on empty never fires —
+// keeps its backing array bounded instead of growing with total traffic.
+func TestPktQueueFIFO(t *testing.T) {
+	var q pktQueue
+	var want []*fabric.Packet
+	pkts := make([]fabric.Packet, 5000)
+	r := sim.NewRand(5)
+	next := 0
+	for next < len(pkts) || q.len() > 0 {
+		if next < len(pkts) && (q.len() == 0 || r.Int63n(3) > 0) {
+			q.push(&pkts[next])
+			want = append(want, &pkts[next])
+			next++
+		} else {
+			if got := q.pop(); got != want[0] {
+				t.Fatalf("popped packet %p, want %p (after %d pushes)", got, want[0], next)
+			}
+			want = want[1:]
+		}
+		if q.len() != len(want) {
+			t.Fatalf("len %d, want %d", q.len(), len(want))
+		}
+	}
+
+	// Steady state: occupancy oscillates between 1 and 8, never 0.
+	q = pktQueue{}
+	q.push(&pkts[0])
+	for i := 0; i < 10000; i++ {
+		for j := 0; j < 7; j++ {
+			q.push(&pkts[j])
+		}
+		for j := 0; j < 7; j++ {
+			q.pop()
+		}
+	}
+	if c := cap(q.buf); c > 32 {
+		t.Fatalf("never-empty queue of at most 8 grew its array to %d", c)
 	}
 }

@@ -463,7 +463,7 @@ func (p *Proc) onPacket(pkt *fabric.Packet) {
 				p.consumeRevoke(rp)
 				continue
 			}
-			p.vcis[rp.VCI].cq = append(p.vcis[rp.VCI].cq, rp)
+			p.vcis[rp.VCI].cq.push(rp)
 		}
 		p.w.deliveredTotal += int64(len(released))
 		p.activity.WakeAll(p.w.Eng.Now())
@@ -477,7 +477,7 @@ func (p *Proc) onPacket(pkt *fabric.Packet) {
 		p.activity.WakeAll(p.w.Eng.Now())
 		return
 	}
-	p.vcis[pkt.VCI].cq = append(p.vcis[pkt.VCI].cq, pkt)
+	p.vcis[pkt.VCI].cq.push(pkt)
 	p.w.deliveredTotal++
 	p.activity.WakeAll(p.w.Eng.Now())
 }

@@ -126,10 +126,13 @@ func (e *Engine) atThread(t Time, th *Thread) *event {
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// Timer is a cancellable scheduled callback. The handle stays valid after
-// the callback fires: Cancel becomes a no-op (the generation snapshot
-// detects that the pooled event moved on) and When still reports the
-// scheduled time.
+// Timer is a cancellable handle on a scheduled callback. It is a small
+// value: AtTimer and AtTimerArg return it by value, so arming a timer
+// allocates nothing, and copies of a handle all refer to the same event.
+// The zero Timer refers to no event; Cancel on it is a no-op and Pending
+// reports false. The handle stays valid after the callback fires: Cancel
+// becomes a no-op (the generation snapshot detects that the pooled event
+// moved on) and When still reports the scheduled time.
 type Timer struct {
 	q    *eventQueue
 	ev   *event
@@ -138,31 +141,36 @@ type Timer struct {
 }
 
 // AtTimer schedules fn at time t and returns a handle that can cancel it.
-func (e *Engine) AtTimer(t Time, fn func()) *Timer {
+func (e *Engine) AtTimer(t Time, fn func()) Timer {
 	ev := e.schedule(t)
 	ev.fn = fn
-	//simcheck:allow hotalloc the cancellable handle is owned by the caller and escapes by design
-	return &Timer{q: &e.q, ev: ev, gen: ev.gen, when: ev.when}
+	return Timer{q: &e.q, ev: ev, gen: ev.gen, when: ev.when}
 }
 
 // AtTimerArg schedules fn(arg) at time t and returns a cancellable
 // handle — the closure-free variant of AtTimer (see AtArg): the caller
 // reuses a long-lived fn and passes the operand through arg.
-func (e *Engine) AtTimerArg(t Time, fn func(interface{}), arg interface{}) *Timer {
+func (e *Engine) AtTimerArg(t Time, fn func(interface{}), arg interface{}) Timer {
 	ev := e.schedule(t)
 	ev.argFn = fn
 	ev.arg = arg
-	//simcheck:allow hotalloc the cancellable handle is owned by the caller and escapes by design
-	return &Timer{q: &e.q, ev: ev, gen: ev.gen, when: ev.when}
+	return Timer{q: &e.q, ev: ev, gen: ev.gen, when: ev.when}
 }
 
-// When returns the scheduled fire time.
-func (tm *Timer) When() Time { return tm.when }
+// When returns the scheduled fire time (zero for the zero Timer).
+func (tm Timer) When() Time { return tm.when }
 
-// Cancel prevents the callback from running. Safe to call after firing.
-func (tm *Timer) Cancel() {
-	if tm.ev.gen != tm.gen {
-		return // already fired (or cancelled and compacted away)
+// Pending reports whether the callback is still due: armed, not yet
+// fired and not cancelled.
+func (tm Timer) Pending() bool {
+	return tm.ev != nil && tm.ev.gen == tm.gen && !tm.ev.cancelled
+}
+
+// Cancel prevents the callback from running. It is a no-op on the zero
+// Timer, after the callback fired and after an earlier Cancel.
+func (tm Timer) Cancel() {
+	if tm.ev == nil || tm.ev.gen != tm.gen {
+		return // no event, or already fired (or cancelled and compacted away)
 	}
 	tm.q.cancelEvent(tm.ev)
 }

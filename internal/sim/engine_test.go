@@ -408,6 +408,63 @@ func TestTimerCancelAfterFire(t *testing.T) {
 	tm.Cancel() // must be safe post-fire
 }
 
+func TestTimerZeroValue(t *testing.T) {
+	var tm Timer
+	if tm.Pending() {
+		t.Fatal("zero Timer reports pending")
+	}
+	tm.Cancel() // must be a no-op, not a nil dereference
+	if tm.When() != 0 {
+		t.Fatalf("zero Timer When() = %d", tm.When())
+	}
+}
+
+func TestTimerCancelThroughCopy(t *testing.T) {
+	e := NewEngine(1)
+	fired := false
+	tm := e.AtTimer(100, func() { fired = true })
+	cp := tm
+	if !tm.Pending() || !cp.Pending() {
+		t.Fatal("armed timer not pending")
+	}
+	cp.Cancel()
+	if tm.Pending() {
+		t.Fatal("original handle still pending after cancelling a copy")
+	}
+	tm.Cancel() // a second cancel through the other handle is a no-op
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired {
+		t.Fatal("timer cancelled through a copy fired")
+	}
+}
+
+func TestTimerCancelAfterFireSparesReusedEvent(t *testing.T) {
+	e := NewEngine(1)
+	var log []string
+	first := e.AtTimer(10, func() { log = append(log, "first") })
+	e.At(20, func() {
+		if first.Pending() {
+			t.Error("fired timer still pending")
+		}
+		// The fired event's pooled object is free for reuse: arm a
+		// second timer, then cancel the stale handle. Only the stale
+		// handle's own event may be affected — and it already fired.
+		second := e.AtTimer(30, func() { log = append(log, "second") })
+		first.Cancel()
+		if !second.Pending() {
+			t.Error("stale Cancel disarmed a newer timer")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(log) != 2 || log[0] != "first" || log[1] != "second" {
+		t.Fatalf("fired %v, want [first second]", log)
+	}
+}
+
 func TestSpawnAt(t *testing.T) {
 	e := NewEngine(1)
 	var started Time = -1

@@ -127,7 +127,7 @@ type engSide struct {
 	eng    *Engine
 	progs  []evProgram
 	steps  map[int][]Time
-	timers []*Timer
+	timers []Timer
 	log    []string
 	nextID int
 	budget int
@@ -330,7 +330,7 @@ func TestCancelHeavyQueueBounded(t *testing.T) {
 	eng := NewEngine(1)
 	fired := 0
 	r := NewRand(7)
-	var live []*Timer
+	var live []Timer
 	for round := 0; round < 200; round++ {
 		// Arm a batch of far-future timers, then cancel almost all of
 		// them — the ACK-cancels-retransmit pattern.

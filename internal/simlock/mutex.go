@@ -7,12 +7,63 @@ import (
 	"mpicontend/internal/sim"
 )
 
-// mutexWaiter tracks one thread contending for a FutexMutex.
+// mutexWaiter tracks one thread contending for a FutexMutex. Waiters are
+// pooled on their mutex: Acquire takes one from the free list and grant
+// returns it there once it holds no live timer and sits on no other list,
+// so steady-state contention allocates none. A waiter sits on at most one
+// list at a time — the spinner set, the futex sleeper queue or the free
+// list — linked through its own prev/next fields; while elected to own
+// the lock (m.grantTo) it sits on none.
 type mutexWaiter struct {
 	c         *Ctx
-	spinStart sim.Time   // when the current user-space spin phase began
-	sleepTmr  *sim.Timer // pending spinner->sleeper transition
-	sleeping  bool
+	spinStart sim.Time  // when the current user-space spin phase began
+	sleepTmr  sim.Timer // pending spinner->sleeper transition
+
+	prev, next *mutexWaiter
+	on         *waitList // the list w sits on, nil if none
+}
+
+// waitList is an intrusive FIFO of waiters: append, removal from anywhere
+// and pop from the front are O(1), iteration follows insertion order, and
+// there is no backing array to grow or to lose capacity on pops.
+type waitList struct {
+	head, tail *mutexWaiter
+	n          int
+}
+
+func (l *waitList) push(w *mutexWaiter) {
+	w.prev, w.next, w.on = l.tail, nil, l
+	if l.tail == nil {
+		l.head = w
+	} else {
+		l.tail.next = w
+	}
+	l.tail = w
+	l.n++
+}
+
+func (l *waitList) remove(w *mutexWaiter) {
+	if w.prev == nil {
+		l.head = w.next
+	} else {
+		w.prev.next = w.next
+	}
+	if w.next == nil {
+		l.tail = w.prev
+	} else {
+		w.next.prev = w.prev
+	}
+	w.prev, w.next, w.on = nil, nil, nil
+	l.n--
+}
+
+// popFront removes and returns the oldest waiter, or nil if l is empty.
+func (l *waitList) popFront() *mutexWaiter {
+	w := l.head
+	if w != nil {
+		l.remove(w)
+	}
+	return w
 }
 
 // FutexMutex models the default NPTL pthread mutex (paper §2.2):
@@ -29,6 +80,10 @@ type mutexWaiter struct {
 // penalty proportional to the number of racing contenders and a small
 // seeded jitter. This is the "fastest-thread-first" arbitration whose
 // NUMA-induced bias the paper analyses in §4.
+//
+// The acquire/grant/release cycle allocates nothing in steady state: the
+// grant and sleep callbacks are built once per mutex and armed with
+// AtTimerArg, timers are values, and waiters come from a per-mutex pool.
 type FutexMutex struct {
 	cfg    *Config
 	locked bool
@@ -36,12 +91,18 @@ type FutexMutex struct {
 	line   machine.Place // current home of the lock cache line
 	hasOwn bool          // line has been written at least once
 
-	spinners []*mutexWaiter
-	sleepers []*mutexWaiter // futex FIFO queue
+	spinners waitList
+	sleepers waitList // futex FIFO queue
+	free     waitList // pooled waiters
 
-	grantTmr *sim.Timer
+	grantTmr sim.Timer
 	grantTo  *mutexWaiter
 	grantAt  sim.Time
+
+	// grantFn and sleepFn are the timer callbacks, bound once to m; the
+	// waiter travels as the timer's argument.
+	grantFn func(interface{})
+	sleepFn func(interface{})
 
 	// spinForever disables the futex path entirely, turning the model
 	// into a plain test-and-set spinlock (used by TASLock).
@@ -51,13 +112,20 @@ type FutexMutex struct {
 
 // NewFutexMutex returns the baseline pthread-mutex model.
 func NewFutexMutex(cfg *Config) *FutexMutex {
-	return &FutexMutex{cfg: cfg, name: "Mutex"}
+	return newFutexMutex(cfg, "Mutex", false)
 }
 
 // NewTASLock returns a test-and-set spinlock: the same CAS race as the
 // mutex but without the futex sleep path (related work §8).
 func NewTASLock(cfg *Config) *FutexMutex {
-	return &FutexMutex{cfg: cfg, spinForever: true, name: "TAS"}
+	return newFutexMutex(cfg, "TAS", true)
+}
+
+func newFutexMutex(cfg *Config, name string, spinForever bool) *FutexMutex {
+	m := &FutexMutex{cfg: cfg, spinForever: spinForever, name: name}
+	m.grantFn = func(w interface{}) { m.grant(w.(*mutexWaiter)) }
+	m.sleepFn = func(w interface{}) { m.toSleep(w.(*mutexWaiter)) }
+	return m
 }
 
 // Name returns the figure label of the lock.
@@ -77,7 +145,7 @@ func (m *FutexMutex) TransferOwnership(to *Ctx) {
 }
 
 // ContenderCount returns the number of threads currently waiting.
-func (m *FutexMutex) ContenderCount() int { return len(m.spinners) + len(m.sleepers) }
+func (m *FutexMutex) ContenderCount() int { return m.spinners.n + m.sleepers.n }
 
 // casArrival computes when ctx's compare-and-swap would land if issued in
 // reaction to the line being (or becoming) visible at base time.
@@ -88,7 +156,7 @@ func (m *FutexMutex) casArrival(base sim.Time, c *Ctx) sim.Time {
 		tr = m.cfg.Cost.Transfer(m.line, c.Place)
 	}
 	a := base + tr
-	if n := len(m.spinners); n > 1 {
+	if n := m.spinners.n; n > 1 {
 		a += m.cfg.Cost.CASPenalty * int64(n-1)
 	}
 	if j := m.cfg.Cost.CASJitter; j > 0 {
@@ -109,10 +177,12 @@ func (m *FutexMutex) alignSpin(t sim.Time, w *mutexWaiter) sim.Time {
 
 // Acquire blocks until the calling thread owns the mutex. The class is
 // ignored: pthread mutexes have no priority support.
+//
+//simcheck:hotpath every mutex acquisition; waiters are pooled and callbacks prebuilt
 func (m *FutexMutex) Acquire(c *Ctx, _ Class) {
 	eng := m.cfg.Eng
 	now := eng.Now()
-	w := &mutexWaiter{c: c, spinStart: now}
+	w := m.newWaiter(c, now)
 
 	if !m.locked {
 		arrival := m.casArrival(now, c)
@@ -140,80 +210,87 @@ func (m *FutexMutex) Acquire(c *Ctx, _ Class) {
 	}
 }
 
+// newWaiter takes a waiter for c from the pool, or makes one.
+func (m *FutexMutex) newWaiter(c *Ctx, now sim.Time) *mutexWaiter {
+	w := m.free.popFront()
+	if w == nil {
+		//simcheck:allow hotalloc pool refill slow path; at most one waiter per contending thread, reused after
+		w = &mutexWaiter{}
+	}
+	w.c = c
+	w.spinStart = now
+	return w
+}
+
 // addSpinner registers w as a user-space spinner starting at time start and
 // arms its futex-sleep transition.
 func (m *FutexMutex) addSpinner(w *mutexWaiter, start sim.Time) {
 	w.spinStart = start
-	w.sleeping = false
-	m.spinners = append(m.spinners, w)
+	m.spinners.push(w)
 	if m.spinForever {
 		return
 	}
-	deadline := start + m.cfg.Cost.MutexSpinBudget
-	w.sleepTmr = m.cfg.Eng.AtTimer(deadline, func() {
-		w.sleepTmr = nil
-		m.toSleep(w)
-	})
+	w.sleepTmr = m.cfg.Eng.AtTimerArg(start+m.cfg.Cost.MutexSpinBudget, m.sleepFn, w)
 }
 
 // readdSpinner returns an election loser to the spinner set without
 // disturbing its true spin phase: losing a CAS race does not delay the
 // thread's next attempt, so its spinStart (wake time) must be preserved.
 func (m *FutexMutex) readdSpinner(w *mutexWaiter) {
-	m.spinners = append(m.spinners, w)
-	if m.spinForever || w.sleepTmr != nil {
+	m.spinners.push(w)
+	if m.spinForever || w.sleepTmr.Pending() {
 		return
 	}
 	deadline := w.spinStart + m.cfg.Cost.MutexSpinBudget
 	if now := m.cfg.Eng.Now(); deadline < now {
 		deadline = now
 	}
-	w.sleepTmr = m.cfg.Eng.AtTimer(deadline, func() {
-		w.sleepTmr = nil
-		m.toSleep(w)
-	})
+	w.sleepTmr = m.cfg.Eng.AtTimerArg(deadline, m.sleepFn, w)
 }
 
 // toSleep moves a still-spinning waiter into the kernel futex queue.
+//
+//simcheck:hotpath sleep-timer callback, reached only through the timer's argFn
 func (m *FutexMutex) toSleep(w *mutexWaiter) {
-	for i, s := range m.spinners {
-		if s == w {
-			m.spinners = append(m.spinners[:i], m.spinners[i+1:]...)
-			w.sleeping = true
-			m.sleepers = append(m.sleepers, w)
-			return
-		}
+	if w.on != &m.spinners {
+		return // elected to own the lock meanwhile: ignore
 	}
-	// Not a spinner any more (granted or already asleep): ignore.
+	m.spinners.remove(w)
+	m.sleepers.push(w)
 }
 
 // scheduleGrant elects w to own the lock at time at.
 func (m *FutexMutex) scheduleGrant(w *mutexWaiter, at sim.Time) {
 	m.grantTo = w
 	m.grantAt = at
-	m.grantTmr = m.cfg.Eng.AtTimer(at, func() { m.grant(w, at) })
+	m.grantTmr = m.cfg.Eng.AtTimerArg(at, m.grantFn, w)
 }
 
-// grant finalizes ownership transfer to w.
-func (m *FutexMutex) grant(w *mutexWaiter, at sim.Time) {
+// grant finalizes ownership transfer to w at the elected time m.grantAt
+// and returns w to the pool: its grant timer has fired, its sleep timer
+// is cancelled here, and an elected waiter sits on no list.
+//
+//simcheck:hotpath grant-timer callback, reached only through the timer's argFn
+func (m *FutexMutex) grant(w *mutexWaiter) {
 	if m.grantTo != w {
 		return // stale event (winner was re-elected); ignore
 	}
 	m.grantTo = nil
-	m.grantTmr = nil
-	if w.sleepTmr != nil {
-		w.sleepTmr.Cancel()
-		w.sleepTmr = nil
-	}
+	w.sleepTmr.Cancel()
+	c := w.c
+	*w = mutexWaiter{}
+	m.free.push(w)
 	m.locked = true
-	m.holder = w.c
-	m.line = w.c.Place
+	m.holder = c
+	m.line = c.Place
 	m.hasOwn = true
-	w.c.T.Unpark(at)
+	c.T.Unpark(m.grantAt)
 }
 
 // Release frees the mutex, triggering the user-space CAS race among
 // spinners and a FUTEX_WAKE of the oldest sleeper.
+//
+//simcheck:hotpath every mutex release; the CAS race walks the intrusive spinner list
 func (m *FutexMutex) Release(c *Ctx, _ Class) {
 	if !m.locked || m.holder != c {
 		panic(fmt.Sprintf("simlock: release of %s by non-holder %q", m.name, c.T.Name()))
@@ -227,10 +304,8 @@ func (m *FutexMutex) Release(c *Ctx, _ Class) {
 
 	// FUTEX_WAKE: the oldest sleeper re-enters user space after the
 	// kernel wake-up latency and becomes a spinner again.
-	var woken *mutexWaiter
-	if len(m.sleepers) > 0 {
-		woken = m.sleepers[0]
-		m.sleepers = m.sleepers[1:]
+	woken := m.sleepers.popFront()
+	if woken != nil {
 		wakeAt := now + m.cfg.Cost.FutexWake
 		if j := m.cfg.Cost.FutexWakeJitter; j > 0 {
 			wakeAt += eng.Rand().Int63n(j + 1)
@@ -238,7 +313,7 @@ func (m *FutexMutex) Release(c *Ctx, _ Class) {
 		m.addSpinner(woken, wakeAt)
 	}
 
-	if len(m.spinners) == 0 {
+	if m.spinners.n == 0 {
 		return // lock stays free; next Acquire takes it directly
 	}
 
@@ -248,14 +323,14 @@ func (m *FutexMutex) Release(c *Ctx, _ Class) {
 	// before it reaches user space.
 	var best *mutexWaiter
 	var bestAt sim.Time
-	for _, w := range m.spinners {
+	for w := m.spinners.head; w != nil; w = w.next {
 		base := now
 		if w.spinStart > base {
 			base = w.spinStart
 		}
 		observe := base + m.cfg.Cost.Transfer(m.line, w.c.Place)
 		a := m.alignSpin(observe, w)
-		if n := len(m.spinners); n > 1 {
+		if n := m.spinners.n; n > 1 {
 			a += m.cfg.Cost.CASPenalty * int64(n-1)
 		}
 		if j := m.cfg.Cost.CASJitter; j > 0 {
@@ -265,7 +340,7 @@ func (m *FutexMutex) Release(c *Ctx, _ Class) {
 			best, bestAt = w, a
 		}
 	}
-	m.removeSpinner(best)
+	m.spinners.remove(best)
 	m.scheduleGrant(best, bestAt)
 
 	if woken != nil && m.cfg.Cost.FutexWakeSyscall > 0 {
@@ -273,14 +348,5 @@ func (m *FutexMutex) Release(c *Ctx, _ Class) {
 		// word is already free: stealers may race in meanwhile, but the
 		// releaser itself is stuck here before its next user-space work.
 		c.T.Sleep(m.cfg.Cost.FutexWakeSyscall)
-	}
-}
-
-func (m *FutexMutex) removeSpinner(w *mutexWaiter) {
-	for i, s := range m.spinners {
-		if s == w {
-			m.spinners = append(m.spinners[:i], m.spinners[i+1:]...)
-			return
-		}
 	}
 }
