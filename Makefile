@@ -7,11 +7,12 @@
 #   make figures regenerate the full figure output
 #   make trace   record + validate a Perfetto trace of the fig8a probe
 #   make parity  prove -jobs 1 and -jobs 4 stdout are byte-identical
+#   make golden  prove the full sweep still prints full_run.txt byte for byte
 #   make simcheck-bench  time the whole-module analysis; fail beyond 60s
 
 GO ?= go
 
-.PHONY: check fmt build vet simcheck simcheck-bench test perfbench race shuffle soak figures trace parity
+.PHONY: check fmt build vet simcheck simcheck-bench test perfbench race shuffle soak figures trace parity golden
 
 check: fmt build vet simcheck test perfbench
 
@@ -99,3 +100,12 @@ parity:
 	cmp /tmp/parity-partitioned-jobs1.txt /tmp/parity-partitioned-jobs4.txt
 	@echo "parity OK: -jobs 1 and -jobs 4 output is byte-identical"
 
+# Full-output golden: the complete experiment sweep must print the
+# committed full_run.txt byte for byte. Runtime refactors are gated on it
+# (about 3 minutes on 2 vCPUs). cmp exits non-zero on the first differing
+# byte.
+golden:
+	$(GO) build -o /tmp/mpistorm-golden ./cmd/mpistorm
+	/tmp/mpistorm-golden -experiment all -jobs 2 > /tmp/golden-full.txt
+	cmp /tmp/golden-full.txt full_run.txt
+	@echo "golden OK: -experiment all matches full_run.txt"

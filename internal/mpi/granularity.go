@@ -102,13 +102,8 @@ func (c *csLock) enter(th *Thread, cl simlock.Class) {
 	if c.tel != nil || c.onGrant != nil {
 		waitFrom = th.S.Now()
 	}
-	if c.onGrant != nil {
-		c.waiting.Request(th.S.ID(), th.lctx.Place, waitFrom)
-	}
-	c.lock.Acquire(&th.lctx, cl)
-	if c.onGrant != nil {
-		c.onGrant(c.waiting.Grant(th.S.ID(), th.lctx.Place, th.S.Now()))
-	}
+	//simcheck:allow hotalloc lock layer: the futex mutex is checked from its own hotpath roots; the queue and priority locks still allocate per-waiter records, and grant tracing is opt-in
+	c.acquire(th, cl, waitFrom)
 	if c.tel != nil {
 		now := th.S.Now()
 		c.tel.LockWait(c.id, th.S.ID(), telClass(cl), waitFrom, now)
@@ -142,11 +137,24 @@ func (c *csLock) enter(th *Thread, cl simlock.Class) {
 	}
 }
 
+// acquire runs the lock model and, when an observer is attached, records
+// the request made at from and reports the grant.
+func (c *csLock) acquire(th *Thread, cl simlock.Class, from int64) {
+	if c.onGrant != nil {
+		c.waiting.Request(th.S.ID(), th.lctx.Place, from)
+	}
+	c.lock.Acquire(&th.lctx, cl)
+	if c.onGrant != nil {
+		c.onGrant(c.waiting.Grant(th.S.ID(), th.lctx.Place, th.S.Now()))
+	}
+}
+
 func (c *csLock) exit(th *Thread, cl simlock.Class) {
 	if c.tel != nil {
 		c.tel.LockHold(c.id, th.S.ID(), c.holdClass, th.holdUseful,
 			th.lctx.Place.Socket, th.lctx.Place.Core, c.holdStart, th.S.Now())
 	}
+	//simcheck:allow hotalloc lock layer, as in enter
 	c.lock.Release(&th.lctx, cl)
 }
 
@@ -257,16 +265,18 @@ func (th *Thread) progressRound(v int, cl simlock.Class, post func()) {
 		}
 		th.S.Sleep(cost.ProgressPollWork)
 		p.Polls++
-		var pkts []*fabric.Packet
-		for sh.cq.len() > 0 && len(pkts) < maxEventsPerPoll {
-			pkts = append(pkts, sh.cq.pop())
+		var pkts [maxEventsPerPoll]*fabric.Packet
+		n := 0
+		for sh.cq.len() > 0 && n < maxEventsPerPoll {
+			pkts[n] = sh.cq.pop()
+			n++
 		}
-		th.holdUseful = len(pkts) > 0
+		th.holdUseful = n > 0
 		if p.w.tel != nil {
-			p.w.tel.Poll(th.S.ID(), pollFrom, th.S.Now(), len(pkts))
+			p.w.tel.Poll(th.S.ID(), pollFrom, th.S.Now(), n)
 		}
 		p.nicCS.exit(th, cl)
-		if len(pkts) == 0 {
+		if n == 0 {
 			th.pollBackoff++
 			if post != nil {
 				p.queueCS.enter(th, cl)
@@ -276,7 +286,7 @@ func (th *Thread) progressRound(v int, cl simlock.Class, post func()) {
 			return
 		}
 		th.pollBackoff = 0
-		for _, pkt := range pkts {
+		for _, pkt := range pkts[:n] {
 			p.queueCS.enter(th, cl)
 			th.S.Sleep(cost.ProgressHandleWork)
 			p.handlePacket(th, pkt)

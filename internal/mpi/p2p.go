@@ -197,141 +197,6 @@ func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
 	return r
 }
 
-// Wait blocks until the request completes, then frees it. While waiting it
-// iterates the progress loop, yielding the critical section between polls
-// (low priority under the priority lock). The loop drives only the
-// shard(s) the request can complete on (progressReq). It returns the
-// request's error, if any, after the configured error handler runs
-// (MPI_ERRORS_ARE_FATAL, the default, panics instead of returning).
-func (th *Thread) Wait(r *Request) error {
-	if r.freed && !r.complete {
-		return r.raiseAs(ErrRequest)
-	}
-	if th.P.w.eventDriven() {
-		// Strong/continuation progress: park until a completion event
-		// instead of iterating the progress loop (progressd.go).
-		return th.waitEvent(r)
-	}
-	if r.freed {
-		return r.raiseAs(ErrRequest)
-	}
-	cost := th.cost()
-	tel := th.telStart()
-	v := reqShard(r)
-	th.stateBegin(v, simlock.High)
-	if r.complete {
-		th.S.Sleep(cost.RequestFreeWork)
-		r.free()
-		th.stateEnd(v, simlock.High)
-		th.telCall("Wait", tel)
-		return r.release()
-	}
-	th.stateEnd(v, simlock.High)
-	th.pollBackoff = 0
-	done := false
-	check := func() {
-		if r.complete {
-			th.S.Sleep(cost.RequestFreeWork)
-			r.free()
-			done = true
-		}
-	}
-	for {
-		th.progressReq(r, simlock.Low, check, &done)
-		if done {
-			th.telCall("Wait", tel)
-			return r.release()
-		}
-		th.progressYield()
-	}
-}
-
-// Waitall blocks until every request completes. Requests are freed as their
-// completion is detected, so a starving caller leaves its completed
-// requests dangling — the §4.4 effect. Each progress round polls only the
-// shards that still have a pending request on them. It returns the first
-// request error encountered (after the error handler runs); the remaining
-// requests are still waited for and freed.
-func (th *Thread) Waitall(rs []*Request) error {
-	if len(rs) == 0 {
-		return nil
-	}
-	switch th.P.w.Cfg.Progress {
-	case ProgressStrong:
-		return th.waitallEvent(rs)
-	case ProgressContinuation:
-		return th.waitallCont(rs)
-	}
-	cost := th.cost()
-	pending := make([]*Request, len(rs))
-	copy(pending, rs)
-	var firstErr error
-	// take frees a completed request after dropping it from pending, so
-	// nothing refers to an object release may recycle. The vacated tail
-	// slot is cleared: pollLoop's full-length view of pending must see
-	// exactly the requests still pending.
-	take := func(i int) {
-		r := pending[i]
-		last := len(pending) - 1
-		pending[i] = pending[last]
-		pending[last] = nil
-		pending = pending[:last]
-		th.S.Sleep(cost.RequestFreeWork)
-		r.free()
-		if err := r.release(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	reap := func() {
-		for i := 0; i < len(pending); {
-			if pending[i].complete {
-				take(i)
-			} else {
-				i++
-			}
-		}
-	}
-	tel := th.telStart()
-	th.pollPrecheck(pending, reap, func(_ int, r *Request) {
-		for i, q := range pending {
-			if q == r {
-				take(i)
-				return
-			}
-		}
-	})
-	if len(pending) > 0 {
-		th.pollLoop(pending, reap, func() bool { return len(pending) == 0 })
-	}
-	th.telCall("Waitall", tel)
-	return firstErr
-}
-
-// Test polls the runtime once and reports whether the request completed;
-// if so, the request is freed. Test never enters the blocking progress
-// loop, so under the priority lock it always runs at high priority — the
-// paper's explanation for priority ≈ ticket in the Graph500/stencil runs.
-func (th *Thread) Test(r *Request) bool {
-	cost := th.cost()
-	tel := th.telStart()
-	done := false
-	check := func() {
-		if r.complete {
-			th.S.Sleep(cost.RequestFreeWork)
-			r.free()
-			done = true
-		}
-	}
-	th.progressReq(r, simlock.High, check, &done)
-	th.telCall("Test", tel)
-	if done {
-		// Run the error handler (panic under MPI_ERRORS_ARE_FATAL);
-		// under MPI_ERRORS_RETURN the caller inspects r.Err().
-		_ = r.raise()
-	}
-	return done
-}
-
 // Testall polls once and frees/report-counts the completed requests,
 // removing them from rs in place; it returns the still-pending remainder.
 // Each shard with work — a pending or completed request (shard 0 when
@@ -341,11 +206,18 @@ func (th *Thread) Testall(rs []*Request) []*Request {
 	cost := th.cost()
 	var failed []*Request
 	shards := make(shardSet, len(th.P.vcis))
-	work := shards.gather(rs)
-	eachDone(rs, func(_ int, r *Request) {
-		shards[reqShard(r)] = true
+	work := false
+	for _, r := range rs {
+		switch {
+		case r == nil || r.freed:
+			continue
+		case r.complete:
+			shards[reqShard(r)] = true
+		default:
+			shards.add(r)
+		}
 		work = true
-	})
+	}
 	if !work {
 		shards[0] = true
 	}
@@ -354,16 +226,16 @@ func (th *Thread) Testall(rs []*Request) []*Request {
 			continue
 		}
 		th.progressRound(v, simlock.High, func() {
-			eachDone(rs, func(_ int, r *Request) {
-				if reqShard(r) != v {
-					return
+			for _, r := range rs {
+				if r == nil || !r.complete || r.freed || reqShard(r) != v {
+					continue
 				}
 				th.S.Sleep(cost.RequestFreeWork)
 				r.free()
 				if r.err != nil {
 					failed = append(failed, r)
 				}
-			})
+			}
 		})
 	}
 	out := rs[:0]
@@ -397,14 +269,7 @@ func (th *Thread) CancelRecv(r *Request) {
 			th.wildEnd()
 			panic("mpi: CancelRecv on a completed request")
 		}
-		for _, sh := range p.vcis {
-			for i, q := range sh.posted {
-				if q == r {
-					sh.posted = append(sh.posted[:i], sh.posted[i+1:]...)
-					break
-				}
-			}
-		}
+		p.unpost(r)
 		r.deadline.Cancel()
 		r.freed = true
 		p.outstanding--
@@ -418,12 +283,7 @@ func (th *Thread) CancelRecv(r *Request) {
 		th.stateEnd(v, simlock.High)
 		panic("mpi: CancelRecv on a completed request")
 	}
-	for i, q := range p.vcis[v].posted {
-		if q == r {
-			p.vcis[v].posted = append(p.vcis[v].posted[:i], p.vcis[v].posted[i+1:]...)
-			break
-		}
-	}
+	p.unpost(r)
 	r.deadline.Cancel()
 	r.freed = true
 	p.outstanding--

@@ -71,44 +71,3 @@ func (th *Thread) Probe(c *Comm, src, tag int) Status {
 		th.progressYield()
 	}
 }
-
-// Waitany blocks until one of the requests completes, frees it, and
-// returns its index. It panics on an empty slice.
-func (th *Thread) Waitany(rs []*Request) int {
-	if len(rs) == 0 {
-		panic("mpi: Waitany on empty request list")
-	}
-	cost := th.cost()
-	idx := -1
-	take := func(i int, r *Request) {
-		if idx < 0 {
-			th.S.Sleep(cost.RequestFreeWork)
-			r.free()
-			idx = i
-		}
-	}
-	reap := func() { eachDone(rs, take) }
-	th.pollPrecheck(rs, reap, take)
-	if idx < 0 {
-		th.pollLoop(rs, reap, func() bool { return idx >= 0 })
-	}
-	return idx
-}
-
-// Waitsome blocks until at least one request completes, frees all the
-// completed ones, and returns their indices.
-func (th *Thread) Waitsome(rs []*Request) []int {
-	cost := th.cost()
-	var done []int
-	take := func(i int, r *Request) {
-		th.S.Sleep(cost.RequestFreeWork)
-		r.free()
-		done = append(done, i)
-	}
-	reap := func() { eachDone(rs, take) }
-	th.pollPrecheck(rs, reap, take)
-	if len(done) == 0 {
-		th.pollLoop(rs, reap, func() bool { return len(done) > 0 })
-	}
-	return done
-}

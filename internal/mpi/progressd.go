@@ -9,9 +9,10 @@ package mpi
 //     simthread per VCI shard drives that shard's transport and matching
 //     queues, parking on the proc's activity queue while its completion
 //     queue is empty and woken by arrival events. Application threads
-//     blocked in Wait/Waitall park instead of iterating the progress
-//     loop, so they never acquire the critical section at low (progress)
-//     class at all.
+//     blocked in any wait call (Wait, Waitall, Waitany, Waitsome: the
+//     wait engine, wait.go) park instead of iterating the progress loop,
+//     so they never acquire the critical section at low (progress) class
+//     at all.
 //
 //   - Continuations (ProgressContinuation): strong progress plus
 //     completion-time callbacks. Request.OnComplete registers a function
@@ -20,12 +21,6 @@ package mpi
 //     enqueue and a drain of n completion events, with the runtime
 //     freeing each request at dispatch time inside the critical section
 //     it already holds.
-//
-// Like granularity.go and vcimode.go, the wait helpers here open and
-// close critical sections across loop iterations by design; the lockpair
-// analyzer enforces pairing at the section level.
-//
-//simcheck:allow-file lockpair wait-path protocol; begin/end pair within each loop iteration
 
 import (
 	"fmt"
@@ -273,114 +268,40 @@ func (q *CompletionQueue) take() *Request {
 // ensureCQ returns the thread's internal completion queue (continuation-
 // mode Waitall drains through it; it is always empty between calls).
 func (th *Thread) ensureCQ() *CompletionQueue {
-	if th.cq == nil {
-		th.cq = th.NewCompletionQueue()
-	}
-	return th.cq
+	th.cq.th = th
+	return &th.cq
 }
 
-// waitEvent is Wait under strong progress or continuations: check the
-// request under its shard's state section, then park until a completion
-// event wakes the proc — no progress-loop (low-class) acquisitions at
-// all. The completion-sequence snapshot closes the window between the
-// checked state section and the park: any completion in between bumps
-// the sequence and the waiter re-checks instead of parking.
-func (th *Thread) waitEvent(r *Request) error {
-	p := th.P
-	cost := th.cost()
-	tel := th.telStart()
-	for {
-		th.checkCrashed()
-		seq := p.completeSeq
-		v := reqShard(r)
-		th.stateBegin(v, simlock.High)
-		if r.complete {
-			if r.freed {
-				th.stateEnd(v, simlock.High)
-				panic("mpi: Wait on a request with a continuation attached")
-			}
-			th.S.Sleep(cost.RequestFreeWork)
-			r.free()
-			th.stateEnd(v, simlock.High)
-			th.telCall("Wait", tel)
-			return r.release()
-		}
-		th.stateEnd(v, simlock.High)
-		if p.completeSeq == seq {
-			p.activity.Wait(th.S)
-		}
+// waitallCont is Waitall under continuations: register every active
+// request of w on the thread's completion queue in one batched pass (one
+// state section per involved shard), then drain exactly that many
+// completion events. The progress daemons free each request at delivery,
+// so the drain loop takes no locks at all — the per-request progress-loop
+// re-acquisitions of the polling shape disappear entirely.
+func (th *Thread) waitallCont(w *waiter) error {
+	if w.n == 0 {
+		return nil
 	}
-}
-
-// waitallEvent is Waitall under strong progress: sweep the completed
-// requests shard by shard (state sections at high class), park until the
-// next completion event, repeat. The waiter never runs the progress
-// engine; the per-shard daemons do.
-func (th *Thread) waitallEvent(rs []*Request) error {
-	cost := th.cost()
-	p := th.P
-	remaining := len(rs)
-	pending := make([]*Request, len(rs))
-	copy(pending, rs)
-	var firstErr error
-
-	tel := th.telStart()
-	for {
-		th.checkCrashed()
-		seq := p.completeSeq
-		th.sweepDone(pending, func(_ int, r *Request) {
-			th.S.Sleep(cost.RequestFreeWork)
-			r.free()
-			for i, q := range pending {
-				if q == r {
-					pending[i] = pending[len(pending)-1]
-					pending = pending[:len(pending)-1]
-					break
-				}
-			}
-			remaining--
-			if err := r.release(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
-		if remaining == 0 {
-			th.telCall("Waitall", tel)
-			return firstErr
-		}
-		if p.completeSeq == seq {
-			p.activity.Wait(th.S)
-		}
-	}
-}
-
-// waitallCont is Waitall under continuations: register every request on
-// the thread's completion queue in one batched pass (one state section
-// per involved shard), then drain exactly that many completion events.
-// The progress daemons free each request at delivery, so the drain loop
-// takes no locks at all — the per-request progress-loop re-acquisitions
-// of the polling shape disappear entirely.
-func (th *Thread) waitallCont(rs []*Request) error {
-	p := th.P
 	tel := th.telStart()
 	q := th.ensureCQ()
-	mark := make(shardSet, len(p.vcis))
-	for _, r := range rs {
-		mark[reqShard(r)] = true
+	mark := w.marks(len(th.P.vcis))
+	for _, e := range w.list {
+		mark[reqShard(e.r)] = true
 	}
-	for v := range mark {
-		if !mark[v] {
+	for v, on := range mark {
+		if !on {
 			continue
 		}
 		th.stateBegin(v, simlock.High)
-		for _, r := range rs {
-			if reqShard(r) == v {
-				q.addLocked(r, th.S.Now())
+		for _, e := range w.list {
+			if reqShard(e.r) == v {
+				q.addLocked(e.r, th.S.Now())
 			}
 		}
 		th.stateEnd(v, simlock.High)
 	}
 	var firstErr error
-	for n := len(rs); n > 0; n-- {
+	for n := len(w.list); n > 0; n-- {
 		r := q.WaitAny()
 		if r.err != nil {
 			// Continuation delivery replaces Wait's error-handler site:

@@ -141,8 +141,8 @@ func (r *Request) markComplete(at sim.Time) {
 	}
 	if r.p.w.eventDriven() {
 		// Strong/continuation progress (progressd.go): bump the proc's
-		// completion sequence (closes the check-then-park window of
-		// waitEvent/waitallEvent), dispatch any registered continuation or
+		// completion sequence (closes the check-then-park window of the
+		// wait engine, wait.go), dispatch any registered continuation or
 		// completion-queue delivery from right here — the completing
 		// context — and wake parked waiters.
 		r.p.completeSeq++
@@ -182,31 +182,9 @@ func (r *Request) fail(code Errcode, at sim.Time) {
 		if r.part != nil {
 			// Partitioned receives post on the partitioned queue.
 			sh := p.vcis[r.vci]
-			for i, q := range sh.pposted {
-				if q == r {
-					sh.pposted = append(sh.pposted[:i], sh.pposted[i+1:]...)
-					break
-				}
-			}
-		} else if r.wild && r.vci < 0 {
-			// An unbound wildcard is cross-posted on every shard; withdraw
-			// all copies.
-			for _, sh := range p.vcis {
-				for i, q := range sh.posted {
-					if q == r {
-						sh.posted = append(sh.posted[:i], sh.posted[i+1:]...)
-						break
-					}
-				}
-			}
+			sh.pposted = dropReq(sh.pposted, r)
 		} else {
-			sh := p.vcis[r.vci]
-			for i, q := range sh.posted {
-				if q == r {
-					sh.posted = append(sh.posted[:i], sh.posted[i+1:]...)
-					break
-				}
-			}
+			p.unpost(r)
 		}
 	}
 	r.p.w.requestFailures++
@@ -215,6 +193,30 @@ func (r *Request) fail(code Errcode, at sim.Time) {
 	// SelectiveWakeup parking: completion polling notices on the next
 	// progress round, but parked threads need the nudge.
 	r.p.activity.WakeAll(at)
+}
+
+// dropReq removes the first occurrence of r from q, keeping the order of
+// the rest.
+func dropReq(q []*Request, r *Request) []*Request {
+	for i, x := range q {
+		if x == r {
+			return append(q[:i], q[i+1:]...)
+		}
+	}
+	return q
+}
+
+// unpost withdraws a posted receive from its shard's posted queue, or every
+// cross-posted copy of an unbound wildcard.
+func (p *Proc) unpost(r *Request) {
+	if r.wild && r.vci < 0 {
+		for _, sh := range p.vcis {
+			sh.posted = dropReq(sh.posted, r)
+		}
+		return
+	}
+	sh := p.vcis[r.vci]
+	sh.posted = dropReq(sh.posted, r)
 }
 
 // free releases a completed request. Must be called with the CS held.

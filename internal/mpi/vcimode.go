@@ -2,14 +2,15 @@ package mpi
 
 // This file implements the sharded runtime: the shard type holding one
 // virtual communication interface's matching queues, completion queue,
-// request pool and critical-section lock, the cross-VCI wildcard section
-// that owns every shard at once, and the wait-family helpers that sweep
-// shards. There is one code path: an unsharded proc is a proc with one
-// shard, whose section is the paper's global critical section. Four rules
-// depend on the shard count, each reading Proc.sharded and documented at
-// its site: the shared-NIC injection lock (sendShard), cross-shard
-// wildcard receives (vciWildcard), the polling wait family's pre-check
-// (pollPrecheck), and driver-level Revoke consumption (Proc.onPacket).
+// request pool and critical-section lock, and the cross-VCI wildcard
+// section that owns every shard at once. There is one code path: an
+// unsharded proc is a proc with one shard, whose section is the paper's
+// global critical section. Four rules depend on the shard count, each
+// reading Proc.sharded and documented at its site: the shared-NIC
+// injection lock (sendShard), cross-shard wildcard receives
+// (vciWildcard), the wait engine's pre-check for the list calls
+// (waitCheck, wait.go), and driver-level Revoke consumption
+// (Proc.onPacket).
 // Like granularity.go, the section helpers here open and close critical
 // sections across function boundaries by design; the lockpair analyzer
 // enforces pairing at their call sites.
@@ -173,11 +174,9 @@ func (p *Proc) sendShard(th *Thread, pkt *fabric.Packet, notifyTx bool, owner *R
 		p.send(pkt, notifyTx, owner)
 		return
 	}
-	//simcheck:allow hotalloc lock layer: the futex mutex is checked from its own hotpath roots; the queue and priority locks still allocate per-waiter records, and grant tracing is opt-in
 	p.nicVCI.enter(th, simlock.High)
 	th.S.Sleep(nicInjectWork)
 	p.send(pkt, notifyTx, owner)
-	//simcheck:allow hotalloc lock layer: the futex mutex is checked from its own hotpath roots; the queue and priority locks still allocate per-waiter records, and grant tracing is opt-in
 	p.nicVCI.exit(th, simlock.High)
 }
 
@@ -203,134 +202,17 @@ func reqShard(r *Request) int {
 	return r.vci
 }
 
-// eachDone runs fn on every completed, unfreed request of rs, in index
-// order. The caller holds the section guarding them.
-func eachDone(rs []*Request, fn func(i int, r *Request)) {
-	for i, r := range rs {
-		if r != nil && r.complete && !r.freed {
-			fn(i, r)
-		}
-	}
-}
-
-// sweepDone visits the already-completed, unfreed requests of rs shard by
-// shard: each shard holding at least one opens its own state section and
-// fn runs on that shard's completed requests (with the rs index they were
-// snapshotted at). A fixed single-shard sweep here would funnel every
-// wait-family caller through one lock and re-serialize exactly the
-// independence sharding buys; request state lives on the request's own
-// VCI, so that shard's section is the one that guards its reaping. When
-// nothing has completed, no section is opened at all.
-func (th *Thread) sweepDone(rs []*Request, fn func(i int, r *Request)) {
-	p := th.P
-	done := make(shardSet, len(p.vcis))
-	type snap struct {
-		i int
-		r *Request
-	}
-	var snaps []snap
-	eachDone(rs, func(i int, r *Request) {
-		done[reqShard(r)] = true
-		snaps = append(snaps, snap{i, r})
-	})
-	if len(snaps) == 0 {
-		return
-	}
-	for v := range done {
-		if !done[v] {
-			continue
-		}
-		th.stateBegin(v, simlock.High)
-		for _, s := range snaps {
-			if reqShard(s.r) == v && s.r.complete && !s.r.freed {
-				fn(s.i, s.r)
-			}
-		}
-		th.stateEnd(v, simlock.High)
-	}
-}
-
-// pollPrecheck is the polling wait family's look before its progress
-// loop, reaping the requests of rs that already completed. N-dependent
-// rule: a one-shard proc enters shard 0 before looking — the paper's
-// lock-then-check, one high-class acquisition per call whether or not
-// anything completed — and runs reap, the same reap its progress rounds
-// run; a sharded proc peeks and locks only the shards holding
-// completions, running fn on each completed request (sweepDone), so
-// waiters on different shards never meet on one lock. The event-driven
-// waits always use sweepDone.
-func (th *Thread) pollPrecheck(rs []*Request, reap func(), fn func(i int, r *Request)) {
-	if th.P.sharded {
-		th.sweepDone(rs, fn)
-		return
-	}
-	th.stateBegin(0, simlock.High)
-	reap()
-	th.stateEnd(0, simlock.High)
-}
-
-// pollLoop is the polling wait family's progress loop: each sweep runs
-// one low-class progress round, with post, on every shard still holding a
-// pending request of rs (shard 0 when none is), until done reports true;
-// sweeps are separated by progressYield.
-func (th *Thread) pollLoop(rs []*Request, post func(), done func() bool) {
-	th.pollBackoff = 0
-	shards := make(shardSet, len(th.P.vcis))
-	for {
-		if !shards.gather(rs) {
-			shards[0] = true
-		}
-		for v, on := range shards {
-			if !on {
-				continue
-			}
-			th.progressRound(v, simlock.Low, post)
-			if done() {
-				return
-			}
-		}
-		th.progressYield()
-	}
-}
-
-// progressReq runs one progress round, with check, on each shard r can
-// complete on: its own VCI, or every VCI while a wildcard is still
-// unbound (re-read each call; a bind narrows the sweep), stopping early
-// once check sets *done.
-func (th *Thread) progressReq(r *Request, cl simlock.Class, check func(), done *bool) {
-	if v := r.vci; v >= 0 {
-		th.progressRound(v, cl, check)
-		return
-	}
-	for v := 0; v < len(th.P.vcis) && !*done; v++ {
-		th.progressRound(v, cl, check)
-	}
-}
-
-// shardSet is a reusable per-call scratch marking which shards a wait
-// family call must poll this round.
+// shardSet marks which shards a call polls or locks this round.
 type shardSet []bool
 
-// gather marks the shards of the still-pending requests; an unbound
-// wildcard (vci < 0) marks every shard. Returns false when no request is
-// pending.
-func (s shardSet) gather(rs []*Request) bool {
-	for i := range s {
-		s[i] = false
-	}
-	any := false
-	for _, r := range rs {
-		if r == nil || r.complete || r.freed {
-			continue
+// add marks the shards r can complete on: its own VCI, or every shard
+// while it is an unbound wildcard.
+func (s shardSet) add(r *Request) {
+	if r.vci < 0 {
+		for i := range s {
+			s[i] = true
 		}
-		any = true
-		if r.vci < 0 {
-			for i := range s {
-				s[i] = true
-			}
-			return true
-		}
-		s[r.vci] = true
+		return
 	}
-	return any
+	s[r.vci] = true
 }

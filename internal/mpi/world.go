@@ -373,7 +373,7 @@ type Proc struct {
 	vcis []*vciShard
 	// sharded is set when the proc has more than one shard. It is read
 	// only by the four rules that depend on the shard count: sendShard,
-	// vciWildcard, pollPrecheck and onPacket's Revoke consumption.
+	// vciWildcard, waitCheck and onPacket's Revoke consumption.
 	sharded bool
 	nicVCI  csLock // shared-NIC injection lock (sharded procs only)
 	queueCS csLock // matching-queue lock (GranFine)
@@ -503,9 +503,11 @@ type Thread struct {
 	// acquisitions made while set are counted as error-path traffic
 	// (only ever set when the fault-tolerance plane is armed).
 	errPath bool
-	// cq is the thread's internal completion queue, lazily created by the
+	// cq is the thread's internal completion queue, used by the
 	// continuation-mode Waitall (empty between calls).
-	cq *CompletionQueue
+	cq CompletionQueue
+	// wait is the wait engine's per-thread state (wait.go).
+	wait waiter
 }
 
 // Place returns the core this thread is bound to.

@@ -14,6 +14,7 @@ func (w *WaitQueue) Len() int { return len(w.q) }
 
 // Wait parks the calling thread until a matching WakeOne/WakeAll.
 func (w *WaitQueue) Wait(t *Thread) {
+	//simcheck:allow hotalloc the queue keeps its backing array across wakes; it grows only to the largest set of waiters
 	w.q = append(w.q, t)
 	t.Park()
 }

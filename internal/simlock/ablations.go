@@ -1,9 +1,6 @@
 package simlock
 
-import (
-	"mpicontend/internal/machine"
-	"mpicontend/internal/sim"
-)
+import "mpicontend/internal/machine"
 
 // PrioMutexLock stacks three futex mutexes in the shape of Fig. 7. The
 // paper's §7 argues this cannot work: mutexes guarantee no fairness within
@@ -84,19 +81,14 @@ type SocketPriorityLock struct {
 	holder *Ctx
 	line   machine.Place
 	hasOwn bool
-	queues map[int][]*sockWaiter // per (node,socket) key FIFO
-	order  []int                 // deterministic iteration order of keys
+	queues map[int][]*Ctx // per (node,socket) key FIFO
+	order  []int          // deterministic iteration order of keys
 	total  int
-}
-
-type sockWaiter struct {
-	c         *Ctx
-	spinStart sim.Time
 }
 
 // NewSocketPriorityLock returns the §7 socket-aware ablation lock.
 func NewSocketPriorityLock(cfg *Config) *SocketPriorityLock {
-	return &SocketPriorityLock{cfg: cfg, queues: make(map[int][]*sockWaiter)}
+	return &SocketPriorityLock{cfg: cfg, queues: make(map[int][]*Ctx)}
 }
 
 // Name returns the figure label of the lock.
@@ -124,7 +116,7 @@ func (l *SocketPriorityLock) Acquire(c *Ctx, _ Class) {
 	if _, ok := l.queues[k]; !ok {
 		l.order = append(l.order, k)
 	}
-	l.queues[k] = append(l.queues[k], &sockWaiter{c: c, spinStart: l.cfg.Eng.Now()})
+	l.queues[k] = append(l.queues[k], c)
 	l.total++
 	c.T.Park()
 	if l.holder != c {
@@ -145,7 +137,7 @@ func (l *SocketPriorityLock) Release(c *Ctx, _ Class) {
 	if l.total == 0 {
 		return
 	}
-	var w *sockWaiter
+	var w *Ctx
 	local := sockKey(c.Place)
 	if q := l.queues[local]; len(q) > 0 {
 		w, l.queues[local] = q[0], q[1:]
@@ -158,9 +150,9 @@ func (l *SocketPriorityLock) Release(c *Ctx, _ Class) {
 		}
 	}
 	l.total--
-	at := l.cfg.Eng.Now() + l.cfg.Cost.Transfer(c.Place, w.c.Place)
+	at := l.cfg.Eng.Now() + l.cfg.Cost.Transfer(c.Place, w.Place)
 	l.locked = true
-	l.holder = w.c
-	l.line = w.c.Place
-	l.cfg.Eng.At(at, func() { w.c.T.Unpark(at) })
+	l.holder = w
+	l.line = w.Place
+	l.cfg.Eng.At(at, func() { w.T.Unpark(at) })
 }

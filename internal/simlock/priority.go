@@ -1,7 +1,5 @@
 package simlock
 
-import "mpicontend/internal/sim"
-
 // PriorityLock is the paper's custom two-level arbitration scheme (§5.2,
 // Fig. 7), composed of three ticket locks:
 //
@@ -79,12 +77,7 @@ type MCSLock struct {
 	cfg    *Config
 	locked bool
 	holder *Ctx
-	queue  []*mcsWaiter
-}
-
-type mcsWaiter struct {
-	c         *Ctx
-	spinStart sim.Time
+	queue  []*Ctx
 }
 
 // NewMCSLock returns an MCS queue lock.
@@ -101,7 +94,7 @@ func (l *MCSLock) Acquire(c *Ctx, _ Class) {
 		l.holder = c
 		return
 	}
-	l.queue = append(l.queue, &mcsWaiter{c: c, spinStart: l.cfg.Eng.Now()})
+	l.queue = append(l.queue, c)
 	c.T.Park()
 	if l.holder != c {
 		panic("simlock: MCS lock woke a thread out of turn")
@@ -120,8 +113,8 @@ func (l *MCSLock) Release(c *Ctx, _ Class) {
 	}
 	w := l.queue[0]
 	l.queue = l.queue[1:]
-	at := l.cfg.Eng.Now() + l.cfg.Cost.Transfer(c.Place, w.c.Place)
+	at := l.cfg.Eng.Now() + l.cfg.Cost.Transfer(c.Place, w.Place)
 	l.locked = true
-	l.holder = w.c
-	l.cfg.Eng.At(at, func() { w.c.T.Unpark(at) })
+	l.holder = w
+	l.cfg.Eng.At(at, func() { w.T.Unpark(at) })
 }

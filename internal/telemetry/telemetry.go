@@ -202,6 +202,25 @@ func (r *Recorder) PreadyTrigger() {
 	r.preadyTrigger++
 }
 
+// span appends one span to the trace buffer.
+func (r *Recorder) span(s Span) {
+	//simcheck:allow hotalloc amortized trace-buffer growth; the recorder is opt-in
+	r.spans = append(r.spans, s)
+	r.touch(s.End)
+}
+
+// sample appends one gauge sample, collapsing same-instant samples
+// (batched completions or deliveries) to the last.
+func (r *Recorder) sample(g *[]gaugeSample, at, value int64) {
+	if n := len(*g); n > 0 && (*g)[n-1].At == at {
+		(*g)[n-1].Value = value
+		return
+	}
+	//simcheck:allow hotalloc amortized gauge-sample growth; the recorder is opt-in
+	*g = append(*g, gaugeSample{At: at, Value: value})
+	r.touch(at)
+}
+
 // ensureNIC widens the NIC track range to include id.
 func (r *Recorder) ensureNIC(id int) {
 	if id >= r.nicCount {
@@ -214,9 +233,8 @@ func (r *Recorder) Call(thread int, name string, start, end int64) {
 	if r == nil {
 		return
 	}
-	r.spans = append(r.spans, Span{Kind: SpanCall, Thread: int32(thread),
+	r.span(Span{Kind: SpanCall, Thread: int32(thread),
 		Lock: -1, Name: name, Start: start, End: end})
-	r.touch(end)
 }
 
 // Poll records one progress-engine poll that handled the given number of
@@ -225,10 +243,8 @@ func (r *Recorder) Poll(thread int, start, end int64, handled int) {
 	if r == nil {
 		return
 	}
-	//simcheck:allow hotalloc amortized trace-buffer growth; the recorder is opt-in
-	r.spans = append(r.spans, Span{Kind: SpanPoll, Thread: int32(thread),
+	r.span(Span{Kind: SpanPoll, Thread: int32(thread),
 		Lock: -1, Arg: int64(handled), Start: start, End: end})
-	r.touch(end)
 }
 
 // LockWait records the request→grant interval of one acquisition.
@@ -236,9 +252,8 @@ func (r *Recorder) LockWait(lock, thread int, class uint8, start, end int64) {
 	if r == nil {
 		return
 	}
-	r.spans = append(r.spans, Span{Kind: SpanWait, Thread: int32(thread),
+	r.span(Span{Kind: SpanWait, Thread: int32(thread),
 		Lock: int32(lock), Class: class, Start: start, End: end})
-	r.touch(end)
 }
 
 // LockHold records a grant→release interval; useful marks holds that
@@ -247,10 +262,9 @@ func (r *Recorder) LockHold(lock, thread int, class uint8, useful bool, sock, co
 	if r == nil {
 		return
 	}
-	r.spans = append(r.spans, Span{Kind: SpanHold, Thread: int32(thread),
+	r.span(Span{Kind: SpanHold, Thread: int32(thread),
 		Lock: int32(lock), Class: class, Useful: useful,
 		Sock: int16(sock), Core: int16(core), Start: start, End: end})
-	r.touch(end)
 }
 
 // Inject records a packet's NIC injection interval on the source endpoint.
@@ -259,10 +273,8 @@ func (r *Recorder) Inject(nic int, kind string, bytes, start, end int64) {
 		return
 	}
 	r.ensureNIC(nic)
-	//simcheck:allow hotalloc amortized trace-buffer growth; the recorder is opt-in
-	r.spans = append(r.spans, Span{Kind: SpanInject, Thread: int32(nic),
+	r.span(Span{Kind: SpanInject, Thread: int32(nic),
 		Lock: -1, Name: kind, Arg: bytes, Start: start, End: end})
-	r.touch(end)
 }
 
 // Flight records a packet's wire flight from injection end to delivery.
@@ -272,10 +284,8 @@ func (r *Recorder) Flight(src, dst int, kind string, bytes, start, end int64) {
 	}
 	r.ensureNIC(src)
 	r.ensureNIC(dst)
-	//simcheck:allow hotalloc amortized trace-buffer growth; the recorder is opt-in
-	r.spans = append(r.spans, Span{Kind: SpanFlight, Thread: int32(src),
+	r.span(Span{Kind: SpanFlight, Thread: int32(src),
 		Lock: int32(dst), Name: kind, Arg: bytes, Start: start, End: end})
-	r.touch(end)
 }
 
 // Dangling samples the dangling-request gauge (completed-but-not-freed
@@ -284,14 +294,7 @@ func (r *Recorder) Dangling(at, value int64) {
 	if r == nil {
 		return
 	}
-	// Collapse same-instant samples (batched completions) to the last.
-	if n := len(r.dangling); n > 0 && r.dangling[n-1].At == at {
-		r.dangling[n-1].Value = value
-		return
-	}
-	//simcheck:allow hotalloc amortized gauge-sample growth; the recorder is opt-in
-	r.dangling = append(r.dangling, gaugeSample{At: at, Value: value})
-	r.touch(at)
+	r.sample(&r.dangling, at, value)
 }
 
 // CQDepth samples the completion-queue depth gauge (delivered-but-not-
@@ -301,14 +304,7 @@ func (r *Recorder) CQDepth(at, value int64) {
 	if r == nil {
 		return
 	}
-	// Collapse same-instant samples (batched deliveries) to the last.
-	if n := len(r.cqdepth); n > 0 && r.cqdepth[n-1].At == at {
-		r.cqdepth[n-1].Value = value
-		return
-	}
-	//simcheck:allow hotalloc amortized gauge-sample growth; the recorder is opt-in
-	r.cqdepth = append(r.cqdepth, gaugeSample{At: at, Value: value})
-	r.touch(at)
+	r.sample(&r.cqdepth, at, value)
 }
 
 // Unexpected records the residency of one message in the unexpected queue
