@@ -1,10 +1,14 @@
 // Package errdrop flags completion calls on the simulated MPI runtime
-// whose error result is silently discarded: a bare statement (or a blank
-// assignment) of Thread.Wait, Thread.Waitall, or Thread.Test. With the
-// fault plane armed these calls are the only place ErrProcFailed,
-// ErrRevoked, or ErrTimeout can surface; dropping the result turns a
-// detected rank failure back into a silent hang or wrong answer — the
-// exact bug class the recovery machinery exists to prevent.
+// whose result is silently discarded: a bare statement (or a blank
+// assignment) of Thread.Wait, Waitall, Waitany, Waitsome, Test or
+// Testall. With the fault plane armed these calls are the only place
+// ErrProcFailed, ErrRevoked, or ErrTimeout can surface; dropping the
+// result turns a detected rank failure back into a silent hang or wrong
+// answer — the exact bug class the recovery machinery exists to prevent.
+// Waitany, Waitsome and Testall return no error themselves, but under
+// MPI_ERRORS_RETURN their result is the only way to learn which
+// request's Err to read, and a dropped Testall result also loses the
+// requests still pending.
 //
 // Call sites that are legitimately fire-and-forget (benchmark inner loops
 // on fault-free worlds, fatal-error-handler code where errors panic
@@ -23,9 +27,9 @@ import (
 // Analyzer is the errdrop rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "errdrop",
-	Doc: "the Errcode result of Thread.Wait/Waitall/Test must be consumed; " +
-		"a discarded result swallows process-failure, revocation, and " +
-		"timeout errors",
+	Doc: "the result of Thread.Wait/Waitall/Waitany/Waitsome/Test/Testall " +
+		"must be consumed; a discarded result swallows process-failure, " +
+		"revocation, and timeout errors",
 	Applies: func(path string) bool {
 		return analysis.PathHasSegment(path, "internal")
 	},
@@ -35,9 +39,12 @@ var Analyzer = &analysis.Analyzer{
 // dropped names the completion methods whose result must be consumed,
 // with the reason shown in the diagnostic.
 var dropped = map[string]string{
-	"Wait":    "error",
-	"Waitall": "first error",
-	"Test":    "completion (and with it the request's error path)",
+	"Wait":     "error",
+	"Waitall":  "first error",
+	"Waitany":  "index of the request whose error to read",
+	"Waitsome": "indices of the requests whose errors to read",
+	"Test":     "completion (and with it the request's error path)",
+	"Testall":  "pending requests (dropping it leaks them)",
 }
 
 func run(pass *analysis.Pass) error {

@@ -1,6 +1,7 @@
 // Package a is golden-test input for the errdrop analyzer: discarded
-// results of Thread.Wait/Waitall/Test must be flagged; consumed results,
-// other receivers, and annotated sites must not.
+// results of Thread.Wait/Waitall/Waitany/Waitsome/Test/Testall must be
+// flagged; consumed results, other receivers, and annotated sites must
+// not.
 package a
 
 // Thread models the runtime's completion API shape.
@@ -15,8 +16,17 @@ func (th *Thread) Wait(r *Request) error { return nil }
 // Waitall blocks until every request completes.
 func (th *Thread) Waitall(rs []*Request) error { return nil }
 
+// Waitany blocks until one request completes and returns its index.
+func (th *Thread) Waitany(rs []*Request) int { return -1 }
+
+// Waitsome blocks until some requests complete and returns their indices.
+func (th *Thread) Waitsome(rs []*Request) []int { return nil }
+
 // Test polls once.
 func (th *Thread) Test(r *Request) bool { return false }
+
+// Testall polls once and returns the requests still pending.
+func (th *Thread) Testall(rs []*Request) []*Request { return rs }
 
 // Barrier is a non-Thread receiver with a same-named method.
 type Barrier struct{}
@@ -25,10 +35,14 @@ type Barrier struct{}
 func (b *Barrier) Wait(th *Thread) {}
 
 func drops(th *Thread, r *Request, rs []*Request) {
-	th.Wait(r)     // want `result of Thread.Wait discarded`
-	th.Waitall(rs) // want `result of Thread.Waitall discarded`
-	th.Test(r)     // want `result of Thread.Test discarded`
-	_ = th.Wait(r) // want `result of Thread.Wait discarded`
+	th.Wait(r)         // want `result of Thread.Wait discarded`
+	th.Waitall(rs)     // want `result of Thread.Waitall discarded`
+	th.Waitany(rs)     // want `result of Thread.Waitany discarded`
+	th.Waitsome(rs)    // want `result of Thread.Waitsome discarded`
+	th.Test(r)         // want `result of Thread.Test discarded`
+	th.Testall(rs)     // want `result of Thread.Testall discarded`
+	_ = th.Wait(r)     // want `result of Thread.Wait discarded`
+	_ = th.Testall(rs) // want `result of Thread.Testall discarded`
 }
 
 func consumes(th *Thread, r *Request, rs []*Request) error {
@@ -36,6 +50,14 @@ func consumes(th *Thread, r *Request, rs []*Request) error {
 		return err
 	}
 	for !th.Test(r) {
+	}
+	if i := th.Waitany(rs); i < 0 {
+		return nil
+	}
+	for len(th.Waitsome(rs)) > 0 {
+	}
+	for len(rs) > 0 {
+		rs = th.Testall(rs)
 	}
 	return th.Waitall(rs)
 }

@@ -73,7 +73,7 @@ func (e Errcode) String() string {
 	}
 }
 
-// Error is the error type surfaced by Wait/Test/Waitall: a code plus the
+// Error is the error type the completion calls surface: a code plus the
 // failed request's description.
 type Error struct {
 	Code Errcode
@@ -96,7 +96,7 @@ const (
 	// ErrorsAreFatal panics on the first request error (the MPI default).
 	ErrorsAreFatal
 	// ErrorsReturn surfaces errors as return values of Wait/Waitall and
-	// via Request.Err after Test.
+	// via Request.Err after Waitany, Waitsome, Test and Testall.
 	ErrorsReturn
 )
 

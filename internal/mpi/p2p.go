@@ -197,59 +197,6 @@ func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
 	return r
 }
 
-// Testall polls once and frees/report-counts the completed requests,
-// removing them from rs in place; it returns the still-pending remainder.
-// Each shard with work — a pending or completed request (shard 0 when
-// there is none) — is polled and reaped in one high-class hold, so every
-// request is freed under its own shard's section.
-func (th *Thread) Testall(rs []*Request) []*Request {
-	cost := th.cost()
-	var failed []*Request
-	shards := make(shardSet, len(th.P.vcis))
-	work := false
-	for _, r := range rs {
-		switch {
-		case r == nil || r.freed:
-			continue
-		case r.complete:
-			shards[reqShard(r)] = true
-		default:
-			shards.add(r)
-		}
-		work = true
-	}
-	if !work {
-		shards[0] = true
-	}
-	for v, on := range shards {
-		if !on {
-			continue
-		}
-		th.progressRound(v, simlock.High, func() {
-			for _, r := range rs {
-				if r == nil || !r.complete || r.freed || reqShard(r) != v {
-					continue
-				}
-				th.S.Sleep(cost.RequestFreeWork)
-				r.free()
-				if r.err != nil {
-					failed = append(failed, r)
-				}
-			}
-		})
-	}
-	out := rs[:0]
-	for _, r := range rs {
-		if !r.freed {
-			out = append(out, r)
-		}
-	}
-	for _, r := range failed {
-		_ = r.raise()
-	}
-	return out
-}
-
 // CancelRecv cancels a posted receive that has not matched, removing it
 // from the posted queue and releasing the request (MPI_Cancel semantics for
 // receives). It panics if the request already completed — the caller must
