@@ -414,9 +414,10 @@ func TestFailedRequestIsNotPooled(t *testing.T) {
 			p.outstanding++
 			bad.fail(ErrProcFailed, 0)
 			bad.free()
-			if err := bad.release(); err == nil {
-				t.Fatal("release must surface the failure")
+			if err := bad.raise(); err == nil {
+				t.Fatal("raise must surface the failure")
 			}
+			p.recycle(bad)
 			if sh.reqFree != nil {
 				t.Fatal("failed request was recycled into the pool")
 			}
@@ -426,9 +427,10 @@ func TestFailedRequestIsNotPooled(t *testing.T) {
 			p.outstanding++
 			good.markComplete(0)
 			good.free()
-			if err := good.release(); err != nil {
+			if err := good.raise(); err != nil {
 				t.Fatal(err)
 			}
+			p.recycle(good)
 			if sh.reqFree != good {
 				t.Fatal("healthy poolable request was not recycled into its shard's pool")
 			}

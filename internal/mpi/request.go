@@ -239,15 +239,6 @@ func (r *Request) free() {
 	}
 }
 
-// release runs the error handler for a freed request and, when the object
-// is provably dead, returns it to its shard's pool. The caller must not
-// touch r afterwards (standard MPI: a waited-on request is inactive).
-func (r *Request) release() error {
-	err := r.raise()
-	r.p.recycle(r)
-	return err
-}
-
 // envelope is an entry of the unexpected-message queue: a message (eager,
 // with buffered payload) or a rendezvous RTS that arrived before a matching
 // receive was posted.
