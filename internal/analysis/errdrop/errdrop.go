@@ -1,10 +1,12 @@
 // Package errdrop flags completion calls on the simulated MPI runtime
 // whose result is silently discarded: a bare statement (or a blank
 // assignment) of Thread.Wait, Waitall, Waitany, Waitsome, Test or
-// Testall. With the fault plane armed these calls are the only place
-// ErrProcFailed, ErrRevoked, or ErrTimeout can surface; dropping the
-// result turns a detected rank failure back into a silent hang or wrong
-// answer — the exact bug class the recovery machinery exists to prevent.
+// Testall, and a multi-value assignment that sends the error result of
+// one of them (Test's) to the blank identifier. With the fault plane
+// armed these calls are the only place ErrProcFailed, ErrRevoked, or
+// ErrTimeout can surface; dropping the result turns a detected rank
+// failure back into a silent hang or wrong answer — the exact bug class
+// the recovery machinery exists to prevent.
 // Waitany, Waitsome and Testall return no error themselves, but under
 // MPI_ERRORS_RETURN their result is the only way to learn which
 // request's Err to read, and a dropped Testall result also loses the
@@ -43,7 +45,7 @@ var dropped = map[string]string{
 	"Waitall":  "first error",
 	"Waitany":  "index of the request whose error to read",
 	"Waitsome": "indices of the requests whose errors to read",
-	"Test":     "completion (and with it the request's error path)",
+	"Test":     "completion flag and error",
 	"Testall":  "pending requests (dropping it leaks them)",
 }
 
@@ -62,6 +64,11 @@ func run(pass *analysis.Pass) error {
 				if len(st.Lhs) == 1 && len(st.Rhs) == 1 && isBlank(st.Lhs[0]) {
 					check(pass, st.Rhs[0])
 				}
+				// So is `done, _ := th.Test(r)`: the flag is kept, the
+				// error dropped.
+				if len(st.Lhs) > 1 && len(st.Rhs) == 1 {
+					checkErr(pass, st.Rhs[0], st.Lhs)
+				}
 			}
 			return true
 		})
@@ -72,24 +79,53 @@ func run(pass *analysis.Pass) error {
 // check reports expr if it is a completion call on a Thread whose result
 // the surrounding statement drops.
 func check(pass *analysis.Pass, expr ast.Expr) {
-	call, ok := expr.(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	what, ok := dropped[sel.Sel.Name]
-	if !ok {
-		return
-	}
-	if !isThread(pass.Info.Types[sel.X].Type) {
+	call, name, what := completion(pass, expr)
+	if call == nil {
 		return
 	}
 	pass.Reportf(call.Pos(),
 		"result of Thread.%s discarded — it carries the %s; consume it or annotate with //simcheck:allow errdrop <reason>",
-		sel.Sel.Name, what)
+		name, what)
+}
+
+// checkErr reports expr if it is a completion call on a Thread whose
+// error result the multi-value assignment to lhs sends to the blank
+// identifier.
+func checkErr(pass *analysis.Pass, expr ast.Expr, lhs []ast.Expr) {
+	call, name, _ := completion(pass, expr)
+	if call == nil {
+		return
+	}
+	tuple, ok := pass.Info.Types[call].Type.(*types.Tuple)
+	if !ok || tuple.Len() != len(lhs) {
+		return
+	}
+	errType := types.Universe.Lookup("error").Type()
+	for i := 0; i < tuple.Len(); i++ {
+		if isBlank(lhs[i]) && types.Identical(tuple.At(i).Type(), errType) {
+			pass.Reportf(call.Pos(),
+				"error of Thread.%s discarded; consume it or annotate with //simcheck:allow errdrop <reason>",
+				name)
+		}
+	}
+}
+
+// completion returns expr as a completion call on a Thread, with the
+// method name and what its result carries, or a nil call.
+func completion(pass *analysis.Pass, expr ast.Expr) (*ast.CallExpr, string, string) {
+	call, ok := expr.(*ast.CallExpr)
+	if !ok {
+		return nil, "", ""
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, "", ""
+	}
+	what, ok := dropped[sel.Sel.Name]
+	if !ok || !isThread(pass.Info.Types[sel.X].Type) {
+		return nil, "", ""
+	}
+	return call, sel.Sel.Name, what
 }
 
 // isThread reports whether t is the runtime's Thread type (possibly via a

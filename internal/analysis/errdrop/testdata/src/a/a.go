@@ -22,8 +22,8 @@ func (th *Thread) Waitany(rs []*Request) int { return -1 }
 // Waitsome blocks until some requests complete and returns their indices.
 func (th *Thread) Waitsome(rs []*Request) []int { return nil }
 
-// Test polls once.
-func (th *Thread) Test(r *Request) bool { return false }
+// Test polls once and reports completion and the request's error.
+func (th *Thread) Test(r *Request) (bool, error) { return false, nil }
 
 // Testall polls once and returns the requests still pending.
 func (th *Thread) Testall(rs []*Request) []*Request { return rs }
@@ -35,21 +35,36 @@ type Barrier struct{}
 func (b *Barrier) Wait(th *Thread) {}
 
 func drops(th *Thread, r *Request, rs []*Request) {
-	th.Wait(r)         // want `result of Thread.Wait discarded`
-	th.Waitall(rs)     // want `result of Thread.Waitall discarded`
-	th.Waitany(rs)     // want `result of Thread.Waitany discarded`
-	th.Waitsome(rs)    // want `result of Thread.Waitsome discarded`
-	th.Test(r)         // want `result of Thread.Test discarded`
-	th.Testall(rs)     // want `result of Thread.Testall discarded`
-	_ = th.Wait(r)     // want `result of Thread.Wait discarded`
-	_ = th.Testall(rs) // want `result of Thread.Testall discarded`
+	th.Wait(r)            // want `result of Thread.Wait discarded`
+	th.Waitall(rs)        // want `result of Thread.Waitall discarded`
+	th.Waitany(rs)        // want `result of Thread.Waitany discarded`
+	th.Waitsome(rs)       // want `result of Thread.Waitsome discarded`
+	th.Test(r)            // want `result of Thread.Test discarded`
+	th.Testall(rs)        // want `result of Thread.Testall discarded`
+	_ = th.Wait(r)        // want `result of Thread.Wait discarded`
+	_ = th.Testall(rs)    // want `result of Thread.Testall discarded`
+	done, _ := th.Test(r) // want `error of Thread.Test discarded`
+	_, _ = th.Test(r)     // want `error of Thread.Test discarded`
+	for !done {
+		done, _ = th.Test(r) // want `error of Thread.Test discarded`
+	}
 }
 
 func consumes(th *Thread, r *Request, rs []*Request) error {
 	if err := th.Wait(r); err != nil {
 		return err
 	}
-	for !th.Test(r) {
+	for {
+		done, err := th.Test(r)
+		if err != nil {
+			return err
+		}
+		if done {
+			break
+		}
+	}
+	if _, err := th.Test(r); err != nil {
+		return err
 	}
 	if i := th.Waitany(rs); i < 0 {
 		return nil
@@ -67,5 +82,7 @@ func otherReceiver(b *Barrier, th *Thread) {
 }
 
 func annotated(th *Thread, r *Request) {
-	th.Wait(r) //simcheck:allow errdrop benchmark loop on a fault-free world
+	th.Wait(r)            //simcheck:allow errdrop benchmark loop on a fault-free world
+	done, _ := th.Test(r) //simcheck:allow errdrop fatal handler: an error panics inside Test
+	_ = done
 }

@@ -59,7 +59,7 @@ const (
 	Revoke
 	// PartData carries an aggregated partitioned transfer: one packet
 	// covers a contiguous range of ready partitions of a Psend. The range
-	// bounds live in Meta; under the reliable transport each range is
+	// bounds live in Hdr; under the reliable transport each range is
 	// sequence-numbered independently, so a drop retransmits only its own
 	// partitions.
 	PartData
@@ -89,8 +89,12 @@ type Packet struct {
 	// Handle identifies the runtime object this packet belongs to
 	// (request pointer, window op id); opaque to the fabric.
 	Handle interface{}
-	// Meta carries protocol fields (tag, context, offsets); opaque to
-	// the fabric.
+	// Hdr carries the runtime's protocol fields (matching envelope,
+	// sizes, window placement, partition range); opaque to the fabric.
+	Hdr Header
+	// Meta carries the rare protocol state that is a pointer (a CTS's
+	// receive request) or too large for the header (a revocation's rank
+	// list); opaque to the fabric.
 	Meta interface{}
 	// Payload is the actual user data, if the caller transports any.
 	Payload interface{}
@@ -109,6 +113,26 @@ type Packet struct {
 
 	// next links the fabric's packet free list while the object is pooled.
 	next *Packet
+}
+
+// Header is the runtime's protocol header. It is a flat value with no
+// pointers, so filling one in allocates nothing; each packet kind uses
+// the fields it needs and leaves the rest zero.
+type Header struct {
+	// Rank, Tag and Ctx are the matching envelope: the sender's
+	// communicator-local rank (Packet.Src stays the world rank for
+	// routing), the tag and the communicator context.
+	Rank, Tag, Ctx int
+	// Size is the message size of an eager or RTS packet, or the bytes
+	// per partition of a PartData segment.
+	Size int64
+	// Win, Offset and Count place a one-sided operation: window id,
+	// element offset and element count.
+	Win           int
+	Offset, Count int64
+	// Lo and Hi bound the partition range a PartData segment covers;
+	// Parts is the partition count of its epoch.
+	Lo, Hi, Parts int
 }
 
 // Handler receives packets at their delivery time, in engine context.

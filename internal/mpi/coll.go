@@ -168,7 +168,7 @@ func (th *Thread) Alltoall(c *Comm, bytesEach int64, sendbuf []interface{}) []in
 	th.Waitall(rs) //simcheck:allow errdrop value collectives have no error path; the handler runs inside Waitall
 	for r := 0; r < c.size; r++ {
 		if r != me {
-			recv[r] = rreqs[r].Data()
+			recv[r] = th.P.consume(rreqs[r])
 		}
 	}
 	return recv

@@ -8,7 +8,8 @@ package mpi
 //
 // Deadline audit (see also the regression test in ft_test.go): collectives
 // are built entirely on the point-to-point issue paths, so armDeadline —
-// called from Isend/IrecvN — covers every collective round. A collective
+// called from Isend/IrecvN through Proc.issue — covers every collective
+// round. A collective
 // against a silent peer therefore times out with ErrTimeout per-request;
 // the gap this file closes is only the *propagation* of that error to the
 // collective's caller.

@@ -152,6 +152,7 @@ func (r *Request) raise() error {
 // e.g. operating on an already-freed request — through the same handler
 // resolution as raise.
 func (r *Request) raiseAs(code Errcode) error {
+	//simcheck:allow hotalloc error construction on an erroneous call (a freed request), not per message
 	err := &Error{Code: code, Detail: r.describe()}
 	if r.handlerFor() == ErrorsAreFatal {
 		panic(fmt.Sprintf("mpi: %v (set MPI_ERRORS_RETURN to handle)", err))

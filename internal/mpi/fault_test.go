@@ -434,7 +434,14 @@ func TestTestSetsErrOnFailedRequest(t *testing.T) {
 	var got error
 	w.Spawn(0, "poller", func(th *Thread) {
 		r := th.Irecv(c, 1, 9)
-		for !th.Test(r) {
+		for {
+			done, err := th.Test(r)
+			if done {
+				if err != r.Err() {
+					t.Errorf("Test returned %v, Request.Err %v", err, r.Err())
+				}
+				break
+			}
 			th.S.Sleep(10_000)
 		}
 		got = r.Err()

@@ -241,7 +241,6 @@ func (ft *ftProc) sweep(now sim.Time, match func(*Request) bool, code Errcode) {
 			r.fail(code, now)
 			continue
 		}
-		//simcheck:allow hotalloc in-place filter never grows; sweep runs once per failure event
 		kept = append(kept, r)
 	}
 	for i := len(kept); i < len(ft.live); i++ {
@@ -250,11 +249,22 @@ func (ft *ftProc) sweep(now sim.Time, match func(*Request) bool, code Errcode) {
 	ft.live = kept
 }
 
-// ftIssue registers a freshly issued request with the fault-tolerance
-// plane and fails it immediately — before any packet reaches the wire —
-// when its context is already revoked or its peer already declared dead
-// (the fail-fast issue path). Returns true when the request was failed.
-func (p *Proc) ftIssue(r *Request) bool {
+// issue counts a freshly issued request as outstanding and reports
+// whether it already failed, in which case nothing may reach the wire.
+// Only a run with a fault plane has more to do at issue (issueFaulty).
+func (p *Proc) issue(r *Request) bool {
+	p.outstanding++
+	//simcheck:allow hotalloc fault-plane runs only: the deadline timer and the live-request list are the reliable transport's cost
+	return p.rel != nil && p.issueFaulty(r)
+}
+
+// issueFaulty arms the request's deadline, registers it with the
+// fault-tolerance plane and fails it immediately — before any packet
+// reaches the wire — when its context is already revoked or its peer
+// already declared dead (the fail-fast issue path). Returns true when the
+// request was failed.
+func (p *Proc) issueFaulty(r *Request) bool {
+	p.armDeadline(r)
 	ft := p.ft
 	if ft == nil {
 		return false

@@ -43,6 +43,16 @@ func forEachVCI(t *testing.T, fn func(t *testing.T, opt func(*Config))) {
 	}
 }
 
+// testOK is Test for a request that must not fail: it reports completion
+// and fails the test on an error.
+func testOK(t *testing.T, th *Thread, r *Request) bool {
+	done, err := th.Test(r)
+	if err != nil {
+		t.Errorf("Test: %v", err)
+	}
+	return done
+}
+
 func TestEagerSendRecv(t *testing.T) {
 	w := testWorld(t, 2)
 	c := w.Comm()
@@ -270,14 +280,14 @@ func TestTestPolling(t *testing.T) {
 		polls, testallPolls := 0, 0
 		w.Spawn(1, "receiver", func(th *Thread) {
 			r := th.Irecv(c, 0, 0)
-			for !th.Test(r) {
+			for !testOK(t, th, r) {
 				polls++
 				th.S.Sleep(500)
 			}
 			// An AnyTag receive under a tag-hashed mapping is an unbound
 			// cross-shard wildcard until a message binds it.
 			wild := th.Irecv(c, 0, AnyTag)
-			for !th.Test(wild) {
+			for !testOK(t, th, wild) {
 				th.S.Sleep(500)
 			}
 			if wild.Data() != 1 {

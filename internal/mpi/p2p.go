@@ -8,6 +8,8 @@ import (
 // Isend starts a nonblocking send of a message with the given payload and
 // size to rank dst. Small messages go eagerly; large ones use rendezvous.
 // The main path runs inside the global critical section at high priority.
+//
+//simcheck:hotpath every send; the request and packet come from pools and the header is a value
 func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{}) *Request {
 	p := th.P
 	cost := th.cost()
@@ -21,21 +23,19 @@ func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{})
 		tag: tag, ctx: c.ctx, bytes: bytes, payload: payload,
 		comm: c, maxBytes: -1, poolable: p.rel == nil, vci: v,
 	}
-	p.outstanding++
-	p.armDeadline(r)
-	if p.ftIssue(r) {
+	if p.issue(r) {
 		// Revoked context or known-dead peer: the request failed at issue
 		// and nothing reaches the wire (fail-fast, ft.go).
 		th.mainEnd(v)
 		th.telCall("Isend", tel)
 		return r
 	}
-	meta := rtsMeta{src: c.rank(p.Rank), tag: tag, ctx: c.ctx, bytes: bytes}
+	hdr := fabric.Header{Rank: c.rank(p.Rank), Tag: tag, Ctx: c.ctx, Size: bytes}
 	if bytes <= cost.EagerThreshold {
 		pkt := p.w.Fab.AllocPacket()
 		*pkt = fabric.Packet{
 			Kind: fabric.Eager, Src: p.Rank, Dst: worldDst,
-			Bytes: bytes, Handle: r, Meta: meta, Payload: payload,
+			Bytes: bytes, Handle: r, Hdr: hdr, Payload: payload,
 			VCI: v,
 		}
 		p.sendShard(th, pkt, true, r)
@@ -43,7 +43,7 @@ func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{})
 		r.rndv = true
 		pkt := p.w.Fab.AllocPacket()
 		*pkt = fabric.Packet{
-			Kind: fabric.RTS, Src: p.Rank, Dst: worldDst, Handle: r, Meta: meta,
+			Kind: fabric.RTS, Src: p.Rank, Dst: worldDst, Handle: r, Hdr: hdr,
 			VCI: v,
 		}
 		p.sendShard(th, pkt, false, r)
@@ -64,6 +64,8 @@ func (th *Thread) Irecv(c *Comm, src, tag int) *Request {
 // than maxBytes fails the request with MPI_ERR_TRUNCATE (the transfer still
 // drains, like MPICH's truncating receive, so the sender is not wedged).
 // maxBytes < 0 means unbounded.
+//
+//simcheck:hotpath every receive post; requests and envelopes come from the shard's pools
 func (th *Thread) IrecvN(c *Comm, src, tag int, maxBytes int64) *Request {
 	p := th.P
 	if p.vciWildcard(tag) {
@@ -71,58 +73,65 @@ func (th *Thread) IrecvN(c *Comm, src, tag int, maxBytes int64) *Request {
 		// the deterministic cross-VCI wildcard path.
 		return th.irecvWild(c, src, tag, maxBytes)
 	}
-	cost := th.cost()
 	v := p.selectVCI(c, tag)
 	tel := th.telStart()
 	th.mainBegin(v)
 	r := p.allocReq(v)
 	*r = Request{p: p, kind: RecvReq, src: src, tag: tag, ctx: c.ctx,
 		comm: c, maxBytes: maxBytes, vci: v}
-	p.outstanding++
-	p.armDeadline(r)
-	if p.ftIssue(r) {
+	if p.issue(r) {
 		th.mainEnd(v)
 		th.telCall("Irecv", tel)
 		return r
 	}
 	if e := p.matchUnexpectedShard(th, v, src, tag, c.ctx); e != nil {
-		th.S.Sleep(cost.UnexpectedMatchOverhead)
-		r.bytes = e.bytes
-		truncated := maxBytes >= 0 && e.bytes > maxBytes
-		if e.rndv {
-			// Late match of a rendezvous RTS: clear the sender to send.
-			// On truncation the CTS still goes out so the sender drains
-			// and completes; the guarded RData handler drops the payload.
-			if truncated {
-				r.fail(ErrTruncate, th.S.Now())
-			}
-			pkt := p.w.Fab.AllocPacket()
-			*pkt = fabric.Packet{
-				Kind: fabric.CTS, Src: p.Rank, Dst: e.src,
-				Handle: e.senderReq, Meta: ctsMeta{recvReq: r},
-				VCI: e.vci,
-			}
-			p.sendShard(th, pkt, false, nil)
-		} else if truncated {
-			r.fail(ErrTruncate, th.S.Now())
-		} else {
-			th.S.Sleep(cost.CopyTime(e.bytes)) // unexpected buffer -> user buffer
-			r.payload = e.payload
-			r.markComplete(th.S.Now())
-		}
+		p.recvUnexpected(th, r, e)
 	} else {
-		p.vcis[v].posted = append(p.vcis[v].posted, r)
+		p.vcis[v].post(r)
 	}
 	th.mainEnd(v)
 	th.telCall("Irecv", tel)
 	return r
 }
 
+// recvUnexpected completes the receive r from the unexpected envelope e it
+// matched, which is already out of its queue, and returns e to its
+// shard's pool.
+func (p *Proc) recvUnexpected(th *Thread, r *Request, e *envelope) {
+	cost := th.cost()
+	th.S.Sleep(cost.UnexpectedMatchOverhead)
+	r.bytes = e.bytes
+	truncated := r.maxBytes >= 0 && e.bytes > r.maxBytes
+	if e.rndv {
+		// Late match of a rendezvous RTS: clear the sender to send.
+		// On truncation the CTS still goes out so the sender drains
+		// and completes; the guarded RData handler drops the payload.
+		if truncated {
+			r.fail(ErrTruncate, th.S.Now())
+		}
+		pkt := p.w.Fab.AllocPacket()
+		*pkt = fabric.Packet{
+			Kind: fabric.CTS, Src: p.Rank, Dst: e.src,
+			Handle: e.senderReq, Meta: ctsMeta{recvReq: r},
+			VCI: e.vci,
+		}
+		p.sendShard(th, pkt, false, nil)
+	} else if truncated {
+		r.fail(ErrTruncate, th.S.Now())
+	} else {
+		th.S.Sleep(cost.CopyTime(e.bytes)) // unexpected buffer -> user buffer
+		r.payload = e.payload
+		r.markComplete(th.S.Now())
+	}
+	p.vcis[e.vci].freeEnvelope(e)
+}
+
 // irecvWild posts a cross-VCI wildcard receive: the request is posted on
 // every shard's queue under all shard locks (ascending order), after a
 // deterministic earliest-arrival scan of every shard's unexpected queue.
-// The request object comes from shard 0's pool and — receives are never
-// recycled — provably outlives its tombstone copies on unmatched shards.
+// The request object comes from shard 0's pool and is never recycled
+// (Request.poolable), so it provably outlives its tombstone copies on
+// unmatched shards.
 func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
 	p := th.P
 	cost := th.cost()
@@ -131,9 +140,7 @@ func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
 	r := p.allocReq(0)
 	*r = Request{p: p, kind: RecvReq, src: src, tag: tag, ctx: c.ctx,
 		comm: c, maxBytes: maxBytes, vci: -1, wild: true}
-	p.outstanding++
-	p.armDeadline(r)
-	if p.ftIssue(r) {
+	if p.issue(r) {
 		th.wildEnd()
 		th.telCall("Irecv", tel)
 		return r
@@ -163,33 +170,13 @@ func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
 			p.w.tel.Unexpected(th.S.Now() - e.arrivedAt)
 		}
 		r.vci = bestShard
-		th.S.Sleep(cost.UnexpectedMatchOverhead)
-		r.bytes = e.bytes
-		truncated := maxBytes >= 0 && e.bytes > maxBytes
-		if e.rndv {
-			if truncated {
-				r.fail(ErrTruncate, th.S.Now())
-			}
-			pkt := p.w.Fab.AllocPacket()
-			*pkt = fabric.Packet{
-				Kind: fabric.CTS, Src: p.Rank, Dst: e.src,
-				Handle: e.senderReq, Meta: ctsMeta{recvReq: r},
-				VCI: e.vci,
-			}
-			p.sendShard(th, pkt, false, nil)
-		} else if truncated {
-			r.fail(ErrTruncate, th.S.Now())
-		} else {
-			th.S.Sleep(cost.CopyTime(e.bytes))
-			r.payload = e.payload
-			r.markComplete(th.S.Now())
-		}
+		p.recvUnexpected(th, r, e)
 	} else {
 		// No arrival yet: cross-post to every shard so whichever shard the
 		// message lands on can match it; the other copies become
 		// tombstones once bound.
 		for _, sh := range p.vcis {
-			sh.posted = append(sh.posted, r)
+			sh.post(r)
 		}
 	}
 	th.wildEnd()
@@ -242,11 +229,14 @@ func (th *Thread) Send(c *Comm, dst, tag int, bytes int64, payload interface{}) 
 	th.Wait(th.Isend(c, dst, tag, bytes, payload)) //simcheck:allow errdrop blocking Send has no error result; the handler runs inside Wait
 }
 
-// Recv is a blocking receive (Irecv + Wait); it returns the payload.
+// Recv is a blocking receive (Irecv + Wait); it returns the payload. The
+// request never leaves the runtime, so its object goes back to the pool.
+//
+//simcheck:hotpath blocking receive: issue, wait and recycle allocate nothing once the pools are warm
 func (th *Thread) Recv(c *Comm, src, tag int) interface{} {
 	r := th.Irecv(c, src, tag)
 	th.Wait(r) //simcheck:allow errdrop blocking Recv has no error result; the handler runs inside Wait
-	return r.payload
+	return th.P.consume(r)
 }
 
 // Sendrecv concurrently sends to dst and receives from src, blocking until
@@ -256,5 +246,18 @@ func (th *Thread) Sendrecv(c *Comm, dst, dtag int, bytes int64, payload interfac
 	rr := th.Irecv(c, src, stag)
 	sr := th.Isend(c, dst, dtag, bytes, payload)
 	th.Waitall([]*Request{sr, rr}) //simcheck:allow errdrop blocking Sendrecv has no error result; the handler runs inside Waitall
-	return rr.payload
+	return th.P.consume(rr)
+}
+
+// consume reads the payload of a receive the runtime issued and waited on
+// itself (Recv, Sendrecv, Alltoall) and returns the freed object to its
+// shard's pool. The wait engine frees a receive before its owner reads
+// what it delivered, so such a receive becomes poolable only here, after
+// the read. The exclusions of Request.poolable still hold: reliable mode,
+// cross-VCI wildcards and errored requests stay out of the pool.
+func (p *Proc) consume(r *Request) interface{} {
+	data := r.payload
+	r.poolable = p.rel == nil && !r.wild
+	p.recycle(r)
+	return data
 }

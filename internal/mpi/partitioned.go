@@ -102,17 +102,6 @@ func (b *partBitmap) setRange(lo, hi int) (already, trigger bool) {
 // full reports whether every partition is set.
 func (b *partBitmap) full() bool { return b.ready == b.n }
 
-// partMeta is the protocol header of a PartData segment: enough for the
-// receiver to match the transfer and place the partition range.
-type partMeta struct {
-	src      int // sender's comm-local rank
-	tag      int
-	ctx      int
-	parts    int   // partitions of the whole epoch
-	bytesPer int64 // bytes per partition
-	lo, hi   int   // partition range this segment covers
-}
-
 // penvelope is an entry of the partitioned unexpected queue: partition
 // ranges of one epoch that arrived before the matching Precv was started.
 // sealed marks a fully-arrived epoch awaiting adoption.
@@ -224,7 +213,6 @@ func (pr *Prequest) describe() string {
 // raiseCode surfaces a partitioned-usage error (no inner request involved)
 // through the same handler resolution as Request.raise.
 func (pr *Prequest) raiseCode(code Errcode) error {
-	//simcheck:allow hotalloc error construction runs once per erroneous call, not per message
 	err := &Error{Code: code, Detail: pr.describe()}
 	h := pr.comm.errhandler
 	if h == ErrhandlerInherit {
@@ -313,9 +301,7 @@ func (th *Thread) Pstart(pr *Prequest) {
 	}
 	pr.r = r
 	pr.epochs++
-	p.outstanding++
-	p.armDeadline(r)
-	if p.ftIssue(r) {
+	if p.issue(r) {
 		// Revoked context or known-dead peer: the epoch failed at issue
 		// (fail-fast, ft.go); Parrived and the Wait family surface it.
 		th.mainEnd(v)
@@ -466,9 +452,9 @@ func (th *Thread) partTrigger(pr *Prequest) {
 		*pkt = fabric.Packet{
 			Kind: fabric.PartData, Src: p.Rank, Dst: r.dst,
 			Bytes: pr.bytesPer * int64(hi-lo), Handle: r,
-			Meta: partMeta{
-				src: pr.comm.rank(p.Rank), tag: pr.tag, ctx: pr.comm.ctx,
-				parts: pr.parts, bytesPer: pr.bytesPer, lo: lo, hi: hi,
+			Hdr: fabric.Header{
+				Rank: pr.comm.rank(p.Rank), Tag: pr.tag, Ctx: pr.comm.ctx,
+				Parts: pr.parts, Size: pr.bytesPer, Lo: lo, Hi: hi,
 			},
 			Payload: pr.payload, VCI: v,
 		}
@@ -524,32 +510,32 @@ func (th *Thread) Pwait(pr *Prequest) error {
 // queue. The last range of an epoch completes the inner request, waking
 // waiters through the normal completion machinery.
 func (p *Proc) handlePartData(pkt *fabric.Packet) {
-	m := pkt.Meta.(partMeta)
+	m := &pkt.Hdr
 	now := p.w.Eng.Now()
 	sh := p.vcis[pkt.VCI]
 	for i, r := range sh.pposted {
-		if r.ctx != m.ctx || r.tag != m.tag {
+		if r.ctx != m.Ctx || r.tag != m.Tag {
 			continue
 		}
-		if r.src != AnySource && r.src != m.src {
+		if r.src != AnySource && r.src != m.Rank {
 			continue
 		}
 		pr := r.part
-		if pr.parts != m.parts || pr.bytesPer != m.bytesPer {
+		if pr.parts != m.Parts || pr.bytesPer != m.Size {
 			// Shape mismatch: fail the receive; the epoch cannot land.
 			sh.pposted = append(sh.pposted[:i], sh.pposted[i+1:]...)
 			r.fail(ErrTruncate, now)
 			return
 		}
-		if pr.arrived.overlaps(m.lo, m.hi) {
+		if pr.arrived.overlaps(m.Lo, m.Hi) {
 			// A concurrent same-channel epoch (two live Psends on one
 			// (comm, tag, src)): this segment belongs to a later epoch.
 			continue
 		}
 		pr.payload = pkt.Payload
 		r.payload = pkt.Payload
-		r.bytes = m.bytesPer * int64(m.parts)
-		if _, full := pr.arrived.setRange(m.lo, m.hi); full {
+		r.bytes = m.Size * int64(m.Parts)
+		if _, full := pr.arrived.setRange(m.Lo, m.Hi); full {
 			sh.pposted = append(sh.pposted[:i], sh.pposted[i+1:]...)
 			r.markComplete(now)
 		}
@@ -558,21 +544,21 @@ func (p *Proc) handlePartData(pkt *fabric.Packet) {
 	// No started Precv yet: accumulate in the partitioned unexpected
 	// queue, one envelope per epoch (per-flow FIFO keeps epochs ordered).
 	for _, e := range sh.punexp {
-		if e.ctx != m.ctx || e.src != m.src || e.tag != m.tag ||
-			e.parts != m.parts || e.bytesPer != m.bytesPer ||
-			e.sealed || e.arrived.overlaps(m.lo, m.hi) {
+		if e.ctx != m.Ctx || e.src != m.Rank || e.tag != m.Tag ||
+			e.parts != m.Parts || e.bytesPer != m.Size ||
+			e.sealed || e.arrived.overlaps(m.Lo, m.Hi) {
 			continue
 		}
 		e.payload = pkt.Payload
-		if _, full := e.arrived.setRange(m.lo, m.hi); full {
+		if _, full := e.arrived.setRange(m.Lo, m.Hi); full {
 			e.sealed = true
 		}
 		return
 	}
-	e := &penvelope{src: m.src, tag: m.tag, ctx: m.ctx,
-		parts: m.parts, bytesPer: m.bytesPer, payload: pkt.Payload}
-	e.arrived.reset(m.parts)
-	if _, full := e.arrived.setRange(m.lo, m.hi); full {
+	e := &penvelope{src: m.Rank, tag: m.Tag, ctx: m.Ctx,
+		parts: m.Parts, bytesPer: m.Size, payload: pkt.Payload}
+	e.arrived.reset(m.Parts)
+	if _, full := e.arrived.setRange(m.Lo, m.Hi); full {
 		e.sealed = true
 	}
 	sh.punexp = append(sh.punexp, e)

@@ -6,14 +6,6 @@ import (
 	"mpicontend/internal/fabric"
 )
 
-// rtsMeta travels with eager and RTS packets. src is the communicator-
-// local source rank (matching is per communicator); the fabric packet's
-// Src stays the world rank for routing.
-type rtsMeta struct {
-	src, tag, ctx int
-	bytes         int64
-}
-
 // ctsMeta travels with a CTS packet (points back at the receive request the
 // payload should land in).
 type ctsMeta struct {
@@ -86,7 +78,8 @@ func (p *Proc) handlePacket(th *Thread, pkt *fabric.Packet) {
 		}
 
 	case fabric.Eager:
-		if r := p.matchPostedShard(th, pkt.VCI, pkt.Meta.(rtsMeta)); r != nil {
+		h := &pkt.Hdr
+		if r := p.matchPostedShard(th, pkt.VCI, h.Rank, h.Tag, h.Ctx); r != nil {
 			if r.maxBytes >= 0 && pkt.Bytes > r.maxBytes {
 				r.fail(ErrTruncate, now)
 				p.PostedHits++
@@ -99,21 +92,19 @@ func (p *Proc) handlePacket(th *Thread, pkt *fabric.Packet) {
 		} else {
 			// Buffer into the unexpected queue (allocate + temp copy).
 			th.S.Sleep(cost.UnexpectedOverhead + cost.CopyTime(pkt.Bytes))
-			m := pkt.Meta.(rtsMeta)
-			//simcheck:allow hotalloc unexpected-queue state the paper measures; its cost is modeled as UnexpectedOverhead
-			p.vcis[pkt.VCI].unexp = append(p.vcis[pkt.VCI].unexp, &envelope{
-				src: m.src, tag: m.tag, ctx: m.ctx,
+			p.vcis[pkt.VCI].queueUnexpected(envelope{
+				src: h.Rank, tag: h.Tag, ctx: h.Ctx,
 				bytes: pkt.Bytes, payload: pkt.Payload,
 				arrivedAt: th.S.Now(), vci: pkt.VCI,
 			})
 		}
 
 	case fabric.RTS:
-		m := pkt.Meta.(rtsMeta)
-		if r := p.matchPostedShard(th, pkt.VCI, m); r != nil {
+		h := &pkt.Hdr
+		if r := p.matchPostedShard(th, pkt.VCI, h.Rank, h.Tag, h.Ctx); r != nil {
 			p.PostedHits++
-			r.bytes = m.bytes
-			if r.maxBytes >= 0 && m.bytes > r.maxBytes {
+			r.bytes = h.Size
+			if r.maxBytes >= 0 && h.Size > r.maxBytes {
 				// Truncation: fail the receive but still clear the sender
 				// to send so it drains; the RData handler drops the
 				// payload of a completed request.
@@ -127,10 +118,9 @@ func (p *Proc) handlePacket(th *Thread, pkt *fabric.Packet) {
 			}
 			p.sendShard(th, cts, false, nil)
 		} else {
-			//simcheck:allow hotalloc unexpected-queue state the paper measures; its cost is modeled as UnexpectedOverhead
-			p.vcis[pkt.VCI].unexp = append(p.vcis[pkt.VCI].unexp, &envelope{
-				src: m.src, tag: m.tag, ctx: m.ctx,
-				bytes: m.bytes, rndv: true,
+			p.vcis[pkt.VCI].queueUnexpected(envelope{
+				src: h.Rank, tag: h.Tag, ctx: h.Ctx,
+				bytes: h.Size, rndv: true,
 				senderReq: pkt.Handle.(*Request), arrivedAt: now,
 				vci: pkt.VCI,
 			})
@@ -201,7 +191,7 @@ func (p *Proc) revokeFrom(m revokeMeta, now int64) {
 // wildcard satisfied on another shard — or cancelled — is a tombstone and
 // is pruned for free during the scan; a live wildcard that matches is
 // bound to this shard (its copies elsewhere become tombstones).
-func (p *Proc) matchPostedShard(th *Thread, v int, m rtsMeta) *Request {
+func (p *Proc) matchPostedShard(th *Thread, v int, src, tag, ctx int) *Request {
 	cost := th.cost()
 	sh := p.vcis[v]
 	scanned := 0
@@ -212,7 +202,7 @@ func (p *Proc) matchPostedShard(th *Thread, v int, m rtsMeta) *Request {
 			continue
 		}
 		scanned++
-		if matchesRecv(r, m.src, m.tag, m.ctx) {
+		if matchesRecv(r, src, tag, ctx) {
 			// Dequeue before charging time: the scan+remove is one
 			// atomic operation even in the lock-free granularity.
 			sh.posted = append(sh.posted[:i], sh.posted[i+1:]...)

@@ -157,7 +157,6 @@ func (r *Request) OnComplete(th *Thread, fn func(r *Request, err error)) {
 func (r *Request) fire(at sim.Time) {
 	fn := r.onComplete
 	r.onComplete = nil
-	//simcheck:allow hotalloc continuation dispatch; callback work is the registrant's and is modeled by the registrant
 	fn(r, r.Err())
 	r.free()
 	r.p.recycle(r)
@@ -277,7 +276,8 @@ func (th *Thread) ensureCQ() *CompletionQueue {
 // state section per involved shard), then drain exactly that many
 // completion events. The progress daemons free each request at delivery,
 // so the drain loop takes no locks at all — the per-request progress-loop
-// re-acquisitions of the polling shape disappear entirely.
+// re-acquisitions of the polling shape disappear entirely. The drain
+// recycles what it takes under the pool rule of every other Waitall.
 func (th *Thread) waitallCont(w *waiter) error {
 	if w.n == 0 {
 		return nil
@@ -311,6 +311,11 @@ func (th *Thread) waitallCont(w *waiter) error {
 				firstErr = err
 			}
 		}
+		// Waitall consumes its requests, so a provably dead one goes
+		// back to its shard's pool here, on the drain side: the
+		// completing context cannot tell this queue from a user's, whose
+		// drained objects must stay readable.
+		r.p.recycle(r)
 	}
 	th.telCall("Waitall", tel)
 	return firstErr

@@ -62,11 +62,15 @@ type Request struct {
 	// deadline is the armed per-request timeout (reliable mode only).
 	deadline sim.Timer
 
-	// poolable marks requests whose object provably dies at release time
-	// (fault-free sends and RMA put/accumulate: nothing reads them after
-	// the error handler ran). Receives and gets are excluded because
-	// callers read Data() after waiting; reliable-mode requests because
-	// retransmit state may still reference them.
+	// poolable marks requests whose object provably dies at release time,
+	// so it may go back to its shard's pool (errored requests never do):
+	// fault-free sends and RMA put/accumulate, set at issue, since nothing
+	// reads them after the error handler ran; and the receives the runtime
+	// consumes itself (Recv, Sendrecv, Alltoall), set by consume once the
+	// payload is read. User receives and gets are excluded because callers
+	// read Data() after waiting; reliable-mode requests because retransmit
+	// state may still reference them; cross-VCI wildcard receives because
+	// their tombstone copies outlive them.
 	poolable bool
 	// nextFree links the shard's request free list while pooled.
 	nextFree *Request
@@ -149,7 +153,6 @@ func (r *Request) markComplete(at sim.Time) {
 		if r.cq != nil {
 			r.deliverCQ(at)
 		} else if r.onComplete != nil {
-			//simcheck:allow hotalloc continuation dispatch escapes the receiver; fires once per completed request
 			r.fire(at)
 		}
 		r.p.activity.WakeAll(at)
@@ -158,8 +161,10 @@ func (r *Request) markComplete(at sim.Time) {
 
 // deliverCQ hands the completed request to its completion queue: the
 // runtime frees it here, in the completing context, and the drain side
-// only reads payload and error afterwards. CQ-delivered requests are
-// never recycled — the drained object stays readable.
+// only reads payload and error afterwards. Delivery never recycles: a
+// user's CompletionQueue hands the drained object out readable, and only
+// continuation-mode Waitall, which consumes its requests, pools them on
+// its drain side (waitallCont).
 func (r *Request) deliverCQ(at sim.Time) {
 	q := r.cq
 	r.cq = nil
@@ -250,6 +255,9 @@ type envelope struct {
 	senderReq     *Request // rendezvous: origin request to CTS back to
 	arrivedAt     sim.Time
 	vci           int // shard the message arrived on (0 on a one-shard proc)
+
+	// nextFree links the shard's envelope free list while pooled.
+	nextFree *envelope
 }
 
 // matches reports whether the envelope satisfies a receive for (src, tag,

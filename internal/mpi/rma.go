@@ -17,13 +17,6 @@ type Win struct {
 	elemSize int64
 }
 
-// rmaMeta travels with one-sided packets.
-type rmaMeta struct {
-	winID  int
-	offset int64
-	count  int64
-}
-
 // NewWin creates a window of count float64 elements on every rank.
 func (w *World) NewWin(count int64) *Win {
 	win := &Win{w: w, id: len(w.wins), elemSize: 8}
@@ -50,10 +43,8 @@ func (th *Thread) rmaOp(kind fabric.PacketKind, win *Win, target int,
 		// Gets are excluded from pooling: callers read Data() after the
 		// wait that freed the request.
 		poolable: p.rel == nil && kind != fabric.RMAGet}
-	p.outstanding++
 	win.pending++
-	p.armDeadline(r)
-	if p.ftIssue(r) {
+	if p.issue(r) {
 		th.mainEnd(0)
 		th.telCall(kind.String(), tel)
 		return r
@@ -67,7 +58,7 @@ func (th *Thread) rmaOp(kind fabric.PacketKind, win *Win, target int,
 	pkt := p.w.Fab.AllocPacket()
 	*pkt = fabric.Packet{
 		Kind: kind, Src: p.Rank, Dst: target, Bytes: bytes,
-		Handle: r, Meta: rmaMeta{winID: win.id, offset: offset, count: count},
+		Handle: r, Hdr: fabric.Header{Win: win.id, Offset: offset, Count: count},
 		Payload: data,
 	}
 	p.send(pkt, false, r)
@@ -108,22 +99,22 @@ func (p *Proc) handleRMA(th *Thread, pkt *fabric.Packet) {
 	now := th.S.Now()
 	switch pkt.Kind {
 	case fabric.RMAPut:
-		m := pkt.Meta.(rmaMeta)
-		win := p.w.wins[m.winID]
+		m := &pkt.Hdr
+		win := p.w.wins[m.Win]
 		vals := pkt.Payload.([]float64)
 		th.S.Sleep(cost.CopyTime(pkt.Bytes))
-		copy(win.buffers[p.Rank][m.offset:], vals)
+		copy(win.buffers[p.Rank][m.Offset:], vals)
 		ack := p.w.Fab.AllocPacket()
 		*ack = fabric.Packet{Kind: fabric.RMAAck, Src: p.Rank,
 			Dst: pkt.Src, Handle: pkt.Handle}
 		p.send(ack, false, nil)
 
 	case fabric.RMAAcc:
-		m := pkt.Meta.(rmaMeta)
-		win := p.w.wins[m.winID]
+		m := &pkt.Hdr
+		win := p.w.wins[m.Win]
 		vals := pkt.Payload.([]float64)
 		th.S.Sleep(cost.AccumulateTime(pkt.Bytes))
-		dst := win.buffers[p.Rank][m.offset:]
+		dst := win.buffers[p.Rank][m.Offset:]
 		for i, v := range vals {
 			dst[i] += v
 		}
@@ -133,15 +124,15 @@ func (p *Proc) handleRMA(th *Thread, pkt *fabric.Packet) {
 		p.send(ack, false, nil)
 
 	case fabric.RMAGet:
-		m := pkt.Meta.(rmaMeta)
-		win := p.w.wins[m.winID]
-		th.S.Sleep(cost.CopyTime(m.count * win.elemSize))
+		m := &pkt.Hdr
+		win := p.w.wins[m.Win]
+		th.S.Sleep(cost.CopyTime(m.Count * win.elemSize))
 		//simcheck:allow hotalloc payload buffer handed to the user; its copy cost is modeled above
-		vals := make([]float64, m.count)
-		copy(vals, win.buffers[p.Rank][m.offset:])
+		vals := make([]float64, m.Count)
+		copy(vals, win.buffers[p.Rank][m.Offset:])
 		reply := p.w.Fab.AllocPacket()
 		*reply = fabric.Packet{Kind: fabric.RMAGetReply, Src: p.Rank,
-			Dst: pkt.Src, Bytes: m.count * win.elemSize,
+			Dst: pkt.Src, Bytes: m.Count * win.elemSize,
 			Handle: pkt.Handle, Payload: vals}
 		p.send(reply, false, nil)
 

@@ -221,8 +221,7 @@ func (rs *relState) resend(rec *txRecord) {
 		// Partition-granularity recovery: each segment is its own
 		// sequence-numbered unit, so only this range's partitions go out
 		// again — count them for the retransmit-locality assertion.
-		m := rec.pkt.Meta.(partMeta)
-		rs.PartRetransmits += int64(m.hi - m.lo)
+		rs.PartRetransmits += int64(rec.pkt.Hdr.Hi - rec.pkt.Hdr.Lo)
 	}
 	clone := *rec.pkt
 	rs.p.ep.Send(&clone, false)

@@ -48,6 +48,9 @@ type vciShard struct {
 	// Request.poolable); every request is drawn from and recycled into
 	// the pool of the shard it lives on.
 	reqFree *Request
+	// envFree pools unexpected-queue envelopes: a receive that matches an
+	// envelope copies what it needs and hands the object back here.
+	envFree *envelope
 }
 
 // pktQueue is a shard's network completion queue: a FIFO of packets that
@@ -104,6 +107,7 @@ func (p *Proc) allocReq(v int) *Request {
 		*r = Request{}
 		return r
 	}
+	//simcheck:allow hotalloc pool-miss slow path: a shard allocates only while its live requests outnumber every earlier peak
 	return new(Request)
 }
 
@@ -117,6 +121,39 @@ func (p *Proc) recycle(r *Request) {
 	sh := p.vcis[r.vci]
 	r.nextFree = sh.reqFree
 	sh.reqFree = r
+}
+
+// post appends a receive to the shard's posted queue.
+func (sh *vciShard) post(r *Request) {
+	//simcheck:allow hotalloc queue growth only while the posted backlog outgrows every earlier one; the queue keeps its array
+	sh.posted = append(sh.posted, r)
+}
+
+// queueUnexpected appends an arrival that matched no posted receive to
+// the shard's unexpected queue, in an envelope from the shard's pool.
+func (sh *vciShard) queueUnexpected(e envelope) {
+	//simcheck:allow hotalloc envelope pool misses and queue growth: both happen only while the backlog outgrows every earlier one
+	sh.unexp = append(sh.unexp, sh.newEnvelope(e))
+}
+
+// newEnvelope returns a pooled envelope object holding e.
+func (sh *vciShard) newEnvelope(e envelope) *envelope {
+	q := sh.envFree
+	if q == nil {
+		q = new(envelope)
+	} else {
+		sh.envFree = q.nextFree
+	}
+	*q = e
+	return q
+}
+
+// freeEnvelope returns a matched envelope, already out of the queue, to
+// the shard's pool. The object is cleared, so a reused envelope carries no
+// stale payload or sender request.
+func (sh *vciShard) freeEnvelope(e *envelope) {
+	*e = envelope{nextFree: sh.envFree}
+	sh.envFree = e
 }
 
 // cqEmpty reports whether every shard's completion queue is empty (the

@@ -78,6 +78,19 @@ func (th *Thread) waitBegin(mode waitMode, rs []*Request) *waiter {
 	return w
 }
 
+// waitBeginOne resets the thread's waiter for Wait or Test on r, which
+// the caller has checked is active.
+func (th *Thread) waitBeginOne(r *Request) *waiter {
+	w := &th.wait
+	if cap(w.list) < 2 {
+		w.grow(1)
+	}
+	w.mode, w.err, w.n = waitOne, nil, 1
+	w.list = w.list[:1]
+	w.list[0] = waitEntry{0, r}
+	return w
+}
+
 // grow gives list room for n requests and sweepDone's peek of them.
 func (w *waiter) grow(n int) {
 	if 2*n <= len(w.one) {
@@ -311,7 +324,7 @@ func (th *Thread) Wait(r *Request) error {
 	if r.freed {
 		return r.raiseAs(ErrRequest)
 	}
-	w := th.waitBegin(waitOne, []*Request{r})
+	w := th.waitBeginOne(r)
 	th.waitRun(w, "Wait")
 	return w.err
 }
@@ -363,26 +376,28 @@ func (th *Thread) Waitsome(rs []*Request) []int {
 }
 
 // Test polls the runtime once and reports whether the request completed;
-// if so, the request is freed. Test is one high-class sweep of the wait
-// engine without its loop, so under the priority lock it always runs at
-// high priority — the paper's explanation for priority ≈ ticket in the
-// Graph500/stencil runs. A failed request raises through the error
-// handler; under MPI_ERRORS_RETURN the caller reads r.Err(). A nil
+// if so, the request is freed. Like MPI_Test it returns a flag and an
+// error: the request's error, once a failed request completes, after the
+// error handler ran (MPI_ERRORS_ARE_FATAL, the default, panics instead).
+// Test is one high-class sweep of the wait engine without its loop, so
+// under the priority lock it always runs at high priority — the paper's
+// explanation for priority ≈ ticket in the Graph500/stencil runs. A nil
 // request (MPI_REQUEST_NULL) reports true at once. Testing a freed
-// request is MPI_ERR_REQUEST; under MPI_ERRORS_RETURN it reports true,
-// since an inactive request has nothing left to complete.
-func (th *Thread) Test(r *Request) bool {
+// request is MPI_ERR_REQUEST; under MPI_ERRORS_RETURN it reports true
+// with that error, since an inactive request has nothing left to
+// complete.
+func (th *Thread) Test(r *Request) (bool, error) {
 	if r == nil {
-		return true
+		return true, nil
 	}
 	if r.freed {
-		_ = r.raiseAs(ErrRequest)
-		return true
+		return true, r.raiseAs(ErrRequest)
 	}
 	tel := th.telStart()
-	done := th.waitSweep(th.waitBegin(waitOne, []*Request{r}), simlock.High)
+	w := th.waitBeginOne(r)
+	done := th.waitSweep(w, simlock.High)
 	th.telCall("Test", tel)
-	return done
+	return done, w.err
 }
 
 // Testall polls once, frees the completed requests and returns the still

@@ -130,9 +130,9 @@ func TestWaitUndefined(t *testing.T) {
 
 // completionCall is one of the six completion calls. reap drives it until
 // it has reaped r, or calls it once when r is inactive (nil or already
-// freed), and returns the error the call reports: the return value of Wait and Waitall, and
-// Request.Err for the other four, whose results only say which request
-// finished. active says whether r is expected to be reaped, so the call
+// freed), and returns the error the call reports: the return value of
+// Wait, Waitall and Test, and Request.Err for the other three, whose
+// results only say which request finished. active says whether r is expected to be reaped, so the call
 // can check its own result (an index, a list, a flag).
 type completionCall struct {
 	name string
@@ -175,10 +175,13 @@ var completionCalls = []completionCall{
 		return errOf(r)
 	}},
 	{"Test", func(t *testing.T, th *Thread, r *Request, active bool) error {
-		for !th.Test(r) {
+		for {
+			done, err := th.Test(r)
+			if done {
+				return err
+			}
 			th.S.Sleep(500)
 		}
-		return errOf(r)
 	}},
 	{"Testall", func(t *testing.T, th *Thread, r *Request, active bool) error {
 		for rs := th.Testall([]*Request{r}); len(rs) > 0; rs = th.Testall(rs) {
@@ -260,24 +263,22 @@ func completionCell(t *testing.T, opt func(*Config), h Errhandler, mode Progress
 		}
 	})
 	err := w.Run()
-	// The error the cell must raise, if any, and whether the call can
-	// report it under MPI_ERRORS_RETURN (Test's result is only a flag).
+	// The error the cell must raise, if any.
 	var want Errcode
-	reported := true
 	switch {
 	case cell == "truncated":
 		want = ErrTruncate
 	case cell == "freed" && (call.name == "Wait" || call.name == "Test"):
-		want, reported = ErrRequest, call.name == "Wait"
+		want = ErrRequest
 	}
 	if want == ErrSuccess || h == ErrorsReturn {
 		if err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		if want != ErrSuccess && reported && !isCode(got, want) {
+		if want != ErrSuccess && !isCode(got, want) {
 			t.Fatalf("%s reported %v, want %v", call.name, got, want)
 		}
-		if (want == ErrSuccess || !reported) && got != nil {
+		if want == ErrSuccess && got != nil {
 			t.Fatalf("%s reported %v, want no error", call.name, got)
 		}
 		return
@@ -302,19 +303,17 @@ func pooled(r *Request) bool {
 }
 
 // TestCompletionRecycles: a fault-free send reaped by Wait, Waitall, Test
-// or Testall goes back to its shard's pool, so the next Isend on that
+// or Testall goes back to its shard's pool in every progress mode
+// (continuation-mode Waitall on its drain side), so the next Isend on that
 // shard reuses the object. Waitany and Waitsome never pool what they take:
-// the caller's list still names it (TestWaitanyKeepsList). A receive and a
-// failed send are never pooled, and the failed send's error stays
+// the caller's list still names it (TestWaitanyKeepsList). A user receive
+// and a failed send are never pooled, and the failed send's error stays
 // readable.
 func TestCompletionRecycles(t *testing.T) {
 	for _, mode := range progressModes {
 		for _, call := range completionCalls {
 			mode, call := mode, call
 			t.Run(mode.String()+"/"+call.name, func(t *testing.T) {
-				if mode == ProgressContinuation && call.name == "Waitall" {
-					t.Skip("continuation-mode Waitall delivers through a completion queue and does not recycle yet (CHANGES.md, FOUND)")
-				}
 				forEachVCI(t, func(t *testing.T, opt func(*Config)) {
 					w := testWorld(t, 2, opt, withProgress(mode), func(c *Config) { c.MaxEvents = 200_000 })
 					w.SetErrhandler(ErrorsReturn)
