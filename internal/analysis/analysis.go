@@ -25,6 +25,11 @@
 //
 // suppresses the rule for the whole file, for files that are legitimately
 // outside the simulation discipline (real-threads benchmark harnesses).
+//
+// A directive that suppresses nothing is itself a finding: after RunAll,
+// every directive for a rule that ran but covered no diagnostic and no
+// call-graph edge is reported at its own line as stale, so dead
+// directives cannot pile up unseen.
 package analysis
 
 import (
@@ -77,10 +82,18 @@ type Pass struct {
 	allows *AllowIndex
 }
 
+// directive is one parsed allow directive.
+type directive struct {
+	pos  token.Position // the comment's own position
+	rule string
+	used bool // it suppressed a diagnostic or a call-graph edge
+}
+
 // fileAllows holds the parsed allow directives of one file.
 type fileAllows struct {
-	fileWide map[string]bool
-	byLine   map[int]map[string]bool
+	list     []*directive
+	fileWide map[string][]*directive
+	byLine   map[int]map[string][]*directive
 }
 
 // allowPrefix introduces line-scoped directives; allowFilePrefix file-wide
@@ -94,7 +107,7 @@ const (
 // (no rule, or rule without a reason) are ignored so the underlying
 // diagnostic still fires and prompts a real justification.
 func parseAllows(fset *token.FileSet, f *ast.File) *fileAllows {
-	fa := &fileAllows{fileWide: map[string]bool{}, byLine: map[int]map[string]bool{}}
+	fa := &fileAllows{fileWide: map[string][]*directive{}, byLine: map[int]map[string][]*directive{}}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := c.Text
@@ -113,17 +126,17 @@ func parseAllows(fset *token.FileSet, f *ast.File) *fileAllows {
 			if len(fields) < 2 {
 				continue // rule without a reason: not a valid suppression
 			}
-			rule := fields[0]
+			d := &directive{pos: fset.Position(c.Pos()), rule: fields[0]}
+			fa.list = append(fa.list, d)
 			if fileWide {
-				fa.fileWide[rule] = true
+				fa.fileWide[d.rule] = append(fa.fileWide[d.rule], d)
 				continue
 			}
-			line := fset.Position(c.Pos()).Line
-			for _, l := range []int{line, line + 1} {
+			for _, l := range []int{d.pos.Line, d.pos.Line + 1} {
 				if fa.byLine[l] == nil {
-					fa.byLine[l] = map[string]bool{}
+					fa.byLine[l] = map[string][]*directive{}
 				}
-				fa.byLine[l][rule] = true
+				fa.byLine[l][d.rule] = append(fa.byLine[l][d.rule], d)
 			}
 		}
 	}
@@ -143,26 +156,57 @@ func NewAllowIndex(fset *token.FileSet) *AllowIndex {
 	return &AllowIndex{fset: fset, cache: map[*ast.File]*fileAllows{}}
 }
 
+// file returns the parsed directives of f.
+func (ai *AllowIndex) file(f *ast.File) *fileAllows {
+	fa := ai.cache[f]
+	if fa == nil {
+		fa = parseAllows(ai.fset, f)
+		ai.cache[f] = fa
+	}
+	return fa
+}
+
 // Allowed reports whether an allow directive for rule (or "all") covers
-// pos in one of files.
+// pos in one of files, and marks every such directive used.
 func (ai *AllowIndex) Allowed(files []*ast.File, pos token.Pos, rule string) bool {
 	position := ai.fset.Position(pos)
+	allowed := false
 	for _, f := range files {
 		if ai.fset.Position(f.Pos()).Filename != position.Filename {
 			continue
 		}
-		fa := ai.cache[f]
-		if fa == nil {
-			fa = parseAllows(ai.fset, f)
-			ai.cache[f] = fa
-		}
+		fa := ai.file(f)
 		for _, r := range []string{rule, "all"} {
-			if fa.fileWide[r] || fa.byLine[position.Line][r] {
-				return true
+			for _, ds := range [][]*directive{fa.fileWide[r], fa.byLine[position.Line][r]} {
+				for _, d := range ds {
+					d.used = true
+					allowed = true
+				}
 			}
 		}
 	}
-	return false
+	return allowed
+}
+
+// stale returns a diagnostic for every directive in pkgs' files whose rule
+// is in ran but that suppressed nothing. Each file belongs to one package,
+// so each directive is seen once.
+func (ai *AllowIndex) stale(pkgs []*Package, ran map[string]bool) []Diagnostic {
+	var diags []Diagnostic
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range ai.file(f).list {
+				if ran[d.rule] && !d.used {
+					diags = append(diags, Diagnostic{
+						Pos:     d.pos,
+						Rule:    d.rule,
+						Message: fmt.Sprintf("stale allow directive: it suppresses no %s finding", d.rule),
+					})
+				}
+			}
+		}
+	}
+	return diags
 }
 
 // allowed reports whether a diagnostic of this pass's rule at pos is
@@ -213,7 +257,8 @@ func BuildGraph(pkgs []*Package) *callgraph.Graph {
 // returns the diagnostics sorted by position. Interprocedural analyzers
 // are expected to report only at positions inside the pass's own package,
 // so diagnostics stay deduplicated and allow directives apply where the
-// code is.
+// code is. Allow directives for a rule that ran but suppressed nothing
+// are reported as stale.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	if len(pkgs) == 0 {
@@ -221,11 +266,13 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	}
 	graph := BuildGraph(pkgs)
 	allows := NewAllowIndex(pkgs[0].Fset)
+	ran := map[string]bool{}
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Applies != nil && !a.Applies(pkg.Path) {
 				continue
 			}
+			ran[a.Name], ran["all"] = true, true
 			pass := &Pass{
 				Analyzer: a,
 				Fset:     pkg.Fset,
@@ -242,6 +289,7 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			}
 		}
 	}
+	diags = append(diags, allows.stale(pkgs, ran)...)
 	SortDiagnostics(diags)
 	return diags, nil
 }

@@ -155,6 +155,12 @@ func parseWants(dir string) ([]*expectation, error) {
 				continue
 			}
 			text := strings.TrimPrefix(lit, "//")
+			// A comment that holds something else first, such as an
+			// allow directive expected to be stale, carries its
+			// expectation after a second "// want".
+			if i := strings.Index(text, "// want "); i >= 0 {
+				text = text[i+len("// "):]
+			}
 			text = strings.TrimSpace(text)
 			rest, ok := strings.CutPrefix(text, "want ")
 			if !ok {

@@ -1,8 +1,9 @@
 // Package errdrop flags completion calls on the simulated MPI runtime
 // whose result is silently discarded: a bare statement (or a blank
 // assignment) of Thread.Wait, Waitall, Waitany, Waitsome, Test or
-// Testall, and a multi-value assignment that sends the error result of
-// one of them (Test's) to the blank identifier. With the fault plane
+// Testall, or of the partitioned Pready, PreadyRange, Parrived and Pwait,
+// and a multi-value assignment that sends the error result of one of
+// them (Test's, Parrived's) to the blank identifier. With the fault plane
 // armed these calls are the only place ErrProcFailed, ErrRevoked, or
 // ErrTimeout can surface; dropping the result turns a detected rank
 // failure back into a silent hang or wrong answer — the exact bug class
@@ -30,6 +31,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "errdrop",
 	Doc: "the result of Thread.Wait/Waitall/Waitany/Waitsome/Test/Testall " +
+		"and of the partitioned Pready/PreadyRange/Parrived/Pwait " +
 		"must be consumed; a discarded result swallows process-failure, " +
 		"revocation, and timeout errors",
 	Applies: func(path string) bool {
@@ -47,6 +49,11 @@ var dropped = map[string]string{
 	"Waitsome": "indices of the requests whose errors to read",
 	"Test":     "completion flag and error",
 	"Testall":  "pending requests (dropping it leaks them)",
+
+	"Pready":      "error",
+	"PreadyRange": "error",
+	"Parrived":    "arrival flag and error",
+	"Pwait":       "error",
 }
 
 func run(pass *analysis.Pass) error {

@@ -35,9 +35,12 @@ func Init(w *mpi.World, elems int64) *Runtime {
 // hand back).
 func (rt *Runtime) Local(rank int) []float64 { return rt.win.Buffer(rank) }
 
-// Handle tracks a nonblocking ARMCI operation.
+// Handle tracks a nonblocking ARMCI operation. Its request is nil
+// (MPI_REQUEST_NULL) once Wait, Test or Fence consumed it.
 type Handle struct {
 	req *mpi.Request
+	// data is a get's receive slot: the fetched []float64 lands here.
+	data interface{}
 }
 
 // check validates a transfer against the window bounds.
@@ -60,7 +63,9 @@ func (rt *Runtime) NbPut(th *mpi.Thread, target int, offset int64, vals []float6
 // NbGet starts a nonblocking contiguous get of n elements from target.
 func (rt *Runtime) NbGet(th *mpi.Thread, target int, offset, n int64) *Handle {
 	rt.check(target, offset, n)
-	return &Handle{req: th.Get(rt.win, target, offset, n)}
+	h := &Handle{}
+	h.req = th.Get(rt.win, target, offset, n, &h.data)
+	return h
 }
 
 // NbAcc starts a nonblocking accumulate (MPI_SUM) of vals into target.
@@ -73,10 +78,9 @@ func (rt *Runtime) NbAcc(th *mpi.Thread, target int, offset int64, vals []float6
 // data; for puts/accumulates it returns nil.
 func (rt *Runtime) Wait(th *mpi.Thread, h *Handle) []float64 {
 	th.Wait(h.req) //simcheck:allow errdrop ARMCI_Wait returns void; errors surface through the fatal handler
-	if d, ok := h.req.Data().([]float64); ok {
-		return d
-	}
-	return nil
+	h.req = nil
+	d, _ := h.data.([]float64)
+	return d
 }
 
 // Test polls a nonblocking operation; like Wait it yields get data on
@@ -86,10 +90,9 @@ func (rt *Runtime) Test(th *mpi.Thread, h *Handle) ([]float64, bool) {
 	if !done {
 		return nil, false
 	}
-	if d, ok := h.req.Data().([]float64); ok {
-		return d, true
-	}
-	return nil, true
+	h.req = nil
+	d, _ := h.data.([]float64)
+	return d, true
 }
 
 // Put is the blocking contiguous put: it returns once the transfer is
@@ -115,8 +118,9 @@ func (rt *Runtime) Acc(th *mpi.Thread, target int, offset int64, vals []float64)
 func (rt *Runtime) Fence(th *mpi.Thread, hs []*Handle) {
 	rs := make([]*mpi.Request, 0, len(hs))
 	for _, h := range hs {
-		if h != nil && !h.req.Freed() {
+		if h != nil && h.req != nil {
 			rs = append(rs, h.req)
+			h.req = nil
 		}
 	}
 	th.Flush(rt.win, rs)

@@ -74,7 +74,13 @@ func TestNonblockingFence(t *testing.T) {
 		for tgt := 1; tgt < 4; tgt++ {
 			hs = append(hs, rt.NbPut(th, tgt, 0, []float64{float64(tgt)}))
 		}
-		rt.Fence(th, hs)
+		// A handle Wait already consumed: Fence must skip it, since its
+		// recycled request now serves the next operation.
+		waited := rt.NbPut(th, 1, 1, []float64{7})
+		rt.Wait(th, waited)
+		later := rt.NbPut(th, 2, 1, []float64{8})
+		rt.Fence(th, append(hs, waited))
+		rt.Wait(th, later)
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)

@@ -103,6 +103,8 @@ type procState struct {
 	scanned      int64
 	sentMsgs     []int64 // per peer, messages sent this level
 	pendingSends []*mpi.Request
+	dataSlots    []interface{} // per thread, its data receive's slot
+	ctrlSlots    []interface{} // per control receive of a level
 	recvdMsgs    int64
 	expectedMsgs int64
 	ctrlDone     bool
@@ -158,13 +160,15 @@ func Run(p Params) (Result, error) {
 	for r := 0; r < p.Procs; r++ {
 		g := BuildLocalCSR(edges, part, r)
 		states[r] = &procState{
-			rank:     r,
-			g:        g,
-			part:     part,
-			visited:  make([]bool, g.Rows),
-			parent:   make([]int64, g.Rows),
-			sentMsgs: make([]int64, p.Procs),
-			barrier:  &sim.Barrier{N: p.Threads, Release: 200},
+			rank:      r,
+			g:         g,
+			part:      part,
+			visited:   make([]bool, g.Rows),
+			parent:    make([]int64, g.Rows),
+			sentMsgs:  make([]int64, p.Procs),
+			dataSlots: make([]interface{}, p.Threads),
+			ctrlSlots: make([]interface{}, p.Procs-1),
+			barrier:   &sim.Barrier{N: p.Threads, Release: 200},
 		}
 		states[r].reset()
 	}
@@ -257,7 +261,8 @@ func bfsThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int, root
 	for level := 0; ; level++ {
 		dataTag := 2 * level
 		ctrlTag := 2*level + 1
-		myRecv := th.Irecv(c, mpi.AnySource, dataTag)
+		slot := &st.dataSlots[t]
+		myRecv := th.IrecvN(c, mpi.AnySource, dataTag, -1, slot)
 
 		// Scan this thread's share of the frontier. Strided assignment
 		// balances R-MAT's skewed degrees better than contiguous chunks.
@@ -281,12 +286,13 @@ func bfsThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int, root
 		}
 		testRecv := func() {
 			if done, _ := th.Test(myRecv); done { //simcheck:allow errdrop the BFS runs under MPI_ERRORS_ARE_FATAL; an error panics inside Test
-				pairs := myRecv.Data().([]int64)
+				pairs := (*slot).([]int64)
+				*slot = nil
 				for i := 0; i+1 < len(pairs); i += 2 {
 					st.claim(pairs[i], pairs[i+1])
 				}
 				st.recvdMsgs++
-				myRecv = th.Irecv(c, mpi.AnySource, dataTag)
+				myRecv = th.IrecvN(c, mpi.AnySource, dataTag, -1, slot)
 			}
 		}
 		steps := 0
@@ -331,7 +337,7 @@ func bfsThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int, root
 			ctrlRecvs := make([]*mpi.Request, 0, p.Procs-1)
 			for j := 0; j < p.Procs; j++ {
 				if j != rank {
-					ctrlRecvs = append(ctrlRecvs, th.Irecv(c, j, ctrlTag))
+					ctrlRecvs = append(ctrlRecvs, th.IrecvN(c, j, ctrlTag, -1, &st.ctrlSlots[len(ctrlRecvs)]))
 					ctrlSends = append(ctrlSends, th.Isend(c, j, ctrlTag, 8, st.sentMsgs[j]))
 					st.sentMsgs[j] = 0
 				}
@@ -341,11 +347,12 @@ func bfsThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int, root
 			for len(pendingSends) > 0 || len(ctrlSends) > 0 || counted < len(ctrlRecvs) {
 				pendingSends = th.Testall(pendingSends)
 				ctrlSends = th.Testall(ctrlSends)
-				for _, r := range ctrlRecvs {
-					if r.Complete() && !r.Freed() {
+				for i, r := range ctrlRecvs {
+					if r != nil && r.Complete() {
 						// Consume via Test so the request is freed.
 						if done, _ := th.Test(r); done { //simcheck:allow errdrop the BFS runs under MPI_ERRORS_ARE_FATAL; an error panics inside Test
-							st.expectedMsgs += r.Data().(int64)
+							st.expectedMsgs += st.ctrlSlots[i].(int64)
+							ctrlRecvs[i] = nil // MPI_REQUEST_NULL: Test consumed it
 							counted++
 						}
 					}

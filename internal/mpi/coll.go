@@ -153,24 +153,17 @@ func (th *Thread) Alltoall(c *Comm, bytesEach int64, sendbuf []interface{}) []in
 	recv := make([]interface{}, c.size)
 	recv[me] = sendbuf[me]
 	var rs []*Request
-	rreqs := make([]*Request, c.size)
 	for r := 0; r < c.size; r++ {
 		if r == me {
 			continue
 		}
-		rreqs[r] = th.Irecv(cc, r, 6000+r)
-		rs = append(rs, rreqs[r])
+		rs = append(rs, th.IrecvN(cc, r, 6000+r, -1, &recv[r]))
 	}
 	for i := 1; i < c.size; i++ {
 		dst := (me + i) % c.size
 		rs = append(rs, th.Isend(cc, dst, 6000+me, bytesEach, sendbuf[dst]))
 	}
 	th.Waitall(rs) //simcheck:allow errdrop value collectives have no error path; the handler runs inside Waitall
-	for r := 0; r < c.size; r++ {
-		if r != me {
-			recv[r] = th.P.consume(rreqs[r])
-		}
-	}
 	return recv
 }
 

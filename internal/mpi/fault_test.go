@@ -118,9 +118,9 @@ func TestResilientRMAUnderDrop(t *testing.T) {
 	w.Spawn(0, "origin", func(th *Thread) {
 		r1 := th.Put(win, 1, 0, []float64{1, 2, 3})
 		th.Wait(r1)
-		r2 := th.Get(win, 1, 0, 3)
-		th.Wait(r2)
-		got := r2.Data().([]float64)
+		var data interface{}
+		th.Wait(th.Get(win, 1, 0, 3, &data))
+		got := data.([]float64)
 		if got[0] != 1 || got[1] != 2 || got[2] != 3 {
 			t.Errorf("rma roundtrip corrupted: %v", got)
 		}
@@ -249,7 +249,7 @@ func TestIrecvNTruncationPostedPath(t *testing.T) {
 	c := w.Comm()
 	var waitErr error
 	w.Spawn(1, "receiver", func(th *Thread) {
-		r := th.IrecvN(c, 0, 7, 16) // buffer smaller than the message
+		r := th.IrecvN(c, 0, 7, 16, nil) // buffer smaller than the message
 		waitErr = th.Wait(r)
 	})
 	w.Spawn(0, "sender", func(th *Thread) {
@@ -278,7 +278,7 @@ func TestIrecvNTruncationUnexpectedPath(t *testing.T) {
 	})
 	w.Spawn(1, "receiver", func(th *Thread) {
 		th.S.Sleep(200_000) // let the message land in the unexpected queue
-		r := th.IrecvN(c, 0, 7, 16)
+		r := th.IrecvN(c, 0, 7, 16, nil)
 		waitErr = th.Wait(r)
 	})
 	if err := w.Run(); err != nil {
@@ -305,7 +305,7 @@ func TestIrecvNTruncatedRendezvousDrainsSender(t *testing.T) {
 		sendErr = th.Wait(th.Isend(c, 1, 1, big, "bulk"))
 	})
 	w.Spawn(1, "receiver", func(th *Thread) {
-		recvErr = th.Wait(th.IrecvN(c, 0, 1, 16))
+		recvErr = th.Wait(th.IrecvN(c, 0, 1, 16, nil))
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)

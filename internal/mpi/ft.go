@@ -249,11 +249,13 @@ func (ft *ftProc) sweep(now sim.Time, match func(*Request) bool, code Errcode) {
 	ft.live = kept
 }
 
-// issue counts a freshly issued request as outstanding and reports
+// issue counts a freshly issued request as outstanding, decides whether
+// its object may be pooled once consumed (Request.poolable), and reports
 // whether it already failed, in which case nothing may reach the wire.
 // Only a run with a fault plane has more to do at issue (issueFaulty).
 func (p *Proc) issue(r *Request) bool {
 	p.outstanding++
+	r.poolable = p.rel == nil && !r.wild && r.part == nil
 	//simcheck:allow hotalloc fault-plane runs only: the deadline timer and the live-request list are the reliable transport's cost
 	return p.rel != nil && p.issueFaulty(r)
 }
@@ -296,7 +298,6 @@ func (p *Proc) issueFaulty(r *Request) bool {
 // causes) is deterministic.
 func (rs *relState) failPeer(rank int, now sim.Time) {
 	var keys []txKey
-	//simcheck:allow maporder filtered collect-then-sort: keys are sorted by seq before any observable effect
 	for k := range rs.tx {
 		if k.dst == rank {
 			keys = append(keys, k)

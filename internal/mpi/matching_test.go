@@ -89,17 +89,18 @@ func TestMatchingSemanticsProperty(t *testing.T) {
 		w.Spawn(recvRank, "receiver", func(th *Thread) {
 			var rs []*Request
 			var ss []spec
-			for _, sp := range specs {
+			bufs := make([]interface{}, len(specs))
+			for i, sp := range specs {
 				th.S.Sleep(int64(rng.Intn(500)))
-				rs = append(rs, th.Irecv(c, sp.src, sp.tag))
+				rs = append(rs, th.IrecvN(c, sp.src, sp.tag, -1, &bufs[i]))
 				ss = append(ss, sp)
 			}
 			th.Waitall(rs)
-			for i, r := range rs {
+			for i := range rs {
 				got = append(got, struct {
 					spec spec
 					m    msg
-				}{ss[i], r.Data().(msg)})
+				}{ss[i], bufs[i].(msg)})
 			}
 		})
 		if err := w.Run(); err != nil {
@@ -184,14 +185,13 @@ func TestPartitionedChannelDisjoint(t *testing.T) {
 	})
 	w.Spawn(1, "receiver", func(th *Thread) {
 		// Regular receives post before the aggregate can land...
-		r1 := th.Irecv(c, 0, tag)
-		r2 := th.Irecv(c, 0, tag)
+		r1 := th.IrecvN(c, 0, tag, -1, &eagerGot)
+		r2 := th.IrecvN(c, 0, tag, -1, &rndvGot)
 		// ...and the Precv starts only after both regular sends are
 		// underway: neither may capture the other's traffic.
 		pr := th.PrecvInit(c, 0, tag, parts, 64)
 		th.Pstart(pr)
 		th.Waitall([]*Request{r1, r2})
-		eagerGot, rndvGot = r1.Data(), r2.Data()
 		if err := th.Pwait(pr); err != nil {
 			t.Errorf("Pwait(recv): %v", err)
 		}

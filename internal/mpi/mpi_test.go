@@ -158,11 +158,10 @@ func TestTagAndSourceMatching(t *testing.T) {
 	})
 	w.Spawn(1, "receiver", func(th *Thread) {
 		// Post in reverse tag order: matching must respect tags.
-		r6 := th.Irecv(c, 0, 6)
-		r5 := th.Irecv(c, 0, 5)
+		r6 := th.IrecvN(c, 0, 6, -1, &first)
+		r5 := th.IrecvN(c, 0, 5, -1, &second)
 		th.Wait(r6)
 		th.Wait(r5)
-		first, second = r6.Data(), r5.Data()
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
@@ -239,13 +238,14 @@ func TestWaitallWindow(t *testing.T) {
 		received := 0
 		w.Spawn(1, "receiver", func(th *Thread) {
 			var rs []*Request
+			bufs := make([]interface{}, window)
 			for i := 0; i < window; i++ {
-				rs = append(rs, th.Irecv(c, 0, i%4))
+				rs = append(rs, th.IrecvN(c, 0, i%4, -1, &bufs[i]))
 			}
 			th.Waitall(rs)
-			for i, r := range rs {
-				if r.Data() != i {
-					t.Errorf("receive %d got %v", i, r.Data())
+			for i, got := range bufs {
+				if got != i {
+					t.Errorf("receive %d got %v", i, got)
 				}
 			}
 			received = window
@@ -286,16 +286,18 @@ func TestTestPolling(t *testing.T) {
 			}
 			// An AnyTag receive under a tag-hashed mapping is an unbound
 			// cross-shard wildcard until a message binds it.
-			wild := th.Irecv(c, 0, AnyTag)
+			var got interface{}
+			wild := th.IrecvN(c, 0, AnyTag, -1, &got)
 			for !testOK(t, th, wild) {
 				th.S.Sleep(500)
 			}
-			if wild.Data() != 1 {
-				t.Errorf("wildcard Test got %v, want the first message (1)", wild.Data())
+			if got != 1 {
+				t.Errorf("wildcard Test got %v, want the first message (1)", got)
 			}
 			var rs []*Request
+			bufs := make([]interface{}, 3)
 			for tag := 2; tag <= 4; tag++ {
-				rs = append(rs, th.Irecv(c, 0, tag))
+				rs = append(rs, th.IrecvN(c, 0, tag, -1, &bufs[tag-2]))
 			}
 			all := append([]*Request(nil), rs...)
 			for len(rs) > 0 {
@@ -303,9 +305,11 @@ func TestTestPolling(t *testing.T) {
 				testallPolls++
 				th.S.Sleep(500)
 			}
+			// Testall consumed every request it dropped from the list:
+			// each went back to its shard's pool.
 			for i, r := range all {
-				if !r.Freed() || r.Data() != i+2 {
-					t.Errorf("Testall request %d: freed=%v data=%v", i, r.Freed(), r.Data())
+				if !pooled(r) || bufs[i] != i+2 {
+					t.Errorf("Testall request %d: pooled=%v data=%v", i, pooled(r), bufs[i])
 				}
 			}
 		})
@@ -507,9 +511,10 @@ func TestRMAPutGet(t *testing.T) {
 	w.Spawn(0, "origin", func(th *Thread) {
 		pr := th.Put(win, 1, 10, vals)
 		th.Flush(win, []*Request{pr})
-		gr := th.Get(win, 1, 10, 4)
+		var data interface{}
+		gr := th.Get(win, 1, 10, 4, &data)
 		th.Flush(win, []*Request{gr})
-		got := gr.Data().([]float64)
+		got := data.([]float64)
 		for i, v := range got {
 			if v != vals[i] {
 				t.Errorf("get[%d] = %v", i, v)
@@ -737,8 +742,9 @@ func TestWaitany(t *testing.T) {
 			th.Send(c, 1, 5, 8, "fast") // only tag 5 is ever sent
 		})
 		w.Spawn(1, "r", func(th *Thread) {
+			var got interface{}
 			slow := th.Irecv(c, 0, 9)
-			fast := th.Irecv(c, 0, 5)
+			fast := th.IrecvN(c, 0, 5, -1, &got)
 			// Posted after fast, so the tag-5 message matches fast; the
 			// wildcard stays unmatched (and, under a tag-hashed mapping,
 			// unbound and cross-posted on every shard).
@@ -747,8 +753,8 @@ func TestWaitany(t *testing.T) {
 			if idx != 1 {
 				t.Errorf("Waitany picked %d", idx)
 			}
-			if fast.Data() != "fast" {
-				t.Errorf("payload %v", fast.Data())
+			if got != "fast" {
+				t.Errorf("payload %v", got)
 			}
 			th.CancelRecv(slow)
 			th.CancelRecv(wild)
@@ -772,7 +778,8 @@ func TestWaitsome(t *testing.T) {
 			}
 		})
 		w.Spawn(1, "r", func(th *Thread) {
-			rs := []*Request{th.Irecv(c, 0, 0), th.Irecv(c, 0, 1), th.Irecv(c, 0, 2)}
+			bufs := make([]interface{}, 3)
+			rs := []*Request{th.IrecvN(c, 0, 0, -1, &bufs[0]), th.IrecvN(c, 0, 1, -1, &bufs[1]), th.IrecvN(c, 0, 2, -1, &bufs[2])}
 			got := map[int]bool{}
 			for len(got) < 3 {
 				for _, i := range th.Waitsome(rs) {
@@ -780,8 +787,8 @@ func TestWaitsome(t *testing.T) {
 						t.Errorf("Waitsome returned index %d twice", i)
 					}
 					got[i] = true
-					if rs[i].Data() != i {
-						t.Errorf("request %d got %v", i, rs[i].Data())
+					if bufs[i] != i {
+						t.Errorf("request %d got %v", i, bufs[i])
 					}
 				}
 			}

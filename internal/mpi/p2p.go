@@ -21,7 +21,7 @@ func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{})
 	*r = Request{
 		p: p, kind: SendReq, dst: worldDst, src: p.Rank,
 		tag: tag, ctx: c.ctx, bytes: bytes, payload: payload,
-		comm: c, maxBytes: -1, poolable: p.rel == nil, vci: v,
+		comm: c, maxBytes: -1, vci: v,
 	}
 	if p.issue(r) {
 		// Revoked context or known-dead peer: the request failed at issue
@@ -53,32 +53,37 @@ func (th *Thread) Isend(c *Comm, dst, tag int, bytes int64, payload interface{})
 	return r
 }
 
-// Irecv posts a nonblocking receive for (src, tag) on the communicator.
+// Irecv posts a nonblocking receive for (src, tag) on the communicator
+// whose payload the caller does not want: IrecvN(c, src, tag, -1, nil).
 // If a matching message already sits in the unexpected queue it is consumed
 // immediately (the Fig. 3b "found in unexpected queue" transition).
 func (th *Thread) Irecv(c *Comm, src, tag int) *Request {
-	return th.IrecvN(c, src, tag, -1)
+	return th.IrecvN(c, src, tag, -1, nil)
 }
 
-// IrecvN is Irecv with a receive-buffer bound: a matching message larger
-// than maxBytes fails the request with MPI_ERR_TRUNCATE (the transfer still
-// drains, like MPICH's truncating receive, so the sender is not wedged).
-// maxBytes < 0 means unbounded.
+// IrecvN posts a receive with a receive buffer: a successful completion
+// writes the payload to *buf (nil means the payload is not wanted), as
+// MPI fills the buffer given at post time; a truncated or failed receive
+// leaves *buf untouched. The request is dead once a wait or a successful
+// test consumed it, and its object goes back to the pool. A matching
+// message larger than maxBytes fails the request with MPI_ERR_TRUNCATE
+// (the transfer still drains, like MPICH's truncating receive, so the
+// sender is not wedged). maxBytes < 0 means unbounded.
 //
 //simcheck:hotpath every receive post; requests and envelopes come from the shard's pools
-func (th *Thread) IrecvN(c *Comm, src, tag int, maxBytes int64) *Request {
+func (th *Thread) IrecvN(c *Comm, src, tag int, maxBytes int64, buf *interface{}) *Request {
 	p := th.P
 	if p.vciWildcard(tag) {
 		// AnyTag under a tag-hashed mapping cannot name one shard: take
 		// the deterministic cross-VCI wildcard path.
-		return th.irecvWild(c, src, tag, maxBytes)
+		return th.irecvWild(c, src, tag, maxBytes, buf)
 	}
 	v := p.selectVCI(c, tag)
 	tel := th.telStart()
 	th.mainBegin(v)
 	r := p.allocReq(v)
 	*r = Request{p: p, kind: RecvReq, src: src, tag: tag, ctx: c.ctx,
-		comm: c, maxBytes: maxBytes, vci: v}
+		comm: c, maxBytes: maxBytes, buf: buf, vci: v}
 	if p.issue(r) {
 		th.mainEnd(v)
 		th.telCall("Irecv", tel)
@@ -120,8 +125,7 @@ func (p *Proc) recvUnexpected(th *Thread, r *Request, e *envelope) {
 		r.fail(ErrTruncate, th.S.Now())
 	} else {
 		th.S.Sleep(cost.CopyTime(e.bytes)) // unexpected buffer -> user buffer
-		r.payload = e.payload
-		r.markComplete(th.S.Now())
+		r.deliver(e.payload, th.S.Now())
 	}
 	p.vcis[e.vci].freeEnvelope(e)
 }
@@ -132,14 +136,14 @@ func (p *Proc) recvUnexpected(th *Thread, r *Request, e *envelope) {
 // The request object comes from shard 0's pool and is never recycled
 // (Request.poolable), so it provably outlives its tombstone copies on
 // unmatched shards.
-func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64) *Request {
+func (th *Thread) irecvWild(c *Comm, src, tag int, maxBytes int64, buf *interface{}) *Request {
 	p := th.P
 	cost := th.cost()
 	tel := th.telStart()
 	th.wildBegin()
 	r := p.allocReq(0)
 	*r = Request{p: p, kind: RecvReq, src: src, tag: tag, ctx: c.ctx,
-		comm: c, maxBytes: maxBytes, vci: -1, wild: true}
+		comm: c, maxBytes: maxBytes, buf: buf, vci: -1, wild: true}
 	if p.issue(r) {
 		th.wildEnd()
 		th.telCall("Irecv", tel)
@@ -229,35 +233,45 @@ func (th *Thread) Send(c *Comm, dst, tag int, bytes int64, payload interface{}) 
 	th.Wait(th.Isend(c, dst, tag, bytes, payload)) //simcheck:allow errdrop blocking Send has no error result; the handler runs inside Wait
 }
 
-// Recv is a blocking receive (Irecv + Wait); it returns the payload. The
+// Recv is a blocking receive (IrecvN + Wait); it returns the payload. The
 // request never leaves the runtime, so its object goes back to the pool.
 //
 //simcheck:hotpath blocking receive: issue, wait and recycle allocate nothing once the pools are warm
 func (th *Thread) Recv(c *Comm, src, tag int) interface{} {
-	r := th.Irecv(c, src, tag)
-	th.Wait(r) //simcheck:allow errdrop blocking Recv has no error result; the handler runs inside Wait
-	return th.P.consume(r)
+	data, _ := th.recvE(c, src, tag) // the handler ran inside Wait
+	return data
+}
+
+// recvE is a blocking receive returning the payload or the request error.
+// The payload lands in the thread's scratch slot, read and cleared right
+// after the wait: a local slot would escape to the heap.
+func (th *Thread) recvE(c *Comm, src, tag int) (interface{}, error) {
+	err := th.Wait(th.IrecvN(c, src, tag, -1, &th.slot))
+	data := th.slot
+	th.slot = nil
+	return data, err
 }
 
 // Sendrecv concurrently sends to dst and receives from src, blocking until
 // both complete. It returns the received payload.
 func (th *Thread) Sendrecv(c *Comm, dst, dtag int, bytes int64, payload interface{},
 	src, stag int) interface{} {
-	rr := th.Irecv(c, src, stag)
-	sr := th.Isend(c, dst, dtag, bytes, payload)
-	th.Waitall([]*Request{sr, rr}) //simcheck:allow errdrop blocking Sendrecv has no error result; the handler runs inside Waitall
-	return th.P.consume(rr)
+	data, _ := th.sendrecvE(c, dst, dtag, bytes, payload, src, stag) // the handler ran inside Waitall
+	return data
 }
 
-// consume reads the payload of a receive the runtime issued and waited on
-// itself (Recv, Sendrecv, Alltoall) and returns the freed object to its
-// shard's pool. The wait engine frees a receive before its owner reads
-// what it delivered, so such a receive becomes poolable only here, after
-// the read. The exclusions of Request.poolable still hold: reliable mode,
-// cross-VCI wildcards and errored requests stay out of the pool.
-func (p *Proc) consume(r *Request) interface{} {
-	data := r.payload
-	r.poolable = p.rel == nil && !r.wild
-	p.recycle(r)
-	return data
+// sendrecvE is Sendrecv with error propagation: both requests are always
+// waited for; the first error is returned. The payload lands in the
+// thread's scratch slot, as in recvE.
+func (th *Thread) sendrecvE(c *Comm, dst, dtag int, bytes int64, payload interface{},
+	src, stag int) (interface{}, error) {
+	rr := th.IrecvN(c, src, stag, -1, &th.slot)
+	sr := th.Isend(c, dst, dtag, bytes, payload)
+	err := th.Waitall([]*Request{sr, rr})
+	data := th.slot
+	th.slot = nil
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
 }

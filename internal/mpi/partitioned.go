@@ -341,7 +341,6 @@ func (p *Proc) adoptPunexp(th *Thread, sh *vciShard, pr *Prequest, r *Request) b
 		th.S.Sleep(cost.UnexpectedMatchOverhead)
 		pr.arrived = e.arrived
 		pr.payload = e.payload
-		r.payload = e.payload
 		r.bytes = pr.bytesPer * int64(pr.parts)
 		if e.sealed {
 			th.S.Sleep(cost.CopyTime(r.bytes)) // unexpected buffer -> user buffer
@@ -533,7 +532,6 @@ func (p *Proc) handlePartData(pkt *fabric.Packet) {
 			continue
 		}
 		pr.payload = pkt.Payload
-		r.payload = pkt.Payload
 		r.bytes = m.Size * int64(m.Parts)
 		if _, full := pr.arrived.setRange(m.Lo, m.Hi); full {
 			sh.pposted = append(sh.pposted[:i], sh.pposted[i+1:]...)

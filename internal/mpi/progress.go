@@ -86,8 +86,7 @@ func (p *Proc) handlePacket(th *Thread, pkt *fabric.Packet) {
 				break
 			}
 			th.S.Sleep(cost.CopyTime(pkt.Bytes)) // copy into the user buffer
-			r.payload = pkt.Payload
-			r.markComplete(th.S.Now())
+			r.deliver(pkt.Payload, th.S.Now())
 			p.PostedHits++
 		} else {
 			// Buffer into the unexpected queue (allocate + temp copy).
@@ -146,8 +145,7 @@ func (p *Proc) handlePacket(th *Thread, pkt *fabric.Packet) {
 		// in which case the payload is dropped.
 		r := pkt.Meta.(ctsMeta).recvReq
 		if !r.complete {
-			r.payload = pkt.Payload
-			r.markComplete(now)
+			r.deliver(pkt.Payload, now)
 		}
 
 	case fabric.RMAPut, fabric.RMAGet, fabric.RMAGetReply, fabric.RMAAcc, fabric.RMAAck:

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"mpicontend/internal/machine"
@@ -81,14 +82,15 @@ func TestStrongProgressWaitall(t *testing.T) {
 	})
 	w.Spawn(1, "receiver", func(th *Thread) {
 		rs := make([]*Request, 0, msgs)
+		bufs := make([]interface{}, msgs)
 		for tag := 0; tag < msgs; tag++ {
-			rs = append(rs, th.Irecv(c, 0, tag))
+			rs = append(rs, th.IrecvN(c, 0, tag, -1, &bufs[tag]))
 		}
 		if err := th.Waitall(rs); err != nil {
 			t.Errorf("receiver waitall: %v", err)
 		}
-		for tag, r := range rs {
-			got[tag] = r.Data()
+		for tag, data := range bufs {
+			got[tag] = data
 		}
 	})
 	if err := w.Run(); err != nil {
@@ -125,14 +127,15 @@ func TestContinuationWaitall(t *testing.T) {
 			})
 			w.Spawn(1, "receiver", func(th *Thread) {
 				rs := make([]*Request, 0, msgs)
+				bufs := make([]interface{}, msgs)
 				for tag := 0; tag < msgs; tag++ {
-					rs = append(rs, th.Irecv(c, 0, tag))
+					rs = append(rs, th.IrecvN(c, 0, tag, -1, &bufs[tag]))
 				}
 				if err := th.Waitall(rs); err != nil {
 					t.Errorf("receiver waitall: %v", err)
 				}
-				for tag, r := range rs {
-					got[tag] = r.Data()
+				for tag, data := range bufs {
+					got[tag] = data
 				}
 			})
 			if err := w.Run(); err != nil {
@@ -162,13 +165,14 @@ func TestOnCompleteFires(t *testing.T) {
 		th.Send(c, 1, 3, 64, "cb-payload")
 	})
 	w.Spawn(1, "receiver", func(th *Thread) {
-		r := th.Irecv(c, 0, 3)
+		var slot interface{}
+		r := th.IrecvN(c, 0, 3, -1, &slot)
 		r.OnComplete(th, func(r *Request, err error) {
 			fired++
 			if err != nil {
 				t.Errorf("continuation error: %v", err)
 			}
-			data = r.Data()
+			data = slot
 		})
 		// Nothing to wait on: the receiver parks in a dummy exchange so the
 		// world keeps running until the continuation fires.
@@ -327,16 +331,17 @@ func TestCompletionQueuePollWaitAny(t *testing.T) {
 			t.Error("Poll on empty queue must return nil")
 		}
 		rs := make([]*Request, 0, msgs)
+		bufs := make([]interface{}, msgs)
 		for tag := 0; tag < msgs; tag++ {
-			rs = append(rs, th.Irecv(c, 0, tag))
+			rs = append(rs, th.IrecvN(c, 0, tag, -1, &bufs[tag]))
 		}
 		for _, r := range rs {
 			q.Add(r)
 		}
 		for drained < msgs {
 			r := q.WaitAny()
-			if r.Data() == nil {
-				t.Error("drained completion lost its payload")
+			if tag := slices.Index(rs, r); bufs[tag] != tag {
+				t.Errorf("drained receive %d delivered %v into its slot", tag, bufs[tag])
 			}
 			drained++
 		}

@@ -40,7 +40,11 @@ type Request struct {
 	ctx      int
 	bytes    int64
 
-	payload interface{} // send payload / received data after completion
+	payload interface{} // send payload
+	// buf is the caller's receive slot (receives and gets): a successful
+	// completion writes the payload there (deliver); nil when the caller
+	// does not want it.
+	buf *interface{}
 
 	complete    bool
 	freed       bool
@@ -63,15 +67,17 @@ type Request struct {
 	deadline sim.Timer
 
 	// poolable marks requests whose object provably dies at release time,
-	// so it may go back to its shard's pool (errored requests never do):
-	// fault-free sends and RMA put/accumulate, set at issue, since nothing
-	// reads them after the error handler ran; and the receives the runtime
-	// consumes itself (Recv, Sendrecv, Alltoall), set by consume once the
-	// payload is read. User receives and gets are excluded because callers
-	// read Data() after waiting; reliable-mode requests because retransmit
-	// state may still reference them; cross-VCI wildcard receives because
-	// their tombstone copies outlive them.
+	// so it may go back to its shard's pool (errored requests never do).
+	// It is set once, at issue (Proc.issue), for every kind: a receive or
+	// get delivers into the caller's slot, so nothing reads the object
+	// after the wait that consumed it. Reliable-mode requests are excluded
+	// because retransmit state may still reference them; cross-VCI
+	// wildcard receives because their tombstone copies outlive them;
+	// partitioned inner requests because their Prequest keeps reading them.
 	poolable bool
+	// pooled marks an object on its shard's free list, so the exported
+	// accessors can catch a handle used after its wait recycled it.
+	pooled bool
 	// nextFree links the shard's request free list while pooled.
 	nextFree *Request
 
@@ -98,29 +104,47 @@ type Request struct {
 	part *Prequest
 }
 
+// live panics when r was recycled: its Wait or Test consumed it and the
+// object sits in the pool, or already serves a later request.
+func (r *Request) live() *Request {
+	if r.pooled {
+		panic("mpi: request used after its Wait/Test recycled it")
+	}
+	return r
+}
+
 // Err returns the error that failed the request, or nil. Valid once the
-// request completed (after Test returns true or Wait returns).
+// request completed (after Test returns true or Wait returns). Errored
+// requests are never recycled, so Err stays readable after the wait.
 func (r *Request) Err() error {
-	if r.err == nil {
+	if r.live().err == nil {
 		return nil
 	}
 	return r.err
 }
 
 // Complete reports whether the request has completed.
-func (r *Request) Complete() bool { return r.complete }
+func (r *Request) Complete() bool { return r.live().complete }
 
 // Freed reports whether the request was freed.
-func (r *Request) Freed() bool { return r.freed }
+func (r *Request) Freed() bool { return r.live().freed }
 
 // Bytes returns the message size.
-func (r *Request) Bytes() int64 { return r.bytes }
+func (r *Request) Bytes() int64 { return r.live().bytes }
 
 // Kind returns the request kind.
-func (r *Request) Kind() ReqKind { return r.kind }
+func (r *Request) Kind() ReqKind { return r.live().kind }
 
-// Data returns the payload delivered by a completed receive or RMA get.
-func (r *Request) Data() interface{} { return r.payload }
+// deliver completes a successful receive or get: the payload lands in the
+// caller's slot, as MPI fills the receive buffer, before markComplete
+// runs any continuation or completion-queue delivery. Must run in engine
+// or CS context.
+func (r *Request) deliver(payload interface{}, at sim.Time) {
+	if r.buf != nil {
+		*r.buf = payload
+	}
+	r.markComplete(at)
+}
 
 // markComplete transitions the request to the completed state; it becomes
 // dangling until freed. Must run in engine or CS context.
@@ -161,10 +185,10 @@ func (r *Request) markComplete(at sim.Time) {
 
 // deliverCQ hands the completed request to its completion queue: the
 // runtime frees it here, in the completing context, and the drain side
-// only reads payload and error afterwards. Delivery never recycles: a
-// user's CompletionQueue hands the drained object out readable, and only
-// continuation-mode Waitall, which consumes its requests, pools them on
-// its drain side (waitallCont).
+// reads its error afterwards (a receive's payload is already in its
+// slot). Delivery never recycles: a user's CompletionQueue hands the
+// drained object out readable, and only continuation-mode Waitall, which
+// consumes its requests, pools them on its drain side (waitallCont).
 func (r *Request) deliverCQ(at sim.Time) {
 	q := r.cq
 	r.cq = nil

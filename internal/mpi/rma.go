@@ -33,16 +33,13 @@ func (win *Win) Buffer(rank int) []float64 { return win.buffers[rank] }
 // rmaOp issues one one-sided operation from th to target and returns its
 // tracking request. Internal helper for Put/Get/Accumulate.
 func (th *Thread) rmaOp(kind fabric.PacketKind, win *Win, target int,
-	offset int64, count int64, payload []float64) *Request {
+	offset int64, count int64, payload []float64, buf *interface{}) *Request {
 	p := th.P
 	tel := th.telStart()
 	th.mainBegin(0)
 	r := p.allocReq(0)
 	*r = Request{p: p, kind: RMAReq, dst: target, src: p.Rank,
-		bytes: count * win.elemSize, win: win,
-		// Gets are excluded from pooling: callers read Data() after the
-		// wait that freed the request.
-		poolable: p.rel == nil && kind != fabric.RMAGet}
+		bytes: count * win.elemSize, win: win, buf: buf}
 	win.pending++
 	if p.issue(r) {
 		th.mainEnd(0)
@@ -70,19 +67,21 @@ func (th *Thread) rmaOp(kind fabric.PacketKind, win *Win, target int,
 // Put copies vals into the target rank's window at offset. The returned
 // request completes when the target acknowledges.
 func (th *Thread) Put(win *Win, target int, offset int64, vals []float64) *Request {
-	return th.rmaOp(fabric.RMAPut, win, target, offset, int64(len(vals)), vals)
+	return th.rmaOp(fabric.RMAPut, win, target, offset, int64(len(vals)), vals, nil)
 }
 
-// Get fetches count elements from the target's window at offset. After the
-// request completes, Data() holds the []float64.
-func (th *Thread) Get(win *Win, target int, offset, count int64) *Request {
-	return th.rmaOp(fabric.RMAGet, win, target, offset, count, nil)
+// Get fetches count elements from the target's window at offset into the
+// caller's slot: a successful completion writes the []float64 to *buf
+// (nil means the data is not wanted); a failed get leaves it untouched.
+// Like a receive, the request is dead once a wait consumed it.
+func (th *Thread) Get(win *Win, target int, offset, count int64, buf *interface{}) *Request {
+	return th.rmaOp(fabric.RMAGet, win, target, offset, count, nil, buf)
 }
 
 // Accumulate adds vals element-wise into the target's window at offset
 // (MPI_SUM semantics).
 func (th *Thread) Accumulate(win *Win, target int, offset int64, vals []float64) *Request {
-	return th.rmaOp(fabric.RMAAcc, win, target, offset, int64(len(vals)), vals)
+	return th.rmaOp(fabric.RMAAcc, win, target, offset, int64(len(vals)), vals, nil)
 }
 
 // Flush blocks until every outstanding RMA operation issued by this
@@ -140,8 +139,7 @@ func (p *Proc) handleRMA(th *Thread, pkt *fabric.Packet) {
 		// A get already failed by its deadline drops the late reply.
 		r := pkt.Handle.(*Request)
 		if !r.complete {
-			r.payload = pkt.Payload
-			r.markComplete(now)
+			r.deliver(pkt.Payload, now)
 		}
 
 	case fabric.RMAAck:

@@ -274,27 +274,6 @@ func (th *Thread) sendE(c *Comm, dst, tag int, bytes int64, payload interface{})
 	return th.Wait(th.Isend(c, dst, tag, bytes, payload))
 }
 
-// recvE is a blocking receive returning the payload or the request error.
-func (th *Thread) recvE(c *Comm, src, tag int) (interface{}, error) {
-	r := th.Irecv(c, src, tag)
-	if err := th.Wait(r); err != nil {
-		return nil, err
-	}
-	return r.payload, nil
-}
-
-// sendrecvE is Sendrecv with error propagation: both requests are always
-// waited for; the first error is returned.
-func (th *Thread) sendrecvE(c *Comm, dst, dtag int, bytes int64, payload interface{},
-	src, stag int) (interface{}, error) {
-	rr := th.Irecv(c, src, stag)
-	sr := th.Isend(c, dst, dtag, bytes, payload)
-	if err := th.Waitall([]*Request{sr, rr}); err != nil {
-		return nil, err
-	}
-	return rr.payload, nil
-}
-
 // isProcFailed reports whether err is an ErrProcFailed request error.
 func isProcFailed(err error) bool {
 	e, ok := err.(*Error)

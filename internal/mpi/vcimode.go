@@ -99,7 +99,8 @@ func (p *Proc) vciWildcard(tag int) bool {
 	return p.sharded && vci.Wildcard(p.w.Cfg.VCIPolicy, tag, AnyTag)
 }
 
-// allocReq returns a zeroed request from shard v's pool.
+// allocReq returns a zeroed request from shard v's pool; zeroing clears
+// its pooled mark.
 func (p *Proc) allocReq(v int) *Request {
 	sh := p.vcis[v]
 	if r := sh.reqFree; r != nil {
@@ -119,6 +120,7 @@ func (p *Proc) recycle(r *Request) {
 		return
 	}
 	sh := p.vcis[r.vci]
+	r.pooled = true
 	r.nextFree = sh.reqFree
 	sh.reqFree = r
 }

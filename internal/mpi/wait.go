@@ -411,8 +411,10 @@ func (th *Thread) Test(r *Request) (bool, error) {
 // completed adds no round of its own: it is reaped by whichever round runs
 // next, as in Waitall's sweep. Failed requests raise as in Waitany.
 func (th *Thread) Testall(rs []*Request) []*Request {
+	tel := th.telStart()
 	w := th.waitBegin(waitAll, rs)
 	th.waitSweep(w, simlock.High)
+	th.telCall("Testall", tel)
 	pending := w.list[:w.n]
 	slices.SortFunc(pending, func(a, b waitEntry) int { return a.i - b.i })
 	out := rs[:0]

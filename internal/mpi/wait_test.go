@@ -59,9 +59,7 @@ func TestWaitFamilyProgressModes(t *testing.T) {
 					})
 					var got interface{}
 					w.Spawn(1, "receiver", func(th *Thread) {
-						r := th.Irecv(c, 0, 3)
-						call.wait(t, th, r)
-						got = r.Data()
+						call.wait(t, th, th.IrecvN(c, 0, 3, -1, &got))
 					})
 					if err := w.Run(); err != nil {
 						t.Fatal(err)
@@ -139,9 +137,10 @@ type completionCall struct {
 	reap func(t *testing.T, th *Thread, r *Request, active bool) error
 }
 
-// errOf reads r's error, or nil for MPI_REQUEST_NULL.
+// errOf reads r's error, or nil for MPI_REQUEST_NULL and for a request
+// the call recycled: errored requests are never pooled.
 func errOf(r *Request) error {
-	if r == nil {
+	if r == nil || r.pooled {
 		return nil
 	}
 	return r.Err()
@@ -244,7 +243,7 @@ func completionCell(t *testing.T, opt func(*Config), h Errhandler, mode Progress
 		var r *Request
 		switch cell {
 		case "truncated":
-			got = call.reap(t, th, th.IrecvN(c, 0, 0, 8), true)
+			got = call.reap(t, th, th.IrecvN(c, 0, 0, 8, nil), true)
 			return
 		case "freed":
 			r = th.Irecv(c, 0, 0)
@@ -302,13 +301,13 @@ func pooled(r *Request) bool {
 	return false
 }
 
-// TestCompletionRecycles: a fault-free send reaped by Wait, Waitall, Test
-// or Testall goes back to its shard's pool in every progress mode
-// (continuation-mode Waitall on its drain side), so the next Isend on that
-// shard reuses the object. Waitany and Waitsome never pool what they take:
-// the caller's list still names it (TestWaitanyKeepsList). A user receive
-// and a failed send are never pooled, and the failed send's error stays
-// readable.
+// TestCompletionRecycles: a fault-free send or receive reaped by Wait,
+// Waitall, Test or Testall goes back to its shard's pool in every progress
+// mode (continuation-mode Waitall on its drain side), so the next Isend or
+// Irecv on that shard reuses the object; the receive's payload is already
+// in its slot. Waitany and Waitsome never pool what they take: the
+// caller's list still names it (TestWaitanyKeepsList). A failed send is
+// never pooled, and its error stays readable.
 func TestCompletionRecycles(t *testing.T) {
 	for _, mode := range progressModes {
 		for _, call := range completionCalls {
@@ -347,14 +346,21 @@ func TestCompletionRecycles(t *testing.T) {
 						}
 					})
 					w.Spawn(1, "receiver", func(th *Thread) {
-						r := th.Irecv(c, 0, 5)
+						var got interface{}
+						r := th.IrecvN(c, 0, 5, -1, &got)
 						if err := call.reap(t, th, r, true); err != nil {
 							t.Errorf("recv: %v", err)
 						}
-						if pooled(r) || r.Data() != "x" {
-							t.Errorf("receive pooled=%v data=%v; want it kept out of the pool, data readable", pooled(r), r.Data())
+						if pooled(r) != recycles || got != "x" {
+							t.Errorf("receive pooled=%v data=%v; want pooled=%v, data x", pooled(r), got, recycles)
 						}
-						th.Recv(c, 0, 5)
+						next := th.Irecv(c, 0, 5)
+						if reused := next == r; reused != recycles {
+							t.Errorf("next Irecv reused the reaped receive: %v, want %v", reused, recycles)
+						}
+						if err := th.Wait(next); err != nil {
+							t.Errorf("second recv: %v", err)
+						}
 					})
 					if err := w.Run(); err != nil {
 						t.Fatal(err)
@@ -421,7 +427,8 @@ func TestWaitanyKeepsList(t *testing.T) {
 // TestTestallEmptyPolls pins the round graph500's drain loop relies on:
 // Testall on a list with no active entry (nil, or only nil entries) still
 // runs exactly one high-class progress round, on shard 0, and returns an
-// empty list. The fig10 lock sequences count that round.
+// empty list. The fig10 lock sequences count that round. Each call
+// records one "Testall" call span, as Test records "Test".
 func TestTestallEmptyPolls(t *testing.T) {
 	for _, mode := range progressModes {
 		mode := mode
@@ -442,6 +449,15 @@ func TestTestallEmptyPolls(t *testing.T) {
 				})
 				if err := w.Run(); err != nil {
 					t.Fatal(err)
+				}
+				spans := 0
+				for _, sp := range rec.Spans() {
+					if sp.Kind == telemetry.SpanCall && sp.Name == "Testall" {
+						spans++
+					}
+				}
+				if spans != 2 {
+					t.Errorf("%d Testall call spans, want 2", spans)
 				}
 				shard0 := "cs[r0]"
 				if len(w.Procs[0].vcis) > 1 {

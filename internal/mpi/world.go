@@ -508,6 +508,9 @@ type Thread struct {
 	cq CompletionQueue
 	// wait is the wait engine's per-thread state (wait.go).
 	wait waiter
+	// slot is the receive slot of the blocking receives (recvE,
+	// sendrecvE), read and cleared right after their wait.
+	slot interface{}
 }
 
 // Place returns the core this thread is bound to.

@@ -447,6 +447,7 @@ func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) 
 		pointNs = pointNs * (100 + cost.RemoteMemPenaltyPct) / 100
 	}
 	reqs := make([]*mpi.Request, 0, 2*len(ops))
+	bufs := make([]interface{}, len(ops)) // receive slots, one per face
 	for iter := 0; iter < p.Iters; iter++ {
 		// Halo exchange: post all receives, pack+send all faces, waitall.
 		// Threads without halo operations (workers under FUNNELED) make
@@ -454,10 +455,8 @@ func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) 
 		t0 := th.S.Now()
 		if len(ops) > 0 {
 			reqs = reqs[:0]
-			recvs := make([]*mpi.Request, len(ops))
 			for i, op := range ops {
-				recvs[i] = th.Irecv(c, op.peer, opposite(op.dir)*64+tagThread(op.dir, commTag))
-				reqs = append(reqs, recvs[i])
+				reqs = append(reqs, th.IrecvN(c, op.peer, opposite(op.dir)*64+tagThread(op.dir, commTag), -1, &bufs[i]))
 			}
 			for i := range ops {
 				op := &ops[i]
@@ -467,7 +466,7 @@ func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) 
 			}
 			th.Waitall(reqs) //simcheck:allow errdrop halo exchange runs under the fatal handler; errors panic inside Waitall
 			for i := range ops {
-				data := recvs[i].Data().([]float64)
+				data := bufs[i].([]float64)
 				th.S.Sleep(cost.CopyTime(int64(len(data) * 8))) // unpack cost
 				ops[i].unpack(data)
 			}
@@ -634,6 +633,7 @@ func partitionedThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t i
 	}
 
 	zreqs := make([]*mpi.Request, 0, 2*len(zops))
+	zbufs := make([]interface{}, len(zops)) // receive slots, one per Z face
 	for iter := 0; iter < p.Iters; iter++ {
 		par := iter % 2
 		t0 := th.S.Now()
@@ -649,10 +649,8 @@ func partitionedThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t i
 
 		// Z faces: post receives first (as the eager path does).
 		zreqs = zreqs[:0]
-		zrecvs := make([]*mpi.Request, len(zops))
 		for i, op := range zops {
-			zrecvs[i] = th.Irecv(c, op.peer, opposite(op.tag/64)*64)
-			zreqs = append(zreqs, zrecvs[i])
+			zreqs = append(zreqs, th.IrecvN(c, op.peer, opposite(op.tag/64)*64, -1, &zbufs[i]))
 		}
 
 		// Publish this thread's slab rows on every X/Y face: pack into the
@@ -673,7 +671,7 @@ func partitionedThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t i
 		if len(zreqs) > 0 {
 			th.Waitall(zreqs) //simcheck:allow errdrop halo exchange runs under the fatal handler; errors panic inside Waitall
 			for i, op := range zops {
-				data := zrecvs[i].Data().([]float64)
+				data := zbufs[i].([]float64)
 				th.S.Sleep(cost.CopyTime(int64(len(data) * 8))) // unpack cost
 				unpackZ(f, op.ghost, data)
 			}
