@@ -201,7 +201,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 	benchExperiment(b, "ablation-granularity", "Ticket", "kmsgs/s")
 }
 
-func BenchmarkAblationSelectiveWakeup(b *testing.B) {
+func BenchmarkAblationSelectiveProgress(b *testing.B) {
 	benchExperiment(b, "ablation-wakeup", "Mutex_rmaput", "kelems/s")
 }
 

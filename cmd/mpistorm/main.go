@@ -41,7 +41,7 @@ func main() {
 	jobs := flag.Int("jobs", runtime.NumCPU(),
 		"parallel workers for the point sweep (1 = serial; output is byte-identical either way)")
 	progressFlag := flag.String("progress", "polling",
-		"progress mode for the experiments that honour it: polling|strong|continuation (see docs/PROGRESS.md)")
+		"progress mode for the experiments that honour it: polling|strong|continuation|selective (see docs/PROGRESS.md)")
 	flag.Parse()
 
 	progress, err := mpisim.ParseProgressMode(*progressFlag)

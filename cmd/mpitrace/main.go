@@ -44,7 +44,7 @@ func main() {
 	jobs := flag.Int("jobs", runtime.NumCPU(),
 		"parallel workers when tracing several experiments (1 = serial; output is byte-identical either way)")
 	progressFlag := flag.String("progress", "polling",
-		"progress mode for the probes that honour it: polling|strong|continuation (see docs/PROGRESS.md)")
+		"progress mode for the probes that honour it: polling|strong|continuation|selective (see docs/PROGRESS.md)")
 	flag.Parse()
 
 	if *exp == "" {

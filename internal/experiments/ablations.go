@@ -126,13 +126,13 @@ func ablationWakeup(o Options, pl *Plan) ([]*report.Table, error) {
 	for _, k := range []simlock.Kind{simlock.KindMutex, simlock.KindTicket} {
 		tp := t.AddSeries(k.String() + "_throughput")
 		rm := t.AddSeries(k.String() + "_rmaput")
-		for mode, wake := range []bool{false, true} {
+		for x, mode := range []mpi.ProgressMode{mpi.ProgressPolling, mpi.ProgressSelective} {
 			p := baseTP(o, k, 8, 64)
-			p.SelectiveWakeup = wake
-			tp.Add(float64(mode), throughputRate(pl, p))
+			p.Progress = mode
+			tp.Add(float64(x), throughputRate(pl, p))
 			rp := workloads.RMAParams{
 				Lock: k, Op: workloads.OpPut, ElemBytes: 64, Ops: ops,
-				Window: 1, Seed: o.seed(), SelectiveWakeup: wake,
+				Window: 1, Seed: o.seed(), Progress: mode,
 			}
 			rmRate := pl.Value(func() (float64, error) {
 				rr, err := workloads.RMA(rp)
@@ -141,7 +141,7 @@ func ablationWakeup(o Options, pl *Plan) ([]*report.Table, error) {
 				}
 				return rr.RateElemPerSec / 1000, nil
 			})
-			rm.Add(float64(mode), rmRate)
+			rm.Add(float64(x), rmRate)
 		}
 	}
 	return []*report.Table{t}, nil

@@ -6,75 +6,25 @@ package mpi
 // rank of the communicator, like an MPI process-level collective.
 
 // Barrier blocks until every rank has entered it (dissemination
-// algorithm, ceil(log2 n) rounds).
+// algorithm, ceil(log2 n) rounds): BarrierErr with the error dropped, as
+// the handler already ran at entry or inside Waitall.
 func (th *Thread) Barrier(c *Comm) {
-	n := c.size
-	if n <= 1 {
-		return
-	}
-	cc := c.collComm()
-	me := c.Rank(th)
-	for k, round := 1, 0; k < n; k, round = k<<1, round+1 {
-		dst := (me + k) % n
-		src := (me - k + n) % n
-		tag := 1000 + round
-		th.Sendrecv(cc, dst, tag, 1, nil, src, tag)
-	}
+	_ = th.BarrierErr(c)
 }
 
 // AllreduceSum reduces val with + across ranks and returns the total on
-// every rank (binomial reduce to rank 0, then binomial broadcast).
+// every rank (binomial reduce to rank 0, then binomial broadcast):
+// AllreduceSumErr with the error dropped.
 func (th *Thread) AllreduceSum(c *Comm, val int64) int64 {
-	return th.allreduce(c, val, func(a, b int64) int64 { return a + b })
+	v, _ := th.AllreduceSumErr(c, val)
+	return v
 }
 
-// AllreduceMax reduces val with max across ranks.
+// AllreduceMax reduces val with max across ranks: AllreduceMaxErr with
+// the error dropped.
 func (th *Thread) AllreduceMax(c *Comm, val int64) int64 {
-	return th.allreduce(c, val, func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-func (th *Thread) allreduce(c *Comm, val int64, op func(a, b int64) int64) int64 {
-	n := c.size
-	if n <= 1 {
-		return val
-	}
-	cc := c.collComm()
-	me := c.Rank(th)
-	acc := val
-	// Binomial reduction to rank 0.
-	for k := 1; k < n; k <<= 1 {
-		tag := 2000 + k
-		if me&k != 0 {
-			th.Send(cc, me-k, tag, 8, acc)
-			break
-		}
-		if me+k < n {
-			v := th.Recv(cc, me+k, tag).(int64)
-			acc = op(acc, v)
-		}
-	}
-	// Binomial broadcast from rank 0.
-	// Find the highest power of two covering n.
-	top := 1
-	for top < n {
-		top <<= 1
-	}
-	for k := top >> 1; k >= 1; k >>= 1 {
-		tag := 3000 + k
-		if me&(k-1) == 0 { // participant at this level
-			if me&k != 0 {
-				acc = th.Recv(cc, me-k, tag).(int64)
-			} else if me+k < n {
-				th.Send(cc, me+k, tag, 8, acc)
-			}
-		}
-	}
-	return acc
+	v, _ := th.AllreduceMaxErr(c, val)
+	return v
 }
 
 // Bcast broadcasts the payload from root and returns it on every rank

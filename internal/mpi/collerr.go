@@ -1,10 +1,9 @@
 package mpi
 
-// Error-propagating collectives. The value-returning collectives in
-// coll.go predate the fault-tolerance plane and discard request errors
-// (acceptable under MPI_ERRORS_ARE_FATAL, where Wait panics first); these
-// variants return the first failure instead, which recovery code needs
-// under MPI_ERRORS_RETURN.
+// Error-propagating collectives: they return the first failure, which
+// recovery code needs under MPI_ERRORS_RETURN. Barrier, AllreduceSum and
+// AllreduceMax in coll.go are these with the error dropped (acceptable
+// under MPI_ERRORS_ARE_FATAL, where the handler panics first).
 //
 // Deadline audit (see also the regression test in ft_test.go): collectives
 // are built entirely on the point-to-point issue paths, so armDeadline —
@@ -66,8 +65,8 @@ func (th *Thread) AllreduceMinErr(c *Comm, val int64) (int64, error) {
 	})
 }
 
-// allreduceErr mirrors allreduce (binomial reduce to rank 0, binomial
-// broadcast) but surfaces the first request error.
+// allreduceErr is the binomial reduce to rank 0 followed by the binomial
+// broadcast from rank 0; it stops at the first request error.
 func (th *Thread) allreduceErr(c *Comm, val int64, op func(a, b int64) int64) (int64, error) {
 	if err := c.collCheck(th); err != nil {
 		return 0, err

@@ -122,42 +122,38 @@ func (w *World) SetErrhandler(h Errhandler) { w.errhandler = h }
 // world's for requests issued on it.
 func (c *Comm) SetErrhandler(h Errhandler) { c.errhandler = h }
 
-// handlerFor resolves the effective error handler for a request: its
-// communicator's, falling back to the world's, falling back to the MPI
-// default (errors are fatal).
-func (r *Request) handlerFor() Errhandler {
-	if r.comm != nil && r.comm.errhandler != ErrhandlerInherit {
-		return r.comm.errhandler
+// raise is the one error-handler site: it surfaces err through the
+// handler of communicator c (nil for none), falling back to the world's,
+// falling back to the MPI default. A fatal handler panics; ErrorsReturn
+// hands err back to the caller.
+func (w *World) raise(c *Comm, err *Error) error {
+	h := ErrhandlerInherit
+	if c != nil {
+		h = c.errhandler
 	}
-	if r.p.w.errhandler != ErrhandlerInherit {
-		return r.p.w.errhandler
+	if h == ErrhandlerInherit {
+		h = w.errhandler
 	}
-	return ErrorsAreFatal
+	if h == ErrhandlerInherit || h == ErrorsAreFatal {
+		panic(fmt.Sprintf("mpi: %v (set MPI_ERRORS_RETURN to handle)", err))
+	}
+	return err
 }
 
-// raise surfaces a failed request through the configured error handler:
-// fatal handlers panic, ErrorsReturn hands the error back to the caller.
-// It is a no-op (returning nil) for successful requests.
+// raise surfaces a failed request through its communicator's error
+// handler. It is a no-op (returning nil) for successful requests.
 func (r *Request) raise() error {
 	if r.err == nil {
 		return nil
 	}
-	if r.handlerFor() == ErrorsAreFatal {
-		panic(fmt.Sprintf("mpi: %v (set MPI_ERRORS_RETURN to handle)", r.err))
-	}
-	return r.err
+	return r.p.w.raise(r.comm, r.err)
 }
 
 // raiseAs surfaces an error that is not recorded on the request itself —
-// e.g. operating on an already-freed request — through the same handler
-// resolution as raise.
+// e.g. operating on an already-freed request — as raise does.
 func (r *Request) raiseAs(code Errcode) error {
 	//simcheck:allow hotalloc error construction on an erroneous call (a freed request), not per message
-	err := &Error{Code: code, Detail: r.describe()}
-	if r.handlerFor() == ErrorsAreFatal {
-		panic(fmt.Sprintf("mpi: %v (set MPI_ERRORS_RETURN to handle)", err))
-	}
-	return err
+	return r.p.w.raise(r.comm, &Error{Code: code, Detail: r.describe()})
 }
 
 // describe renders the request for error messages.

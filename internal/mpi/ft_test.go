@@ -8,6 +8,7 @@ import (
 
 	"mpicontend/internal/fault"
 	"mpicontend/internal/mpi/vci"
+	"mpicontend/internal/sim"
 )
 
 // withCrash is a testWorld option scheduling fail-stop crashes.
@@ -138,6 +139,25 @@ func TestRevokeInterruptsBlockedCollective(t *testing.T) {
 		t.Fatal(err)
 	}
 	errCode(t, collErr, ErrRevoked)
+}
+
+// TestFatalHandlerPanicsAtCollectiveEntry: the collective-entry check
+// raises through the error handler like any request error, so under the
+// default fatal handler a plain Barrier on a revoked communicator ends the
+// run at entry instead of skipping the check.
+func TestFatalHandlerPanicsAtCollectiveEntry(t *testing.T) {
+	w := testWorld(t, 2, withCrash(fault.CrashSpec{Rank: 1, AtNs: 1_000_000_000}))
+	c := w.Comm()
+	w.Spawn(0, "revoker", func(th *Thread) {
+		th.Revoke(c)
+		th.Barrier(c)
+		t.Error("Barrier on a revoked comm returned under the fatal handler")
+	})
+	err := w.Run()
+	var perr *sim.PanicError
+	if !errors.As(err, &perr) || !strings.Contains(fmt.Sprint(perr.Value), ErrRevoked.String()) {
+		t.Fatalf("run returned %v, want a *sim.PanicError raising %v", err, ErrRevoked)
+	}
 }
 
 // waitForFailure polls this process's local failure knowledge until it
@@ -313,8 +333,10 @@ func TestCollectiveAgainstSilentPeerTimesOut(t *testing.T) {
 
 func TestErrVariantCollectivesMatchValueAPI(t *testing.T) {
 	// On a healthy world the Err variants must compute the same results as
-	// the value-returning collectives they shadow.
+	// the value-returning collectives, which are them with the error
+	// dropped.
 	w := testWorld(t, 4)
+	w.SetErrhandler(ErrorsReturn)
 	c := w.Comm()
 	sums := make([]int64, 4)
 	maxs := make([]int64, 4)

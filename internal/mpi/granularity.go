@@ -162,172 +162,146 @@ func (c *csLock) exit(th *Thread, cl simlock.Class) {
 // section under GranBrief/GranFine (the queue update itself).
 const briefCSWork = 60
 
+// section returns the critical section that guards shard v's queues and
+// request state under the configured granularity: the shard's section
+// (Global, Brief), the matching-queue lock (Fine), or nil (LockFree, where
+// only atomic costs are charged). Sharded procs run GranGlobal only
+// (enforced at NewWorld), so the sub-CS granularities always see shard 0.
+func (p *Proc) section(v int) *csLock {
+	switch p.w.Cfg.Granularity {
+	case GranFine:
+		return &p.queueCS
+	case GranLockFree:
+		return nil
+	default:
+		return &p.vcis[v].cs
+	}
+}
+
 // mainBegin opens the main-path section of an MPI call mapped to shard v,
 // charging the main-path work split according to the granularity. Callers
-// must pair it with mainEnd. Sharded procs run GranGlobal only (enforced
-// at NewWorld), so the sub-CS granularities always see shard 0.
+// must pair it with mainEnd.
 func (th *Thread) mainBegin(v int) {
 	th.checkCrashed()
 	th.checkThreadLevel()
 	cost := th.cost()
 	p := th.P
-	switch p.w.Cfg.Granularity {
-	case GranGlobal, GranBrief:
-		work := cost.MainPathWork
-		if p.w.Cfg.Granularity == GranBrief {
-			// Brief Global runs all but the queue update outside.
-			th.S.Sleep(cost.MainPathWork - briefCSWork)
-			work = briefCSWork
-		}
-		p.vcis[v].cs.enter(th, simlock.High)
-		th.S.Sleep(work)
-	case GranFine:
-		th.S.Sleep(cost.MainPathWork - briefCSWork)
-		p.queueCS.enter(th, simlock.High)
-		th.S.Sleep(briefCSWork)
-	case GranLockFree:
+	cs := p.section(v)
+	if cs == nil {
 		th.S.Sleep(cost.MainPathWork + 2*cost.AtomicOpCost)
+		return
 	}
+	work := cost.MainPathWork
+	if p.w.Cfg.Granularity != GranGlobal {
+		// Brief Global and Fine run all but the queue update outside.
+		th.S.Sleep(cost.MainPathWork - briefCSWork)
+		work = briefCSWork
+	}
+	cs.enter(th, simlock.High)
+	th.S.Sleep(work)
 }
 
 // mainEnd closes the section opened by mainBegin(v).
-func (th *Thread) mainEnd(v int) {
-	p := th.P
-	switch p.w.Cfg.Granularity {
-	case GranGlobal, GranBrief:
-		p.vcis[v].cs.exit(th, simlock.High)
-	case GranFine:
-		p.queueCS.exit(th, simlock.High)
-	case GranLockFree:
-	}
-	th.exitThreadLevel()
-}
+func (th *Thread) mainEnd(v int) { th.stateEnd(v, simlock.High) }
 
 // stateBegin opens a short request-state section on shard v (completion
 // checks, frees) without charging main-path work.
 func (th *Thread) stateBegin(v int, cl simlock.Class) {
 	th.checkCrashed()
 	th.checkThreadLevel()
-	p := th.P
-	switch p.w.Cfg.Granularity {
-	case GranGlobal, GranBrief:
-		p.vcis[v].cs.enter(th, cl)
-	case GranFine:
-		p.queueCS.enter(th, cl)
-	case GranLockFree:
+	if cs := th.P.section(v); cs != nil {
+		cs.enter(th, cl)
+	} else {
 		th.S.Sleep(th.cost().AtomicOpCost)
 	}
 }
 
 // stateEnd closes a stateBegin(v, cl) section.
 func (th *Thread) stateEnd(v int, cl simlock.Class) {
-	p := th.P
-	switch p.w.Cfg.Granularity {
-	case GranGlobal, GranBrief:
-		p.vcis[v].cs.exit(th, cl)
-	case GranFine:
-		p.queueCS.exit(th, cl)
-	case GranLockFree:
+	if cs := th.P.section(v); cs != nil {
+		cs.exit(th, cl)
 	}
 	th.exitThreadLevel()
 }
 
 // progressRound runs one progress-engine iteration on shard v with the
-// granularity's locking: under Global/Brief the whole poll holds the
-// shard's critical section (the paper's progress loop); under Fine the
-// completion queue is drained under the NIC lock and each event is
-// handled under the queue lock; under LockFree only atomic costs are
-// charged. cl is the scheduling class used for the section acquisition
-// (Low in blocking progress loops, High in MPI_Test). If post is non-nil
-// it runs under request-state protection — inside the same critical-
-// section hold where the granularity allows — letting callers check and
-// free requests as MPICH's progress loop does.
+// granularity's locking: the whole poll holds the shard's section (the
+// paper's progress loop), except under Fine, where the completion queue
+// is drained under the NIC lock and each event is handled under the queue
+// lock, and under LockFree, where the poll pays atomic costs instead. cl
+// is the scheduling class used for the section acquisition (Low in
+// blocking progress loops, High in MPI_Test). If post is non-nil it runs
+// under request-state protection — inside the same critical-section hold
+// where the granularity allows — letting callers check and free requests
+// as MPICH's progress loop does.
 func (th *Thread) progressRound(v int, cl simlock.Class, post func()) {
 	th.checkCrashed()
 	th.checkThreadLevel()
 	defer th.exitThreadLevel()
 	p := th.P
+	switch p.w.Cfg.Granularity {
+	case GranFine:
+		th.fineRound(v, cl, post)
+	case GranLockFree:
+		atomic := th.cost().AtomicOpCost
+		p.pollShard(th, v, atomic)
+		if post != nil {
+			th.S.Sleep(atomic)
+			post()
+		}
+	default:
+		cs := &p.vcis[v].cs
+		cs.enter(th, cl)
+		p.pollShard(th, v, 0)
+		if post != nil {
+			post()
+		}
+		cs.exit(th, cl)
+	}
+}
+
+// fineRound is progressRound under GranFine: the completion queue is
+// drained under the NIC lock, then each event is handled under the queue
+// lock.
+func (th *Thread) fineRound(v int, cl simlock.Class, post func()) {
+	p := th.P
 	cost := th.cost()
 	sh := p.vcis[v]
-	switch p.w.Cfg.Granularity {
-	case GranGlobal, GranBrief:
-		sh.cs.enter(th, cl)
-		p.pollShard(th, v)
-		if post != nil {
-			post()
-		}
-		sh.cs.exit(th, cl)
-	case GranFine:
-		p.nicCS.enter(th, cl)
-		var pollFrom int64
-		if p.w.tel != nil {
-			pollFrom = th.S.Now()
-		}
-		th.S.Sleep(cost.ProgressPollWork)
-		p.Polls++
-		var pkts [maxEventsPerPoll]*fabric.Packet
-		n := 0
-		for sh.cq.len() > 0 && n < maxEventsPerPoll {
-			pkts[n] = sh.cq.pop()
-			n++
-		}
-		th.holdUseful = n > 0
-		if p.w.tel != nil {
-			p.w.tel.Poll(th.S.ID(), pollFrom, th.S.Now(), n)
-		}
-		p.nicCS.exit(th, cl)
-		if n == 0 {
-			th.pollBackoff++
-			if post != nil {
-				p.queueCS.enter(th, cl)
-				post()
-				p.queueCS.exit(th, cl)
-			}
-			return
-		}
+	p.nicCS.enter(th, cl)
+	var pollFrom int64
+	if p.w.tel != nil {
+		pollFrom = th.S.Now()
+	}
+	th.S.Sleep(cost.ProgressPollWork)
+	p.Polls++
+	var pkts [maxEventsPerPoll]*fabric.Packet
+	n := 0
+	for sh.cq.len() > 0 && n < maxEventsPerPoll {
+		pkts[n] = sh.cq.pop()
+		n++
+	}
+	th.holdUseful = n > 0
+	if p.w.tel != nil {
+		p.w.tel.Poll(th.S.ID(), pollFrom, th.S.Now(), n)
+	}
+	p.nicCS.exit(th, cl)
+	if n == 0 {
+		th.pollBackoff++
+	} else {
 		th.pollBackoff = 0
-		for _, pkt := range pkts[:n] {
-			p.queueCS.enter(th, cl)
-			th.S.Sleep(cost.ProgressHandleWork)
-			p.handlePacket(th, pkt)
-			if p.rel == nil {
-				p.w.Fab.FreePacket(pkt) // see pollShard: fault-free packets die here
-			}
-			p.queueCS.exit(th, cl)
+	}
+	for _, pkt := range pkts[:n] {
+		p.queueCS.enter(th, cl)
+		th.S.Sleep(cost.ProgressHandleWork)
+		p.handlePacket(th, pkt)
+		if p.rel == nil {
+			p.w.Fab.FreePacket(pkt) // see pollShard: fault-free packets die here
 		}
-		if post != nil {
-			p.queueCS.enter(th, cl)
-			post()
-			p.queueCS.exit(th, cl)
-		}
-	case GranLockFree:
-		var pollFrom int64
-		if p.w.tel != nil {
-			pollFrom = th.S.Now()
-		}
-		th.S.Sleep(cost.ProgressPollWork + cost.AtomicOpCost)
-		p.Polls++
-		handled := 0
-		for sh.cq.len() > 0 && handled < maxEventsPerPoll {
-			pkt := sh.cq.pop()
-			th.S.Sleep(cost.ProgressHandleWork + cost.AtomicOpCost)
-			p.handlePacket(th, pkt)
-			if p.rel == nil {
-				p.w.Fab.FreePacket(pkt) // see pollShard: fault-free packets die here
-			}
-			handled++
-		}
-		if p.w.tel != nil {
-			p.w.tel.Poll(th.S.ID(), pollFrom, th.S.Now(), handled)
-		}
-		if handled > 0 {
-			th.pollBackoff = 0
-		} else {
-			th.pollBackoff++
-		}
-		if post != nil {
-			th.S.Sleep(cost.AtomicOpCost)
-			post()
-		}
+		p.queueCS.exit(th, cl)
+	}
+	if post != nil {
+		p.queueCS.enter(th, cl)
+		post()
+		p.queueCS.exit(th, cl)
 	}
 }

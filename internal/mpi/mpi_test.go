@@ -340,7 +340,7 @@ func TestDanglingAccounting(t *testing.T) {
 		// Busy-wait without freeing: once complete, it must be dangling.
 		for !r.Complete() {
 			th.enter(simlock.Low)
-			th.P.pollShard(th, 0)
+			th.P.pollShard(th, 0, 0)
 			th.exit(simlock.Low)
 			th.progressYield()
 		}

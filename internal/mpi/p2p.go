@@ -196,36 +196,35 @@ func (th *Thread) CancelRecv(r *Request) {
 	if r.kind != RecvReq {
 		panic("mpi: CancelRecv on a non-receive request")
 	}
-	p := th.P
-	cost := th.cost()
+	// withdraw runs inside the section; it reports whether r was still
+	// pending.
+	withdraw := func() bool {
+		th.S.Sleep(th.cost().RequestFreeWork)
+		if r.complete {
+			return false
+		}
+		th.P.unpost(r)
+		r.deadline.Cancel()
+		r.freed = true
+		th.P.outstanding--
+		return true
+	}
+	var pending bool
 	if r.wild && r.vci < 0 {
 		// Unbound wildcard: withdraw every cross-posted copy under all
 		// shard locks.
 		th.wildBegin()
-		th.S.Sleep(cost.RequestFreeWork)
-		if r.complete {
-			th.wildEnd()
-			panic("mpi: CancelRecv on a completed request")
-		}
-		p.unpost(r)
-		r.deadline.Cancel()
-		r.freed = true
-		p.outstanding--
+		pending = withdraw()
 		th.wildEnd()
-		return
-	}
-	v := reqShard(r)
-	th.stateBegin(v, simlock.High)
-	th.S.Sleep(cost.RequestFreeWork)
-	if r.complete {
+	} else {
+		v := reqShard(r)
+		th.stateBegin(v, simlock.High)
+		pending = withdraw()
 		th.stateEnd(v, simlock.High)
+	}
+	if !pending {
 		panic("mpi: CancelRecv on a completed request")
 	}
-	p.unpost(r)
-	r.deadline.Cancel()
-	r.freed = true
-	p.outstanding--
-	th.stateEnd(v, simlock.High)
 }
 
 // Send is a blocking send (Isend + Wait).

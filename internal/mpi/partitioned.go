@@ -211,20 +211,9 @@ func (pr *Prequest) describe() string {
 }
 
 // raiseCode surfaces a partitioned-usage error (no inner request involved)
-// through the same handler resolution as Request.raise.
+// through the communicator's error handler, as Request.raise does.
 func (pr *Prequest) raiseCode(code Errcode) error {
-	err := &Error{Code: code, Detail: pr.describe()}
-	h := pr.comm.errhandler
-	if h == ErrhandlerInherit {
-		h = pr.p.w.errhandler
-	}
-	if h == ErrhandlerInherit {
-		h = ErrorsAreFatal
-	}
-	if h == ErrorsAreFatal {
-		panic(fmt.Sprintf("mpi: %v (set MPI_ERRORS_RETURN to handle)", err))
-	}
-	return err
+	return pr.p.w.raise(pr.comm, &Error{Code: code, Detail: pr.describe()})
 }
 
 // pinit validates the shared PsendInit/PrecvInit parameters.

@@ -23,22 +23,24 @@ const maxEventsPerPoll = 2
 // network completion queue and handles up to maxEventsPerPoll events. Must
 // be called with shard v's critical section held; the costs it charges are
 // therefore serialized per shard, which is the contention the paper
-// studies (and the sharding removes).
+// studies (and the sharding removes). Under GranLockFree no section is
+// held and atomic, the cost of the atomic queue operation, is added to the
+// poll and to each handled event; otherwise it is zero.
 //
 //simcheck:hotpath progress-engine receive path, runs inside the critical section
-func (p *Proc) pollShard(th *Thread, v int) {
+func (p *Proc) pollShard(th *Thread, v int, atomic int64) {
 	cost := th.cost()
 	sh := p.vcis[v]
 	var pollFrom int64
 	if p.w.tel != nil {
 		pollFrom = th.S.Now()
 	}
-	th.S.Sleep(cost.ProgressPollWork)
+	th.S.Sleep(cost.ProgressPollWork + atomic)
 	p.Polls++
 	handled := 0
 	for sh.cq.len() > 0 && handled < maxEventsPerPoll {
 		pkt := sh.cq.pop()
-		th.S.Sleep(cost.ProgressHandleWork)
+		th.S.Sleep(cost.ProgressHandleWork + atomic)
 		p.handlePacket(th, pkt)
 		if p.rel == nil {
 			// Fault-free traffic dies here: every handler branch copies
@@ -248,8 +250,8 @@ func (th *Thread) progressYield() {
 	th.checkCrashed()
 	cost := th.cost()
 	p := th.P
-	if p.w.Cfg.SelectiveWakeup && th.pollBackoff > 0 {
-		// Event-driven progress (§9): the last poll found nothing, so
+	if p.w.Cfg.Progress == ProgressSelective && th.pollBackoff > 0 {
+		// Selective wake-up (§9): the last poll found nothing, so
 		// park until an arrival or completion wakes us. The emptiness
 		// check is adjacent to the park (no virtual-time gap), so no
 		// wake-up can be lost.

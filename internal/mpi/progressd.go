@@ -1,9 +1,12 @@
 package mpi
 
-// This file implements the two progress modes that move completion off
-// the application threads — the remedy the paper could not run (§9
-// future work; MPIX continuations and strong-progress designs in later
-// MPICH work):
+// This file defines ProgressMode, the one knob that selects who drives
+// the progress engine. Its two polling shapes — the paper's poll-from-Wait
+// loop and selective wake-up, which parks a poller after an empty poll
+// (progressYield, progress.go) — keep completion on the application
+// threads. This file implements the two modes that move it off them, the
+// remedy the paper could not run (§9 future work; MPIX continuations and
+// strong-progress designs in later MPICH work):
 //
 //   - Strong progress (ProgressStrong): a dedicated progress daemon
 //     simthread per VCI shard drives that shard's transport and matching
@@ -44,6 +47,12 @@ const (
 	// callbacks (Request.OnComplete) and CompletionQueue draining;
 	// Waitall becomes one batched enqueue plus a drain.
 	ProgressContinuation
+	// ProgressSelective is the paper's §9 future-work design: blocked
+	// threads still drive progress from Wait, but after an empty poll
+	// they park until an arrival or completion wakes them instead of
+	// busy-spinning through the critical section. A polling mode: there
+	// are no daemons and no completion-time dispatch.
+	ProgressSelective
 )
 
 // String names the progress mode as used in figures and flags.
@@ -55,14 +64,21 @@ func (m ProgressMode) String() string {
 		return "strong"
 	case ProgressContinuation:
 		return "continuation"
+	case ProgressSelective:
+		return "selective"
 	default:
 		return fmt.Sprintf("ProgressMode(%d)", int(m))
 	}
 }
 
-// eventDriven reports whether completions wake parked waiters instead of
-// being discovered by polling.
-func (w *World) eventDriven() bool { return w.Cfg.Progress != ProgressPolling }
+// eventDriven reports whether the mode runs progress daemons, so that
+// completions wake parked waiters instead of being discovered by their
+// own polling.
+func (m ProgressMode) eventDriven() bool {
+	return m == ProgressStrong || m == ProgressContinuation
+}
+
+func (w *World) eventDriven() bool { return w.Cfg.Progress.eventDriven() }
 
 // startProgressDaemons spawns one progress daemon per (proc, VCI shard).
 // Called lazily from World.Run so daemons bind to cores after the

@@ -360,35 +360,98 @@ func TestCompletionQueuePollWaitAny(t *testing.T) {
 	}
 }
 
-// TestProgressModeValidation: non-polling modes require a lock-taking
-// thread level and the global granularity.
+// TestProgressModeValidation: NewWorld accepts a configuration exactly
+// when its VCI count and its progress mode are each allowed at its
+// granularity and thread level. More than one VCI, strong progress and
+// continuation progress need GranGlobal under MPI_THREAD_MULTIPLE;
+// selective wake-up is a polling mode and is accepted wherever polling
+// is.
 func TestProgressModeValidation(t *testing.T) {
-	base := func() Config {
-		return Config{Topo: machine.Nehalem2x4(2), Lock: simlock.KindTicket, Seed: 1}
+	modes := []ProgressMode{ProgressPolling, ProgressStrong, ProgressContinuation, ProgressSelective}
+	grans := []Granularity{GranGlobal, GranBrief, GranFine, GranLockFree}
+	levels := []ThreadLevel{ThreadMultiple, ThreadSingle, ThreadFunneled, ThreadSerialized}
+	accepted := map[string]bool{}
+	for _, m := range modes {
+		for _, g := range grans {
+			for _, lvl := range levels {
+				for _, vcis := range []int{1, 4} {
+					key := fmt.Sprintf("%v/%v/%v/%d", m, g, lvl, vcis)
+					_, err := NewWorld(Config{Topo: machine.Nehalem2x4(2), Lock: simlock.KindTicket,
+						Seed: 1, Progress: m, Granularity: g, ThreadLevel: lvl, VCIs: vcis})
+					whole := g == GranGlobal && lvl == ThreadMultiple
+					daemons := m == ProgressStrong || m == ProgressContinuation
+					want := (vcis == 1 || whole) && (!daemons || whole)
+					if got := err == nil; got != want {
+						t.Errorf("%s: accepted=%v (err %v), want %v", key, got, err, want)
+					}
+					accepted[key] = err == nil
+				}
+			}
+		}
 	}
-	cfg := base()
-	cfg.Progress = ProgressStrong
-	cfg.ThreadLevel = ThreadFunneled
-	if _, err := NewWorld(cfg); err == nil {
-		t.Fatal("strong progress below MPI_THREAD_MULTIPLE must be rejected")
+	for _, g := range grans {
+		for _, lvl := range levels {
+			for _, vcis := range []int{1, 4} {
+				sel := fmt.Sprintf("%v/%v/%v/%d", ProgressSelective, g, lvl, vcis)
+				poll := fmt.Sprintf("%v/%v/%v/%d", ProgressPolling, g, lvl, vcis)
+				if accepted[sel] != accepted[poll] {
+					t.Errorf("%s accepted=%v but %s accepted=%v", sel, accepted[sel], poll, accepted[poll])
+				}
+			}
+		}
 	}
-	cfg = base()
-	cfg.Progress = ProgressContinuation
-	cfg.Granularity = GranFine
-	if _, err := NewWorld(cfg); err == nil {
-		t.Fatal("continuation progress with GranFine must be rejected")
+	if _, err := NewWorld(Config{Topo: machine.Nehalem2x4(2), Lock: simlock.KindTicket,
+		Progress: ProgressSelective + 1}); err == nil {
+		t.Error("progress mode past ProgressSelective accepted")
 	}
-	cfg = base()
-	cfg.Progress = ProgressContinuation
-	if _, err := NewWorld(cfg); err != nil {
-		t.Fatalf("valid continuation config rejected: %v", err)
+	if ProgressSelective.String() != "selective" {
+		t.Errorf("ProgressSelective.String() = %q", ProgressSelective.String())
+	}
+}
+
+// TestCompletionCallbacksNeedDaemons: OnComplete and NewCompletionQueue
+// panic in the polling modes, selective wake-up included, which have no
+// completion-time dispatch context.
+func TestCompletionCallbacksNeedDaemons(t *testing.T) {
+	panics := func(fn func()) (ok bool) {
+		defer func() { ok = recover() != nil }()
+		fn()
+		return false
+	}
+	for _, m := range []ProgressMode{ProgressPolling, ProgressSelective, ProgressStrong, ProgressContinuation} {
+		want := m == ProgressPolling || m == ProgressSelective
+		w := testWorld(t, 2, withProgress(m))
+		c := w.Comm()
+		var cqPanics, onCompletePanics bool
+		w.Spawn(0, "sender", func(th *Thread) {
+			if err := th.Wait(th.Isend(c, 1, 0, 8, nil)); err != nil {
+				t.Errorf("%v: send: %v", m, err)
+			}
+		})
+		w.Spawn(1, "receiver", func(th *Thread) {
+			cqPanics = panics(func() { th.NewCompletionQueue() })
+			r := th.Irecv(c, 0, 0)
+			onCompletePanics = panics(func() { r.OnComplete(th, func(*Request, error) {}) })
+			if onCompletePanics {
+				if err := th.Wait(r); err != nil {
+					t.Errorf("%v: recv: %v", m, err)
+				}
+			}
+		})
+		if err := w.Run(); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if cqPanics != want || onCompletePanics != want {
+			t.Errorf("%v: NewCompletionQueue panicked=%v, OnComplete panicked=%v; want %v",
+				m, cqPanics, onCompletePanics, want)
+		}
 	}
 }
 
 // TestProgressModeDeterminism: each mode reproduces the identical final
 // virtual time across two identically-seeded runs.
 func TestProgressModeDeterminism(t *testing.T) {
-	for _, m := range []ProgressMode{ProgressStrong, ProgressContinuation} {
+	for _, m := range []ProgressMode{ProgressStrong, ProgressContinuation, ProgressSelective} {
 		t.Run(m.String(), func(t *testing.T) {
 			run := func() int64 {
 				const msgs = 6

@@ -163,22 +163,22 @@ func (r *Request) markComplete(at sim.Time) {
 	if w := r.p.w; w.tel != nil {
 		w.tel.Dangling(at, int64(w.danglingNow))
 	}
-	if r.p.w.Cfg.SelectiveWakeup {
-		// Event-driven progress (§9): completions wake parked waiters.
-		r.p.activity.WakeAll(at)
-	}
 	if r.p.w.eventDriven() {
 		// Strong/continuation progress (progressd.go): bump the proc's
 		// completion sequence (closes the check-then-park window of the
-		// wait engine, wait.go), dispatch any registered continuation or
-		// completion-queue delivery from right here — the completing
-		// context — and wake parked waiters.
+		// wait engine, wait.go) and dispatch any registered continuation
+		// or completion-queue delivery from right here — the completing
+		// context.
 		r.p.completeSeq++
 		if r.cq != nil {
 			r.deliverCQ(at)
 		} else if r.onComplete != nil {
 			r.fire(at)
 		}
+	}
+	if r.p.w.Cfg.Progress != ProgressPolling {
+		// Every mode but plain polling parks threads that completions
+		// must wake: selective pollers and event-mode waiters.
 		r.p.activity.WakeAll(at)
 	}
 }
@@ -218,9 +218,9 @@ func (r *Request) fail(code Errcode, at sim.Time) {
 	}
 	r.p.w.requestFailures++
 	r.markComplete(at)
-	// Failed requests must wake their waiters even without
-	// SelectiveWakeup parking: completion polling notices on the next
-	// progress round, but parked threads need the nudge.
+	// Failed requests must wake their waiters in every progress mode:
+	// completion polling notices on the next progress round, but parked
+	// threads need the nudge.
 	r.p.activity.WakeAll(at)
 }
 

@@ -300,20 +300,23 @@ func sortInts(xs []int) {
 // collective over a communicator with a revoked context fails with
 // ErrRevoked, one with a member this process believes dead fails with
 // ErrProcFailed — failing fast instead of hanging in a dissemination
-// round that can never complete. Nil without the fault-tolerance plane.
+// round that can never complete. The failure goes through the
+// communicator's error handler, so a fatal handler panics at entry. Nil
+// without the fault-tolerance plane.
 func (c *Comm) collCheck(th *Thread) error {
 	ft := th.P.ft
 	if ft == nil {
 		return nil
 	}
+	w := th.P.w
 	if ft.revoked[c.ctx] {
-		return &Error{Code: ErrRevoked,
-			Detail: fmt.Sprintf("collective on revoked comm ctx %d", c.ctx)}
+		return w.raise(c, &Error{Code: ErrRevoked,
+			Detail: fmt.Sprintf("collective on revoked comm ctx %d", c.ctx)})
 	}
 	for i := 0; i < c.size; i++ {
 		if wr := c.world(i); ft.isDead(wr) {
-			return &Error{Code: ErrProcFailed,
-				Detail: fmt.Sprintf("collective on ctx %d: rank %d (world %d) failed", c.ctx, i, wr)}
+			return w.raise(c, &Error{Code: ErrProcFailed,
+				Detail: fmt.Sprintf("collective on ctx %d: rank %d (world %d) failed", c.ctx, i, wr)})
 		}
 	}
 	return nil

@@ -7,13 +7,21 @@ import (
 	"mpicontend/internal/simlock"
 )
 
+// wakeMode is the progress mode with selective wake-up on or off.
+func wakeMode(wake bool) ProgressMode {
+	if wake {
+		return ProgressSelective
+	}
+	return ProgressPolling
+}
+
 func wakeupWorld(t *testing.T, k simlock.Kind, wake bool) *World {
 	t.Helper()
 	w, err := NewWorld(Config{
-		Topo:            machine.Nehalem2x4(2),
-		Lock:            k,
-		Seed:            555,
-		SelectiveWakeup: wake,
+		Topo:     machine.Nehalem2x4(2),
+		Lock:     k,
+		Seed:     555,
+		Progress: wakeMode(wake),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -21,9 +29,9 @@ func wakeupWorld(t *testing.T, k simlock.Kind, wake bool) *World {
 	return w
 }
 
-// TestSelectiveWakeupCorrectness: the event-driven mode must complete the
+// TestSelectiveProgressCorrectness: the event-driven mode must complete the
 // same exchanges as busy polling, for every lock.
-func TestSelectiveWakeupCorrectness(t *testing.T) {
+func TestSelectiveProgressCorrectness(t *testing.T) {
 	for _, k := range []simlock.Kind{simlock.KindMutex, simlock.KindTicket, simlock.KindPriority} {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
@@ -55,9 +63,9 @@ func TestSelectiveWakeupCorrectness(t *testing.T) {
 	}
 }
 
-// TestSelectiveWakeupRendezvous exercises the large-message protocol with
+// TestSelectiveProgressRendezvous exercises the large-message protocol with
 // parked waiters (the CTS/RData chain must wake them).
-func TestSelectiveWakeupRendezvous(t *testing.T) {
+func TestSelectiveProgressRendezvous(t *testing.T) {
 	w := wakeupWorld(t, simlock.KindMutex, true)
 	c := w.Comm()
 	big := w.Cfg.Cost.EagerThreshold * 3
@@ -72,9 +80,9 @@ func TestSelectiveWakeupRendezvous(t *testing.T) {
 	}
 }
 
-// TestSelectiveWakeupReducesPolls: event-driven progress must issue far
+// TestSelectiveProgressReducesPolls: event-driven progress must issue far
 // fewer empty polls than busy spinning in a latency-bound exchange.
-func TestSelectiveWakeupReducesPolls(t *testing.T) {
+func TestSelectiveProgressReducesPolls(t *testing.T) {
 	polls := func(wake bool) int64 {
 		w := wakeupWorld(t, simlock.KindTicket, wake)
 		c := w.Comm()
@@ -102,13 +110,13 @@ func TestSelectiveWakeupReducesPolls(t *testing.T) {
 	}
 }
 
-// TestSelectiveWakeupHelpsMutexRMA: parking the pollers removes the mutex
+// TestSelectiveProgressHelpsMutexRMA: parking the pollers removes the mutex
 // monopolization by the async progress thread (§9's motivation).
-func TestSelectiveWakeupHelpsMutexRMA(t *testing.T) {
+func TestSelectiveProgressHelpsMutexRMA(t *testing.T) {
 	run := func(wake bool) int64 {
 		w, err := NewWorld(Config{
 			Topo: machine.Nehalem2x4(2), Lock: simlock.KindMutex,
-			ProcsPerNode: 4, Seed: 99, SelectiveWakeup: wake,
+			ProcsPerNode: 4, Seed: 99, Progress: wakeMode(wake),
 		})
 		if err != nil {
 			t.Fatal(err)

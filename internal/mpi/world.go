@@ -81,12 +81,6 @@ type Config struct {
 	// in virtual time forever) into diagnosable failures. Zero selects a
 	// generous default.
 	MaxEvents uint64
-	// SelectiveWakeup enables the paper's §9 future-work design: threads
-	// blocked in the progress loop park after an empty poll and are woken
-	// by events (message arrival, request completion) instead of
-	// busy-spinning through the critical section. This removes the wasted
-	// lock acquisitions that the mutex otherwise monopolizes.
-	SelectiveWakeup bool
 	// Fault configures the deterministic fault-injection plane. The zero
 	// value is a perfect network and the runtime behaves exactly as
 	// before (no sequence numbers, no ACK traffic, no timers). Any
@@ -115,9 +109,13 @@ type Config struct {
 	// ProgressPolling (default, the paper's poll-from-Wait shape: blocked
 	// threads iterate the progress loop of their requests' shards),
 	// ProgressStrong (a dedicated progress daemon per VCI shard; blocked
-	// threads park), or ProgressContinuation (strong progress plus
-	// OnComplete callbacks and CompletionQueue draining). Non-polling
-	// modes require MPI_THREAD_MULTIPLE and GranGlobal.
+	// threads park), ProgressContinuation (strong progress plus
+	// OnComplete callbacks and CompletionQueue draining), or
+	// ProgressSelective (polling, but a thread whose poll came up empty
+	// parks until an arrival or completion wakes it — the paper's §9
+	// selective wake-up, which removes the wasted lock acquisitions the
+	// mutex otherwise monopolizes). Strong and continuation progress
+	// require MPI_THREAD_MULTIPLE and GranGlobal.
 	Progress ProgressMode
 	// Tel, when non-nil, attaches the telemetry plane: MPI-call spans,
 	// lock wait/hold spans per priority class, progress-poll spans,
@@ -186,7 +184,7 @@ func NewWorld(cfg Config) (*World, error) {
 		return nil, fmt.Errorf("mpi: unknown granularity %d", int(cfg.Granularity))
 	case !cfg.Binding.Valid():
 		return nil, fmt.Errorf("mpi: unknown binding %d", int(cfg.Binding))
-	case cfg.Progress < ProgressPolling || cfg.Progress > ProgressContinuation:
+	case cfg.Progress < ProgressPolling || cfg.Progress > ProgressSelective:
 		return nil, fmt.Errorf("mpi: unknown progress mode %d", int(cfg.Progress))
 	}
 	if err := (vci.Config{N: cfg.VCIs, Policy: cfg.VCIPolicy}).Validate(); err != nil {
@@ -206,7 +204,7 @@ func NewWorld(cfg Config) (*World, error) {
 				"(sharding a lockless runtime is meaningless)", cfg.VCIs)
 		}
 	}
-	if cfg.Progress != ProgressPolling {
+	if cfg.Progress.eventDriven() {
 		if cfg.Granularity != GranGlobal {
 			return nil, fmt.Errorf("mpi: %v progress requires GranGlobal, got %v "+
 				"(the daemons drive whole-shard critical sections)",
@@ -405,10 +403,6 @@ type Proc struct {
 	PostedHits     int64 // arrivals matched against posted receives
 	Polls          int64
 }
-
-// Lock exposes the process's global critical-section lock (for
-// instrumentation). In a sharded world this is VCI 0's lock.
-func (p *Proc) Lock() simlock.Lock { return p.vcis[0].cs.lock }
 
 // Cost returns the world's timing model.
 func (p *Proc) Cost() machine.CostModel { return p.w.Cfg.Cost }

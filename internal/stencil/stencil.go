@@ -160,21 +160,6 @@ type procState struct {
 	mpiNs, compNs, syncNs int64
 }
 
-// pface is one X/Y face's partitioned channel state, shared by all threads
-// of a process. Double-buffered by iteration parity so a sender never
-// repacks a buffer before the neighbor unpacked the previous epoch: rank A
-// packs parity p again only at iteration i+2, which (through the Pwait /
-// trigger dependency chain of iteration i+1) is after rank B unpacked
-// iteration i.
-type pface struct {
-	dir   int // 0:-x 1:+x 2:-y 3:+y
-	peer  int
-	count int // values per thread partition (face rows of one slab)
-	psend [2]*mpi.Prequest
-	precv [2]*mpi.Prequest
-	sbuf  [2][]float64 // partition-major: thread t owns [t*count, (t+1)*count)
-}
-
 // initField fills the interior with a deterministic pattern of the global
 // coordinates; ghosts stay zero (Dirichlet boundary).
 func (st *procState) initField() {
@@ -249,11 +234,7 @@ func Run(p Params) (Result, error) {
 		for t := 0; t < p.Threads; t++ {
 			t := t
 			w.Spawn(r, "stencil", func(th *mpi.Thread) {
-				if p.Partitioned {
-					partitionedThread(th, c, p, st, t)
-				} else {
-					stencilThread(th, c, p, st, t)
-				}
+				stencilThread(th, c, p, st, t)
 				if th.S.Now() > endAt {
 					endAt = th.S.Now()
 				}
@@ -319,7 +300,106 @@ func (st *procState) rankOf(cx, cy, cz int) int {
 	return (cz*st.py+cy)*st.px + cx
 }
 
-// stencilThread runs one thread's slab for all iterations.
+// neighbour returns the rank across face dir (0:-x 1:+x 2:-y 3:+y 4:-z
+// 5:+z), or -1 at the domain boundary.
+func (st *procState) neighbour(dir int) int {
+	c := [3]int{st.cx, st.cy, st.cz}
+	c[dir/2] += 2*(dir%2) - 1
+	return st.rankOf(c[0], c[1], c[2])
+}
+
+// opposite returns the direction a neighbour uses for the same face.
+func opposite(dir int) int { return dir ^ 1 }
+
+// span is a face of the padded block: n rows of m cells, cell (i, j) at
+// base + i*so + j*si.
+type span struct{ base, so, si, n, m int }
+
+func (s span) len() int { return s.n * s.m }
+
+// pack copies the span's cells of src into out, row by row.
+func (s span) pack(src, out []float64) {
+	k := 0
+	for i := 0; i < s.n; i++ {
+		for j, c := 0, s.base+i*s.so; j < s.m; j, c = j+1, c+s.si {
+			out[k] = src[c]
+			k++
+		}
+	}
+}
+
+// unpack is pack's inverse: it copies in into the span's cells of dst.
+func (s span) unpack(in, dst []float64) {
+	k := 0
+	for i := 0; i < s.n; i++ {
+		for j, c := 0, s.base+i*s.so; j < s.m; j, c = j+1, c+s.si {
+			dst[c] = in[k]
+			k++
+		}
+	}
+}
+
+// faceSpans returns face dir of the planes [z0, z1) — the whole boundary
+// plane for Z faces — as the interior layer sent to the neighbour and the
+// ghost layer its copy fills.
+func (f *field) faceSpans(dir, z0, z1 int) (send, ghost span) {
+	row, plane := f.nx+2, (f.nx+2)*(f.ny+2)
+	var step, n int // distance to the next layer along the axis; its extent
+	switch dir / 2 {
+	case 0: // x faces: the ny rows of each plane
+		send = span{base: f.idx(1, 1, z0), so: plane, si: row, n: z1 - z0, m: f.ny}
+		step, n = 1, f.nx
+	case 1: // y faces: the nx columns of each plane
+		send = span{base: f.idx(1, 1, z0), so: plane, si: 1, n: z1 - z0, m: f.nx}
+		step, n = row, f.ny
+	default: // z faces
+		send = span{base: f.idx(1, 1, 1), so: row, si: 1, n: f.ny, m: f.nx}
+		step, n = plane, f.nz
+	}
+	ghost = send
+	if dir%2 == 1 {
+		send.base += (n - 1) * step
+		ghost.base = send.base + step
+	} else {
+		ghost.base -= step
+	}
+	return send, ghost
+}
+
+// face is one halo face a thread exchanges.
+type face struct {
+	dir, peer   int
+	tc          int // thread component of the tags: t for X/Y faces, else 0
+	send, ghost span
+}
+
+// pface is one X/Y face's partitioned channel state, shared by all threads
+// of a process. Double-buffered by iteration parity so a sender never
+// repacks a buffer before the neighbor unpacked the previous epoch: rank A
+// packs parity p again only at iteration i+2, which (through the Pwait /
+// trigger dependency chain of iteration i+1) is after rank B unpacked
+// iteration i.
+type pface struct {
+	count int // values per thread partition (face rows of one slab)
+	psend [2]*mpi.Prequest
+	precv [2]*mpi.Prequest
+	sbuf  [2][]float64 // partition-major: thread t owns [t*count, (t+1)*count)
+}
+
+// stencilThread runs one thread's slab for all iterations. Its halo
+// exchange is chosen once, before the loop: every face eager (nonblocking
+// send/receive + Waitall), or — under Params.Partitioned — X/Y faces on
+// MPI-4 partitioned channels with the Z faces still eager.
+//
+// The partitioned channel set is shared by the whole process: thread 0
+// owns the epoch lifecycle (Pstart at exchange start, Pwait in the swap
+// window), every thread packs its own slab rows into the face buffer and
+// publishes them with a lock-free Pready(t), and on the receive side every
+// thread spin-probes Parrived(t) before unpacking its own rows. Only the
+// last Pready of a face enters the runtime critical section, so each face
+// costs one lock acquisition per iteration instead of one per thread. Z
+// faces are a single whole-plane message owned by a boundary slab, so
+// there is nothing to partition across threads.
 func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) {
 	f := &st.f
 	slab := f.nz / p.Threads
@@ -329,10 +409,10 @@ func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) 
 	// whole process block for thread 0 (and nothing for others) under
 	// FUNNELED.
 	cz0, cz1 := z0, z1
-	commTag := t
+	tc := t
 	communicates := true
 	if p.Funneled {
-		commTag = 0
+		tc = 0
 		if t == 0 {
 			cz0, cz1 = 1, f.nz+1
 		} else {
@@ -340,105 +420,47 @@ func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) 
 		}
 	}
 
-	type haloOp struct {
-		dir    int // 0:-x 1:+x 2:-y 3:+y 4:-z 5:+z
-		peer   int
-		tag    int
-		count  int
-		pack   func() []float64
-		unpack func([]float64)
-	}
-	var ops []haloOp
-	addXY := func(dir, peer int) {
-		// This thread exchanges its z-range's rows of the +/-x or +/-y face.
-		tag := dir*64 + commTag
-		switch dir {
-		case 0, 1: // x faces: count = ny * slabz
-			x := 1
-			gx := 0
-			if dir == 1 {
-				x = f.nx
-				gx = f.nx + 1
+	// eager and parts hold this thread's faces in direction order; parts
+	// are the X/Y faces riding st.pfaces (same index).
+	var eager, parts []face
+	for dir := 0; dir < 6 && communicates; dir++ {
+		peer := st.neighbour(dir)
+		if peer < 0 {
+			continue
+		}
+		fc := face{dir: dir, peer: peer, tc: tc}
+		fc.send, fc.ghost = f.faceSpans(dir, cz0, cz1)
+		switch {
+		case dir >= 4:
+			// Z faces belong to the boundary slabs only; one message per
+			// face.
+			if (dir == 4 && cz0 != 1) || (dir == 5 && cz1 != f.nz+1) {
+				continue
 			}
-			ops = append(ops, haloOp{dir: dir, peer: peer, tag: tag,
-				count: f.ny * (cz1 - cz0),
-				pack: func() []float64 {
-					out := make([]float64, 0, f.ny*(cz1-cz0))
-					for z := cz0; z < cz1; z++ {
-						for y := 1; y <= f.ny; y++ {
-							out = append(out, f.cur[f.idx(x, y, z)])
-						}
-					}
-					return out
-				},
-				unpack: func(in []float64) {
-					i := 0
-					for z := cz0; z < cz1; z++ {
-						for y := 1; y <= f.ny; y++ {
-							f.cur[f.idx(gx, y, z)] = in[i]
-							i++
-						}
-					}
-				}})
-		case 2, 3: // y faces
-			y := 1
-			gy := 0
-			if dir == 3 {
-				y = f.ny
-				gy = f.ny + 1
+			fc.tc = 0
+			eager = append(eager, fc)
+		case p.Partitioned:
+			parts = append(parts, fc)
+		default:
+			eager = append(eager, fc)
+		}
+	}
+	if p.Partitioned {
+		// Thread 0 builds the shared partitioned channels; double-buffered
+		// by iteration parity (see pface) with the parity encoded in the
+		// tag.
+		if t == 0 {
+			for _, fc := range parts {
+				pf := &pface{count: fc.send.len()}
+				for par := 0; par < 2; par++ {
+					pf.sbuf[par] = make([]float64, pf.count*p.Threads)
+					pf.psend[par] = th.PsendInit(c, fc.peer, fc.dir*64+par, p.Threads, int64(pf.count*8), pf.sbuf[par])
+					pf.precv[par] = th.PrecvInit(c, fc.peer, opposite(fc.dir)*64+par, p.Threads, int64(pf.count*8))
+				}
+				st.pfaces = append(st.pfaces, pf)
 			}
-			ops = append(ops, haloOp{dir: dir, peer: peer, tag: tag,
-				count: f.nx * (cz1 - cz0),
-				pack: func() []float64 {
-					out := make([]float64, 0, f.nx*(cz1-cz0))
-					for z := cz0; z < cz1; z++ {
-						for x := 1; x <= f.nx; x++ {
-							out = append(out, f.cur[f.idx(x, y, z)])
-						}
-					}
-					return out
-				},
-				unpack: func(in []float64) {
-					i := 0
-					for z := cz0; z < cz1; z++ {
-						for x := 1; x <= f.nx; x++ {
-							f.cur[f.idx(x, gy, z)] = in[i]
-							i++
-						}
-					}
-				}})
 		}
-	}
-	if communicates {
-		if peer := st.rankOf(st.cx-1, st.cy, st.cz); peer >= 0 {
-			addXY(0, peer)
-		}
-		if peer := st.rankOf(st.cx+1, st.cy, st.cz); peer >= 0 {
-			addXY(1, peer)
-		}
-		if peer := st.rankOf(st.cx, st.cy-1, st.cz); peer >= 0 {
-			addXY(2, peer)
-		}
-		if peer := st.rankOf(st.cx, st.cy+1, st.cz); peer >= 0 {
-			addXY(3, peer)
-		}
-	}
-	// Z faces belong to the boundary slabs only; one message per face.
-	if communicates && (t == 0 || p.Funneled) {
-		if peer := st.rankOf(st.cx, st.cy, st.cz-1); peer >= 0 {
-			ops = append(ops, haloOp{dir: 4, peer: peer, tag: 4 * 64,
-				count:  f.nx * f.ny,
-				pack:   func() []float64 { return packZ(f, 1) },
-				unpack: func(in []float64) { unpackZ(f, 0, in) }})
-		}
-	}
-	if communicates && (t == p.Threads-1 || p.Funneled) {
-		if peer := st.rankOf(st.cx, st.cy, st.cz+1); peer >= 0 {
-			ops = append(ops, haloOp{dir: 5, peer: peer, tag: 5 * 64,
-				count:  f.nx * f.ny,
-				pack:   func() []float64 { return packZ(f, f.nz) },
-				unpack: func(in []float64) { unpackZ(f, f.nz+1, in) }})
-		}
+		st.barrier.Wait(th.S)
 	}
 
 	cost := th.P.Cost()
@@ -446,30 +468,67 @@ func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) 
 	if th.Place().Socket != 0 {
 		pointNs = pointNs * (100 + cost.RemoteMemPenaltyPct) / 100
 	}
-	reqs := make([]*mpi.Request, 0, 2*len(ops))
-	bufs := make([]interface{}, len(ops)) // receive slots, one per face
+	reqs := make([]*mpi.Request, 0, 2*len(eager))
+	bufs := make([]interface{}, len(eager)) // receive slots, one per eager face
 	for iter := 0; iter < p.Iters; iter++ {
-		// Halo exchange: post all receives, pack+send all faces, waitall.
-		// Threads without halo operations (workers under FUNNELED) make
-		// no MPI calls at all, as the thread level requires.
+		// Halo exchange: open the partitioned epochs, post all eager
+		// receives, publish the partitioned rows, pack+send the eager
+		// faces, waitall, then collect the partitioned rows. Threads
+		// without faces (workers under FUNNELED) make no MPI calls at
+		// all, as the thread level requires.
+		par := iter % 2
 		t0 := th.S.Now()
-		if len(ops) > 0 {
-			reqs = reqs[:0]
-			for i, op := range ops {
-				reqs = append(reqs, th.IrecvN(c, op.peer, opposite(op.dir)*64+tagThread(op.dir, commTag), -1, &bufs[i]))
+		if p.Partitioned {
+			// Thread 0 opens this iteration's epochs; the barrier keeps
+			// any Pready/Parrived from racing ahead of the Pstart.
+			if t == 0 {
+				for _, pf := range st.pfaces {
+					th.Pstart(pf.psend[par])
+					th.Pstart(pf.precv[par])
+				}
 			}
-			for i := range ops {
-				op := &ops[i]
-				data := op.pack()
-				th.S.Sleep(cost.CopyTime(int64(len(data) * 8))) // pack cost
-				reqs = append(reqs, th.Isend(c, op.peer, op.tag, int64(len(data)*8), data))
-			}
+			st.barrier.Wait(th.S)
+		}
+		reqs = reqs[:0]
+		for i, fc := range eager {
+			reqs = append(reqs, th.IrecvN(c, fc.peer, opposite(fc.dir)*64+fc.tc, -1, &bufs[i]))
+		}
+		// The last Pready of a face triggers its single aggregated
+		// transfer.
+		for i, fc := range parts {
+			pf := st.pfaces[i]
+			fc.send.pack(f.cur, pf.sbuf[par][t*pf.count:(t+1)*pf.count])
+			th.S.Sleep(cost.CopyTime(int64(pf.count * 8))) // pack cost
+			th.Pready(pf.psend[par], t)                    //simcheck:allow errdrop halo exchange runs under the fatal handler; errors panic inside Pready
+		}
+		for _, fc := range eager {
+			data := make([]float64, fc.send.len())
+			fc.send.pack(f.cur, data)
+			th.S.Sleep(cost.CopyTime(int64(len(data) * 8))) // pack cost
+			reqs = append(reqs, th.Isend(c, fc.peer, fc.dir*64+fc.tc, int64(len(data)*8), data))
+		}
+		if len(reqs) > 0 {
 			th.Waitall(reqs) //simcheck:allow errdrop halo exchange runs under the fatal handler; errors panic inside Waitall
-			for i := range ops {
+			for i, fc := range eager {
 				data := bufs[i].([]float64)
 				th.S.Sleep(cost.CopyTime(int64(len(data) * 8))) // unpack cost
-				ops[i].unpack(data)
+				fc.ghost.unpack(data, f.cur)
 			}
+		}
+		// Consume this thread's partitions: spin on fine-grained arrival,
+		// then unpack only our own rows from the aggregated face.
+		for i, fc := range parts {
+			pf := st.pfaces[i]
+			for {
+				ok, _ := th.Parrived(pf.precv[par], t) //simcheck:allow errdrop halo exchange runs under the fatal handler; errors panic inside Parrived
+				if ok {
+					break
+				}
+				th.S.Sleep(cost.ProgressLoopOverhead)
+			}
+			in := pf.precv[par].Data().([]float64)
+			th.S.Sleep(cost.CopyTime(int64(pf.count * 8))) // unpack cost
+			fc.ghost.unpack(in[t*pf.count:(t+1)*pf.count], f.cur)
 		}
 		if p.Funneled {
 			// Workers must not read ghost cells before thread 0 finished
@@ -498,224 +557,10 @@ func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) 
 		st.compNs += th.S.Now() - t1
 
 		// End-of-iteration thread synchronization (OpenMP-style barrier).
-		t2 := th.S.Now()
-		st.barrier.Wait(th.S)
-		if t == 0 {
-			f.cur, f.next = f.next, f.cur
-		}
-		st.barrier.Wait(th.S)
-		st.syncNs += th.S.Now() - t2
-	}
-}
-
-// partitionedThread runs one thread's slab with X/Y halos on MPI-4
-// partitioned channels (Params.Partitioned). The channel set is shared by
-// the whole process: thread 0 owns the epoch lifecycle (Pstart at exchange
-// start, Pwait in the swap window), every thread packs its own slab rows
-// into the face buffer and publishes them with a lock-free Pready(t), and
-// on the receive side every thread spin-probes Parrived(t) before
-// unpacking its own rows. Only the last Pready of a face enters the
-// runtime critical section, so each face costs one lock acquisition per
-// iteration instead of one per thread. Z faces keep the regular eager
-// path of stencilThread (they are a single whole-plane message owned by a
-// boundary slab, so there is nothing to partition across threads).
-func partitionedThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) {
-	f := &st.f
-	slab := f.nz / p.Threads
-	z0 := 1 + t*slab
-	z1 := z0 + slab // exclusive
-	cost := th.P.Cost()
-	pointNs := p.PointNs
-	if th.Place().Socket != 0 {
-		pointNs = pointNs * (100 + cost.RemoteMemPenaltyPct) / 100
-	}
-
-	// Thread 0 builds the shared partitioned channels; double-buffered by
-	// iteration parity (see pface) with the parity encoded in the tag.
-	if t == 0 {
-		add := func(dir, peer int) {
-			count := f.ny * slab // x faces: ny rows per slab plane
-			if dir >= 2 {
-				count = f.nx * slab // y faces
-			}
-			pf := &pface{dir: dir, peer: peer, count: count}
-			for par := 0; par < 2; par++ {
-				pf.sbuf[par] = make([]float64, count*p.Threads)
-				pf.psend[par] = th.PsendInit(c, peer, dir*64+par, p.Threads, int64(count*8), pf.sbuf[par])
-				pf.precv[par] = th.PrecvInit(c, peer, opposite(dir)*64+par, p.Threads, int64(count*8))
-			}
-			st.pfaces = append(st.pfaces, pf)
-		}
-		if peer := st.rankOf(st.cx-1, st.cy, st.cz); peer >= 0 {
-			add(0, peer)
-		}
-		if peer := st.rankOf(st.cx+1, st.cy, st.cz); peer >= 0 {
-			add(1, peer)
-		}
-		if peer := st.rankOf(st.cx, st.cy-1, st.cz); peer >= 0 {
-			add(2, peer)
-		}
-		if peer := st.rankOf(st.cx, st.cy+1, st.cz); peer >= 0 {
-			add(3, peer)
-		}
-	}
-	st.barrier.Wait(th.S)
-
-	// Z faces: regular eager messages owned by the boundary slabs.
-	type zop struct {
-		peer, tag int
-		plane     int // source plane to pack
-		ghost     int // ghost plane to unpack into
-	}
-	var zops []zop
-	if t == 0 {
-		if peer := st.rankOf(st.cx, st.cy, st.cz-1); peer >= 0 {
-			zops = append(zops, zop{peer: peer, tag: 4 * 64, plane: 1, ghost: 0})
-		}
-	}
-	if t == p.Threads-1 {
-		if peer := st.rankOf(st.cx, st.cy, st.cz+1); peer >= 0 {
-			zops = append(zops, zop{peer: peer, tag: 5 * 64, plane: f.nz, ghost: f.nz + 1})
-		}
-	}
-
-	packFace := func(pf *pface, out []float64) {
-		i := 0
-		if pf.dir < 2 {
-			x := 1
-			if pf.dir == 1 {
-				x = f.nx
-			}
-			for z := z0; z < z1; z++ {
-				for y := 1; y <= f.ny; y++ {
-					out[i] = f.cur[f.idx(x, y, z)]
-					i++
-				}
-			}
-		} else {
-			y := 1
-			if pf.dir == 3 {
-				y = f.ny
-			}
-			for z := z0; z < z1; z++ {
-				for x := 1; x <= f.nx; x++ {
-					out[i] = f.cur[f.idx(x, y, z)]
-					i++
-				}
-			}
-		}
-	}
-	unpackFace := func(pf *pface, in []float64) {
-		i := 0
-		if pf.dir < 2 {
-			gx := 0
-			if pf.dir == 1 {
-				gx = f.nx + 1
-			}
-			for z := z0; z < z1; z++ {
-				for y := 1; y <= f.ny; y++ {
-					f.cur[f.idx(gx, y, z)] = in[i]
-					i++
-				}
-			}
-		} else {
-			gy := 0
-			if pf.dir == 3 {
-				gy = f.ny + 1
-			}
-			for z := z0; z < z1; z++ {
-				for x := 1; x <= f.nx; x++ {
-					f.cur[f.idx(x, gy, z)] = in[i]
-					i++
-				}
-			}
-		}
-	}
-
-	zreqs := make([]*mpi.Request, 0, 2*len(zops))
-	zbufs := make([]interface{}, len(zops)) // receive slots, one per Z face
-	for iter := 0; iter < p.Iters; iter++ {
-		par := iter % 2
-		t0 := th.S.Now()
-		// Thread 0 opens this iteration's epochs; the barrier keeps any
-		// Pready/Parrived from racing ahead of the Pstart.
-		if t == 0 {
-			for _, pf := range st.pfaces {
-				th.Pstart(pf.psend[par])
-				th.Pstart(pf.precv[par])
-			}
-		}
-		st.barrier.Wait(th.S)
-
-		// Z faces: post receives first (as the eager path does).
-		zreqs = zreqs[:0]
-		for i, op := range zops {
-			zreqs = append(zreqs, th.IrecvN(c, op.peer, opposite(op.tag/64)*64, -1, &zbufs[i]))
-		}
-
-		// Publish this thread's slab rows on every X/Y face: pack into the
-		// shared buffer, then a lock-free readiness flip. The last flip of
-		// a face triggers the single aggregated transfer.
-		for _, pf := range st.pfaces {
-			packFace(pf, pf.sbuf[par][t*pf.count:(t+1)*pf.count])
-			th.S.Sleep(cost.CopyTime(int64(pf.count * 8))) // pack cost
-			th.Pready(pf.psend[par], t)                    //simcheck:allow errdrop halo exchange runs under the fatal handler; errors panic inside Pready
-		}
-
-		// Z faces: pack + eager send, then drain.
-		for _, op := range zops {
-			data := packZ(f, op.plane)
-			th.S.Sleep(cost.CopyTime(int64(len(data) * 8))) // pack cost
-			zreqs = append(zreqs, th.Isend(c, op.peer, op.tag, int64(len(data)*8), data))
-		}
-		if len(zreqs) > 0 {
-			th.Waitall(zreqs) //simcheck:allow errdrop halo exchange runs under the fatal handler; errors panic inside Waitall
-			for i, op := range zops {
-				data := zbufs[i].([]float64)
-				th.S.Sleep(cost.CopyTime(int64(len(data) * 8))) // unpack cost
-				unpackZ(f, op.ghost, data)
-			}
-		}
-
-		// Consume this thread's partitions: spin on fine-grained arrival,
-		// then unpack only our own rows from the aggregated face.
-		for _, pf := range st.pfaces {
-			for {
-				ok, _ := th.Parrived(pf.precv[par], t) //simcheck:allow errdrop halo exchange runs under the fatal handler; errors panic inside Parrived
-				if ok {
-					break
-				}
-				th.S.Sleep(cost.ProgressLoopOverhead)
-			}
-			in := pf.precv[par].Data().([]float64)
-			th.S.Sleep(cost.CopyTime(int64(pf.count * 8))) // unpack cost
-			unpackFace(pf, in[t*pf.count:(t+1)*pf.count])
-		}
-		st.mpiNs += th.S.Now() - t0
-
-		// Compute the slab (identical to stencilThread).
-		t1 := th.S.Now()
-		const alpha = 0.1
-		for z := z0; z < z1; z++ {
-			for y := 1; y <= f.ny; y++ {
-				base := f.idx(0, y, z)
-				for x := 1; x <= f.nx; x++ {
-					i := base + x
-					lap := f.cur[i-1] + f.cur[i+1] +
-						f.cur[i-(f.nx+2)] + f.cur[i+(f.nx+2)] +
-						f.cur[i-(f.nx+2)*(f.ny+2)] + f.cur[i+(f.nx+2)*(f.ny+2)] -
-						6*f.cur[i]
-					f.next[i] = f.cur[i] + alpha*lap
-				}
-			}
-		}
-		th.S.Sleep(int64(f.nx*f.ny*(z1-z0)) * pointNs)
-		st.compNs += th.S.Now() - t1
-
-		// End-of-iteration synchronization. Thread 0 retires the epochs in
-		// the swap window: after the first barrier no thread can still be
-		// probing Parrived on this parity, and the epochs must be closed
-		// before iteration i+2 reopens the same pair.
+		// Thread 0 retires the partitioned epochs in the swap window:
+		// after the first barrier no thread can still be probing Parrived
+		// on this parity, and the epochs must be closed before iteration
+		// i+2 reopens the same pair.
 		t2 := th.S.Now()
 		st.barrier.Wait(th.S)
 		if t == 0 {
@@ -727,52 +572,5 @@ func partitionedThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t i
 		}
 		st.barrier.Wait(th.S)
 		st.syncNs += th.S.Now() - t2
-	}
-}
-
-// tagThread returns the thread component of a halo tag: X/Y faces pair
-// thread t with thread t; Z faces use a single message.
-func tagThread(dir, t int) int {
-	if dir >= 4 {
-		return 0
-	}
-	return t
-}
-
-// opposite returns the direction a neighbor uses for the same face.
-func opposite(dir int) int {
-	switch dir {
-	case 0:
-		return 1
-	case 1:
-		return 0
-	case 2:
-		return 3
-	case 3:
-		return 2
-	case 4:
-		return 5
-	default:
-		return 4
-	}
-}
-
-func packZ(f *field, z int) []float64 {
-	out := make([]float64, 0, f.nx*f.ny)
-	for y := 1; y <= f.ny; y++ {
-		for x := 1; x <= f.nx; x++ {
-			out = append(out, f.cur[f.idx(x, y, z)])
-		}
-	}
-	return out
-}
-
-func unpackZ(f *field, z int, in []float64) {
-	i := 0
-	for y := 1; y <= f.ny; y++ {
-		for x := 1; x <= f.nx; x++ {
-			f.cur[f.idx(x, y, z)] = in[i]
-			i++
-		}
 	}
 }

@@ -11,11 +11,12 @@
 // (internal/sim and the packages above it) remains goroutine-free, and
 // the nogoroutine analyzer enforces that split by package allowlist.
 //
-// Scheduling is work-stealing over the index space: each worker owns a
-// contiguous range of job indices and, when its range drains, steals the
-// upper half of the largest remaining range. Load balancing therefore
-// adapts to wildly uneven job costs (a chaos soak next to a table lookup)
-// without any coordination on the hot path. Scheduling order is
+// Scheduling is one shared atomic index: each idle worker claims the next
+// unclaimed job. Jobs are coarse (a whole simulation each), so one atomic
+// add per job costs nothing, and load balancing still adapts to wildly
+// uneven job costs (a chaos soak next to a table lookup): no worker idles
+// while a job is unclaimed. Jobs also start in index order, so MapGroups'
+// early groups finish, and stream out, first. Scheduling order is
 // intentionally unobservable: results land in a slice indexed by job, and
 // OrderedMerge re-serializes streamed completions, so callers cannot
 // distinguish worker counts by anything but wall-clock time.
@@ -26,60 +27,12 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers is the worker count used when a caller passes workers <= 0:
 // one worker per CPU, as the cmd tools default to.
 func DefaultWorkers() int { return runtime.NumCPU() }
-
-// span is one worker's claim on a contiguous range [lo, hi) of the job
-// index space.
-type span struct {
-	mu     sync.Mutex
-	lo, hi int
-}
-
-// take claims the next index of the worker's own range.
-func (s *span) take() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lo >= s.hi {
-		return 0, false
-	}
-	i := s.lo
-	s.lo++
-	return i, true
-}
-
-// size reports the remaining range length (racy snapshot used only for
-// victim selection; correctness never depends on it).
-func (s *span) size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hi - s.lo
-}
-
-// steal removes and returns the upper half of the span (the whole span
-// when only one index remains).
-func (s *span) steal() (lo, hi int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.hi - s.lo
-	if n <= 0 {
-		return 0, 0, false
-	}
-	mid := s.lo + n/2
-	lo, hi = mid, s.hi
-	s.hi = mid
-	return lo, hi, true
-}
-
-// give replaces the worker's (drained) range with freshly stolen work.
-func (s *span) give(lo, hi int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lo, s.hi = lo, hi
-}
 
 // clampWorkers normalizes the requested worker count for n jobs.
 func clampWorkers(workers, n int) int {
@@ -120,28 +73,17 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		return results, firstErr
 	}
 
-	// Partition the index space into one contiguous range per worker.
-	spans := make([]*span, workers)
-	for w := 0; w < workers; w++ {
-		spans[w] = &span{lo: w * n / workers, hi: (w + 1) * n / workers}
-	}
+	var next atomic.Int64 // the lowest unclaimed job index
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			my := spans[w]
-			for {
-				if i, ok := my.take(); ok {
-					results[i], errs[i] = fn(i)
-					continue
-				}
-				if !stealInto(my, spans, w) {
-					return
-				}
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				results[i], errs[i] = fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -150,31 +92,6 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 		}
 	}
 	return results, nil
-}
-
-// stealInto refills the drained span my from the largest victim range.
-// It returns false when no victim has work left, which is the worker's
-// termination condition: job indices only ever move between spans, so an
-// empty scan means every index is claimed or done.
-func stealInto(my *span, spans []*span, self int) bool {
-	// Order victims by (racily snapshotted) remaining size, largest
-	// first, so the thief takes the biggest half available.
-	order := make([]int, 0, len(spans)-1)
-	for v := range spans {
-		if v != self {
-			order = append(order, v)
-		}
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return spans[order[a]].size() > spans[order[b]].size()
-	})
-	for _, v := range order {
-		if lo, hi, ok := spans[v].steal(); ok {
-			my.give(lo, hi)
-			return true
-		}
-	}
-	return false
 }
 
 // Run is Map for jobs that produce no value.
@@ -246,7 +163,7 @@ func (m *OrderedMerge[T]) Emitted() int {
 // groups (group g spans sizes[g] consecutive indices) and delivers each
 // group's results, in group order, as soon as the group completes. It is
 // the orchestrator behind `mpistorm -experiment all -jobs N`: experiment
-// points from all groups share one work-stealing pool so expensive and
+// points from all groups share one worker pool so expensive and
 // cheap experiments keep every worker fed, while the ordered merge makes
 // the streamed per-group output byte-identical to a serial run.
 //

@@ -31,8 +31,8 @@ func TestMapOrder(t *testing.T) {
 	}
 }
 
-// TestMapRunsEachJobOnce counts executions under heavy stealing pressure:
-// uneven job costs force workers to steal from each other's ranges.
+// TestMapRunsEachJobOnce counts executions with many workers racing on
+// the shared job index under uneven job costs.
 func TestMapRunsEachJobOnce(t *testing.T) {
 	const n = 500
 	var counts [n]int64

@@ -53,8 +53,9 @@ type RMAParams struct {
 	// Flush after this many outstanding ops (window).
 	Window int
 	Seed   uint64
-	// SelectiveWakeup enables the event-driven progress extension (§9).
-	SelectiveWakeup bool
+	// Progress selects who drives the progress engine (default polling;
+	// ProgressSelective is the §9 selective wake-up).
+	Progress mpi.ProgressMode
 	// Fault configures the fault-injection plane (zero = perfect network).
 	Fault fault.Config
 	// MaxWall bounds real run time in wall-clock ns (0 = unlimited).
@@ -106,14 +107,14 @@ func RMA(p RMAParams) (RMAResult, error) {
 		nodes = 1
 	}
 	w, err := mpi.NewWorld(mpi.Config{
-		Topo:            machine.Nehalem2x4(nodes),
-		Lock:            p.Lock,
-		ProcsPerNode:    ppn,
-		Seed:            p.Seed,
-		SelectiveWakeup: p.SelectiveWakeup,
-		Fault:           p.Fault,
-		MaxWall:         p.MaxWall,
-		Tel:             p.Tel,
+		Topo:         machine.Nehalem2x4(nodes),
+		Lock:         p.Lock,
+		ProcsPerNode: ppn,
+		Seed:         p.Seed,
+		Progress:     p.Progress,
+		Fault:        p.Fault,
+		MaxWall:      p.MaxWall,
+		Tel:          p.Tel,
 	})
 	if err != nil {
 		return res, err

@@ -28,9 +28,10 @@ type ThroughputParams struct {
 	// Granularity selects the critical-section granularity (Fig. 1);
 	// default Global, the paper's baseline.
 	Granularity mpi.Granularity
-	// SelectiveWakeup enables the event-driven progress extension (§9).
-	SelectiveWakeup bool
-	Binding         machine.Binding
+	// Progress selects who drives the progress engine (default polling;
+	// ProgressSelective is the §9 selective wake-up).
+	Progress mpi.ProgressMode
+	Binding  machine.Binding
 	// Cost overrides the timing model (zero value = machine.Default()),
 	// used by the calibration and ablation studies.
 	Cost machine.CostModel
@@ -118,17 +119,17 @@ func Throughput(p ThroughputParams) (ThroughputResult, error) {
 	dang := &trace.DanglingProfiler{}
 
 	cfg := mpi.Config{
-		Topo:            machine.Nehalem2x4(2),
-		Cost:            p.Cost,
-		Lock:            p.Lock,
-		Granularity:     p.Granularity,
-		SelectiveWakeup: p.SelectiveWakeup,
-		Binding:         p.Binding,
-		ProcsPerNode:    p.ProcsPerNode,
-		Seed:            p.Seed,
-		Fault:           p.Fault,
-		MaxWall:         p.MaxWall,
-		Tel:             p.Tel,
+		Topo:         machine.Nehalem2x4(2),
+		Cost:         p.Cost,
+		Lock:         p.Lock,
+		Granularity:  p.Granularity,
+		Progress:     p.Progress,
+		Binding:      p.Binding,
+		ProcsPerNode: p.ProcsPerNode,
+		Seed:         p.Seed,
+		Fault:        p.Fault,
+		MaxWall:      p.MaxWall,
+		Tel:          p.Tel,
 	}
 	if p.TraceRank >= 0 {
 		cfg.OnGrant = func(rank int) func(trace.Grant) {

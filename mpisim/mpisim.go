@@ -128,11 +128,13 @@ type ThroughputConfig struct {
 	// Granularity selects the critical-section granularity (default
 	// Global, the paper's baseline).
 	Granularity Granularity
-	// SelectiveWakeup enables event-driven progress (§9 future work).
-	SelectiveWakeup bool
-	Binding         Binding
-	Threads         int
-	MsgBytes        int64
+	// Progress selects who drives the progress engine: polling
+	// (default), SelectiveProgress (the §9 selective wake-up), strong or
+	// continuation. See docs/PROGRESS.md.
+	Progress ProgressMode
+	Binding  Binding
+	Threads  int
+	MsgBytes int64
 	// Window is the per-thread request window (default 64, as in the
 	// paper); Windows is how many windows each thread completes.
 	Window  int
@@ -176,7 +178,7 @@ func Throughput(c ThroughputConfig) (ThroughputResult, error) {
 	}
 	r, err := workloads.Throughput(workloads.ThroughputParams{
 		Lock: c.Lock, Granularity: c.Granularity,
-		SelectiveWakeup: c.SelectiveWakeup, Binding: c.Binding,
+		Progress: c.Progress, Binding: c.Binding,
 		Threads: c.Threads, MsgBytes: c.MsgBytes,
 		Window: c.Window, Windows: c.Windows,
 		ProcsPerNode: c.ProcsPerNode, Seed: c.Seed, TraceRank: tr,
@@ -264,12 +266,17 @@ const (
 	// callbacks and completion-queue draining: Waitall becomes one
 	// batched enqueue and a drain.
 	ContinuationProgress = mpi.ProgressContinuation
+	// SelectiveProgress is polling with the paper's §9 selective
+	// wake-up: a thread whose poll came up empty parks until an arrival
+	// or completion wakes it, instead of re-acquiring the critical
+	// section.
+	SelectiveProgress = mpi.ProgressSelective
 )
 
 // ParseProgressMode maps a mode name, as printed by ProgressMode.String,
 // back to the mode; the empty string means PollingProgress.
 func ParseProgressMode(s string) (ProgressMode, error) {
-	for _, m := range []ProgressMode{PollingProgress, StrongProgress, ContinuationProgress} {
+	for _, m := range []ProgressMode{PollingProgress, StrongProgress, ContinuationProgress, SelectiveProgress} {
 		if s == m.String() {
 			return m, nil
 		}
@@ -277,7 +284,7 @@ func ParseProgressMode(s string) (ProgressMode, error) {
 	if s == "" {
 		return PollingProgress, nil
 	}
-	return 0, fmt.Errorf("unknown -progress mode %q (polling|strong|continuation)", s)
+	return 0, fmt.Errorf("unknown -progress mode %q (polling|strong|continuation|selective)", s)
 }
 
 // N2NConfig parametrizes the all-to-all streaming benchmark (paper §5.2).
@@ -362,8 +369,10 @@ type RMAConfig struct {
 	ElemBytes int64
 	Ops       int
 	Seed      uint64
-	// SelectiveWakeup enables event-driven progress (§9 future work).
-	SelectiveWakeup bool
+	// Progress selects who drives the progress engine (default polling;
+	// SelectiveProgress is the §9 selective wake-up). See
+	// docs/PROGRESS.md.
+	Progress ProgressMode
 	// Fault injects network/scheduler faults (zero = perfect network).
 	Fault FaultConfig
 	// Telemetry attaches the deterministic observability plane (nil =
@@ -384,7 +393,7 @@ func RMA(c RMAConfig) (RMAResult, error) {
 	r, err := workloads.RMA(workloads.RMAParams{
 		Lock: c.Lock, Op: c.Op, Procs: c.Procs,
 		ElemBytes: c.ElemBytes, Ops: c.Ops, Window: 1, Seed: c.Seed,
-		SelectiveWakeup: c.SelectiveWakeup, Fault: c.Fault,
+		Progress: c.Progress, Fault: c.Fault,
 		Tel: c.Telemetry.recorder(),
 	})
 	if err != nil {

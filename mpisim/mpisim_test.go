@@ -16,7 +16,7 @@ func TestLockNames(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(l), l.String(), s)
 		}
 	}
-	for _, m := range []ProgressMode{PollingProgress, StrongProgress, ContinuationProgress} {
+	for _, m := range []ProgressMode{PollingProgress, StrongProgress, ContinuationProgress, SelectiveProgress} {
 		if got, err := ParseProgressMode(m.String()); err != nil || got != m {
 			t.Errorf("ParseProgressMode(%q) = %v, %v; want %v", m.String(), got, err, m)
 		}
@@ -158,13 +158,13 @@ func TestGranularityFacade(t *testing.T) {
 	}
 }
 
-func TestSelectiveWakeupFacade(t *testing.T) {
+func TestSelectiveProgressFacade(t *testing.T) {
 	busy, err := RMA(RMAConfig{Lock: Mutex, Op: Put, ElemBytes: 64, Ops: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	evt, err := RMA(RMAConfig{Lock: Mutex, Op: Put, ElemBytes: 64, Ops: 4,
-		SelectiveWakeup: true})
+		Progress: SelectiveProgress})
 	if err != nil {
 		t.Fatal(err)
 	}
