@@ -6,7 +6,7 @@
 #   make soak    quick chaos-experiment soak run
 #   make figures regenerate the full figure output
 #   make trace   record + validate a Perfetto trace of the fig8a probe
-#   make parity  prove -jobs 1 and -jobs 4 stdout are byte-identical
+#   make parity  prove -jobs 1 and -jobs 4 output (mpistorm stdout, mpitrace tree) is byte-identical
 #   make golden  prove the full sweep still prints full_run.txt byte for byte
 #   make simcheck-bench  time the whole-module analysis; fail beyond 60s
 
@@ -80,7 +80,8 @@ trace:
 # progress daemons/continuation dispatch, and the partitioned channels'
 # lock-free readiness bitmaps are simulated state like any other, so the
 # same seed must reproduce them bit-for-bit at any worker count. cmp
-# exits non-zero on the first differing byte.
+# exits non-zero on the first differing byte. mpitrace makes the same
+# promise for its trace.json/profile.json tree, which diff -r checks.
 parity:
 	$(GO) build -o /tmp/mpistorm-parity ./cmd/mpistorm
 	/tmp/mpistorm-parity -experiment all -quick -jobs 1 > /tmp/parity-jobs1.txt
@@ -98,6 +99,11 @@ parity:
 	/tmp/mpistorm-parity -experiment partitioned -jobs 1 > /tmp/parity-partitioned-jobs1.txt
 	/tmp/mpistorm-parity -experiment partitioned -jobs 4 > /tmp/parity-partitioned-jobs4.txt
 	cmp /tmp/parity-partitioned-jobs1.txt /tmp/parity-partitioned-jobs4.txt
+	$(GO) build -o /tmp/mpitrace-parity ./cmd/mpitrace
+	rm -rf /tmp/parity-trace-jobs1 /tmp/parity-trace-jobs4
+	/tmp/mpitrace-parity -experiment all -quick -jobs 1 -out /tmp/parity-trace-jobs1 > /dev/null
+	/tmp/mpitrace-parity -experiment all -quick -jobs 4 -out /tmp/parity-trace-jobs4 > /dev/null
+	diff -r /tmp/parity-trace-jobs1 /tmp/parity-trace-jobs4
 	@echo "parity OK: -jobs 1 and -jobs 4 output is byte-identical"
 
 # Full-output golden: the complete experiment sweep must print the

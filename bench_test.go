@@ -164,7 +164,7 @@ func benchThroughput(b *testing.B, kind simlock.Kind, threads int) {
 	for i := 0; i < b.N; i++ {
 		r, err := workloads.Throughput(workloads.ThroughputParams{
 			Lock: kind, Threads: threads, MsgBytes: 64, Windows: 4,
-			TraceRank: -1, Binding: machine.Compact,
+			Binding: machine.Compact,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -218,8 +218,8 @@ func benchChaos(b *testing.B, kind simlock.Kind) {
 	for i := 0; i < b.N; i++ {
 		r, err := workloads.Throughput(workloads.ThroughputParams{
 			Lock: kind, Threads: 8, MsgBytes: 512, Window: 32, Windows: 4,
-			TraceRank: -1, Binding: machine.Compact,
-			Fault: fault.Config{DropProb: 0.01, WatchdogNs: 50_000_000},
+			Binding: machine.Compact,
+			Fault:   fault.Config{DropProb: 0.01, WatchdogNs: 50_000_000},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -338,7 +338,7 @@ func benchTelemetry(b *testing.B, enabled bool) {
 		}
 		r, err := workloads.Throughput(workloads.ThroughputParams{
 			Lock: simlock.KindMutex, Threads: 8, MsgBytes: 64,
-			Window: 32, Windows: 4, TraceRank: -1, Tel: rec,
+			Window: 32, Windows: 4, Tel: rec,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -139,7 +139,7 @@ func Probe(id string, o Options, rec *telemetry.Recorder) (string, error) {
 		// The resilience soak's shape: throughput over a lossy network.
 		p := workloads.ThroughputParams{
 			Lock: simlock.KindTicket, Threads: 4, MsgBytes: 64,
-			Window: 32, Windows: windows, Seed: o.seed(), TraceRank: -1,
+			Window: 32, Windows: windows, Seed: o.seed(),
 			Fault: fault.Config{DropProb: 0.01, WatchdogNs: 10_000_000},
 			Tel:   rec,
 		}
@@ -152,7 +152,7 @@ func Probe(id string, o Options, rec *telemetry.Recorder) (string, error) {
 		// the paper's 8-thread mutex point, where contention peaks.
 		p := workloads.ThroughputParams{
 			Lock: simlock.KindMutex, Threads: 8, MsgBytes: 64,
-			Window: 32, Windows: windows, Seed: o.seed(), TraceRank: -1,
+			Window: 32, Windows: windows, Seed: o.seed(),
 			Tel: rec,
 		}
 		_, err := workloads.Throughput(p)

@@ -12,7 +12,6 @@ import (
 	"mpicontend/internal/machine"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
-	"mpicontend/internal/trace"
 )
 
 // Granularity selects the critical-section granularity of the runtime,
@@ -62,19 +61,14 @@ type csLock struct {
 	owner      machine.Place
 	ownerValid bool
 
-	// Telemetry plane: tel is nil when disabled (the fast path is one
-	// pointer nil check); id is the registered lock track, holdStart and
-	// holdClass carry the current hold between enter and exit.
+	// Telemetry plane, the lock's one observer: tel is nil when disabled
+	// (the fast path is one pointer nil check); id is the registered lock
+	// track, holdStart and holdClass carry the current hold between enter
+	// and exit.
 	tel       *telemetry.Recorder
 	id        int
 	holdStart int64
 	holdClass uint8
-
-	// Grant observation (§4.3/§4.4): onGrant is nil unless Config.OnGrant
-	// attached an observer to this lock, and only then does waiting track
-	// requests and grants.
-	onGrant func(trace.Grant)
-	waiting trace.WaitSet
 }
 
 // instrument attaches the lock to the telemetry plane under the given
@@ -95,18 +89,21 @@ func telClass(cl simlock.Class) uint8 {
 	return telemetry.ClassHigh
 }
 
-// enter acquires the section for th. It is the one site where grants are
-// observed: the lock models carry no hooks.
+// enter acquires the section for th. It is the one site where requests
+// and grants are observed (the lock models carry no hooks): the recorder
+// gets the request before Acquire and the grant, with the process's
+// dangling-request count for §4.4, after it.
 func (c *csLock) enter(th *Thread, cl simlock.Class) {
-	var waitFrom int64
-	if c.tel != nil || c.onGrant != nil {
-		waitFrom = th.S.Now()
+	var from int64
+	if c.tel != nil {
+		from = th.S.Now()
+		c.tel.LockRequest(c.id, th.S.ID(), th.lctx.Place, from)
 	}
-	//simcheck:allow hotalloc lock layer: the futex mutex is checked from its own hotpath roots; the queue and priority locks still allocate per-waiter records, and grant tracing is opt-in
-	c.acquire(th, cl, waitFrom)
+	//simcheck:allow hotalloc lock layer: the futex mutex is checked from its own hotpath roots; the queue and priority locks still allocate per-waiter records
+	c.lock.Acquire(&th.lctx, cl)
 	if c.tel != nil {
 		now := th.S.Now()
-		c.tel.LockWait(c.id, th.S.ID(), telClass(cl), waitFrom, now)
+		c.tel.LockGrant(c.id, th.S.ID(), telClass(cl), th.lctx.Place, from, now, th.P.danglingNow)
 		c.holdStart = now
 		c.holdClass = telClass(cl)
 		th.holdUseful = false
@@ -134,18 +131,6 @@ func (c *csLock) enter(th *Thread, cl simlock.Class) {
 		if stall := pl.PreemptStall(); stall > 0 {
 			th.S.Sleep(stall)
 		}
-	}
-}
-
-// acquire runs the lock model and, when an observer is attached, records
-// the request made at from and reports the grant.
-func (c *csLock) acquire(th *Thread, cl simlock.Class, from int64) {
-	if c.onGrant != nil {
-		c.waiting.Request(th.S.ID(), th.lctx.Place, from)
-	}
-	c.lock.Acquire(&th.lctx, cl)
-	if c.onGrant != nil {
-		c.onGrant(c.waiting.Grant(th.S.ID(), th.lctx.Place, th.S.Now()))
 	}
 }
 

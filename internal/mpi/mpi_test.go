@@ -7,7 +7,7 @@ import (
 	"mpicontend/internal/machine"
 	"mpicontend/internal/mpi/vci"
 	"mpicontend/internal/simlock"
-	"mpicontend/internal/trace"
+	"mpicontend/internal/telemetry"
 )
 
 // testWorld builds a 2-node world with one proc per node unless overridden.
@@ -674,21 +674,27 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestOnGrantHookReceivesTraffic(t *testing.T) {
-	grants := map[int]int{}
-	w := testWorld(t, 2, func(c *Config) {
-		c.OnGrant = func(rank int) func(trace.Grant) {
-			return func(trace.Grant) { grants[rank]++ }
-		}
-	})
+// TestLockObserverReceivesTraffic: the recorder, the runtime's one lock
+// observer, sees the grants of both ranks' sections.
+func TestLockObserverReceivesTraffic(t *testing.T) {
+	rec := telemetry.New()
+	w := testWorld(t, 2, func(c *Config) { c.Tel = rec })
 	c := w.Comm()
 	w.Spawn(0, "s", func(th *Thread) { th.Send(c, 1, 0, 8, nil) })
 	w.Spawn(1, "r", func(th *Thread) { th.Recv(c, 0, 0) })
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if grants[0] == 0 || grants[1] == 0 {
-		t.Fatalf("grant hooks silent: %v", grants)
+	grants := map[string]int64{}
+	for _, l := range rec.Profile().Locks {
+		grants[l.Name] = l.Acquisitions
+	}
+	for _, name := range []string{"cs[r0]", "cs[r1]"} {
+		a, ok := rec.Arbitration(name)
+		if !ok || grants[name] == 0 || a.Dangling.SamplesTaken() != grants[name] {
+			t.Fatalf("%s: %d acquisitions, %d grant samples (registered %v)",
+				name, grants[name], a.Dangling.SamplesTaken(), ok)
+		}
 	}
 }
 

@@ -434,7 +434,7 @@ func TestTestallEmptyPolls(t *testing.T) {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			forEachVCI(t, func(t *testing.T, opt func(*Config)) {
-				rec := telemetry.New()
+				rec := telemetry.NewTrace()
 				w := testWorld(t, 2, opt, withProgress(mode), func(c *Config) { c.Tel = rec })
 				w.Spawn(0, "tester", func(th *Thread) {
 					for _, rs := range [][]*Request{nil, {nil}} {

@@ -34,7 +34,6 @@ import (
 	"mpicontend/internal/sim"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
-	"mpicontend/internal/trace"
 )
 
 // Wildcards for receive matching.
@@ -71,11 +70,6 @@ type Config struct {
 	ProcsPerNode int
 	// Seed drives all randomness (CAS jitter etc.).
 	Seed uint64
-	// OnGrant optionally returns a grant observer for the given rank's
-	// critical-section locks (used by the §4.3/§4.4 analyses). The rank's
-	// VCI shard sections and shared-NIC lock report to it, each with its
-	// own waiting set; the GranFine sub-locks are not observed.
-	OnGrant func(rank int) func(trace.Grant)
 	// MaxEvents aborts the simulation with an error after this many
 	// events — a guard that turns protocol deadlocks (which would spin
 	// in virtual time forever) into diagnosable failures. Zero selects a
@@ -117,8 +111,9 @@ type Config struct {
 	// mutex otherwise monopolizes). Strong and continuation progress
 	// require MPI_THREAD_MULTIPLE and GranGlobal.
 	Progress ProgressMode
-	// Tel, when non-nil, attaches the telemetry plane: MPI-call spans,
-	// lock wait/hold spans per priority class, progress-poll spans,
+	// Tel, when non-nil, attaches the telemetry plane, the runtime's one
+	// observer: MPI-call spans, lock wait/hold spans per priority class
+	// with each lock's §4.3/§4.4 grant analyses, progress-poll spans,
 	// request-lifecycle gauges, and fabric flight spans all record
 	// against the sim clock. Telemetry is purely observational — it never
 	// schedules events or advances time — so enabling it cannot change
@@ -255,13 +250,9 @@ func NewWorld(cfg Config) (*World, error) {
 			sharded:   cfg.VCIs > 1,
 		}
 		lcfg := &simlock.Config{Eng: w.Eng, Cost: cfg.Cost}
-		var onGrant func(trace.Grant)
-		if cfg.OnGrant != nil {
-			onGrant = cfg.OnGrant(rank)
-		}
 		for v := 0; v < cfg.VCIs; v++ {
 			sh := &vciShard{idx: v}
-			sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines, onGrant: onGrant}
+			sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines}
 			name := fmt.Sprintf("cs[r%d]", rank)
 			if cfg.VCIs > 1 {
 				name = fmt.Sprintf("cs[r%d.v%d]", rank, v)
@@ -272,7 +263,7 @@ func NewWorld(cfg Config) (*World, error) {
 		if cfg.VCIs > 1 {
 			// The shared-NIC injection point: the one arbitration site the
 			// sharding cannot remove (all VCIs funnel into one physical NIC).
-			p.nicVCI = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2, onGrant: onGrant}
+			p.nicVCI = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines / 2}
 			p.nicVCI.instrument(w.tel, fmt.Sprintf("nic[r%d]", rank))
 		}
 		if cfg.Granularity == GranFine {

@@ -15,13 +15,17 @@
 //
 // The locks carry no observation hooks. The §4.3/§4.4 grant stream is
 // observed once, in the MPI runtime's critical-section wrapper, which
-// times each request and grant around Acquire; tests drive the same
-// waiting-set rule (internal/trace.WaitSet) around their own Acquire calls.
+// reports each request and grant around Acquire to the telemetry
+// recorder, the one lock observer; tests drive the same waiting-set rule
+// (internal/trace.WaitSet) around their own Acquire calls.
 //
 // simlock is part of the deterministic core (docs/ARCHITECTURE.md).
 package simlock
 
 import (
+	"fmt"
+	"strings"
+
 	"mpicontend/internal/machine"
 	"mpicontend/internal/sim"
 )
@@ -131,6 +135,19 @@ func (k Kind) String() string {
 
 // Valid reports whether k names one of the lock kinds above.
 func (k Kind) Valid() bool { return k >= KindMutex && k <= KindCLH }
+
+// ParseKind returns the lock kind whose String matches s, ignoring case
+// ("mutex", "CLH", "single", ...).
+func ParseKind(s string) (Kind, error) {
+	var names []string
+	for k := KindMutex; k.Valid(); k++ {
+		if strings.EqualFold(s, k.String()) {
+			return k, nil
+		}
+		names = append(names, strings.ToLower(k.String()))
+	}
+	return 0, fmt.Errorf("unknown lock %q (%s)", s, strings.Join(names, "|"))
+}
 
 // NullLock is a no-op "lock" modelling MPI_THREAD_SINGLE: no atomic
 // operations, no serialization. Using it with more than one thread in the

@@ -1,6 +1,7 @@
 package simlock
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -458,5 +459,23 @@ func TestTicketBoundedWait(t *testing.T) {
 	t.Logf("max wait: ticket %dns, mutex %dns", tk, m)
 	if m < 2*tk {
 		t.Errorf("mutex max wait (%d) should far exceed ticket's (%d)", m, tk)
+	}
+}
+
+// TestParseKind: every valid Kind round-trips through its String in any
+// case, and an unknown name is an error.
+func TestParseKind(t *testing.T) {
+	for k := KindMutex; k.Valid(); k++ {
+		for _, name := range []string{k.String(), strings.ToLower(k.String()), strings.ToUpper(k.String())} {
+			got, err := ParseKind(name)
+			if err != nil || got != k {
+				t.Errorf("ParseKind(%q) = %v, %v; want %v", name, got, err, k)
+			}
+		}
+	}
+	for _, name := range []string{"", "bogus", "UnknownLock", "mutex "} {
+		if k, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind(%q) = %v, want an error", name, k)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package telemetry
 
-import "testing"
+import (
+	"testing"
+
+	"mpicontend/internal/machine"
+)
 
 // TestNilRecorderHooksAreCheap pins the package contract the hot path
 // depends on: every recording hook is a nil-receiver no-op that neither
@@ -17,7 +21,8 @@ func TestNilRecorderHooksAreCheap(t *testing.T) {
 		"RegisterThread": func() { r.RegisterThread(1, "t") },
 		"Call":           func() { r.Call(1, "Isend", 0, 10) },
 		"Poll":           func() { r.Poll(1, 0, 10, 2) },
-		"LockWait":       func() { r.LockWait(0, 1, 0, 0, 10) },
+		"LockRequest":    func() { r.LockRequest(0, 1, machine.Place{}, 0) },
+		"LockGrant":      func() { r.LockGrant(0, 1, 0, machine.Place{}, 0, 10, 2) },
 		"LockHold":       func() { r.LockHold(0, 1, 0, true, 0, 0, 0, 10) },
 		"Inject":         func() { r.Inject(0, "Eager", 64, 0, 10) },
 		"Flight":         func() { r.Flight(0, 1, "Eager", 64, 0, 10) },

@@ -76,7 +76,7 @@ func (r *Recorder) Perfetto() []byte {
 
 // events builds the full deterministic event list.
 func (r *Recorder) events() []traceEvent {
-	evs := make([]traceEvent, 0, 2*len(r.spans)+len(r.sched)+len(r.dangling)+16)
+	evs := make([]traceEvent, 0, 2*len(r.spans)+len(r.sched)+len(r.dangling.log)+16)
 
 	// Track metadata: processes, then per-track names in id order.
 	evs = append(evs,
@@ -152,7 +152,7 @@ func (r *Recorder) events() []traceEvent {
 	evs = append(evs, r.schedEvents()...)
 
 	// Dangling-request counter.
-	for _, g := range r.dangling {
+	for _, g := range r.dangling.log {
 		evs = append(evs, traceEvent{Name: "dangling", Ph: "C",
 			Ts: usec(g.At), Pid: pidThreads, Tid: 0,
 			Args: map[string]int64{"requests": g.Value}})

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpicontend/internal/machine"
 	"mpicontend/internal/report"
 )
 
@@ -85,7 +86,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	_ = r.RegisterLock("l0")
 	r.Call(0, "Isend", 0, 10)
 	r.Poll(0, 0, 10, 1)
-	r.LockWait(0, 0, ClassHigh, 0, 5)
+	r.LockGrant(0, 0, ClassHigh, machine.Place{}, 0, 5, 0)
 	r.LockHold(0, 0, ClassHigh, true, 0, 0, 5, 9)
 	r.Inject(0, "Eager", 64, 0, 3)
 	r.Flight(0, 1, "Eager", 64, 3, 9)
@@ -109,7 +110,7 @@ func TestNilRecorderSafe(t *testing.T) {
 }
 
 func TestRecorderSpansAndProfile(t *testing.T) {
-	r := New()
+	r := NewTrace()
 	r.RegisterThread(0, "r0.worker0")
 	r.RegisterThread(1, "r0.worker1")
 	cs := r.RegisterLock("cs[r0]")
@@ -117,9 +118,9 @@ func TestRecorderSpansAndProfile(t *testing.T) {
 	r.ThreadState(0, 0, "running")
 	r.ThreadState(1, 0, "running")
 	// Thread 0 holds uncontended; thread 1 waits, then gets a handoff.
-	r.LockWait(cs, 0, ClassHigh, 0, 0)
+	r.LockGrant(cs, 0, ClassHigh, machine.Place{}, 0, 0, 0)
 	r.LockHold(cs, 0, ClassHigh, false, 0, 0, 0, 100)
-	r.LockWait(cs, 1, ClassLow, 50, 100)
+	r.LockGrant(cs, 1, ClassLow, machine.Place{}, 50, 100, 0)
 	r.LockHold(cs, 1, ClassLow, true, 0, 1, 100, 180)
 	r.Call(0, "Isend", 0, 120)
 	r.Poll(1, 100, 180, 2)
@@ -175,7 +176,7 @@ func TestRecorderSpansAndProfile(t *testing.T) {
 }
 
 func TestThreadStateDedup(t *testing.T) {
-	r := New()
+	r := NewTrace()
 	r.RegisterThread(0, "t")
 	r.ThreadState(0, 0, "running")
 	r.ThreadState(0, 10, "sleeping") // merges into running
@@ -188,24 +189,25 @@ func TestThreadStateDedup(t *testing.T) {
 }
 
 func TestDanglingCollapsesSameInstant(t *testing.T) {
-	r := New()
-	r.Dangling(10, 1)
+	r := NewTrace()
+	r.Dangling(10, 3)
 	r.Dangling(10, 2)
 	r.Dangling(20, 1)
-	if len(r.dangling) != 2 {
-		t.Fatalf("samples = %d, want 2", len(r.dangling))
+	if log := r.dangling.log; len(log) != 2 || log[0].Value != 2 {
+		t.Fatalf("same-instant sample not collapsed to last: %+v", log)
 	}
-	if r.dangling[0].Value != 2 {
-		t.Fatalf("same-instant sample not collapsed to last: %+v", r.dangling[0])
+	// The overwritten 3 never reaches the profile.
+	if g := r.Profile().Dangling; g.Samples != 2 || g.Max != 2 {
+		t.Fatalf("dangling stats = %+v, want 2 samples, max 2", g)
 	}
 }
 
 func TestPerfettoExportAndValidate(t *testing.T) {
-	r := New()
+	r := NewTrace()
 	r.RegisterThread(0, "w0")
 	cs := r.RegisterLock("cs")
 	r.ThreadState(0, 0, "running")
-	r.LockWait(cs, 0, ClassHigh, 0, 5)
+	r.LockGrant(cs, 0, ClassHigh, machine.Place{}, 0, 5, 0)
 	r.LockHold(cs, 0, ClassHigh, true, 0, 0, 5, 20)
 	r.Call(0, "Isend", 0, 25)
 	r.Inject(0, "Eager", 64, 5, 8)

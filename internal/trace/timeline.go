@@ -6,36 +6,18 @@ import (
 	"strings"
 )
 
-// TimelineRecorder captures the lock-grant stream so lock ownership can be
-// rendered as an ASCII timeline — monopolization shows up as long runs of
-// one thread's glyph, FCFS as a regular weave.
-type TimelineRecorder struct {
-	grants []timelineEntry
-	// Cap bounds memory: once Cap grants are recorded, each new grant
-	// drops the oldest, so the recorder keeps the most recent Cap entries
-	// (the steady state matters more than the head of the run).
-	Cap int
+// TimelineGrant is one entry of an ownership timeline: the thread granted
+// the lock and the grant's virtual time.
+type TimelineGrant struct {
+	At     int64
+	Thread int
 }
 
-type timelineEntry struct {
-	at     int64
-	thread int
-	socket int
-}
-
-// Observe records one grant.
-func (tr *TimelineRecorder) Observe(gi Grant) {
-	if tr.Cap > 0 && len(tr.grants) >= tr.Cap {
-		copy(tr.grants, tr.grants[1:])
-		tr.grants = tr.grants[:len(tr.grants)-1]
-	}
-	tr.grants = append(tr.grants, timelineEntry{
-		at: gi.At, thread: gi.ThreadID, socket: gi.Place.Socket,
-	})
-}
-
-// Grants returns the number of recorded grants.
-func (tr *TimelineRecorder) Grants() int { return len(tr.grants) }
+// Timeline is one lock's grant sequence in grant order, rendered as an
+// ASCII ownership timeline — monopolization shows up as long runs of one
+// thread's glyph, FCFS as a regular weave. The telemetry recorder builds
+// it from a lock's hold spans (telemetry.Recorder.Timeline).
+type Timeline []TimelineGrant
 
 // threadGlyphs label threads in the rendering.
 const threadGlyphs = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -44,15 +26,15 @@ const threadGlyphs = "0123456789abcdefghijklmnopqrstuvwxyz"
 // column is one time bucket, showing the thread that received the most
 // grants in that bucket (uppercase glyph if several threads were granted
 // in the bucket). A per-thread share summary follows.
-func (tr *TimelineRecorder) Render(width int) string {
-	if len(tr.grants) == 0 {
+func (tl Timeline) Render(width int) string {
+	if len(tl) == 0 {
 		return "(no grants recorded)\n"
 	}
 	if width <= 0 {
 		width = 64
 	}
-	start := tr.grants[0].at
-	end := tr.grants[len(tr.grants)-1].at + 1
+	start := tl[0].At
+	end := tl[len(tl)-1].At + 1
 	span := end - start
 	if span <= 0 {
 		span = 1
@@ -61,23 +43,23 @@ func (tr *TimelineRecorder) Render(width int) string {
 	// Stable thread -> glyph assignment in order of first appearance.
 	glyphOf := map[int]byte{}
 	var order []int
-	for _, g := range tr.grants {
-		if _, ok := glyphOf[g.thread]; !ok {
-			glyphOf[g.thread] = threadGlyphs[len(order)%len(threadGlyphs)]
-			order = append(order, g.thread)
+	for _, g := range tl {
+		if _, ok := glyphOf[g.Thread]; !ok {
+			glyphOf[g.Thread] = threadGlyphs[len(order)%len(threadGlyphs)]
+			order = append(order, g.Thread)
 		}
 	}
 
 	buckets := make([]map[int]int, width)
-	for _, g := range tr.grants {
-		b := int((g.at - start) * int64(width) / span)
+	for _, g := range tl {
+		b := int((g.At - start) * int64(width) / span)
 		if b >= width {
 			b = width - 1
 		}
 		if buckets[b] == nil {
 			buckets[b] = map[int]int{}
 		}
-		buckets[b][g.thread]++
+		buckets[b][g.Thread]++
 	}
 
 	line := make([]byte, width)
@@ -111,17 +93,17 @@ func (tr *TimelineRecorder) Render(width int) string {
 	}
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "lock ownership over %.1fus (%d grants):\n", float64(span)/1000, len(tr.grants))
+	fmt.Fprintf(&b, "lock ownership over %.1fus (%d grants):\n", float64(span)/1000, len(tl))
 	b.WriteString("  |" + string(line) + "|\n")
 
 	counts := map[int]int{}
-	for _, g := range tr.grants {
-		counts[g.thread]++
+	for _, g := range tl {
+		counts[g.Thread]++
 	}
 	sort.Ints(order)
 	for _, th := range order {
 		fmt.Fprintf(&b, "  %c = thread %-3d %5.1f%% of grants\n",
-			glyphOf[th], th, 100*float64(counts[th])/float64(len(tr.grants)))
+			glyphOf[th], th, 100*float64(counts[th])/float64(len(tl)))
 	}
 	return b.String()
 }
@@ -136,32 +118,32 @@ func upper(c byte) byte {
 // MaxShare returns the largest fraction of grants any single thread
 // received — 1/nthreads for perfect fairness, approaching 1 under
 // monopolization.
-func (tr *TimelineRecorder) MaxShare() float64 {
-	if len(tr.grants) == 0 {
+func (tl Timeline) MaxShare() float64 {
+	if len(tl) == 0 {
 		return 0
 	}
 	counts := map[int]int{}
 	max := 0
-	for _, g := range tr.grants {
-		counts[g.thread]++
-		if counts[g.thread] > max {
-			max = counts[g.thread]
+	for _, g := range tl {
+		counts[g.Thread]++
+		if counts[g.Thread] > max {
+			max = counts[g.Thread]
 		}
 	}
-	return float64(max) / float64(len(tr.grants))
+	return float64(max) / float64(len(tl))
 }
 
 // LongestRun returns the longest streak of consecutive grants to the same
 // thread — the direct signature of lock monopolization.
-func (tr *TimelineRecorder) LongestRun() int {
+func (tl Timeline) LongestRun() int {
 	best, cur := 0, 0
 	last := -1
-	for _, g := range tr.grants {
-		if g.thread == last {
+	for _, g := range tl {
+		if g.Thread == last {
 			cur++
 		} else {
 			cur = 1
-			last = g.thread
+			last = g.Thread
 		}
 		if cur > best {
 			best = cur

@@ -1,9 +1,11 @@
-// Package trace implements the paper's profiling machinery: the §4.3
+// Package trace implements the paper's profiling math: the §4.3
 // arbitration-fairness estimators (Pc, Ps and their bias factors against a
-// fair arbitration) and the §4.4 dangling-request profiler sampled at lock
-// acquisition granularity. The grant stream they consume is produced at
-// one site, the runtime's critical-section wrapper, which feeds a WaitSet
-// per lock; the lock models themselves carry no observation hooks.
+// fair arbitration), the §4.4 dangling-request profiler sampled at lock
+// acquisition granularity, and the ASCII lock-ownership timeline. It holds
+// no observer of its own: the telemetry recorder (internal/telemetry) runs
+// one WaitSet, FairnessAnalyzer and DanglingProfiler per lock over the
+// grant stream the runtime's critical-section wrapper reports, and the
+// lock models themselves carry no observation hooks.
 //
 // trace is part of the deterministic core (docs/ARCHITECTURE.md).
 package trace
@@ -41,25 +43,32 @@ type waitReq struct {
 // Request records that thread id, placed at place, asked for the lock at
 // virtual time at.
 func (s *WaitSet) Request(id int, place machine.Place, at int64) {
-	s.reqs = append(s.reqs, waitReq{id: id, place: place, at: at})
+	s.reqs = grow(s.reqs, waitReq{id: id, place: place, at: at})
 }
 
 // Grant retires thread id's request and describes its acquisition at
 // virtual time at. The returned Waiters alias scratch storage that the
 // next Grant call overwrites.
 func (s *WaitSet) Grant(id int, place machine.Place, at int64) Grant {
-	ws, kept := s.waiters[:0], s.reqs[:0]
+	ws, n := s.waiters[:0], 0
 	for _, r := range s.reqs {
 		if r.id == id {
 			continue
 		}
-		kept = append(kept, r)
+		s.reqs[n] = r
+		n++
 		if r.at < at {
-			ws = append(ws, r.place)
+			ws = grow(ws, r.place)
 		}
 	}
-	s.reqs, s.waiters = kept, ws
+	s.reqs, s.waiters = s.reqs[:n], ws
 	return Grant{At: at, ThreadID: id, Place: place, Waiters: ws}
+}
+
+// grow appends v to s.
+func grow[T any](s []T, v T) []T {
+	//simcheck:allow hotalloc the wait set keeps its arrays; they grow only to the most requests ever open at once
+	return append(s, v)
 }
 
 // FairnessAnalyzer consumes the lock-grant stream and computes the paper's
@@ -167,22 +176,16 @@ func ratio(sum float64, n int) float64 {
 
 // DanglingProfiler implements the §4.4 metric: the number of requests that
 // are completed but not yet freed, sampled at every lock acquisition, and
-// averaged over the run. The count source is provided by the MPI runtime.
+// averaged over the run. The runtime reports the count with each grant.
 type DanglingProfiler struct {
-	// Count returns the current number of dangling requests.
-	Count func() int
-
 	samples int64
 	sum     int64
 	max     int64
 }
 
-// Observe samples the metric at one grant.
-func (d *DanglingProfiler) Observe(Grant) {
-	if d.Count == nil {
-		return
-	}
-	c := int64(d.Count())
+// Observe samples the metric at one grant: count requests are dangling.
+func (d *DanglingProfiler) Observe(count int) {
+	c := int64(count)
 	d.samples++
 	d.sum += c
 	if c > d.max {

@@ -91,11 +91,9 @@ func TestFairnessEmpty(t *testing.T) {
 }
 
 func TestDanglingProfiler(t *testing.T) {
-	vals := []int{0, 5, 10, 5}
-	i := 0
-	d := DanglingProfiler{Count: func() int { v := vals[i%len(vals)]; i++; return v }}
-	for k := 0; k < 4; k++ {
-		d.Observe(Grant{})
+	var d DanglingProfiler
+	for _, v := range []int{0, 5, 10, 5} {
+		d.Observe(v)
 	}
 	if d.Average() != 5 {
 		t.Fatalf("avg = %v, want 5", d.Average())
@@ -108,77 +106,57 @@ func TestDanglingProfiler(t *testing.T) {
 	}
 }
 
-func TestDanglingProfilerNilCount(t *testing.T) {
+func TestDanglingProfilerEmpty(t *testing.T) {
 	var d DanglingProfiler
-	d.Observe(Grant{})
-	if d.SamplesTaken() != 0 || d.Average() != 0 {
-		t.Fatal("nil Count must be a no-op")
+	if d.SamplesTaken() != 0 || d.Average() != 0 || d.Max() != 0 {
+		t.Fatal("empty profiler must report zeros")
 	}
 }
 
-func TestTimelineRecorder(t *testing.T) {
-	var tr TimelineRecorder
+func TestTimeline(t *testing.T) {
+	var tl Timeline
 	for i := 0; i < 10; i++ {
-		tr.Observe(Grant{At: int64(i * 100), ThreadID: i % 2,
-			Place: place(0, i%2)})
+		tl = append(tl, TimelineGrant{At: int64(i * 100), Thread: i % 2})
 	}
-	if tr.Grants() != 10 {
-		t.Fatalf("grants = %d", tr.Grants())
-	}
-	out := tr.Render(20)
+	out := tl.Render(20)
 	if !strings.Contains(out, "thread 0") || !strings.Contains(out, "thread 1") {
 		t.Fatalf("render missing threads:\n%s", out)
 	}
-	if !strings.Contains(out, "50.0%") {
+	if !strings.Contains(out, "(10 grants)") || !strings.Contains(out, "50.0%") {
 		t.Fatalf("shares wrong:\n%s", out)
 	}
 }
 
 func TestTimelineMonopolyMetrics(t *testing.T) {
-	var tr TimelineRecorder
+	var tl Timeline
 	// 8 grants to thread 0, then 2 to thread 1.
 	for i := 0; i < 8; i++ {
-		tr.Observe(Grant{At: int64(i), ThreadID: 0, Place: place(0, 0)})
+		tl = append(tl, TimelineGrant{At: int64(i), Thread: 0})
 	}
 	for i := 8; i < 10; i++ {
-		tr.Observe(Grant{At: int64(i), ThreadID: 1, Place: place(0, 1)})
+		tl = append(tl, TimelineGrant{At: int64(i), Thread: 1})
 	}
-	if got := tr.MaxShare(); got != 0.8 {
+	if got := tl.MaxShare(); got != 0.8 {
 		t.Fatalf("MaxShare = %v", got)
 	}
-	if got := tr.LongestRun(); got != 8 {
+	if got := tl.LongestRun(); got != 8 {
 		t.Fatalf("LongestRun = %v", got)
 	}
 }
 
-func TestTimelineCap(t *testing.T) {
-	tr := TimelineRecorder{Cap: 5}
-	for i := 0; i < 20; i++ {
-		tr.Observe(Grant{At: int64(i), ThreadID: i, Place: place(0, 0)})
-	}
-	if tr.Grants() != 5 {
-		t.Fatalf("cap not enforced: %d", tr.Grants())
-	}
-	// Most recent entries retained.
-	if tr.grants[4].thread != 19 {
-		t.Fatalf("tail entry = %d", tr.grants[4].thread)
-	}
-}
-
 func TestTimelineEmpty(t *testing.T) {
-	var tr TimelineRecorder
-	if out := tr.Render(10); !strings.Contains(out, "no grants") {
+	var tl Timeline
+	if out := tl.Render(10); !strings.Contains(out, "no grants") {
 		t.Fatalf("empty render = %q", out)
 	}
-	if tr.MaxShare() != 0 || tr.LongestRun() != 0 {
+	if tl.MaxShare() != 0 || tl.LongestRun() != 0 {
 		t.Fatal("empty metrics should be zero")
 	}
 }
 
 func TestTimelineNoMarksNoExtraRow(t *testing.T) {
-	var tr TimelineRecorder
-	tr.Observe(Grant{At: 0, ThreadID: 0, Place: place(0, 0)})
-	out := tr.Render(10)
+	tl := Timeline{{At: 0, Thread: 0}}
+	out := tl.Render(10)
 	if strings.Count(out, "|") != 2 {
 		t.Fatalf("want the ownership row only:\n%s", out)
 	}

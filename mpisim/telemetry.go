@@ -15,8 +15,9 @@ type Telemetry struct {
 	rec *telemetry.Recorder
 }
 
-// NewTelemetry returns an enabled telemetry plane.
-func NewTelemetry() *Telemetry { return &Telemetry{rec: telemetry.New()} }
+// NewTelemetry returns an enabled telemetry plane that keeps the span log
+// its Perfetto export and span count read.
+func NewTelemetry() *Telemetry { return &Telemetry{rec: telemetry.NewTrace()} }
 
 // recorder returns the underlying recorder (nil when t is nil).
 func (t *Telemetry) recorder() *telemetry.Recorder {
