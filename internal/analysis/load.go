@@ -100,42 +100,97 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	if p, ok := l.cache[path]; ok {
 		return p, nil
 	}
+	var pkg *types.Package
+	var err error
+	if src, ok := l.sourceDir(path); ok {
+		pkg, err = l.checkSource(path, src, l)
+	} else {
+		pkg, err = l.std.ImportFrom(path, dir, mode)
+	}
+	if err != nil {
+		return nil, err
+	}
+	l.cache[path] = pkg
+	return pkg, nil
+}
+
+// sourceDir maps an overlaid or module-internal import path onto its
+// directory; ok is false for the paths the stdlib importer resolves.
+func (l *Loader) sourceDir(path string) (dir string, ok bool) {
 	if dir, ok := l.overlay[path]; ok {
-		files, err := l.parseDir(dir, func(name string) bool {
-			return !strings.HasSuffix(name, "_test.go")
-		})
-		if err != nil {
-			return nil, err
-		}
-		conf := types.Config{Importer: l}
-		pkg, err := conf.Check(path, l.fset, files, nil)
-		if err != nil {
-			return nil, err
-		}
-		l.cache[path] = pkg
-		return pkg, nil
+		return dir, true
 	}
 	if path == l.ModPath || strings.HasPrefix(path, l.ModPath+"/") {
 		rel := strings.TrimPrefix(strings.TrimPrefix(path, l.ModPath), "/")
-		files, err := l.parseDir(filepath.Join(l.ModRoot, rel), func(name string) bool {
-			return !strings.HasSuffix(name, "_test.go")
-		})
-		if err != nil {
+		return filepath.Join(l.ModRoot, rel), true
+	}
+	return "", false
+}
+
+// checkSource type-checks the non-test files of dir as path, resolving
+// its imports through imp.
+func (l *Loader) checkSource(path, dir string, imp types.Importer) (*types.Package, error) {
+	files, err := l.parseDir(dir, func(name string) bool {
+		return !strings.HasSuffix(name, "_test.go")
+	})
+	if err != nil {
+		return nil, err
+	}
+	conf := types.Config{Importer: imp}
+	return conf.Check(path, l.fset, files, nil)
+}
+
+// testImporter resolves an external test package's imports the way go
+// test builds them: the package under test is its unit with the
+// in-package _test.go files, so helpers an export_test.go defines are
+// visible, and every source package that imports it, directly or not, is
+// checked again against that unit, so both sides agree on its types.
+type testImporter struct {
+	l     *Loader
+	under *types.Package
+	pkgs  map[string]*types.Package // resolved imports, rechecked or not
+	reach map[string]bool           // whether a path imports under
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	return ti.ImportFrom(path, "", 0)
+}
+
+func (ti *testImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == ti.under.Path() {
+		return ti.under, nil
+	}
+	if p, ok := ti.pkgs[path]; ok {
+		return p, nil
+	}
+	p, err := ti.l.ImportFrom(path, dir, mode)
+	if err != nil {
+		return nil, err
+	}
+	if src, ok := ti.l.sourceDir(path); ok && ti.reaches(p) {
+		if p, err = ti.l.checkSource(path, src, ti); err != nil {
 			return nil, err
 		}
-		conf := types.Config{Importer: l}
-		pkg, err := conf.Check(path, l.fset, files, nil)
-		if err != nil {
-			return nil, err
+	}
+	ti.pkgs[path] = p
+	return p, nil
+}
+
+// reaches reports whether p imports the package under test, directly or
+// through other imports.
+func (ti *testImporter) reaches(p *types.Package) bool {
+	r, ok := ti.reach[p.Path()]
+	if ok {
+		return r
+	}
+	for _, q := range p.Imports() {
+		if q.Path() == ti.under.Path() || ti.reaches(q) {
+			r = true
+			break
 		}
-		l.cache[path] = pkg
-		return pkg, nil
 	}
-	pkg, err := l.std.ImportFrom(path, dir, mode)
-	if err == nil {
-		l.cache[path] = pkg
-	}
-	return pkg, err
+	ti.reach[p.Path()] = r
+	return r
 }
 
 // parseDir parses the .go files of dir accepted by keep (nil keeps all).
@@ -173,8 +228,9 @@ func newInfo() *types.Info {
 
 // LoadDir loads the analysis units of one directory: the package itself
 // (with its in-package test files) and, if present, the external _test
-// package. importPath is the directory's import path; it is used both for
-// import resolution and for analyzer scoping.
+// package, which imports importPath as that first unit (testImporter).
+// importPath is the directory's import path; it is used both for import
+// resolution and for analyzer scoping.
 func (l *Loader) LoadDir(dir, importPath string) ([]*Package, error) {
 	all, err := l.parseDir(dir, nil)
 	if err != nil {
@@ -202,14 +258,16 @@ func (l *Loader) LoadDir(dir, importPath string) ([]*Package, error) {
 	}
 	var pkgs []*Package
 	if len(base) > 0 {
-		p, err := l.check(importPath, importPath, dir, base)
+		p, err := l.check(importPath, importPath, dir, base, l)
 		if err != nil {
 			return nil, err
 		}
 		pkgs = append(pkgs, p)
 	}
 	if len(ext) > 0 {
-		p, err := l.check(importPath+"_test", importPath, dir, ext)
+		// ext is split off only when there is a base package to test.
+		imp := &testImporter{l: l, under: pkgs[0].Types, pkgs: map[string]*types.Package{}, reach: map[string]bool{}}
+		p, err := l.check(importPath+"_test", importPath, dir, ext, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -218,10 +276,11 @@ func (l *Loader) LoadDir(dir, importPath string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// check type-checks files as checkPath, scoping the result under scopePath.
-func (l *Loader) check(checkPath, scopePath, dir string, files []*ast.File) (*Package, error) {
+// check type-checks files as checkPath, resolving imports through imp and
+// scoping the result under scopePath.
+func (l *Loader) check(checkPath, scopePath, dir string, files []*ast.File, imp types.Importer) (*Package, error) {
 	info := newInfo()
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(checkPath, l.fset, files, info)
 	if err != nil {
 		return nil, err

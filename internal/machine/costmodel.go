@@ -189,7 +189,7 @@ func Default() CostModel {
 
 // Transfer returns the latency for a core at dst to observe a cache line
 // last written by a core at src.
-func (c CostModel) Transfer(src, dst Place) int64 {
+func (c *CostModel) Transfer(src, dst Place) int64 {
 	switch {
 	case src.SameCore(dst):
 		return c.SameCoreReuse
@@ -203,10 +203,10 @@ func (c CostModel) Transfer(src, dst Place) int64 {
 }
 
 // CopyTime returns the time to memcpy n bytes.
-func (c CostModel) CopyTime(n int64) int64 { return scaleByBW(n, c.CopyBandwidth) }
+func (c *CostModel) CopyTime(n int64) int64 { return scaleByBW(n, c.CopyBandwidth) }
 
 // AccumulateTime returns the time to reduce n bytes element-wise.
-func (c CostModel) AccumulateTime(n int64) int64 { return scaleByBW(n, c.AccumulateBandwidth) }
+func (c *CostModel) AccumulateTime(n int64) int64 { return scaleByBW(n, c.AccumulateBandwidth) }
 
 func scaleByBW(n, bw int64) int64 {
 	if n <= 0 || bw <= 0 {

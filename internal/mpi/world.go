@@ -223,7 +223,7 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	if w.tel != nil {
 		w.Eng.OnThreadState = func(t *sim.Thread, s sim.ThreadState) {
-			w.tel.ThreadState(t.ID(), w.Eng.Now(), s.String())
+			w.tel.ThreadState(t.ID(), w.Eng.Now(), s)
 		}
 	}
 	if cfg.MaxEvents == 0 {
@@ -395,8 +395,9 @@ type Proc struct {
 	Polls          int64
 }
 
-// Cost returns the world's timing model.
-func (p *Proc) Cost() machine.CostModel { return p.w.Cfg.Cost }
+// Cost returns the world's timing model, by pointer so that per-message
+// reads copy nothing. Callers must not modify it.
+func (p *Proc) Cost() *machine.CostModel { return &p.w.Cfg.Cost }
 
 // Rand returns the world's deterministic random stream (for jittered
 // application-side delays).
@@ -585,7 +586,7 @@ func (th *Thread) enter(cl simlock.Class) { th.P.vcis[0].cs.enter(th, cl) }
 //simcheck:allow lockpair test-only wrapper; tests pair enter/exit themselves
 func (th *Thread) exit(cl simlock.Class) { th.P.vcis[0].cs.exit(th, cl) }
 
-func (th *Thread) cost() machine.CostModel { return th.P.w.Cfg.Cost }
+func (th *Thread) cost() *machine.CostModel { return th.P.Cost() }
 
 // telStart opens an MPI-call telemetry span, returning its start time, or
 // -1 when telemetry is disabled (the only cost on the fast path).

@@ -11,7 +11,10 @@
 // Each simthread is a stdlib iter.Pull coroutine: dispatching a thread
 // switches straight into it, and blocking switches straight back, so the
 // simulation is sequential and race-free by construction and the Go
-// scheduler never decides who runs next.
+// scheduler never decides who runs next. A Sleep whose wake is the next
+// event anyway does not return to the engine at all: the thread advances
+// the clock in place, exactly as the dispatch would have, and runs on
+// without a switch (Stats counts these inline wakes).
 //
 // sim is the foundation of the deterministic core (docs/ARCHITECTURE.md).
 // Like every core package it uses no goroutines, channels or sync
@@ -45,8 +48,8 @@ type Engine struct {
 	threads []*Thread
 	running *Thread // thread whose coroutine is executing, nil if engine runs
 
-	stopped   bool
-	eventsRun uint64
+	stopped bool
+	stats   Stats
 
 	// MaxEvents aborts the run when exceeded (safety against runaway
 	// simulations). Zero means no limit.
@@ -82,7 +85,38 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // EventsRun reports how many events have been dispatched so far.
-func (e *Engine) EventsRun() uint64 { return e.eventsRun }
+func (e *Engine) EventsRun() uint64 { return e.stats.Events }
+
+// Stats are the engine's scheduling counters. They are a pure function of
+// the simulation, as deterministic as its output.
+type Stats struct {
+	// Events counts the events run, inline wakes included (EventsRun).
+	Events uint64
+	// Dispatches counts switches into a simthread's coroutine.
+	Dispatches uint64
+	// Sleeps counts Thread.Sleep calls.
+	Sleeps uint64
+	// InlineWakes counts the Sleeps whose wake was the next event and
+	// ran in place, with no switch.
+	InlineWakes uint64
+}
+
+// Stats returns the scheduling counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
+
+// wakesNext reports whether a dispatch of the running thread at w would be
+// the very next thing Run does: the queue holds nothing at or before w, and
+// no check of Run's loop — Stop, MaxTime, MaxEvents or the wall-clock
+// watchdog's stride — would fire on that event. Sleep then wakes in place.
+// Sleep outside its thread's own dispatch (engine shutdown included)
+// panics before asking.
+func (e *Engine) wakesNext(w Time) bool {
+	return !e.stopped &&
+		(e.MaxTime <= 0 || w <= e.MaxTime) &&
+		(e.MaxEvents == 0 || e.stats.Events < e.MaxEvents) &&
+		(e.MaxWall <= 0 || e.stats.Events%wallCheckEvery != 0) &&
+		e.q.before(w)
+}
 
 // schedule allocates a pooled event at time t (clamped to now) and queues
 // it. The caller fills in exactly one callback field afterwards; nothing
@@ -185,7 +219,7 @@ func (e *Engine) Spawn(name string, fn func(t *Thread)) *Thread {
 // SpawnAt creates a simthread that begins executing fn at virtual time
 // start.
 func (e *Engine) SpawnAt(start Time, name string, fn func(t *Thread)) *Thread {
-	t := &Thread{eng: e, id: len(e.threads), name: name, state: stateNew}
+	t := &Thread{eng: e, id: len(e.threads), name: name, state: StateNew}
 	e.threads = append(e.threads, t)
 	t.start(fn)
 	e.atThread(start, t)
@@ -197,10 +231,11 @@ func (e *Engine) SpawnAt(start Time, name string, fn func(t *Thread)) *Thread {
 //
 //simcheck:hotpath runs once per thread wakeup; stays allocation-free
 func (e *Engine) dispatch(t *Thread) {
-	if t.state == stateDone {
+	if t.state == StateDone {
 		return
 	}
-	t.setState(stateRunning)
+	t.setState(StateRunning)
+	e.stats.Dispatches++
 	e.running = t
 	t.next()
 	e.running = nil
@@ -215,7 +250,7 @@ func (e *Engine) Run() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			// Snapshot before shutdown marks every thread done.
-			pe := &PanicError{Value: r, Time: e.now, Events: e.eventsRun, Dump: e.ThreadDump()}
+			pe := &PanicError{Value: r, Time: e.now, Events: e.stats.Events, Dump: e.ThreadDump()}
 			if e.running != nil {
 				pe.Thread = e.running.name
 			}
@@ -232,20 +267,20 @@ func (e *Engine) Run() (err error) {
 			e.q.recycle(ev)
 			return fmt.Errorf("sim: exceeded MaxTime %d at event time %d", e.MaxTime, ev.when)
 		}
-		if e.MaxWall > 0 && e.eventsRun%wallCheckEvery == 0 {
+		if e.MaxWall > 0 && e.stats.Events%wallCheckEvery == 0 {
 			//simcheck:allow nodeterm wall-clock watchdog; aborts hung runs, never feeds simulation state
 			if elapsed := time.Since(wallStart); elapsed > e.MaxWall {
 				e.q.recycle(ev)
 				return fmt.Errorf("sim: wall-clock watchdog: run exceeded %v (elapsed %v) at virtual time %d after %d events\n%s",
-					e.MaxWall, elapsed.Round(time.Millisecond), e.now, e.eventsRun, e.ThreadDump())
+					e.MaxWall, elapsed.Round(time.Millisecond), e.now, e.stats.Events, e.ThreadDump())
 			}
 		}
 		if ev.when < e.now {
 			panic(fmt.Sprintf("sim: time went backwards: %d < %d", ev.when, e.now))
 		}
 		e.now = ev.when
-		e.eventsRun++
-		if e.MaxEvents > 0 && e.eventsRun > e.MaxEvents {
+		e.stats.Events++
+		if e.MaxEvents > 0 && e.stats.Events > e.MaxEvents {
 			e.q.recycle(ev)
 			return fmt.Errorf("sim: exceeded MaxEvents %d", e.MaxEvents)
 		}
@@ -276,7 +311,7 @@ func (e *Engine) Run() (err error) {
 	}
 	var parked []string
 	for _, t := range e.threads {
-		if (t.state == stateParked || t.state == stateSleeping) && !t.daemon {
+		if (t.state == StateParked || t.state == StateSleeping) && !t.daemon {
 			parked = append(parked, t.name)
 		}
 	}
@@ -310,9 +345,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // without starting its function. Either way it ends marked done.
 func (e *Engine) shutdown() {
 	for _, t := range e.threads {
-		if t.state != stateDone {
+		if t.state != StateDone {
 			t.stop()
-			t.setState(stateDone)
+			t.setState(StateDone)
 		}
 	}
 	e.q.drain()

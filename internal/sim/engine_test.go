@@ -2,10 +2,12 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEngineEmptyRun(t *testing.T) {
@@ -614,4 +616,223 @@ func TestInt63nPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRand(1).Int63n(0)
+}
+
+// --- inline wakes ---
+
+// wakeRun is what one run of a scenario leaves behind: everything an
+// inline wake must reproduce exactly as the queued path produced it.
+type wakeRun struct {
+	now   Time
+	log   []string // the scenario's own records and every state change
+	err   string
+	stats Stats // Events is EventsRun
+}
+
+// wakeScenario sets an engine's limits and spawns its threads. It calls
+// sleep instead of Thread.Sleep and records through logf.
+type wakeScenario func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{}))
+
+// runWake runs a scenario on a fresh engine. With queued set, every Sleep
+// first arms and cancels a timer at the current instant: Sleep's check
+// counts cancelled events, so that bounds the queue at now and forces the
+// queued path, while the cancelled event itself never runs or counts.
+func runWake(sc wakeScenario, queued bool) wakeRun {
+	e := NewEngine(1)
+	var r wakeRun
+	logf := func(format string, args ...interface{}) {
+		r.log = append(r.log, fmt.Sprintf(format, args...))
+	}
+	e.OnThreadState = func(th *Thread, s ThreadState) { logf("%s:%v@%d", th.Name(), s, e.Now()) }
+	sleep := func(th *Thread, d Time) {
+		if queued {
+			e.AtTimer(e.Now(), func() {}).Cancel()
+		}
+		th.Sleep(d)
+	}
+	sc(e, sleep, logf)
+	if err := e.Run(); err != nil {
+		r.err = err.Error()
+	}
+	r.now, r.stats = e.Now(), e.Stats()
+	return r
+}
+
+// checkInlineMatchesQueued runs a scenario on both paths, requires the
+// same events, clock, log and error text, and returns the inline run.
+func checkInlineMatchesQueued(t *testing.T, sc wakeScenario) wakeRun {
+	t.Helper()
+	in, q := runWake(sc, false), runWake(sc, true)
+	if q.stats.InlineWakes != 0 {
+		t.Fatalf("queued run woke %d sleeps inline", q.stats.InlineWakes)
+	}
+	if in.stats.Events != q.stats.Events || in.stats.Sleeps != q.stats.Sleeps || in.now != q.now || in.err != q.err {
+		t.Fatalf("inline run: %d events, %d sleeps, clock %d, error %q\nqueued run: %d events, %d sleeps, clock %d, error %q",
+			in.stats.Events, in.stats.Sleeps, in.now, in.err, q.stats.Events, q.stats.Sleeps, q.now, q.err)
+	}
+	if strings.Join(in.log, "\n") != strings.Join(q.log, "\n") {
+		t.Fatalf("logs differ\ninline: %v\nqueued: %v", in.log, q.log)
+	}
+	return in
+}
+
+func TestInlineWakeSleepZeroYieldsToSameInstant(t *testing.T) {
+	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+		e.Spawn("a", func(th *Thread) {
+			e.At(th.Now(), func() { logf("event@%d", e.Now()) })
+			sleep(th, 0) // the event is queued at now: it runs first
+			logf("a@%d", th.Now())
+			sleep(th, 0) // nothing queued: wakes in place
+			logf("a@%d", th.Now())
+		})
+	})
+	if in.stats.InlineWakes != 1 || in.log[2] != "event@0" {
+		t.Fatalf("inline wakes %d, log %v; want 1, the event before a's wake", in.stats.InlineWakes, in.log)
+	}
+}
+
+func TestInlineWakeTieGoesToEarlierSeq(t *testing.T) {
+	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+		e.At(100, func() { logf("e100@%d", e.Now()) })
+		e.At(120, func() { logf("e120@%d", e.Now()) })
+		e.Spawn("a", func(th *Thread) {
+			sleep(th, 100) // ties the event at 100, which was queued first
+			logf("a@%d", th.Now())
+			sleep(th, 19) // strictly before the event at 120
+			logf("a@%d", th.Now())
+			sleep(th, 1) // ties it again
+			logf("a@%d", th.Now())
+		})
+	})
+	if in.stats.InlineWakes != 1 {
+		t.Fatalf("inline wakes %d, want 1 (log %v)", in.stats.InlineWakes, in.log)
+	}
+}
+
+// TestInlineWakeAcrossWheelLevels sleeps towards events queued at every
+// wheel level and in the far heap, and queues new events from a thread
+// whose clock has run ahead of the wheel's anchor.
+func TestInlineWakeAcrossWheelLevels(t *testing.T) {
+	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+		for _, at := range []Time{40, 1 << 8, 5 << 12, 3 << 18, 1 << 24, 1 << 30, 1<<30 + 1} {
+			at := at
+			e.At(at, func() { logf("e%d@%d", at, e.Now()) })
+		}
+		e.Spawn("a", func(th *Thread) {
+			for _, d := range []Time{39, 1, 1, 200, 20000, 1 << 19, 1 << 20, 1 << 22, 1 << 24, 1 << 29, 1 << 30} {
+				sleep(th, d)
+				logf("a@%d", th.Now())
+				at := th.Now() + d/2 + 1
+				e.At(at, func() { logf("late%d@%d", at, e.Now()) })
+			}
+		})
+		e.Spawn("b", func(th *Thread) {
+			for i := 0; i < 40; i++ {
+				sleep(th, Time(1)<<uint(i%31))
+				logf("b@%d", th.Now())
+			}
+		})
+	})
+	if in.stats.InlineWakes == 0 {
+		t.Fatal("no sleep woke inline")
+	}
+}
+
+func TestInlineWakeMaxTime(t *testing.T) {
+	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+		e.MaxTime = 1000
+		e.Spawn("a", func(th *Thread) {
+			sleep(th, 1000) // w == MaxTime runs
+			logf("a@%d", th.Now())
+			sleep(th, 1) // w == MaxTime+1 fails the run
+			logf("a@%d", th.Now())
+		})
+	})
+	if in.stats.InlineWakes != 1 || in.err != "sim: exceeded MaxTime 1000 at event time 1001" {
+		t.Fatalf("inline wakes %d, error %q", in.stats.InlineWakes, in.err)
+	}
+}
+
+func TestInlineWakeMaxEvents(t *testing.T) {
+	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+		e.MaxEvents = 3 // the spawn and two wakes; the third wake exceeds it
+		e.Spawn("a", func(th *Thread) {
+			for i := 0; i < 5; i++ {
+				sleep(th, 10)
+				logf("a@%d", th.Now())
+			}
+		})
+	})
+	if in.stats.InlineWakes != 2 || in.stats.Events != 4 || in.err != "sim: exceeded MaxEvents 3" {
+		t.Fatalf("inline wakes %d, %d events, error %q", in.stats.InlineWakes, in.stats.Events, in.err)
+	}
+}
+
+func TestInlineWakeAfterStop(t *testing.T) {
+	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+		e.Spawn("a", func(th *Thread) {
+			defer func() { logf("a unwound@%d", th.Now()) }()
+			e.Stop()
+			sleep(th, 10)
+			logf("a ran past Stop")
+		})
+	})
+	if in.stats.InlineWakes != 0 || in.stats.Events != 1 || in.err != "" {
+		t.Fatalf("inline wakes %d, %d events, error %q", in.stats.InlineWakes, in.stats.Events, in.err)
+	}
+}
+
+// TestInlineWakeWatchdogStride: with the watchdog armed, the sleeps that
+// would land on its check stride go through Run, which checks the wall
+// clock; every other sleep wakes in place.
+func TestInlineWakeWatchdogStride(t *testing.T) {
+	const sleeps = 3000
+	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+		e.MaxWall = time.Hour
+		e.Spawn("a", func(th *Thread) {
+			for i := 0; i < sleeps; i++ {
+				sleep(th, 1)
+			}
+			logf("a@%d", th.Now())
+		})
+	})
+	// The i-th sleep (from 1) starts with i events run: the spawn and
+	// i-1 wakes. Sleeps 1024 and 2048 fall on the stride.
+	if in.stats.InlineWakes != sleeps-2 {
+		t.Fatalf("inline wakes %d, want %d", in.stats.InlineWakes, sleeps-2)
+	}
+}
+
+func TestInlineWakePanicError(t *testing.T) {
+	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+		e.Spawn("a", func(th *Thread) {
+			sleep(th, 5)
+			sleep(th, 7)
+			panic("boom")
+		})
+	})
+	if in.stats.InlineWakes != 2 || !strings.Contains(in.err, `simthread "a" at virtual time 12 after 3 events: boom`) {
+		t.Fatalf("inline wakes %d, error %q", in.stats.InlineWakes, in.err)
+	}
+}
+
+// TestStatsCountDispatches: a thread that parks and a thread that sleeps
+// past it. Every dispatch is a switch, and the sleeps that wake with
+// nothing queued before them do not switch.
+func TestStatsCountDispatches(t *testing.T) {
+	e := NewEngine(1)
+	var p *Thread
+	p = e.Spawn("parker", func(th *Thread) { th.Park() })
+	e.Spawn("sleeper", func(th *Thread) {
+		th.Sleep(10) // wakes in place
+		p.Unpark(th.Now() + 5)
+		th.Sleep(10) // the unpark runs first
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{Events: 5, Dispatches: 4, Sleeps: 2, InlineWakes: 1}
+	if got := e.Stats(); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
 }

@@ -175,6 +175,7 @@ func (h *engSide) fire(id int) {
 
 type modelSide struct {
 	sched  refSched
+	events uint64 // events fired, thread starts and wakes included
 	progs  []evProgram
 	steps  map[int][]Time
 	timers []*refEv
@@ -228,6 +229,7 @@ func (m *modelSide) run(t *testing.T) {
 			t.Fatalf("model time went backwards: %d < %d", ev.when, m.sched.now)
 		}
 		ev.fired = true
+		m.events++
 		m.sched.now = ev.when
 		switch {
 		case ev.step < 0:
@@ -249,7 +251,10 @@ func (m *modelSide) run(t *testing.T) {
 }
 
 // checkSchedulerMatchesReference runs the same random program through the
-// real engine and the reference scheduler and requires identical logs.
+// real engine and the reference scheduler and requires identical logs and
+// event counts. The reference has no inline wakes: each of its sleeps is
+// a queued event, so a thread's wake the engine ran in place must still
+// be counted and logged exactly as the reference fired it.
 func checkSchedulerMatchesReference(t *testing.T, seed uint64, budget int) {
 	t.Helper()
 	progs := genPrograms(seed, 97)
@@ -286,6 +291,9 @@ func checkSchedulerMatchesReference(t *testing.T, seed uint64, budget int) {
 			t.Fatalf("seed %d: divergence at entry %d: engine %q, reference %q",
 				seed, i, e.log[i], m.log[i])
 		}
+	}
+	if eng.EventsRun() != m.events {
+		t.Fatalf("seed %d: engine ran %d events, reference %d", seed, eng.EventsRun(), m.events)
 	}
 	if e.eng.q.live != 0 || e.eng.q.dead != 0 {
 		t.Fatalf("seed %d: queue not drained after Run: live=%d dead=%d",

@@ -11,26 +11,27 @@ import (
 // Engine.OnThreadState.
 type ThreadState int
 
+// The scheduling states, in the order a thread's life passes them.
 const (
-	stateNew ThreadState = iota
-	stateRunning
-	stateSleeping
-	stateParked
-	stateDone
+	StateNew      ThreadState = iota // spawned, not yet dispatched
+	StateRunning                     // executing, or runnable at the current instant
+	StateSleeping                    // blocked in Sleep until its wake time
+	StateParked                      // blocked in Park until an Unpark
+	StateDone                        // returned, or retired at shutdown
 )
 
 // String names the state for thread dumps.
 func (s ThreadState) String() string {
 	switch s {
-	case stateNew:
+	case StateNew:
 		return "new"
-	case stateRunning:
+	case StateRunning:
 		return "running"
-	case stateSleeping:
+	case StateSleeping:
 		return "sleeping"
-	case stateParked:
+	case StateParked:
 		return "parked"
-	case stateDone:
+	case StateDone:
 		return "done"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
@@ -113,7 +114,7 @@ func (t *Thread) start(fn func(*Thread)) {
 			}
 		}()
 		fn(t)
-		t.setState(stateDone)
+		t.setState(StateDone)
 	})
 }
 
@@ -124,20 +125,38 @@ func (t *Thread) yield() {
 	if !t.coYield(struct{}{}) {
 		panic(killed{})
 	}
-	t.setState(stateRunning)
+	t.setState(StateRunning)
 }
 
 // Sleep advances this thread's local time by d nanoseconds, letting other
 // events run meanwhile. Negative durations are treated as zero.
+//
+// When the wake would be the very next event Run dispatches, the thread
+// stays on its own stack and does in place what Run and dispatch would
+// have done (Engine.wakesNext): the same state transitions, sequence
+// number, clock and event count, with no coroutine switch.
+//
+//simcheck:hotpath every simulated delay passes through here; the inline wake stays allocation-free
 func (t *Thread) Sleep(d Time) {
-	if t.eng.running != t {
+	e := t.eng
+	if e.running != t {
 		panic(fmt.Sprintf("sim: Sleep called on %q from outside its own context", t.name))
 	}
 	if d < 0 {
 		d = 0
 	}
-	t.setState(stateSleeping)
-	t.eng.atThread(t.eng.now+d, t)
+	e.stats.Sleeps++
+	t.setState(StateSleeping)
+	w := e.now + d
+	if e.wakesNext(w) {
+		e.seq++
+		e.now = w
+		e.stats.Events++
+		e.stats.InlineWakes++
+		t.setState(StateRunning)
+		return
+	}
+	e.atThread(w, t)
 	t.yield()
 }
 
@@ -147,7 +166,7 @@ func (t *Thread) Park() {
 	if t.eng.running != t {
 		panic(fmt.Sprintf("sim: Park called on %q from outside its own context", t.name))
 	}
-	t.setState(stateParked)
+	t.setState(StateParked)
 	t.yield()
 }
 
@@ -155,7 +174,7 @@ func (t *Thread) Park() {
 // (clamped to now). Unparking a thread that is not parked, or twice before
 // it runs, panics, as either indicates a scheduling bug.
 func (t *Thread) Unpark(at Time) {
-	if t.state != stateParked {
+	if t.state != StateParked {
 		panic(fmt.Sprintf("sim: Unpark of thread %q which is not parked", t.name))
 	}
 	if t.wake != nil {
@@ -173,16 +192,16 @@ func (t *Thread) UnparkCancel() {
 	if t.wake != nil {
 		t.eng.q.cancelEvent(t.wake)
 		t.wake = nil
-		t.setState(stateParked)
+		t.setState(StateParked)
 	}
 }
 
 // Parked reports whether the thread is currently parked with no pending
 // wake event.
-func (t *Thread) Parked() bool { return t.state == stateParked && t.wake == nil }
+func (t *Thread) Parked() bool { return t.state == StateParked && t.wake == nil }
 
 // Done reports whether the thread function has returned.
-func (t *Thread) Done() bool { return t.state == stateDone }
+func (t *Thread) Done() bool { return t.state == StateDone }
 
 // SetDaemon marks the thread as a background daemon: if the event queue
 // drains while it is parked, Run treats the simulation as complete instead

@@ -6,31 +6,23 @@ import (
 
 	"mpicontend/internal/experiments"
 	"mpicontend/internal/machine"
+	"mpicontend/internal/sim"
 	"mpicontend/internal/telemetry"
 )
 
 // foldProbes are one experiment id per probe shape.
 var foldProbes = []string{"fig8a", "fig2a", "fig6b", "fig9a", "recovery", "vci", "progress", "partitioned", "chaos"}
 
-// replayer is the reference form of Profile, defined on the recorder by
-// the package's own replay_test.go. It is reached through an interface
-// because the analysis loader type-checks this external test package
-// against the package without its test files.
-type replayer interface{ ReplayProfile() *telemetry.Profile }
-
 // checkFold compares the recorder's folded profile with the replay of its
-// logs, byte for byte.
+// logs (ReplayProfile, the reference in the package's replay_test.go),
+// byte for byte.
 func checkFold(t *testing.T, rec *telemetry.Recorder) {
 	t.Helper()
-	ref, ok := interface{}(rec).(replayer)
-	if !ok {
-		t.Fatal("the recorder has no ReplayProfile reference")
-	}
 	fold, err := rec.Profile().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := ref.ReplayProfile().Marshal()
+	replay, err := rec.ReplayProfile().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +56,7 @@ func TestFoldMatchesReplayOnEdgeCases(t *testing.T) {
 	cases := map[string]func(r *telemetry.Recorder){
 		"same-instant gauges": func(r *telemetry.Recorder) {
 			r.RegisterThread(0, "t0")
-			r.ThreadState(0, 0, "running")
+			r.ThreadState(0, 0, sim.StateRunning)
 			r.Dangling(10, 9) // overwritten: must not reach Max
 			r.Dangling(10, 2)
 			r.Dangling(40, 1)
@@ -73,21 +65,21 @@ func TestFoldMatchesReplayOnEdgeCases(t *testing.T) {
 			r.CQDepth(5, 4)
 			r.CQDepth(5, 1)
 			r.Call(0, "Wait", 0, 60)
-			r.ThreadState(0, 80, "done")
+			r.ThreadState(0, 80, sim.StateDone)
 		},
 		"unregistered threads": func(r *telemetry.Recorder) {
 			r.RegisterThread(0, "t0")
 			cs := r.RegisterLock("cs")
-			r.ThreadState(0, 0, "running")
-			r.ThreadState(5, 3, "running") // never registered
-			r.Call(7, "Isend", 0, 30)      // never registered, no state
+			r.ThreadState(0, 0, sim.StateRunning)
+			r.ThreadState(5, 3, sim.StateRunning) // never registered
+			r.Call(7, "Isend", 0, 30)             // never registered, no state
 			r.Poll(9, 10, 20, 1)
 			r.LockRequest(cs, 7, at, 0)
 			r.LockGrant(cs, 7, telemetry.ClassHigh, at, 0, 4, 0)
 			r.LockHold(cs, 7, telemetry.ClassHigh, false, 0, 1, 4, 9)
 			r.Call(5, "Wait", 5, 25)
 			r.RegisterThread(9, "late") // registered after its spans
-			r.ThreadState(0, 50, "done")
+			r.ThreadState(0, 50, sim.StateDone)
 		},
 		"holds without waits": func(r *telemetry.Recorder) {
 			cs := r.RegisterLock("cs")
@@ -102,21 +94,21 @@ func TestFoldMatchesReplayOnEdgeCases(t *testing.T) {
 			idle := r.RegisterLock("idle")
 			cs := r.RegisterLock("cs")
 			r.RegisterLock("never")
-			r.ThreadState(0, 0, "running")
+			r.ThreadState(0, 0, sim.StateRunning)
 			r.LockRequest(idle, 0, at, 1) // requested, never granted
 			r.LockRequest(cs, 0, at, 2)
 			r.LockGrant(cs, 0, telemetry.ClassLow, at, 2, 2, 1)
 			r.LockHold(cs, 0, telemetry.ClassLow, true, 1, 0, 2, 12)
-			r.ThreadState(0, 20, "done")
+			r.ThreadState(0, 20, sim.StateDone)
 		},
 		"threads without done": func(r *telemetry.Recorder) {
 			r.RegisterThread(0, "t0")
 			r.RegisterThread(1, "t1")
 			r.RegisterThread(2, "t2") // registered, never runs
 			cs := r.RegisterLock("cs")
-			r.ThreadState(0, 0, "running")
-			r.ThreadState(1, 5, "running")
-			r.ThreadState(1, 8, "parked")
+			r.ThreadState(0, 0, sim.StateRunning)
+			r.ThreadState(1, 5, sim.StateRunning)
+			r.ThreadState(1, 8, sim.StateParked)
 			for i, th := range []int{0, 1, 0} {
 				from := int64(10 * i)
 				r.LockRequest(cs, th, machine.Place{Socket: th, Core: th}, from)
@@ -127,7 +119,7 @@ func TestFoldMatchesReplayOnEdgeCases(t *testing.T) {
 			r.Flight(0, 1, "Eager", 64, 30, 70)
 			r.Inject(0, "Eager", 64, 28, 30)
 			r.Unexpected(12)
-			r.ThreadState(0, 90, "done") // thread 1 never finishes
+			r.ThreadState(0, 90, sim.StateDone) // thread 1 never finishes
 		},
 	}
 	for name, drive := range cases {

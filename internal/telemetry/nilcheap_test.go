@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mpicontend/internal/machine"
+	"mpicontend/internal/sim"
 )
 
 // TestNilRecorderHooksAreCheap pins the package contract the hot path
@@ -28,7 +29,7 @@ func TestNilRecorderHooksAreCheap(t *testing.T) {
 		"Flight":         func() { r.Flight(0, 1, "Eager", 64, 0, 10) },
 		"Dangling":       func() { r.Dangling(0, 3) },
 		"Unexpected":     func() { r.Unexpected(100) },
-		"ThreadState":    func() { r.ThreadState(1, 0, "running") },
+		"ThreadState":    func() { r.ThreadState(1, 0, sim.StateRunning) },
 	}
 	for name, fn := range hooks {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

@@ -30,6 +30,7 @@ package telemetry
 
 import (
 	"mpicontend/internal/machine"
+	"mpicontend/internal/sim"
 	"mpicontend/internal/trace"
 )
 
@@ -122,7 +123,17 @@ const (
 	stateRun uint8 = iota
 	stateBlocked
 	stateDone
+	stateHidden // not rendered: a thread not yet dispatched
 )
+
+// schedStates maps each engine scheduling state onto the sched track.
+var schedStates = [...]uint8{
+	sim.StateNew:      stateHidden,
+	sim.StateRunning:  stateRun,
+	sim.StateSleeping: stateRun,
+	sim.StateParked:   stateBlocked,
+	sim.StateDone:     stateDone,
+}
 
 // gaugeSample is one point of a gauge timeline.
 type gaugeSample struct {
@@ -377,20 +388,13 @@ func (r *Recorder) Unexpected(residencyNs int64) {
 // ThreadState records a scheduler-state transition reported by the engine.
 // Engine states collapse onto the sched track's run/blocked/done alphabet;
 // consecutive identical states dedupe.
-func (r *Recorder) ThreadState(thread int, at int64, state string) {
-	if r == nil {
+func (r *Recorder) ThreadState(thread int, at int64, state sim.ThreadState) {
+	if r == nil || uint(state) >= uint(len(schedStates)) {
 		return
 	}
-	var s uint8
-	switch state {
-	case "running", "sleeping":
-		s = stateRun
-	case "parked":
-		s = stateBlocked
-	case "done":
-		s = stateDone
-	default:
-		return // "new" and unknown states don't render
+	s := schedStates[state]
+	if s == stateHidden {
+		return
 	}
 	slot(&r.threadNames, thread)
 	tf := slot(&r.threads, thread)

@@ -6,6 +6,7 @@ import (
 
 	"mpicontend/internal/machine"
 	"mpicontend/internal/report"
+	"mpicontend/internal/sim"
 )
 
 func TestHistBuckets(t *testing.T) {
@@ -92,7 +93,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Flight(0, 1, "Eager", 64, 3, 9)
 	r.Dangling(5, 1)
 	r.Unexpected(100)
-	r.ThreadState(0, 0, "running")
+	r.ThreadState(0, 0, sim.StateRunning)
 	if r.Spans() != nil {
 		t.Fatal("nil recorder returned spans")
 	}
@@ -115,8 +116,8 @@ func TestRecorderSpansAndProfile(t *testing.T) {
 	r.RegisterThread(1, "r0.worker1")
 	cs := r.RegisterLock("cs[r0]")
 
-	r.ThreadState(0, 0, "running")
-	r.ThreadState(1, 0, "running")
+	r.ThreadState(0, 0, sim.StateRunning)
+	r.ThreadState(1, 0, sim.StateRunning)
 	// Thread 0 holds uncontended; thread 1 waits, then gets a handoff.
 	r.LockGrant(cs, 0, ClassHigh, machine.Place{}, 0, 0, 0)
 	r.LockHold(cs, 0, ClassHigh, false, 0, 0, 0, 100)
@@ -127,8 +128,8 @@ func TestRecorderSpansAndProfile(t *testing.T) {
 	r.Dangling(60, 1)
 	r.Dangling(120, 0)
 	r.Unexpected(40)
-	r.ThreadState(0, 200, "done")
-	r.ThreadState(1, 200, "done")
+	r.ThreadState(0, 200, sim.StateDone)
+	r.ThreadState(1, 200, sim.StateDone)
 
 	if n := len(r.Spans()); n != 6 {
 		t.Fatalf("span count = %d, want 6", n)
@@ -178,11 +179,11 @@ func TestRecorderSpansAndProfile(t *testing.T) {
 func TestThreadStateDedup(t *testing.T) {
 	r := NewTrace()
 	r.RegisterThread(0, "t")
-	r.ThreadState(0, 0, "running")
-	r.ThreadState(0, 10, "sleeping") // merges into running
-	r.ThreadState(0, 20, "parked")
-	r.ThreadState(0, 30, "running")
-	r.ThreadState(0, 40, "done")
+	r.ThreadState(0, 0, sim.StateRunning)
+	r.ThreadState(0, 10, sim.StateSleeping) // merges into running
+	r.ThreadState(0, 20, sim.StateParked)
+	r.ThreadState(0, 30, sim.StateRunning)
+	r.ThreadState(0, 40, sim.StateDone)
 	if n := len(r.sched); n != 4 {
 		t.Fatalf("sched recs = %d, want 4 (sleeping merged into running)", n)
 	}
@@ -206,14 +207,14 @@ func TestPerfettoExportAndValidate(t *testing.T) {
 	r := NewTrace()
 	r.RegisterThread(0, "w0")
 	cs := r.RegisterLock("cs")
-	r.ThreadState(0, 0, "running")
+	r.ThreadState(0, 0, sim.StateRunning)
 	r.LockGrant(cs, 0, ClassHigh, machine.Place{}, 0, 5, 0)
 	r.LockHold(cs, 0, ClassHigh, true, 0, 0, 5, 20)
 	r.Call(0, "Isend", 0, 25)
 	r.Inject(0, "Eager", 64, 5, 8)
 	r.Flight(0, 1, "Eager", 64, 8, 30)
 	r.Dangling(12, 1)
-	r.ThreadState(0, 40, "done")
+	r.ThreadState(0, 40, sim.StateDone)
 
 	data := r.Perfetto()
 	if err := ValidateTrace(data); err != nil {

@@ -14,6 +14,7 @@ import (
 	"mpicontend/internal/fault"
 	"mpicontend/internal/machine"
 	"mpicontend/internal/mpi"
+	"mpicontend/internal/sim"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
 )
@@ -105,6 +106,8 @@ type ThroughputResult struct {
 	UnexpectedHits int64
 	// Net holds the resilience counters (all zero on a perfect network).
 	Net mpi.NetStats
+	// Sched holds the engine's scheduling counters.
+	Sched sim.Stats
 }
 
 // Throughput runs the multithreaded point-to-point throughput benchmark.
@@ -191,6 +194,7 @@ func Throughput(p ThroughputParams) (ThroughputResult, error) {
 		res.UnexpectedHits += pr.UnexpectedHits
 	}
 	res.Net = w.NetStats()
+	res.Sched = w.Eng.Stats()
 	if p.Fault.Enabled() && !p.Fault.CrashesEnabled() {
 		if err := w.CheckClean(); err != nil {
 			return res, fmt.Errorf("throughput(%v,%dB,%dt): %w", p.Lock, p.MsgBytes, p.Threads, err)

@@ -281,3 +281,20 @@ func TestN2NPartitioned(t *testing.T) {
 		}
 	}
 }
+
+// TestLockstormWakesInline runs the lockstorm configuration (eight
+// threads behind the futex mutex, 64-byte messages, polling) and checks
+// that the engine wakes at least a fifth of its sleeps in place, with no
+// coroutine switch: each poll and critical-section entry is a Sleep, and
+// in this regime its wake is very often the next event anyway.
+func TestLockstormWakesInline(t *testing.T) {
+	r := runTP(t, ThroughputParams{Lock: simlock.KindMutex, Threads: 8, MsgBytes: 64, Windows: 64, Seed: 0x5eed})
+	s := r.Sched
+	t.Logf("%+v: %.1f%% of sleeps inline", s, 100*float64(s.InlineWakes)/float64(s.Sleeps))
+	if s.Sleeps == 0 || 5*s.InlineWakes < s.Sleeps {
+		t.Fatalf("%d of %d sleeps woke inline, want at least a fifth", s.InlineWakes, s.Sleeps)
+	}
+	if s.Events < s.Dispatches+s.InlineWakes {
+		t.Fatalf("%d events cannot hold %d dispatches and %d inline wakes", s.Events, s.Dispatches, s.InlineWakes)
+	}
+}
