@@ -58,9 +58,10 @@ func main() {
 	}
 	fmt.Printf("lock=%v threads=%d bytes=%d binding=%v\n", lock, *threads, *bytes, binding)
 	fmt.Printf("  message rate     : %.0f msgs/s\n", r.RateMsgsPerSec)
-	fmt.Printf("  bias factor core : %.2f   (fair = 1; paper measures ~2 for mutex)\n", r.BiasCore)
-	fmt.Printf("  bias factor sock : %.2f   (fair = 1; paper measures ~1.25 for mutex)\n", r.BiasSocket)
-	fmt.Printf("  dangling avg     : %.1f requests\n", r.DanglingAvg)
+	a := r.Arbitration
+	fmt.Printf("  bias factor core : %.2f   (fair = 1; paper measures ~2 for mutex)\n", a.BiasFactorCore)
+	fmt.Printf("  bias factor sock : %.2f   (fair = 1; paper measures ~1.25 for mutex)\n", a.BiasFactorSocket)
+	fmt.Printf("  dangling avg     : %.1f requests\n", a.DanglingAvg)
 	if *timeline {
 		// The receiver's section, the lock the analyses above read; its
 		// last 4096 grants show the steady state.

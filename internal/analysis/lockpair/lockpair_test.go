@@ -15,7 +15,7 @@ func TestGolden(t *testing.T) {
 }
 
 func TestScope(t *testing.T) {
-	if lockpair.Analyzer.Applies("mpicontend/internal/trace") {
+	if lockpair.Analyzer.Applies("mpicontend/internal/telemetry") {
 		t.Errorf("lockpair is specific to the MPI runtime package")
 	}
 	if !lockpair.Analyzer.Applies("mpicontend/internal/mpi") {

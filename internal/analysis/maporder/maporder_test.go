@@ -26,7 +26,7 @@ func TestScope(t *testing.T) {
 	if maporder.Analyzer.Applies("mpicontend/locks") {
 		t.Errorf("maporder must not apply to the real-threads lock library")
 	}
-	if !maporder.Analyzer.Applies("mpicontend/internal/trace") {
+	if !maporder.Analyzer.Applies("mpicontend/internal/telemetry") {
 		t.Errorf("maporder must apply to reporting packages")
 	}
 }

@@ -69,7 +69,7 @@ func ablationSocketPrio(o Options, pl *Plan) ([]*report.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				return []float64{r.RateMsgsPerSec / 1000, r.DanglingAvg}, nil
+				return []float64{r.RateMsgsPerSec / 1000, r.Arbitration.DanglingAvg}, nil
 			})
 			rate.Add(float64(bytes), v[0])
 			dang.Add(float64(bytes), v[1])

@@ -117,7 +117,7 @@ func fig3a(o Options, pl *Plan) ([]*report.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			return []float64{r.BiasCore, r.BiasSocket}, nil
+			return []float64{r.Arbitration.BiasFactorCore, r.Arbitration.BiasFactorSocket}, nil
 		})
 		core.Add(float64(bytes), bias[0])
 		sock.Add(float64(bytes), bias[1])
@@ -140,7 +140,7 @@ func danglingTable(o Options, pl *Plan, id, title string, kinds []simlock.Kind) 
 				if err != nil {
 					return 0, err
 				}
-				return r.DanglingAvg, nil
+				return r.Arbitration.DanglingAvg, nil
 			})
 			s.Add(float64(bytes), dangling)
 		}

@@ -691,9 +691,9 @@ func TestLockObserverReceivesTraffic(t *testing.T) {
 	}
 	for _, name := range []string{"cs[r0]", "cs[r1]"} {
 		a, ok := rec.Arbitration(name)
-		if !ok || grants[name] == 0 || a.Dangling.SamplesTaken() != grants[name] {
+		if !ok || grants[name] == 0 || a.Grants != grants[name] {
 			t.Fatalf("%s: %d acquisitions, %d grant samples (registered %v)",
-				name, grants[name], a.Dangling.SamplesTaken(), ok)
+				name, grants[name], a.Grants, ok)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package report renders experiment results as the aligned text tables and
 // series the cmd tools and EXPERIMENTS.md use, mirroring the rows/columns
-// of the paper's figures.
+// of the paper's figures, and as the flat figure JSON of mpistorm -json.
 //
 // report is pure formatting with no simulation state; both the
 // deterministic core and the driver shell use it (docs/ARCHITECTURE.md),
@@ -8,6 +8,7 @@
 package report
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -16,13 +17,14 @@ import (
 
 // Point is one (x, y) sample of a series.
 type Point struct {
-	X, Y float64
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
 }
 
 // Series is a named line of a figure (e.g. "Mutex", "Ticket").
 type Series struct {
-	Name   string
-	Points []Point
+	Name   string  `json:"name"`
+	Points []Point `json:"points"`
 }
 
 // Add appends a sample.
@@ -40,21 +42,23 @@ func (s *Series) Y(x float64) (float64, bool) {
 
 // Table is a figure's data: several series over a shared x axis.
 type Table struct {
-	ID     string // experiment id, e.g. "fig8a"
-	Title  string
-	XLabel string
-	YLabel string
-	Series []*Series
+	ID     string    `json:"id"` // experiment id, e.g. "fig8a"
+	Title  string    `json:"title"`
+	XLabel string    `json:"x_label"`
+	YLabel string    `json:"y_label"`
+	Series []*Series `json:"series"`
 }
 
 // AddSeries creates (or returns the existing) series with the given name.
+// A new series starts with an empty, non-nil Points, so its JSON form is
+// [] even before the first sample.
 func (t *Table) AddSeries(name string) *Series {
 	for _, s := range t.Series {
 		if s.Name == name {
 			return s
 		}
 	}
-	s := &Series{Name: name}
+	s := &Series{Name: name, Points: []Point{}}
 	t.Series = append(t.Series, s)
 	return s
 }
@@ -165,4 +169,40 @@ func GeoMean(s *Series) float64 {
 		prod *= p.Y
 	}
 	return math.Pow(prod, 1.0/float64(len(s.Points)))
+}
+
+// FigureSchema tags the figure JSON layout: the flat results schema of
+// mpistorm -json and CI's BENCH trajectory.
+const FigureSchema = "mpicontend/figure/v1"
+
+// figure is a table's JSON form: the schema tag, then the table's fields.
+type figure struct {
+	Schema string `json:"schema"`
+	*Table
+}
+
+// Marshal renders the table as indented deterministic figure JSON, schema
+// first. The form is lossless: a Table unmarshalled from it formats byte
+// for byte like t.
+func (t *Table) Marshal() ([]byte, error) {
+	return json.MarshalIndent(figure{Schema: FigureSchema, Table: t}, "", "  ")
+}
+
+// ValidateFigure checks that data parses as a figure with the current
+// schema, an id, and at least one series.
+func ValidateFigure(data []byte) error {
+	f := figure{Table: &Table{}}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return fmt.Errorf("report: figure: %w", err)
+	}
+	if f.Schema != FigureSchema {
+		return fmt.Errorf("report: figure: schema %q, want %q", f.Schema, FigureSchema)
+	}
+	if f.ID == "" {
+		return fmt.Errorf("report: figure: missing id")
+	}
+	if len(f.Series) == 0 {
+		return fmt.Errorf("report: figure %s: no series", f.ID)
+	}
+	return nil
 }

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -187,5 +189,51 @@ func TestChartSinglePoint(t *testing.T) {
 	out := tb.Chart()
 	if !strings.Contains(out, "*") {
 		t.Fatalf("single point missing:\n%s", out)
+	}
+}
+
+// TestFigureRoundtrip: the figure JSON is lossless, so a Table
+// unmarshalled from it formats and charts byte for byte like the
+// original, and it validates.
+func TestFigureRoundtrip(t *testing.T) {
+	tab := &Table{ID: "fig8a", Title: "Throughput", XLabel: "bytes", YLabel: "msgs/s"}
+	s := tab.AddSeries("Mutex")
+	s.Add(1, 1000.5)
+	s.Add(64, 900.25)
+	tab.AddSeries("Ticket").Add(1, 2000)
+	tab.AddSeries("Empty")
+
+	data, err := tab.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("{\n  \"schema\": \"mpicontend/figure/v1\",\n  \"id\": \"fig8a\",")) {
+		t.Fatalf("figure JSON does not open with schema then id:\n%s", data)
+	}
+	if !bytes.Contains(data, []byte(`"points": []`)) {
+		t.Fatalf("empty series does not marshal its points as []:\n%s", data)
+	}
+	var back Table
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := back.Format(), tab.Format(); got != want {
+		t.Fatalf("Format roundtrip diverged:\n got %q\nwant %q", got, want)
+	}
+	if got, want := back.Chart(), tab.Chart(); got != want {
+		t.Fatalf("Chart roundtrip diverged")
+	}
+	if err := ValidateFigure(data); err != nil {
+		t.Fatalf("ValidateFigure: %v", err)
+	}
+	for name, in := range map[string]string{
+		"not json":     `{`,
+		"wrong schema": `{"schema":"mpicontend/figure/v0","id":"x","series":[{"name":"s","points":[]}]}`,
+		"no id":        `{"schema":"mpicontend/figure/v1","id":"","series":[{"name":"s","points":[]}]}`,
+		"no series":    `{"schema":"mpicontend/figure/v1","id":"x","series":[]}`,
+	} {
+		if err := ValidateFigure([]byte(in)); err == nil {
+			t.Errorf("%s: figure accepted", name)
+		}
 	}
 }

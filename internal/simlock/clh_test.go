@@ -5,7 +5,7 @@ import (
 
 	"mpicontend/internal/machine"
 	"mpicontend/internal/sim"
-	"mpicontend/internal/trace"
+	"mpicontend/internal/telemetry"
 )
 
 // TestCLHFIFO: like the ticket lock, CLH grants strictly in arrival order —
@@ -62,7 +62,7 @@ func TestCLHHandoffBeatsTicket(t *testing.T) {
 
 // TestCLHDeterminism: same seed, same grant trace.
 func TestCLHDeterminism(t *testing.T) {
-	trace := func() []trace.Grant {
+	trace := func() []telemetry.Grant {
 		h := newHarness(t, KindCLH, 99)
 		h.run(t, 6, 25, 120, 15, nil)
 		return h.grants

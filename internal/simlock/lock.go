@@ -17,7 +17,7 @@
 // observed once, in the MPI runtime's critical-section wrapper, which
 // reports each request and grant around Acquire to the telemetry
 // recorder, the one lock observer; tests drive the same waiting-set rule
-// (internal/trace.WaitSet) around their own Acquire calls.
+// (telemetry.WaitSet) around their own Acquire calls.
 //
 // simlock is part of the deterministic core (docs/ARCHITECTURE.md).
 package simlock

@@ -7,19 +7,19 @@ import (
 
 	"mpicontend/internal/machine"
 	"mpicontend/internal/sim"
-	"mpicontend/internal/trace"
+	"mpicontend/internal/telemetry"
 )
 
 // harness runs nthreads simthreads that repeatedly enter a lock's critical
 // section, verifying mutual exclusion, and returns per-thread acquisition
 // counts and the grant trace. Grants are observed the way the MPI runtime
-// observes them: a trace.WaitSet timed around each Acquire.
+// observes them: a telemetry.WaitSet timed around each Acquire.
 type harness struct {
 	eng     *sim.Engine
 	lock    Lock
 	topo    machine.Topology
-	waiting trace.WaitSet
-	grants  []trace.Grant
+	waiting telemetry.WaitSet
+	grants  []telemetry.Grant
 	counts  []int
 }
 
@@ -242,8 +242,8 @@ func TestMutexStarvationSpread(t *testing.T) {
 func TestPriorityHighBeatsLow(t *testing.T) {
 	eng := sim.NewEngine(9)
 	topo := machine.Nehalem2x4(1)
-	var waiting trace.WaitSet
-	var grants []trace.Grant
+	var waiting telemetry.WaitSet
+	var grants []telemetry.Grant
 	lock := NewPriorityLock(&Config{Eng: eng, Cost: machine.Default()})
 	// Three low-priority pollers hammer the lock.
 	for i := 0; i < 3; i++ {

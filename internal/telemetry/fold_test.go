@@ -7,7 +7,9 @@ import (
 	"mpicontend/internal/experiments"
 	"mpicontend/internal/machine"
 	"mpicontend/internal/sim"
+	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
+	"mpicontend/internal/workloads"
 )
 
 // foldProbes are one experiment id per probe shape.
@@ -15,9 +17,13 @@ var foldProbes = []string{"fig8a", "fig2a", "fig6b", "fig9a", "recovery", "vci",
 
 // checkFold compares the recorder's folded profile with the replay of its
 // logs (ReplayProfile, the reference in the package's replay_test.go),
-// byte for byte.
+// byte for byte, and each lock's folded §4.3 reading with its replay
+// (CheckArbitration).
 func checkFold(t *testing.T, rec *telemetry.Recorder) {
 	t.Helper()
+	if err := rec.CheckArbitration(); err != nil {
+		t.Fatal(err)
+	}
 	fold, err := rec.Profile().Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -43,6 +49,31 @@ func TestFoldMatchesReplayOnProbes(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkFold(t, rec)
+		})
+	}
+}
+
+// TestFoldMatchesReplayPerLockKind: on a traced throughput run under
+// every lock kind the fold equals the replay, and the traced section's
+// §4.3 reading has contended grants to compare.
+func TestFoldMatchesReplayPerLockKind(t *testing.T) {
+	for k := simlock.KindMutex; k.Valid(); k++ {
+		k := k
+		t.Run(k.String(), func(t *testing.T) {
+			t.Parallel()
+			p := workloads.ThroughputParams{Lock: k, Threads: 4, MsgBytes: 64,
+				Window: 16, Windows: 2, Seed: 42, Tel: telemetry.NewTrace()}
+			if k == simlock.KindNone {
+				p.Threads = 1 // THREAD_SINGLE model: one runtime thread
+			}
+			r, err := workloads.Throughput(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFold(t, p.Tel)
+			if r.Arbitration.Samples == 0 && k != simlock.KindNone {
+				t.Fatal("no contended grants")
+			}
 		})
 	}
 }
@@ -156,7 +187,7 @@ func TestFoldOnlyRecorder(t *testing.T) {
 	}
 	fa, ok := fold.Arbitration("cs[r1]")
 	la, _ := logging.Arbitration("cs[r1]")
-	if !ok || fa != la || fa.Dangling.SamplesTaken() == 0 {
+	if !ok || fa != la || fa.Grants == 0 {
 		t.Fatalf("arbitration readings differ or are empty: %+v vs %+v", fa, la)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"mpicontend/internal/machine"
-	"mpicontend/internal/trace"
 )
 
 // ProfileSchema tags the profile JSON layout.
@@ -134,12 +133,22 @@ func payloadKind(kind string) bool {
 	return false
 }
 
-// Arbitration is the §4.3/§4.4 reading of one lock's grant stream: the
-// fairness estimators over the strict waiting sets, and the process's
-// dangling-request count sampled at each grant.
+// Arbitration is the §4.3/§4.4 reading of one lock's grant stream.
 type Arbitration struct {
-	Fairness trace.FairnessAnalyzer
-	Dangling trace.DanglingProfiler
+	// Samples counts the contended grants the §4.3 estimators read: a
+	// grant with a previous owner and at least one waiter.
+	Samples int
+	// BiasFactorCore and BiasFactorSocket divide the observed probability
+	// that the previous owner, or a thread on its socket, wins the lock
+	// again by that probability under a fair arbitration over the same
+	// waiting sets (X_l = 1/T_l, Y_l = T_{j,l}/ΣT_i); a fair lock scores 1.
+	BiasFactorCore, BiasFactorSocket float64
+	// Grants counts the §4.4 samples: every grant of the lock.
+	Grants int64
+	// DanglingAvg and DanglingMax read the process's completed-but-not-
+	// freed requests sampled at each grant.
+	DanglingAvg float64
+	DanglingMax int64
 }
 
 // Arbitration returns the §4.3/§4.4 reading of the last lock registered
@@ -151,7 +160,7 @@ func (r *Recorder) Arbitration(lock string) (a Arbitration, ok bool) {
 		return a, false
 	}
 	if int(id) < len(r.locks) {
-		a = r.locks[id].arb
+		a = r.locks[id].arbitration()
 	}
 	return a, true
 }
@@ -200,7 +209,8 @@ type lockThread struct {
 }
 
 // lockFold accumulates one lock's statistics as its spans arrive, and
-// runs the §4.3/§4.4 estimators over its grants.
+// runs the §4.3/§4.4 estimators over its grants. Its grant count is
+// wait.Count(): each grant adds one wait sample.
 type lockFold struct {
 	wait, hold, handoff Hist
 	acq                 [2]int64 // by class
@@ -217,12 +227,19 @@ type lockFold struct {
 	runT, runC, runS    int64
 	bestT, bestC, bestS int64
 
-	waiting trace.WaitSet
-	arb     Arbitration
+	waiting   WaitSet
+	contended int // L: the contended grants sampled for §4.3
+	// Σ X_l and Σ Y_l observed, Σ 1/T_l and Σ T_{j,l}/ΣT_i for the fair
+	// baseline, over the contended grants.
+	sameCore, sameSock, fairCore, fairSock float64
+	danglingSum, danglingMax               int64 // §4.4, over every grant
 }
 
 // observeGrant folds one request→grant interval and samples the
-// estimators at the grant.
+// estimators at the grant. The previous owner is the last hold: the
+// runtime records a hold before it releases the lock, and all holders of
+// one process's lock share its node, so the socket alone decides "same
+// socket".
 func (lf *lockFold) observeGrant(thread int, place machine.Place, from, at int64, dangling int) {
 	lf.wait.Add(at - from)
 	if at == from {
@@ -230,8 +247,51 @@ func (lf *lockFold) observeGrant(thread int, place machine.Place, from, at int64
 	}
 	lt := slot(&lf.threads, thread)
 	lt.waitFrom, lt.waited = from, true
-	lf.arb.Fairness.Observe(lf.waiting.Grant(thread, place, at))
-	lf.arb.Dangling.Observe(dangling)
+	lf.danglingSum += int64(dangling)
+	lf.danglingMax = max(lf.danglingMax, int64(dangling))
+
+	// The candidate set is the new owner plus everyone still waiting when
+	// it won; without a previous owner or a choice there is no sample.
+	g := lf.waiting.Grant(thread, place, at)
+	if !lf.haveLast || len(g.Waiters) == 0 {
+		return
+	}
+	total := float64(len(g.Waiters) + 1)
+	lf.contended++
+	if int32(thread) == lf.lastThread {
+		lf.sameCore++
+	}
+	onLastSock := 0
+	if int16(place.Socket) == lf.lastSock {
+		lf.sameSock++
+		onLastSock++
+	}
+	for _, w := range g.Waiters {
+		if int16(w.Socket) == lf.lastSock {
+			onLastSock++
+		}
+	}
+	lf.fairCore += 1 / total
+	lf.fairSock += float64(onLastSock) / total
+}
+
+// arbitration reads the estimators. Each bias factor is the ratio of the
+// observed and fair means, (same/n)/(fair/n), not same/fair, which can
+// round differently.
+func (lf *lockFold) arbitration() Arbitration {
+	a := Arbitration{Samples: lf.contended, Grants: lf.wait.Count(), DanglingMax: lf.danglingMax}
+	if a.Grants > 0 {
+		a.DanglingAvg = float64(lf.danglingSum) / float64(a.Grants)
+	}
+	if n := float64(lf.contended); n > 0 {
+		if fair := lf.fairCore / n; fair > 0 {
+			a.BiasFactorCore = lf.sameCore / n / fair
+		}
+		if fair := lf.fairSock / n; fair > 0 {
+			a.BiasFactorSocket = lf.sameSock / n / fair
+		}
+	}
+	return a
 }
 
 // observeHold folds one hold span into the lock's statistics.

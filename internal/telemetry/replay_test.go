@@ -1,10 +1,14 @@
 package telemetry
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
-// This file keeps the replay form of Profile as the reference the fold is
-// checked against (fold_test.go): it derives the profile afresh from a
-// logging recorder's span, sched and gauge logs in record order.
+// This file keeps the replay forms of Profile and Arbitration as the
+// references the fold is checked against (fold_test.go): they derive the
+// profile and the §4.3 readings afresh from a logging recorder's span,
+// sched and gauge logs in record order.
 
 // ReplayProfile derives the profile by replaying the logs of a NewTrace
 // recorder.
@@ -295,4 +299,91 @@ func (r *Recorder) replayGauge(samples []gaugeSample) GaugeStats {
 		g.TimeAvg = float64(samples[len(samples)-1].Value)
 	}
 	return g
+}
+
+// CheckArbitration compares every lock's folded §4.3 reading and grant
+// count with replayArbitration's; the §4.4 dangling fields are not
+// compared, since no span carries the count sampled at a grant.
+func (r *Recorder) CheckArbitration() error {
+	for id, name := range r.lockNames {
+		var fold Arbitration
+		if id < len(r.locks) {
+			fold = r.locks[id].arbitration()
+		}
+		fold.DanglingAvg, fold.DanglingMax = 0, 0
+		if replay := r.replayArbitration(int32(id)); fold != replay {
+			return fmt.Errorf("lock %s: folded arbitration %+v, replayed %+v", name, fold, replay)
+		}
+	}
+	return nil
+}
+
+// replayArbitration derives one lock's §4.3 reading from its wait and
+// hold spans with the per-grant analysis: the k-th wait span is the k-th
+// grant, at its End, and the k-th hold span places it; the previous owner
+// is grant k-1; the waiters at grant k are the later-granted wait spans
+// that Start before it. A request never granted (a daemon still waiting
+// when the run ends) leaves no wait span, so those are read from the
+// residue of the lock's wait set and wait at every later grant.
+func (r *Recorder) replayArbitration(lock int32) Arbitration {
+	var waits, holds []*Span
+	for i := range r.spans {
+		switch s := &r.spans[i]; {
+		case s.Lock != lock:
+		case s.Kind == SpanWait:
+			waits = append(waits, s)
+		case s.Kind == SpanHold:
+			holds = append(holds, s)
+		}
+	}
+	var open []waitReq
+	if int(lock) < len(r.locks) {
+		open = r.locks[lock].waiting.reqs
+	}
+	a := Arbitration{Grants: int64(len(waits))}
+	var sameCore, sameSock, fairCore, fairSock float64
+	for k := 1; k < len(waits) && k < len(holds); k++ {
+		at, prevSock := waits[k].End, holds[k-1].Sock
+		total, onPrevSock := 1, 0
+		if holds[k].Sock == prevSock {
+			onPrevSock++
+		}
+		for j := k + 1; j < len(waits) && j < len(holds); j++ {
+			if waits[j].Start < at {
+				total++
+				if holds[j].Sock == prevSock {
+					onPrevSock++
+				}
+			}
+		}
+		for _, q := range open {
+			if q.at < at {
+				total++
+				if int16(q.place.Socket) == prevSock {
+					onPrevSock++
+				}
+			}
+		}
+		if total < 2 {
+			continue
+		}
+		a.Samples++
+		if waits[k].Thread == waits[k-1].Thread {
+			sameCore++
+		}
+		if holds[k].Sock == prevSock {
+			sameSock++
+		}
+		fairCore += 1.0 / float64(total)
+		fairSock += float64(onPrevSock) / float64(total)
+	}
+	if n := float64(a.Samples); n > 0 {
+		if fair := fairCore / n; fair > 0 {
+			a.BiasFactorCore = (sameCore / n) / fair
+		}
+		if fair := fairSock / n; fair > 0 {
+			a.BiasFactorSocket = (sameSock / n) / fair
+		}
+	}
+	return a
 }

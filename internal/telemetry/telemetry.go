@@ -8,11 +8,12 @@
 // clock, and folds each record as it arrives into per-lock contention
 // profiles (§4.3), a progress-engine efficiency report (Fig. 6a) and a
 // per-message critical-path breakdown. Each lock's fold also runs the
-// §4.3 fairness estimators and the §4.4 dangling-request metric
-// (internal/trace) over the requests and grants the runtime reports
-// (Arbitration). The profile's dangling gauge is world-wide and
-// time-weighted; the §4.4 metric covers one lock's process and is sampled
-// at that lock's grants.
+// §4.3 fairness estimators over the strict waiting sets (WaitSet) and
+// the §4.4 dangling-request metric over the requests and grants the
+// runtime reports (Arbitration). The profile's dangling gauge is
+// world-wide and time-weighted; the §4.4 metric covers one lock's process
+// and is sampled at that lock's grants. Timeline renders a lock's
+// ownership as ASCII.
 //
 // New returns a fold-only recorder, whose memory does not grow with the
 // run. NewTrace also keeps the span, scheduler and gauge logs that the
@@ -31,7 +32,6 @@ package telemetry
 import (
 	"mpicontend/internal/machine"
 	"mpicontend/internal/sim"
-	"mpicontend/internal/trace"
 )
 
 // SpanKind classifies a recorded interval.
@@ -277,7 +277,7 @@ func (r *Recorder) Poll(thread int, start, end int64, handled int) {
 
 // LockRequest records that thread, placed at place, asked for the lock
 // at virtual time at. It opens the request in the lock's waiting set
-// (trace.WaitSet) and records no span: the wait span is recorded at the
+// (WaitSet) and records no span: the wait span is recorded at the
 // grant.
 func (r *Recorder) LockRequest(lock, thread int, place machine.Place, at int64) {
 	if r == nil {
@@ -427,12 +427,12 @@ func (r *Recorder) Spans() []Span {
 // its last n holds (all of them when n <= 0) in grant order. A hold span
 // starts at its grant, and a lock's holds do not overlap, so their record
 // order is the grant order. Empty unless the recorder came from NewTrace.
-func (r *Recorder) Timeline(lock string, n int) trace.Timeline {
+func (r *Recorder) Timeline(lock string, n int) Timeline {
 	id := r.lockID(lock)
-	var tl trace.Timeline
+	var tl Timeline
 	for i := range r.Spans() {
 		if s := &r.spans[i]; s.Kind == SpanHold && s.Lock == id {
-			tl = append(tl, trace.TimelineGrant{At: s.Start, Thread: int(s.Thread)})
+			tl = append(tl, TimelineGrant{At: s.Start, Thread: int(s.Thread)})
 		}
 	}
 	if n > 0 && len(tl) > n {

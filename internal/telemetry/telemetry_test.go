@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpicontend/internal/machine"
-	"mpicontend/internal/report"
 	"mpicontend/internal/sim"
 )
 
@@ -252,37 +251,5 @@ func TestValidateTraceRejectsBadInput(t *testing.T) {
 	}
 	if err := ValidateProfile([]byte(`{"schema":"wrong"}`)); err == nil {
 		t.Error("wrong profile schema accepted")
-	}
-}
-
-func TestFigureRoundtrip(t *testing.T) {
-	tab := &report.Table{ID: "fig8a", Title: "Throughput", XLabel: "bytes", YLabel: "msgs/s"}
-	s := tab.AddSeries("Mutex")
-	s.Add(1, 1000.5)
-	s.Add(64, 900.25)
-	tab.AddSeries("Ticket").Add(1, 2000)
-
-	f := FigureFromTable(tab)
-	if f.Schema != FigureSchema || f.ID != "fig8a" || len(f.Series) != 2 {
-		t.Fatalf("figure = %+v", f)
-	}
-	// The ASCII rendering through the JSON form must be byte-identical
-	// to rendering the table directly — the exporter is lossless.
-	if got, want := f.ASCII(), tab.Format(); got != want {
-		t.Fatalf("ASCII roundtrip diverged:\n got %q\nwant %q", got, want)
-	}
-	if got, want := f.Chart(), tab.Chart(); got != want {
-		t.Fatalf("Chart roundtrip diverged")
-	}
-
-	data, err := f.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateFigure(data); err != nil {
-		t.Fatalf("ValidateFigure: %v", err)
-	}
-	if err := ValidateFigure([]byte(`{"schema":"mpicontend/figure/v1","id":"","series":[]}`)); err == nil {
-		t.Error("empty figure accepted")
 	}
 }

@@ -79,15 +79,15 @@ func TestDebugGrantStream(t *testing.T) {
 	}
 	t.Logf("grants=%d contended=%d same=%d sameContended=%d", total, contended, same, sameContended)
 	t.Logf("waiter histogram: %v", waiterHist)
-	t.Logf("biasCore=%.2f biasSock=%.2f samples=%d", r.BiasCore, r.BiasSocket, r.FairSamples)
+	t.Logf("biasCore=%.2f biasSock=%.2f samples=%d", r.Arbitration.BiasFactorCore, r.Arbitration.BiasFactorSocket, r.Arbitration.Samples)
 	fairSamples := 0
 	for _, w := range waiters[1:] {
 		if w > 0 {
 			fairSamples++
 		}
 	}
-	if fairSamples != r.FairSamples {
-		t.Errorf("telemetry counts %d contended grants, the grant observer %d", fairSamples, r.FairSamples)
+	if fairSamples != r.Arbitration.Samples {
+		t.Errorf("telemetry counts %d contended grants, the grant observer %d", fairSamples, r.Arbitration.Samples)
 	}
 
 	// Inter-grant gap histogram: who wins after a release? ~<200ns gaps

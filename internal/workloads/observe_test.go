@@ -24,7 +24,7 @@ func TestGrantObserverIsInert(t *testing.T) {
 			off := runTP(t, p)
 			p.Tel = telemetry.New()
 			on := runTP(t, p)
-			if on.FairSamples == 0 && k != simlock.KindNone {
+			if on.Arbitration.Samples == 0 && k != simlock.KindNone {
 				t.Fatal("observer attached but saw no contended grants")
 			}
 			if on.Messages != off.Messages || on.SimNs != off.SimNs ||
@@ -48,9 +48,7 @@ func TestReusedRecorderReadsLatestRun(t *testing.T) {
 	again := runTP(t, p)
 	p.Tel = telemetry.New()
 	fresh := runTP(t, p)
-	if again.BiasCore != fresh.BiasCore || again.BiasSocket != fresh.BiasSocket ||
-		again.FairSamples != fresh.FairSamples || again.DanglingAvg != fresh.DanglingAvg ||
-		again.DanglingMax != fresh.DanglingMax {
+	if again.Arbitration != fresh.Arbitration {
 		t.Fatalf("reused recorder read a stale lock:\nreused %+v\nfresh  %+v", again, fresh)
 	}
 }

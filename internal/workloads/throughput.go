@@ -95,13 +95,10 @@ type ThroughputResult struct {
 	SimNs    int64
 	// RateMsgsPerSec is the aggregate message rate.
 	RateMsgsPerSec float64
-	// Fairness analysis of the traced rank's section (zero unless Tel).
-	BiasCore, BiasSocket float64
-	FairSamples          int
-	// DanglingAvg is the §4.4 metric: the traced rank's dangling requests
-	// sampled at its section's grants.
-	DanglingAvg float64
-	DanglingMax int64
+	// Arbitration is the §4.3/§4.4 reading of the traced rank's section
+	// (zero unless Tel): the bias factors, and its dangling requests
+	// sampled at the section's grants.
+	Arbitration telemetry.Arbitration
 	// UnexpectedHits across receiver ranks.
 	UnexpectedHits int64
 	// Net holds the resilience counters (all zero on a perfect network).
@@ -180,15 +177,10 @@ func Throughput(p ThroughputParams) (ThroughputResult, error) {
 	if p.Tel != nil {
 		// The paper instruments one runtime instance: the first receiver.
 		name := fmt.Sprintf("cs[r%d]", ppn)
-		a, ok := p.Tel.Arbitration(name)
-		if !ok {
+		var ok bool
+		if res.Arbitration, ok = p.Tel.Arbitration(name); !ok {
 			return res, fmt.Errorf("throughput: recorder has no lock %q", name)
 		}
-		res.BiasCore = a.Fairness.BiasFactorCore()
-		res.BiasSocket = a.Fairness.BiasFactorSocket()
-		res.FairSamples = a.Fairness.Samples()
-		res.DanglingAvg = a.Dangling.Average()
-		res.DanglingMax = a.Dangling.Max()
 	}
 	for _, pr := range w.Procs {
 		res.UnexpectedHits += pr.UnexpectedHits

@@ -87,23 +87,23 @@ func TestBiasFactors(t *testing.T) {
 	p := tp(simlock.KindMutex, 8, 64)
 	p.Tel = telemetry.New()
 	m := runTP(t, p)
-	if m.FairSamples < 50 {
-		t.Fatalf("too few fairness samples: %d", m.FairSamples)
+	if m.Arbitration.Samples < 50 {
+		t.Fatalf("too few fairness samples: %d", m.Arbitration.Samples)
 	}
-	t.Logf("mutex bias core=%.2f socket=%.2f (samples %d)", m.BiasCore, m.BiasSocket, m.FairSamples)
-	if m.BiasCore < 1.3 {
-		t.Errorf("mutex core bias %.2f, want > 1.3", m.BiasCore)
+	t.Logf("mutex bias core=%.2f socket=%.2f (samples %d)", m.Arbitration.BiasFactorCore, m.Arbitration.BiasFactorSocket, m.Arbitration.Samples)
+	if m.Arbitration.BiasFactorCore < 1.3 {
+		t.Errorf("mutex core bias %.2f, want > 1.3", m.Arbitration.BiasFactorCore)
 	}
-	if m.BiasSocket < 1.05 {
-		t.Errorf("mutex socket bias %.2f, want > 1.05", m.BiasSocket)
+	if m.Arbitration.BiasFactorSocket < 1.05 {
+		t.Errorf("mutex socket bias %.2f, want > 1.05", m.Arbitration.BiasFactorSocket)
 	}
 
 	p.Lock = simlock.KindTicket
 	p.Tel = telemetry.New()
 	tk := runTP(t, p)
-	t.Logf("ticket bias core=%.2f socket=%.2f (samples %d)", tk.BiasCore, tk.BiasSocket, tk.FairSamples)
-	if tk.BiasCore > 1.1 {
-		t.Errorf("ticket core bias %.2f, want ~<=1", tk.BiasCore)
+	t.Logf("ticket bias core=%.2f socket=%.2f (samples %d)", tk.Arbitration.BiasFactorCore, tk.Arbitration.BiasFactorSocket, tk.Arbitration.Samples)
+	if tk.Arbitration.BiasFactorCore > 1.1 {
+		t.Errorf("ticket core bias %.2f, want ~<=1", tk.Arbitration.BiasFactorCore)
 	}
 }
 
@@ -117,10 +117,10 @@ func TestDanglingRequests(t *testing.T) {
 	pt.Tel = telemetry.New()
 	tk := runTP(t, pt)
 	t.Logf("dangling avg: mutex %.1f (max %d) ticket %.1f (max %d)",
-		m.DanglingAvg, m.DanglingMax, tk.DanglingAvg, tk.DanglingMax)
-	if m.DanglingAvg <= tk.DanglingAvg {
+		m.Arbitration.DanglingAvg, m.Arbitration.DanglingMax, tk.Arbitration.DanglingAvg, tk.Arbitration.DanglingMax)
+	if m.Arbitration.DanglingAvg <= tk.Arbitration.DanglingAvg {
 		t.Errorf("mutex dangling (%.1f) should exceed ticket (%.1f)",
-			m.DanglingAvg, tk.DanglingAvg)
+			m.Arbitration.DanglingAvg, tk.Arbitration.DanglingAvg)
 	}
 }
 

@@ -187,8 +187,10 @@ func Throughput(c ThroughputConfig) (ThroughputResult, error) {
 	}
 	return ThroughputResult{
 		Messages: r.Messages, SimNs: r.SimNs, RateMsgsPerSec: r.RateMsgsPerSec,
-		BiasCore: r.BiasCore, BiasSocket: r.BiasSocket, DanglingAvg: r.DanglingAvg,
-		Net: r.Net,
+		BiasCore:    r.Arbitration.BiasFactorCore,
+		BiasSocket:  r.Arbitration.BiasFactorSocket,
+		DanglingAvg: r.Arbitration.DanglingAvg,
+		Net:         r.Net,
 	}, nil
 }
 
@@ -536,6 +538,10 @@ type Figure struct {
 	Data *FigureData
 }
 
+// FigureData is the machine-readable form of a Figure: the experiment's
+// table itself, whose Format is the Figure's Text.
+type FigureData = report.Table
+
 // Experiments lists the runnable experiment ids (tables/figures of the
 // paper plus ablations).
 func Experiments() []string { return experiments.IDs() }
@@ -568,11 +574,8 @@ func figuresFor(e experiments.Experiment, tables []*report.Table) []Figure {
 	}
 	figs := make([]Figure, 0, len(tables))
 	for _, t := range tables {
-		// Text renders through the FigureJSON roundtrip so the ASCII
-		// table and the exported JSON are provably views of one dataset.
-		data := telemetry.FigureFromTable(t)
 		figs = append(figs, Figure{ID: t.ID, Title: t.Title,
-			Text: data.ASCII(), Chart: t.Chart(), Data: data})
+			Text: t.Format(), Chart: t.Chart(), Data: t})
 	}
 	return figs
 }

@@ -43,10 +43,6 @@ func (t *Telemetry) ProfileText() string { return t.recorder().Profile().Text() 
 // Spans returns the number of recorded spans.
 func (t *Telemetry) Spans() int { return len(t.recorder().Spans()) }
 
-// FigureData is the machine-readable form of a Figure (the flat JSON
-// results schema shared by the telemetry exporter and mpistorm -json).
-type FigureData = telemetry.FigureJSON
-
 // TraceExperiment runs the traced representative point of an experiment
 // with the telemetry plane attached and returns the recording plus a
 // one-line description of the traced workload. o.Progress applies to the

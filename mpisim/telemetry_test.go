@@ -2,9 +2,11 @@ package mpisim
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"mpicontend/internal/report"
 	"mpicontend/internal/telemetry"
 )
 
@@ -66,15 +68,19 @@ func TestRunExperimentFigureData(t *testing.T) {
 		t.Fatal("figure data missing")
 	}
 	f := figs[0]
-	// The rendered text is exactly the ASCII view of the exported data.
-	if f.Text != f.Data.ASCII() {
-		t.Fatal("figure text diverged from its JSON form")
-	}
 	data, err := f.Data.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := telemetry.ValidateFigure(data); err != nil {
+	if err := report.ValidateFigure(data); err != nil {
 		t.Fatalf("figure JSON invalid: %v", err)
+	}
+	// The rendered text is exactly the format of the exported JSON.
+	var back report.Table
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if f.Text != back.Format() {
+		t.Fatal("figure text diverged from its JSON form")
 	}
 }
