@@ -56,10 +56,9 @@ func (g Granularity) String() string {
 // owner between cores: acquiring after a different core pays the line
 // transfers.
 type csLock struct {
-	lock       simlock.Lock
-	lines      int64
-	owner      machine.Place
-	ownerValid bool
+	lock  simlock.Lock
+	lines int64
+	owner machine.Place
 
 	// Telemetry plane, the lock's one observer: tel is nil when disabled
 	// (the fast path is one pointer nil check); id is the registered lock
@@ -69,6 +68,8 @@ type csLock struct {
 	id        int
 	holdStart int64
 	holdClass uint8
+
+	ownerValid bool // owner is set (beside holdClass, so both share a word)
 }
 
 // instrument attaches the lock to the telemetry plane under the given

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpicontend/internal/fault"
+	"mpicontend/internal/mpi/vci"
 	"mpicontend/internal/simlock"
 )
 
@@ -568,5 +569,69 @@ func TestSendRecvAllocsPerMessage(t *testing.T) {
 				t.Fatalf("%.4f allocs per message, want <= 0.1", perMsg)
 			}
 		})
+	}
+}
+
+// TestContinuationAllocsPerMessage gates the allocation cost of the
+// continuation-mode message path — the remedies shape: per-thread tags on
+// four tag-hashed VCIs, windows of Isend/IrecvN completed by Waitall,
+// which registers them on the thread's completion queue and drains it
+// while the shard daemons progress — after warm-up. Every wake of a
+// daemon or a draining thread whose queue is still empty is re-queued by
+// the engine, so this also covers the quiet-wake path under load. The
+// senders run ahead of their receivers, so the unexpected queues, and
+// with them the envelope and packet pools, keep growing: that is the
+// 0.5 allocs/message the bound allows.
+func TestContinuationAllocsPerMessage(t *testing.T) {
+	const threads, window, windows, warm = 4, 32, 30, 10
+	w := testWorld(t, 2, withProgress(ProgressContinuation), withVCIs(4, vci.PerTagHash),
+		func(c *Config) { c.Lock = simlock.KindMutex })
+	c := w.Comm()
+	var ms runtime.MemStats
+	var mallocs0, mallocs1 uint64
+	done := 0
+	for i := 0; i < threads; i++ {
+		tag := i
+		w.Spawn(0, "sender", func(th *Thread) {
+			rs := make([]*Request, window)
+			for n := 0; n < windows; n++ {
+				for j := range rs {
+					rs[j] = th.Isend(c, 1, tag, 64, nil)
+				}
+				if err := th.Waitall(rs); err != nil {
+					t.Errorf("send Waitall: %v", err)
+				}
+			}
+		})
+		w.Spawn(1, "receiver", func(th *Thread) {
+			rs := make([]*Request, window)
+			bufs := make([]interface{}, window)
+			for n := 0; n < windows; n++ {
+				for j := range rs {
+					rs[j] = th.IrecvN(c, 0, tag, -1, &bufs[j])
+				}
+				if err := th.Waitall(rs); err != nil {
+					t.Errorf("receive Waitall: %v", err)
+				}
+				done++
+				switch done {
+				case threads * warm:
+					runtime.ReadMemStats(&ms)
+					mallocs0 = ms.Mallocs
+				case threads * windows:
+					runtime.ReadMemStats(&ms)
+					mallocs1 = ms.Mallocs
+				}
+			}
+		})
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	msgs := threads * (windows - warm) * window
+	perMsg := float64(mallocs1-mallocs0) / float64(msgs)
+	t.Logf("%d messages after warm-up: %.4f allocs/message", msgs, perMsg)
+	if perMsg > 0.55 {
+		t.Fatalf("%.4f allocs per message, want <= 0.55", perMsg)
 	}
 }

@@ -11,7 +11,10 @@ package mpi
 //   - Strong progress (ProgressStrong): a dedicated progress daemon
 //     simthread per VCI shard drives that shard's transport and matching
 //     queues, parking on the proc's activity queue while its completion
-//     queue is empty and woken by arrival events. Application threads
+//     queue is empty and woken by arrival events. Every arrival wakes
+//     the whole queue, so most daemon wakes find their own shard empty;
+//     the daemon parks with WaitUntil, and the engine re-queues such a
+//     daemon without switching into it (a quiet wake). Application threads
 //     blocked in any wait call (Wait, Waitall, Waitany, Waitsome: the
 //     wait engine, wait.go) park instead of iterating the progress loop,
 //     so they never acquire the critical section at low (progress) class
@@ -23,7 +26,8 @@ package mpi
 //     CompletionQueue turns a Waitall over n requests into one batched
 //     enqueue and a drain of n completion events, with the runtime
 //     freeing each request at dispatch time inside the critical section
-//     it already holds.
+//     it already holds. A queue's owner parks with WaitUntil too, so a
+//     wake that delivered nothing to its queue is quiet.
 
 import (
 	"fmt"
@@ -106,14 +110,16 @@ func (w *World) startProgressDaemons() {
 // events are queued it runs progress rounds under the shard's critical
 // section at low class, paced by the progress-loop overhead — the engine
 // timer that separates rounds. The emptiness check is adjacent to the
-// park (no virtual-time gap), so no wake-up can be lost.
+// park (no virtual-time gap), so no wake-up can be lost. The park lasts
+// until the shard is Ready: a wake for another shard's arrival is
+// re-queued by the engine and never runs this loop.
 func progressDaemon(th *Thread, p *Proc, v int) {
 	sh := p.vcis[v]
 	cost := th.cost()
 	for {
 		th.checkCrashed()
 		if sh.cq.len() == 0 {
-			p.activity.Wait(th.S)
+			p.activity.WaitUntil(th.S, sh)
 			continue
 		}
 		th.progressRound(v, simlock.Low, nil)
@@ -186,8 +192,14 @@ func (r *Request) fire(at sim.Time) {
 // the drain side reads their payload and error, nothing more. A queue
 // belongs to the thread that created it.
 type CompletionQueue struct {
-	th   *Thread
+	th *Thread
+	// done holds the delivered completions, oldest first from head. Like
+	// a shard's pktQueue, it keeps its backing array: drains advance head
+	// and rewind it when the queue empties, and a push into a full array
+	// slides the undrained completions down once the drained prefix is at
+	// least half of it.
 	done []*Request
+	head int
 }
 
 // NewCompletionQueue creates a completion queue owned by this thread.
@@ -228,54 +240,65 @@ func (q *CompletionQueue) addLocked(r *Request, at sim.Time) {
 // push appends a delivered completion and wakes the owner if it is
 // parked. Runs in engine or CS context.
 func (q *CompletionQueue) push(r *Request, at sim.Time) {
+	if len(q.done) == cap(q.done) && q.head > 0 && 2*q.head >= len(q.done) {
+		n := copy(q.done, q.done[q.head:])
+		clear(q.done[n:])
+		q.done, q.head = q.done[:n], 0
+	}
 	//simcheck:allow hotalloc completion-event buffer; bounded by the owner's outstanding requests and reused across drains
 	q.done = append(q.done, r)
 	p := q.th.P
 	if w := p.w; w.tel != nil {
-		w.tel.CQDepth(at, int64(len(q.done)))
+		w.tel.CQDepth(at, int64(q.Len()))
 	}
 	p.activity.WakeAll(at)
 }
 
 // Len returns the number of delivered, undrained completions.
-func (q *CompletionQueue) Len() int { return len(q.done) }
+func (q *CompletionQueue) Len() int { return len(q.done) - q.head }
 
 // Poll drains one delivered completion, or returns nil if none is
 // queued. Never blocks and never acquires the critical section.
 func (q *CompletionQueue) Poll() *Request {
-	if len(q.done) == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
 	return q.take()
 }
 
 // WaitAny blocks until a completion is delivered, then drains it. The
-// owner parks on the proc's activity queue; completions, failure events
-// and crash unwinding all wake it.
+// owner parks on the proc's activity queue until the queue is Ready;
+// completions, failure events and crash unwinding all wake it.
 func (q *CompletionQueue) WaitAny() *Request {
 	th := q.th
-	for len(q.done) == 0 {
+	for q.Len() == 0 {
 		th.checkCrashed()
-		th.P.activity.Wait(th.S)
+		th.P.activity.WaitUntil(th.S, q)
 	}
 	return q.take()
 }
+
+// Ready is WaitAny's wake condition (sim.WaitQueue.WaitUntil): a
+// completion was delivered, or the owner's proc crashed and the owner
+// must unwind.
+//
+//simcheck:hotpath checked by the engine on every owner wake; stays allocation-free
+func (q *CompletionQueue) Ready() bool { return q.Len() != 0 || q.th.P.crashed }
 
 // take removes the oldest delivered completion, charging the completion-
 // object processing cost (the drain side's analogue of Wait's
 // RequestFreeWork; the free itself already ran at delivery).
 func (q *CompletionQueue) take() *Request {
-	r := q.done[0]
-	q.done[0] = nil
-	q.done = q.done[1:]
-	if len(q.done) == 0 {
-		// Reset so the backing array is reused across drains.
-		q.done = q.done[:0]
+	r := q.done[q.head]
+	q.done[q.head] = nil
+	q.head++
+	if q.head == len(q.done) {
+		q.done, q.head = q.done[:0], 0
 	}
 	th := q.th
 	th.S.Sleep(th.cost().RequestFreeWork)
 	if w := th.P.w; w.tel != nil {
-		w.tel.CQDepth(th.S.Now(), int64(len(q.done)))
+		w.tel.CQDepth(th.S.Now(), int64(q.Len()))
 	}
 	return r
 }

@@ -30,6 +30,7 @@ import (
 // remaining arbitration between them is the shared-NIC injection lock
 // (Proc.nicVCI) and the physical NIC serialization in the fabric.
 type vciShard struct {
+	p      *Proc
 	idx    int
 	cs     csLock
 	posted []*Request  // posted receive queue
@@ -52,6 +53,13 @@ type vciShard struct {
 	// envelope copies what it needs and hands the object back here.
 	envFree *envelope
 }
+
+// Ready is the shard's progress-daemon wake condition
+// (sim.WaitQueue.WaitUntil): network events are queued, or the proc
+// crashed and the daemon must unwind.
+//
+//simcheck:hotpath checked by the engine on every daemon wake; stays allocation-free
+func (sh *vciShard) Ready() bool { return sh.p.crashed || sh.cq.len() != 0 }
 
 // pktQueue is a shard's network completion queue: a FIFO of packets that
 // keeps its backing array. Pops advance a head index and rewind it when

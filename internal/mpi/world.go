@@ -251,7 +251,7 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 		lcfg := &simlock.Config{Eng: w.Eng, Cost: cfg.Cost}
 		for v := 0; v < cfg.VCIs; v++ {
-			sh := &vciShard{idx: v}
+			sh := &vciShard{p: p, idx: v}
 			sh.cs = csLock{lock: simlock.New(cfg.Lock, lcfg), lines: cfg.Cost.CSStateLines}
 			name := fmt.Sprintf("cs[r%d]", rank)
 			if cfg.VCIs > 1 {
@@ -545,7 +545,6 @@ func (w *World) spawn(rank int, name string, fn func(th *Thread)) *Thread {
 		fn(th)
 	})
 	th = &Thread{S: st, P: p, lctx: simlock.Ctx{T: st, Place: place}}
-	st.Data = th
 	w.tel.RegisterThread(st.ID(), st.Name())
 	return th
 }

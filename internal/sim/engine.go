@@ -14,7 +14,10 @@
 // scheduler never decides who runs next. A Sleep whose wake is the next
 // event anyway does not return to the engine at all: the thread advances
 // the clock in place, exactly as the dispatch would have, and runs on
-// without a switch (Stats counts these inline wakes).
+// without a switch (Stats counts these inline wakes). Symmetrically, a
+// waiter parked in WaitQueue.WaitUntil whose condition still fails when
+// it is woken is never switched into: the engine re-queues it in place,
+// exactly as the thread's own wait loop would have (quiet wakes).
 //
 // sim is the foundation of the deterministic core (docs/ARCHITECTURE.md).
 // Like every core package it uses no goroutines, channels or sync
@@ -99,6 +102,11 @@ type Stats struct {
 	// InlineWakes counts the Sleeps whose wake was the next event and
 	// ran in place, with no switch.
 	InlineWakes uint64
+	// Parks counts Thread.Park calls. A quiet wake re-parks without one.
+	Parks uint64
+	// QuietWakes counts the wakes of WaitUntil waiters whose condition
+	// still failed, re-queued by the engine with no switch.
+	QuietWakes uint64
 }
 
 // Stats returns the scheduling counters so far.
@@ -219,7 +227,7 @@ func (e *Engine) Spawn(name string, fn func(t *Thread)) *Thread {
 // SpawnAt creates a simthread that begins executing fn at virtual time
 // start.
 func (e *Engine) SpawnAt(start Time, name string, fn func(t *Thread)) *Thread {
-	t := &Thread{eng: e, id: len(e.threads), name: name, state: StateNew}
+	t := &Thread{eng: e, id: int32(len(e.threads)), name: name, state: StateNew}
 	e.threads = append(e.threads, t)
 	t.start(fn)
 	e.atThread(start, t)
@@ -227,11 +235,16 @@ func (e *Engine) SpawnAt(start Time, name string, fn func(t *Thread)) *Thread {
 }
 
 // dispatch switches into t's coroutine and returns once t blocks or
-// finishes.
+// finishes. A WaitUntil waiter whose condition still fails is re-queued
+// instead (quietWake).
 //
 //simcheck:hotpath runs once per thread wakeup; stays allocation-free
 func (e *Engine) dispatch(t *Thread) {
 	if t.state == StateDone {
+		return
+	}
+	if t.until != nil && !t.until.Ready() {
+		e.quietWake(t)
 		return
 	}
 	t.setState(StateRunning)
@@ -239,6 +252,18 @@ func (e *Engine) dispatch(t *Thread) {
 	e.running = t
 	t.next()
 	e.running = nil
+}
+
+// quietWake does, in engine context, what a WaitUntil waiter woken with
+// its condition still false would do on its own stack: run, go back to
+// the tail of its queue and park again. No coroutine switch happens.
+//
+//simcheck:hotpath runs once per wake that finds nothing to do; stays allocation-free
+func (e *Engine) quietWake(t *Thread) {
+	e.stats.QuietWakes++
+	t.setState(StateRunning)
+	t.untilQ.push(t)
+	t.setState(StateParked)
 }
 
 // Run dispatches events until the queue is empty or the simulation is

@@ -279,31 +279,6 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
-func TestMailbox(t *testing.T) {
-	e := NewEngine(1)
-	var mb Mailbox
-	var got []int
-	e.Spawn("recv", func(th *Thread) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Get(th).(int))
-		}
-	})
-	e.Spawn("send", func(th *Thread) {
-		for i := 0; i < 3; i++ {
-			th.Sleep(10)
-			mb.Put(th.Now(), i)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("got %v", got)
-		}
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 1000; i++ {
@@ -545,55 +520,6 @@ func TestEventsRunCount(t *testing.T) {
 	}
 }
 
-func TestWaitQueueRemove(t *testing.T) {
-	e := NewEngine(1)
-	var wq WaitQueue
-	var a *Thread
-	woken := false
-	a = e.Spawn("a", func(th *Thread) {
-		th.Park() // parked directly; removed from queue by controller
-		woken = true
-	})
-	e.Spawn("ctl", func(th *Thread) {
-		th.Sleep(10)
-		wq.q = append(wq.q, a)
-		if !wq.Remove(a) {
-			t.Error("Remove missed present thread")
-		}
-		if wq.Remove(a) {
-			t.Error("Remove found absent thread")
-		}
-		a.Unpark(th.Now())
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !woken {
-		t.Fatal("a never woke")
-	}
-}
-
-func TestMailboxTryGet(t *testing.T) {
-	var mb Mailbox
-	if _, ok := mb.TryGet(); ok {
-		t.Fatal("TryGet on empty succeeded")
-	}
-	e := NewEngine(1)
-	e.At(0, func() {
-		mb.Put(0, "x")
-		mb.Put(0, "y")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := mb.TryGet(); !ok || v != "x" {
-		t.Fatalf("TryGet = %v %v", v, ok)
-	}
-	if mb.Len() != 1 {
-		t.Fatalf("Len = %d", mb.Len())
-	}
-}
-
 func TestRandFork(t *testing.T) {
 	r := NewRand(1)
 	f1 := r.Fork()
@@ -633,29 +559,38 @@ type wakeRun struct {
 // sleep instead of Thread.Sleep and records through logf.
 type wakeScenario func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{}))
 
-// runWake runs a scenario on a fresh engine. With queued set, every Sleep
-// first arms and cancels a timer at the current instant: Sleep's check
-// counts cancelled events, so that bounds the queue at now and forces the
-// queued path, while the cancelled event itself never runs or counts.
-func runWake(sc wakeScenario, queued bool) wakeRun {
+// runLogged runs a scenario's setup on a fresh engine whose OnThreadState
+// observer logs every transition with its thread, state and time, and
+// returns what the run left behind.
+func runLogged(setup func(e *Engine, logf func(string, ...interface{}))) wakeRun {
 	e := NewEngine(1)
 	var r wakeRun
 	logf := func(format string, args ...interface{}) {
 		r.log = append(r.log, fmt.Sprintf(format, args...))
 	}
 	e.OnThreadState = func(th *Thread, s ThreadState) { logf("%s:%v@%d", th.Name(), s, e.Now()) }
-	sleep := func(th *Thread, d Time) {
-		if queued {
-			e.AtTimer(e.Now(), func() {}).Cancel()
-		}
-		th.Sleep(d)
-	}
-	sc(e, sleep, logf)
+	setup(e, logf)
 	if err := e.Run(); err != nil {
 		r.err = err.Error()
 	}
 	r.now, r.stats = e.Now(), e.Stats()
 	return r
+}
+
+// runWake runs a scenario on a fresh engine. With queued set, every Sleep
+// first arms and cancels a timer at the current instant: Sleep's check
+// counts cancelled events, so that bounds the queue at now and forces the
+// queued path, while the cancelled event itself never runs or counts.
+func runWake(sc wakeScenario, queued bool) wakeRun {
+	return runLogged(func(e *Engine, logf func(string, ...interface{})) {
+		sleep := func(th *Thread, d Time) {
+			if queued {
+				e.AtTimer(e.Now(), func() {}).Cancel()
+			}
+			th.Sleep(d)
+		}
+		sc(e, sleep, logf)
+	})
 }
 
 // checkInlineMatchesQueued runs a scenario on both paths, requires the
@@ -831,7 +766,7 @@ func TestStatsCountDispatches(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{Events: 5, Dispatches: 4, Sleeps: 2, InlineWakes: 1}
+	want := Stats{Events: 5, Dispatches: 4, Sleeps: 2, InlineWakes: 1, Parks: 1}
 	if got := e.Stats(); got != want {
 		t.Fatalf("stats %+v, want %+v", got, want)
 	}

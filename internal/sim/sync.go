@@ -1,8 +1,8 @@
 package sim
 
 // This file provides small blocking building blocks used by higher layers:
-// a FIFO wait queue, a counting barrier, and a channel-like mailbox. All of
-// them operate on simthreads and virtual time.
+// a FIFO wait queue and a counting barrier. Both operate on simthreads and
+// virtual time.
 
 // WaitQueue is a FIFO queue of parked threads.
 type WaitQueue struct {
@@ -12,11 +12,45 @@ type WaitQueue struct {
 // Len returns the number of waiting threads.
 func (w *WaitQueue) Len() int { return len(w.q) }
 
-// Wait parks the calling thread until a matching WakeOne/WakeAll.
-func (w *WaitQueue) Wait(t *Thread) {
+// push appends a waiter.
+func (w *WaitQueue) push(t *Thread) {
 	//simcheck:allow hotalloc the queue keeps its backing array across wakes; it grows only to the largest set of waiters
 	w.q = append(w.q, t)
+}
+
+// Wait parks the calling thread until a matching WakeOne/WakeAll.
+func (w *WaitQueue) Wait(t *Thread) {
+	w.push(t)
 	t.Park()
+}
+
+// Cond is the condition a WaitUntil waiter waits for.
+type Cond interface {
+	// Ready reports whether the waiter may go on. It runs in engine
+	// context, on every wake of the waiter, with no simthread running. It
+	// must not block, schedule, draw random numbers or touch telemetry:
+	// it may only read state.
+	Ready() bool
+}
+
+// WaitUntil parks the calling thread on the queue until a wake finds c
+// ready. It means exactly
+//
+//	for { w.Wait(t); if c.Ready() { return } }
+//
+// except that a wake which finds c not ready never switches into the
+// thread: the engine re-queues it in place (Engine.quietWake), doing
+// what the thread would have done at that same event — the same state
+// transitions, in the same order, and the same position at the tail of
+// the queue. Event order, sequence numbers, event counts, the queue's
+// order and the OnThreadState stream are therefore those of the loop.
+//
+//simcheck:hotpath every park on a condition passes through here; stays allocation-free
+func (w *WaitQueue) WaitUntil(t *Thread, c Cond) {
+	w.push(t)
+	t.until, t.untilQ = c, w
+	t.Park()
+	t.until, t.untilQ = nil, nil
 }
 
 // WakeOne unparks the oldest waiter at time at and returns it, or nil if
@@ -40,18 +74,6 @@ func (w *WaitQueue) WakeAll(at Time) int {
 	}
 	w.q = w.q[:0]
 	return n
-}
-
-// Remove deletes t from the queue without waking it. It reports whether t
-// was present.
-func (w *WaitQueue) Remove(t *Thread) bool {
-	for i, x := range w.q {
-		if x == t {
-			w.q = append(w.q[:i], w.q[i+1:]...)
-			return true
-		}
-	}
-	return false
 }
 
 // Barrier blocks N participants until all have arrived, modelling an
@@ -84,41 +106,3 @@ func (b *Barrier) Wait(t *Thread) Time {
 	b.waiting.Wait(t)
 	return t.Now() - start
 }
-
-// Mailbox is an unbounded FIFO of values with blocking receive, used to
-// model queues between simulated agents (e.g. a NIC completion queue).
-type Mailbox struct {
-	items []interface{}
-	recvq WaitQueue
-}
-
-// Put appends v and wakes one blocked receiver (at time at).
-func (m *Mailbox) Put(at Time, v interface{}) {
-	m.items = append(m.items, v)
-	m.recvq.WakeOne(at)
-}
-
-// TryGet removes and returns the oldest value, or nil and false when empty.
-func (m *Mailbox) TryGet() (interface{}, bool) {
-	if len(m.items) == 0 {
-		return nil, false
-	}
-	v := m.items[0]
-	copy(m.items, m.items[1:])
-	m.items[len(m.items)-1] = nil
-	m.items = m.items[:len(m.items)-1]
-	return v, true
-}
-
-// Get blocks until a value is available and returns it.
-func (m *Mailbox) Get(t *Thread) interface{} {
-	for {
-		if v, ok := m.TryGet(); ok {
-			return v
-		}
-		m.recvq.Wait(t)
-	}
-}
-
-// Len returns the number of queued values.
-func (m *Mailbox) Len() int { return len(m.items) }

@@ -49,10 +49,14 @@ type killed struct{}
 // the thread's own function (the engine guarantees only one simthread runs
 // at a time, so no further synchronization is needed).
 type Thread struct {
-	eng   *Engine
-	id    int
-	name  string
-	state ThreadState
+	eng *Engine
+	id  int32 // beside daemon, so the struct stays in the 96-byte size class
+	// daemon marks threads that may legitimately be parked when the
+	// simulation ends (background pollers); they do not count as a
+	// deadlock.
+	daemon bool
+	name   string
+	state  ThreadState
 
 	// next runs the thread's coroutine until it yields or returns; stop
 	// unwinds a suspended coroutine, or retires one that never started
@@ -62,20 +66,17 @@ type Thread struct {
 	stop    func()
 	coYield func(struct{}) bool
 
-	// Data carries user context (e.g. the machine placement of the
-	// thread). The simulator itself never inspects it.
-	Data interface{}
-
-	// daemon marks threads that may legitimately be parked when the
-	// simulation ends (background pollers); they do not count as a
-	// deadlock.
-	daemon bool
-
 	wake *event // pending wake event while sleeping or parked with deadline
+
+	// until and untilQ are set while the thread waits in
+	// WaitQueue.WaitUntil: the condition it waits for and the queue it
+	// waits on, which a quiet wake re-queues it on.
+	until  Cond
+	untilQ *WaitQueue
 }
 
 // ID returns the thread's unique index within its engine.
-func (t *Thread) ID() int { return t.id }
+func (t *Thread) ID() int { return int(t.id) }
 
 // State returns the thread's current scheduling state.
 func (t *Thread) State() ThreadState { return t.state }
@@ -166,6 +167,7 @@ func (t *Thread) Park() {
 	if t.eng.running != t {
 		panic(fmt.Sprintf("sim: Park called on %q from outside its own context", t.name))
 	}
+	t.eng.stats.Parks++
 	t.setState(StateParked)
 	t.yield()
 }

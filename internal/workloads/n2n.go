@@ -7,6 +7,7 @@ import (
 	"mpicontend/internal/machine"
 	"mpicontend/internal/mpi"
 	"mpicontend/internal/mpi/vci"
+	"mpicontend/internal/sim"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
 )
@@ -137,6 +138,8 @@ type N2NResult struct {
 	// Part holds the partitioned-path counters (all zero unless
 	// Partitioned is set).
 	Part mpi.PartStats
+	// Sched holds the engine's scheduling counters.
+	Sched sim.Stats
 }
 
 // N2N runs the all-to-all streaming benchmark.
@@ -200,6 +203,7 @@ func N2N(p N2NParams) (N2NResult, error) {
 	}
 	res.Net = w.NetStats()
 	res.Part = w.PartStats()
+	res.Sched = w.Eng.Stats()
 	if p.Fault.Enabled() && !p.Fault.CrashesEnabled() {
 		if err := w.CheckClean(); err != nil {
 			return res, fmt.Errorf("n2n(%v,%dB): %w", p.Lock, p.MsgBytes, err)

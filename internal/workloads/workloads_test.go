@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"mpicontend/internal/machine"
+	"mpicontend/internal/mpi"
+	"mpicontend/internal/mpi/vci"
+	"mpicontend/internal/sim"
 	"mpicontend/internal/simlock"
 	"mpicontend/internal/telemetry"
 )
@@ -294,7 +297,47 @@ func TestLockstormWakesInline(t *testing.T) {
 	if s.Sleeps == 0 || 5*s.InlineWakes < s.Sleeps {
 		t.Fatalf("%d of %d sleeps woke inline, want at least a fifth", s.InlineWakes, s.Sleeps)
 	}
-	if s.Events < s.Dispatches+s.InlineWakes {
-		t.Fatalf("%d events cannot hold %d dispatches and %d inline wakes", s.Events, s.Dispatches, s.InlineWakes)
+	checkSchedCounts(t, s)
+}
+
+// checkSchedCounts requires the events run to cover every dispatch,
+// inline wake and quiet wake: each is a distinct event.
+func checkSchedCounts(t *testing.T, s sim.Stats) {
+	t.Helper()
+	if s.Events < s.Dispatches+s.InlineWakes+s.QuietWakes {
+		t.Fatalf("%d events cannot hold %d dispatches, %d inline wakes and %d quiet wakes",
+			s.Events, s.Dispatches, s.InlineWakes, s.QuietWakes)
+	}
+}
+
+// TestRemediesWakeQuietly runs both halves of the remedies configuration
+// (four procs of eight threads on sixteen explicit VCIs, continuations,
+// eager then partitioned) and checks that over the pass the engine
+// re-queues more wakes without a switch than it switches into threads:
+// every arrival and completion wakes all sixteen shard daemons of a proc,
+// and at most one of them has work.
+func TestRemediesWakeQuietly(t *testing.T) {
+	var quiet, dispatches uint64
+	for _, part := range []bool{false, true} {
+		r, err := N2N(N2NParams{
+			Lock: simlock.KindMutex, Procs: 4, Threads: 8, MsgBytes: 2048,
+			Windows: 2, Seed: 1, PerThreadTags: true,
+			VCIs: 16, VCIPolicy: vci.Explicit, Progress: mpi.ProgressContinuation,
+			Partitioned: part,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.Sched
+		t.Logf("partitioned=%v: %+v", part, s)
+		checkSchedCounts(t, s)
+		if s.QuietWakes == 0 {
+			t.Fatalf("partitioned=%v: no quiet wakes", part)
+		}
+		quiet += s.QuietWakes
+		dispatches += s.Dispatches
+	}
+	if quiet < dispatches {
+		t.Fatalf("%d quiet wakes against %d dispatches, want at least as many", quiet, dispatches)
 	}
 }
