@@ -214,6 +214,7 @@ func localFacts(fset *token.FileSet, n *Node, canon *canonicalizer) *Facts {
 // allocating calls (make/new/append, allocating stdlib, conversions).
 func scanCall(u *Unit, canon *canonicalizer, f *Facts, call *ast.CallExpr,
 	deferred, simPkg bool, alloc func(token.Pos, string)) {
+	localAddrArgs(u, call, alloc)
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		// Builtin allocators. go/types records builtin idents in Uses as
@@ -271,6 +272,51 @@ func scanCall(u *Unit, canon *canonicalizer, f *Facts, call *ast.CallExpr,
 					alloc(call.Pos(), "string/[]byte conversion copies")
 				}
 			}
+		}
+	}
+}
+
+// localAddrArgs records each argument of the form &v, v a local variable,
+// whose parameter is an interface: boxing the pointer makes v escape, so
+// the variable itself is heap-allocated on every call, though no
+// allocating construct is written.
+func localAddrArgs(u *Unit, call *ast.CallExpr, alloc func(token.Pos, string)) {
+	tv, ok := u.Info.Types[call.Fun]
+	if !ok || tv.IsType() {
+		return
+	}
+	sig, ok := tv.Type.Underlying().(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		ue, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+		if !ok || ue.Op != token.AND {
+			continue
+		}
+		id, ok := ast.Unparen(ue.X).(*ast.Ident)
+		if !ok {
+			continue
+		}
+		v, ok := u.Info.Uses[id].(*types.Var)
+		if !ok || v.IsField() || v.Parent() == nil || v.Parent() == v.Pkg().Scope() {
+			continue
+		}
+		var pt types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			if call.Ellipsis.IsValid() {
+				continue
+			}
+			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+		case i < params.Len():
+			pt = params.At(i).Type()
+		default:
+			continue
+		}
+		if types.IsInterface(pt) {
+			alloc(ue.Pos(), "address of local "+id.Name+" passed as an interface (the variable escapes to the heap)")
 		}
 	}
 }

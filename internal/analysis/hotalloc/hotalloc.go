@@ -10,10 +10,12 @@
 // analyzer walks the module call graph — static and interface edges, but
 // not dynamic function-value calls, which are too imprecise — and reports
 // every heap-allocating construct in every reachable function: make/new,
-// append, composite literals that escape, closures, string concatenation
-// and string/[]byte conversions, and allocating stdlib calls (fmt,
-// errors.New, strconv formatting). Allocations inside panic arguments are
-// exempt (a panicking simulation is already dead).
+// append, composite literals that escape, closures, the address of a
+// local variable passed to an interface parameter (boxing the pointer
+// moves the variable to the heap), string concatenation and
+// string/[]byte conversions, and allocating stdlib calls (fmt, errors.New,
+// strconv formatting). Allocations inside panic arguments are exempt (a
+// panicking simulation is already dead).
 //
 // Traversal is pruned at call edges whose site carries a
 // //simcheck:allow hotalloc directive, so a genuinely cold branch (a

@@ -26,3 +26,10 @@ func TestHotalloc(t *testing.T) {
 func TestHotallocPartitioned(t *testing.T) {
 	analysistest.Run(t, hotalloc.Analyzer, "testdata/src/p", "mpicontend/tdhotalloc/p")
 }
+
+// TestHotallocLocalAddr runs the analyzer over the reply-slot golden
+// package: answering into a reused slot is silent, while boxing the
+// address of a fresh local into an interface parameter is flagged.
+func TestHotallocLocalAddr(t *testing.T) {
+	analysistest.Run(t, hotalloc.Analyzer, "testdata/src/r", "mpicontend/tdhotalloc/r")
+}

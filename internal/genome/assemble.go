@@ -82,11 +82,16 @@ const (
 	tagReply = 2 // phase-2 query replies (received by the walker thread)
 )
 
+// workMsg is every message a server receives. Its owner reuses it (see
+// the package doc); only the done markers are shared, and they are never
+// written after Run builds them.
 type workMsg struct {
-	kind    int // 1=batch, 2=phase1 done, 3=query, 4=phase2 done
-	batch   []int64
-	query   Kmer
-	replyTo int
+	kind  int // 1=batch, 2=phase1 done, 3=query, 4=phase2 done
+	batch []int64
+	query Kmer
+	// from is the sending rank: a batch goes back to its free list, a
+	// query's reply to its walker.
+	from int
 }
 
 type replyMsg struct {
@@ -95,15 +100,31 @@ type replyMsg struct {
 	outBase       uint64
 }
 
+// assembly is one run's shared context.
+type assembly struct {
+	p      Params
+	c      *mpi.Comm
+	states []*procState // by rank
+	// doneP1 and doneP2 are the phase-1 and phase-2 done markers every
+	// walker sends to every server.
+	doneP1, doneP2 workMsg
+}
+
 // procState is the shared two-thread state of one process.
 type procState struct {
 	rank  int
 	reads []string
 	shard *graphShard
 
-	phase1Done bool // receiver saw all done markers
-	phase2Done bool
-	barrier    *sim.Barrier
+	// free holds this rank's spent phase-1 batches, each handed back by
+	// the server that inserted it.
+	free []*workMsg
+	// query is the walker's phase-2 query, rewritten for every lookup.
+	query workMsg
+	// replies are the server's phase-2 reply slots, one per asking rank.
+	replies []replyMsg
+
+	barrier *sim.Barrier
 
 	contigs []string
 }
@@ -129,35 +150,38 @@ func Run(p Params) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	c := w.Comm()
 
 	genome := SynthesizeGenome(p.GenomeLen, p.Seed)
 	reads := SampleReads(genome, p.ReadLen, p.Reads, p.Seed)
 
-	states := make([]*procState, p.Procs)
+	a := &assembly{
+		p: p, c: w.Comm(), states: make([]*procState, p.Procs),
+		doneP1: workMsg{kind: 2}, doneP2: workMsg{kind: 4},
+	}
 	for r := 0; r < p.Procs; r++ {
 		st := &procState{
 			rank:    r,
 			shard:   newShard(),
+			query:   workMsg{kind: 3, from: r},
+			replies: make([]replyMsg, p.Procs),
 			barrier: &sim.Barrier{N: 2, Release: 200},
 		}
 		for i := r; i < len(reads); i += p.Procs {
 			st.reads = append(st.reads, reads[i])
 		}
-		states[r] = st
+		a.states[r] = st
 	}
 
 	var endAt int64
-	for r := 0; r < p.Procs; r++ {
-		st := states[r]
-		w.Spawn(r, "walker", func(th *mpi.Thread) {
-			senderThread(th, c, p, st)
+	for _, st := range a.states {
+		w.Spawn(st.rank, "walker", func(th *mpi.Thread) {
+			senderThread(th, a, st)
 			if th.S.Now() > endAt {
 				endAt = th.S.Now()
 			}
 		})
-		w.Spawn(r, "server", func(th *mpi.Thread) {
-			receiverThread(th, c, p, st)
+		w.Spawn(st.rank, "server", func(th *mpi.Thread) {
+			receiverThread(th, a, st)
 			if th.S.Now() > endAt {
 				endAt = th.S.Now()
 			}
@@ -168,7 +192,7 @@ func Run(p Params) (Result, error) {
 	}
 
 	res.SimNs = endAt
-	for _, st := range states {
+	for _, st := range a.states {
 		res.Contigs = append(res.Contigs, st.contigs...)
 		res.UniqueKmers += int64(len(st.shard.nodes))
 		for _, n := range st.shard.nodes {
@@ -211,22 +235,22 @@ func n50(lens []int, total int64) int {
 // senderThread is the process's sending thread: phase 1 decomposes local
 // reads into k-mers and ships them to their owners in batches with blocking
 // sends; phase 2 walks unitig chains, querying remote shards.
-func senderThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState) {
+func senderThread(th *mpi.Thread, a *assembly, st *procState) {
+	p, c := a.p, a.c
 	k := p.K
 	rank := st.rank
-	batches := make([][]int64, p.Procs)
+	batches := make([]*workMsg, p.Procs) // the open batch per owner, or nil
 
 	flush := func(dst int) {
-		if len(batches[dst]) == 0 {
+		b := batches[dst]
+		if b == nil {
 			return
 		}
-		msg := &workMsg{kind: 1, batch: batches[dst]}
-		th.Send(c, dst, tagWork, int64(len(batches[dst])*9), msg)
+		th.Send(c, dst, tagWork, int64(len(b.batch)*9), b)
 		batches[dst] = nil
 	}
 
 	// Phase 1: k-mer extraction and distribution.
-	var kmers int64
 	for _, read := range st.reads {
 		if len(read) < k {
 			continue
@@ -241,10 +265,14 @@ func senderThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState) {
 			if i+k < len(read) {
 				next = int8(baseCode(read[i+k]))
 			}
-			kmers++
 			dst := m.Owner(p.Procs)
-			batches[dst] = append(batches[dst], int64(m), int64(prev)<<8|int64(uint8(next)))
-			if len(batches[dst]) >= 2*p.Batch {
+			b := batches[dst]
+			if b == nil {
+				b = st.takeBatch(2 * p.Batch)
+				batches[dst] = b
+			}
+			b.batch = append(b.batch, int64(m), int64(prev)<<8|int64(uint8(next)))
+			if len(b.batch) >= 2*p.Batch {
 				th.S.Sleep(int64(p.Batch) * p.PerKmerNs)
 				flush(dst)
 			}
@@ -254,12 +282,16 @@ func senderThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState) {
 			m = m.Shift(baseCode(read[i+k]), k)
 		}
 	}
-	for dst := range batches {
-		th.S.Sleep(int64(len(batches[dst])/2) * p.PerKmerNs)
+	for dst, b := range batches {
+		n := 0
+		if b != nil {
+			n = len(b.batch)
+		}
+		th.S.Sleep(int64(n/2) * p.PerKmerNs)
 		flush(dst)
 	}
 	for dst := 0; dst < p.Procs; dst++ {
-		th.Send(c, dst, tagWork, 8, &workMsg{kind: 2})
+		th.Send(c, dst, tagWork, 8, &a.doneP1)
 	}
 	// Wait for the local receiver to finish phase 1, then synchronize all
 	// processes so every shard is complete before walking.
@@ -271,14 +303,14 @@ func senderThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState) {
 	lookup := func(m Kmer) (replyMsg, bool) {
 		owner := m.Owner(p.Procs)
 		if owner == rank {
-			n := st.shard.nodes[m]
-			if n == nil {
+			n, ok := st.shard.nodes[m]
+			if !ok {
 				return replyMsg{}, false
 			}
-			return replyMsg{exists: true, indeg: popcount4(n.inEdges),
-				outdeg: popcount4(n.outEdges), outBase: safeOutBase(n)}, true
+			return nodeReply(n), true
 		}
-		th.Send(c, owner, tagWork, 16, &workMsg{kind: 3, query: m, replyTo: rank})
+		st.query.query = m
+		th.Send(c, owner, tagWork, 16, &st.query)
 		r := th.Recv(c, owner, tagReply).(*replyMsg)
 		return *r, r.exists
 	}
@@ -329,9 +361,20 @@ func senderThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState) {
 	}
 	// Tell every server the walker is done.
 	for dst := 0; dst < p.Procs; dst++ {
-		th.Send(c, dst, tagWork, 8, &workMsg{kind: 4})
+		th.Send(c, dst, tagWork, 8, &a.doneP2)
 	}
 	st.barrier.Wait(th.S) // join the server before returning
+}
+
+// takeBatch returns an empty phase-1 batch message from the rank's free
+// list, or a new one with room for size entries when all are in flight.
+func (st *procState) takeBatch(size int) *workMsg {
+	if n := len(st.free); n > 0 {
+		b := st.free[n-1]
+		st.free = st.free[:n-1]
+		return b
+	}
+	return &workMsg{kind: 1, batch: make([]int64, 0, size), from: st.rank}
 }
 
 // sortKmers sorts in place ascending (simple shell sort; stdlib sort would
@@ -347,16 +390,23 @@ func sortKmers(ks []Kmer) {
 }
 
 // safeOutBase returns the out base when the out degree is 1, else 0.
-func safeOutBase(n *node) uint64 {
+func safeOutBase(n node) uint64 {
 	if popcount4(n.outEdges) == 1 {
 		return n.outBase()
 	}
 	return 0
 }
 
+// nodeReply is the phase-2 answer about an existing node.
+func nodeReply(n node) replyMsg {
+	return replyMsg{exists: true, indeg: popcount4(n.inEdges),
+		outdeg: popcount4(n.outEdges), outBase: safeOutBase(n)}
+}
+
 // receiverThread is the process's receiving thread: it serves phase-1
 // batch inserts, then phase-2 chain queries, with blocking receives.
-func receiverThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState) {
+func receiverThread(th *mpi.Thread, a *assembly, st *procState) {
+	p, c := a.p, a.c
 	// Phase 1: insert batches until every process said done.
 	dones := 0
 	for dones < p.Procs {
@@ -370,35 +420,45 @@ func receiverThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState) {
 				next := int8(uint8(v.batch[i+1]))
 				st.shard.insert(m, prev, next)
 			}
+			// Inserted: the sender may refill it.
+			v.batch = v.batch[:0]
+			owner := a.states[v.from]
+			owner.free = append(owner.free, v)
 		case 2:
 			dones++
 		default:
 			panic("genome: phase-2 message during phase 1")
 		}
 	}
-	st.phase1Done = true
 	st.barrier.Wait(th.S) // local sender may proceed to the global barrier
 	st.barrier.Wait(th.S) // global barrier done; phase 2 begins
 
-	// Phase 2: serve queries until every walker said done.
-	dones = 0
-	for dones < p.Procs {
+	serveQueries(th, a, st)
+	st.barrier.Wait(th.S)
+}
+
+// serveQueries is the server's phase 2: it answers chain queries until
+// every walker said done. Each answer goes into the asking rank's reply
+// slot, which that walker reads before it can ask again.
+//
+//simcheck:hotpath every phase-2 query; the query and reply buffers are reused, so a query allocates nothing
+func serveQueries(th *mpi.Thread, a *assembly, st *procState) {
+	p, c := a.p, a.c
+	for dones := 0; dones < p.Procs; {
 		v := th.Recv(c, mpi.AnySource, tagWork).(*workMsg)
 		switch v.kind {
 		case 3:
 			th.S.Sleep(p.PerKmerNs)
-			var r replyMsg
-			if n := st.shard.nodes[v.query]; n != nil {
-				r = replyMsg{exists: true, indeg: popcount4(n.inEdges),
-					outdeg: popcount4(n.outEdges), outBase: safeOutBase(n)}
+			r := &st.replies[v.from]
+			*r = replyMsg{}
+			if n, ok := st.shard.nodes[v.query]; ok {
+				*r = nodeReply(n)
 			}
-			th.Send(c, v.replyTo, tagReply, 16, &r)
+			th.Send(c, v.from, tagReply, 16, r)
 		case 4:
 			dones++
 		default:
 			panic("genome: unexpected phase-1 message during phase 2")
 		}
 	}
-	st.phase2Done = true
-	st.barrier.Wait(th.S)
 }

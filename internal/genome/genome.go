@@ -7,6 +7,21 @@
 // precisely the MPI_THREAD_MULTIPLE pattern whose lock contention the paper
 // measures.
 //
+// Messages carry pointers, and the kernel reuses every buffer it sends,
+// so a run allocates nothing per message. Who may rewrite what, and why
+// it is safe:
+//
+//   - A walker owns one query message and rewrites it for every phase-2
+//     lookup. It blocks on the reply before it asks again, and the server
+//     reads the query before it replies.
+//   - A server owns one reply slot per asking rank and answers rank X in
+//     slot X. X reads its reply before it can send the next query, so the
+//     slot is free again before the server can be asked to refill it.
+//   - A phase-1 batch belongs to its sending rank. The server that
+//     receives it inserts every k-mer, then puts the batch back on the
+//     sender's free list; only then may the sender refill it.
+//   - The done markers are built once per run and never written.
+//
 // genome is part of the deterministic core (docs/ARCHITECTURE.md).
 package genome
 
@@ -119,7 +134,7 @@ func popcount4(m uint8) int {
 
 // outBase returns the single out-edge base code; call only when the out
 // degree is exactly 1.
-func (n *node) outBase() uint64 {
+func (n node) outBase() uint64 {
 	for i := uint64(0); i < 4; i++ {
 		if n.outEdges&(1<<i) != 0 {
 			return i
@@ -128,21 +143,19 @@ func (n *node) outBase() uint64 {
 	panic("genome: outBase on node without out edges")
 }
 
-// graphShard is the k-mer map owned by one process.
+// graphShard is the k-mer map owned by one process. Nodes are held by
+// value: a node is six bytes, so a pointer per k-mer would cost an
+// allocation for nothing.
 type graphShard struct {
-	nodes map[Kmer]*node
+	nodes map[Kmer]node
 }
 
-func newShard() *graphShard { return &graphShard{nodes: make(map[Kmer]*node)} }
+func newShard() *graphShard { return &graphShard{nodes: make(map[Kmer]node)} }
 
 // insert records one k-mer observation with its neighbor bases (prev/next
 // are base codes, or -1 at a read boundary).
 func (g *graphShard) insert(m Kmer, prev, next int8) {
 	n := g.nodes[m]
-	if n == nil {
-		n = &node{}
-		g.nodes[m] = n
-	}
 	n.count++
 	if next >= 0 {
 		n.outEdges |= 1 << uint(next)
@@ -150,4 +163,5 @@ func (g *graphShard) insert(m Kmer, prev, next int8) {
 	if prev >= 0 {
 		n.inEdges |= 1 << uint(prev)
 	}
+	g.nodes[m] = n
 }

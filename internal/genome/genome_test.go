@@ -198,6 +198,25 @@ func TestAssemblyFairLocksFaster(t *testing.T) {
 	}
 }
 
+// TestAssemblyAllocs gates the host cost of one fig12b-quick-size
+// assembly: the walker's query, the servers' reply slots, the done markers
+// and the recycled phase-1 batches make the kernel's messages free, so
+// what remains is setup (world, genome, reads, shards) and the contigs.
+// A per-query message alone would add one allocation per remote lookup,
+// about 10,000 here.
+func TestAssemblyAllocs(t *testing.T) {
+	p := Params{Lock: simlock.KindMutex, Procs: 8, GenomeLen: 6000, Reads: 1200, Seed: 1}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := Run(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per assembly", allocs)
+	if allocs > 1650 {
+		t.Fatalf("%.0f allocs per assembly, want <= 1650", allocs)
+	}
+}
+
 func TestN50(t *testing.T) {
 	if got := n50([]int{10, 5, 3, 2}, 20); got != 10 {
 		t.Fatalf("n50 = %d, want 10", got)

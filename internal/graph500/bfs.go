@@ -157,8 +157,7 @@ func Run(p Params) (Result, error) {
 	edges := GenerateKronecker(p.Scale, p.EdgeFactor, p.Seed)
 	part := NewPartition(int64(1)<<uint(p.Scale), p.Procs)
 	states := make([]*procState, p.Procs)
-	for r := 0; r < p.Procs; r++ {
-		g := BuildLocalCSR(edges, part, r)
+	for r, g := range BuildCSRs(edges, part) {
 		states[r] = &procState{
 			rank:      r,
 			g:         g,

@@ -1,6 +1,7 @@
 package graph500
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -94,8 +95,7 @@ func TestLocalCSRCoversAllEdges(t *testing.T) {
 	edges := GenerateKronecker(8, 8, 5)
 	part := NewPartition(256, 3)
 	total := int64(0)
-	for r := 0; r < 3; r++ {
-		g := BuildLocalCSR(edges, part, r)
+	for _, g := range BuildCSRs(edges, part) {
 		total += g.Offsets[g.Rows]
 	}
 	want := int64(0)
@@ -106,6 +106,55 @@ func TestLocalCSRCoversAllEdges(t *testing.T) {
 	}
 	if total != want {
 		t.Fatalf("CSR holds %d directed edges, want %d", total, want)
+	}
+}
+
+// referenceCSR is the naive per-rank build: it scans every edge for the
+// rows rank owns, counting then filling, so each row lists its neighbors
+// in edge order.
+func referenceCSR(edges []Edge, part Partition, rank int) *CSR {
+	base, rows := part.Base(rank), part.Count(rank)
+	offsets := make([]int64, rows+1)
+	adj := make([][]int64, rows)
+	add := func(u, v int64) {
+		if part.Owner(u) == rank {
+			adj[u-base] = append(adj[u-base], v)
+		}
+	}
+	for _, e := range edges {
+		if e.U == e.V {
+			continue
+		}
+		add(e.U, e.V)
+		add(e.V, e.U)
+	}
+	targets := []int64{}
+	for i, a := range adj {
+		targets = append(targets, a...)
+		offsets[i+1] = int64(len(targets))
+	}
+	return &CSR{N: part.N, Offsets: offsets, Targets: targets, RowBase: base, Rows: rows}
+}
+
+// TestBuildCSRsMatchesReference checks the two-pass build against the
+// naive per-rank one, row by row and neighbor by neighbor, over rank
+// counts that divide the vertex count, that leave a short last rank, and
+// that leave trailing ranks empty.
+func TestBuildCSRsMatchesReference(t *testing.T) {
+	edges := GenerateKronecker(8, 8, 5)
+	edges = append(edges, Edge{U: 7, V: 7}, Edge{U: 3, V: 200}, Edge{U: 3, V: 200})
+	for _, procs := range []int{1, 3, 4, 7, 300} {
+		part := NewPartition(256, procs)
+		gs := BuildCSRs(edges, part)
+		if len(gs) != procs {
+			t.Fatalf("procs %d: %d CSRs", procs, len(gs))
+		}
+		for r, g := range gs {
+			want := referenceCSR(edges, part, r)
+			if !reflect.DeepEqual(g, want) {
+				t.Fatalf("procs %d rank %d: CSR differs from the per-rank reference", procs, r)
+			}
+		}
 	}
 }
 

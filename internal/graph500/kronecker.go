@@ -115,38 +115,43 @@ func (p Partition) Count(rank int) int64 {
 	return end - base
 }
 
-// BuildLocalCSR builds the CSR rows owned by rank from the full edge list,
+// BuildCSRs builds every rank's CSR rows from the full edge list,
 // inserting both directions of each undirected edge and dropping self
 // loops. Duplicate edges are kept (they only add scan work, as in the
-// reference implementation).
-func BuildLocalCSR(edges []Edge, part Partition, rank int) *CSR {
-	base := part.Base(rank)
-	rows := part.Count(rank)
-	deg := make([]int64, rows)
-	add := func(u, v int64) {
-		if part.Owner(u) == rank {
-			deg[u-base]++
-		}
+// reference implementation). It makes two passes over the edges, one to
+// count each row's degree and one to fill it, so each row lists its
+// neighbors in edge order.
+func BuildCSRs(edges []Edge, part Partition) []*CSR {
+	gs := make([]*CSR, part.NProcs)
+	for r := range gs {
+		rows := part.Count(r)
+		gs[r] = &CSR{N: part.N, Offsets: make([]int64, rows+1), RowBase: part.Base(r), Rows: rows}
+	}
+	// Count local row i's degree into Offsets[i+1], then prefix-sum.
+	count := func(u int64) {
+		g := gs[part.Owner(u)]
+		g.Offsets[u-g.RowBase+1]++
 	}
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
 		}
-		add(e.U, e.V)
-		add(e.V, e.U)
+		count(e.U)
+		count(e.V)
 	}
-	offsets := make([]int64, rows+1)
-	for i := int64(0); i < rows; i++ {
-		offsets[i+1] = offsets[i] + deg[i]
-	}
-	targets := make([]int64, offsets[rows])
-	fill := make([]int64, rows)
-	put := func(u, v int64) {
-		if part.Owner(u) == rank {
-			r := u - base
-			targets[offsets[r]+fill[r]] = v
-			fill[r]++
+	next := make([][]int64, len(gs)) // per rank, each row's next free slot
+	for r, g := range gs {
+		for i := int64(0); i < g.Rows; i++ {
+			g.Offsets[i+1] += g.Offsets[i]
 		}
+		g.Targets = make([]int64, g.Offsets[g.Rows])
+		next[r] = append([]int64(nil), g.Offsets[:g.Rows]...)
+	}
+	put := func(u, v int64) {
+		r := part.Owner(u)
+		i := u - gs[r].RowBase
+		gs[r].Targets[next[r][i]] = v
+		next[r][i]++
 	}
 	for _, e := range edges {
 		if e.U == e.V {
@@ -155,5 +160,5 @@ func BuildLocalCSR(edges []Edge, part Partition, rank int) *CSR {
 		put(e.U, e.V)
 		put(e.V, e.U)
 	}
-	return &CSR{N: part.N, Offsets: offsets, Targets: targets, RowBase: base, Rows: rows}
+	return gs
 }

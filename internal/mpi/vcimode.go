@@ -107,13 +107,14 @@ func (p *Proc) vciWildcard(tag int) bool {
 	return p.sharded && vci.Wildcard(p.w.Cfg.VCIPolicy, tag, AnyTag)
 }
 
-// allocReq returns a zeroed request from shard v's pool; zeroing clears
-// its pooled mark.
+// allocReq returns a request from shard v's pool without clearing it: a
+// recycled object still holds its last owner's fields. Every caller must
+// assign it a full Request literal before any other use; the literal also
+// clears its pooled mark and its free-list link.
 func (p *Proc) allocReq(v int) *Request {
 	sh := p.vcis[v]
 	if r := sh.reqFree; r != nil {
 		sh.reqFree = r.nextFree
-		*r = Request{}
 		return r
 	}
 	//simcheck:allow hotalloc pool-miss slow path: a shard allocates only while its live requests outnumber every earlier peak
