@@ -71,8 +71,8 @@ figures:
 trace:
 	$(GO) run ./cmd/mpitrace -experiment fig8a -quick -check -out artifacts/trace
 
-# Serial-equivalence gate: the full quick sweep at -jobs 1 (strictly
-# serial path) and -jobs 4 (shared worker pool) must print identical
+# Serial-equivalence gate: the full quick sweep at -jobs 1 (one worker,
+# every point in order) and -jobs 4 (shared worker pool) must print identical
 # bytes, and so must the crashy recovery experiment, the full-size
 # sharded-runtime (vci) experiment, and the full-size progress-mode
 # experiment on their own — rank crashes, heartbeat detection, the

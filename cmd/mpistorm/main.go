@@ -13,9 +13,10 @@
 //
 // -jobs N fans the experiments' independent simulation points across N
 // workers. Everything written to stdout (and to -json files) is
-// byte-identical at every -jobs value, including -jobs 1's strictly
-// serial path — parallelism only changes wall-clock time. Timing goes to
-// stderr, which carries no determinism guarantee.
+// byte-identical at every -jobs value, including -jobs 1, which runs
+// every point in order on one worker — parallelism only changes
+// wall-clock time. Timing goes to stderr, which carries no determinism
+// guarantee.
 package main
 
 //simcheck:allow-file nodeterm harness wall-clock timing of real runs; simulation state is seeded inside experiments

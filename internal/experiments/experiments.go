@@ -2,9 +2,9 @@
 // evaluation from the simulated substrate. Each experiment is written as
 // a builder that declares its independent simulation Points through a
 // Plan (the compute phase) and assembles report tables from their Results
-// (the render phase); Experiment.Run executes the two phases serially,
-// while RunAllFunc fans the points of many experiments across the
-// internal/sweep worker pool with byte-identical output. The cmd tools
+// (the render phase); RunAllFunc fans the points of many experiments
+// across the internal/sweep worker pool with byte-identical output at
+// every worker count, one included. The cmd tools
 // and the repository-level benchmarks are thin wrappers around this
 // registry.
 //
@@ -60,7 +60,7 @@ func (o Options) windows() int {
 
 // Experiment is a runnable reproduction of one table or figure. Its
 // builder declares simulation points and renders tables through a Plan;
-// see plan.go for the Points/Run/Render lifecycle.
+// see plan.go for the Points/Render lifecycle.
 type Experiment struct {
 	ID    string
 	Title string

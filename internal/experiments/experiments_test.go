@@ -11,14 +11,11 @@ func quick() Options { return Options{Quick: true} }
 
 func runExp(t *testing.T, id string) []*report.Table {
 	t.Helper()
-	e, err := Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := e.Run(quick())
+	out, err := RunAll([]string{id}, quick(), 1)
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
+	tables := out[0]
 	if len(tables) == 0 {
 		t.Fatalf("%s produced no tables", id)
 	}

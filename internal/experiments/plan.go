@@ -126,33 +126,14 @@ func (e Experiment) Render(o Options, results []Result) ([]*report.Table, error)
 	return tables, nil
 }
 
-// Run executes the experiment serially: declare its points, run them in
-// order on the calling goroutine, render. This is the -jobs 1 code path;
-// RunAllFunc fans the same points across workers with byte-identical
-// output.
-func (e Experiment) Run(o Options) ([]*report.Table, error) {
-	pts, err := e.Points(o)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Result, len(pts))
-	for i, pt := range pts {
-		r, err := pt.Run()
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return e.Render(o, results)
-}
-
 // RunAllFunc runs several experiments, fanning all their points across
-// jobs parallel workers (jobs <= 1 runs everything serially on the
-// calling goroutine), and calls emit once per experiment in ids order as
-// soon as that experiment's tables are ready. Each point builds its own
-// engine and RNG, and the ordered merge serializes emissions, so the
-// emitted tables are byte-identical at any jobs value. emit may be
-// invoked from an internal worker goroutine, but never concurrently.
+// jobs parallel workers (jobs 1 runs every point in order on the calling
+// goroutine, jobs <= 0 means one worker per CPU), and calls emit once per
+// experiment in ids order as soon as that experiment's tables are ready.
+// Each point builds its own engine and RNG, and the ordered merge
+// serializes emissions, so the emitted tables are byte-identical at any
+// jobs value. emit may be invoked from an internal worker goroutine, but
+// never concurrently.
 //
 // On failure the experiments before the first failing one still emit —
 // the same prefix a serial run would have printed — and the first
@@ -166,19 +147,6 @@ func RunAllFunc(ids []string, o Options, jobs int,
 			return err
 		}
 		exps[i] = e
-	}
-
-	if jobs <= 1 {
-		for i, e := range exps {
-			tables, err := e.Run(o)
-			if err != nil {
-				return err
-			}
-			if err := emit(i, e.ID, tables); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 
 	var flat []Point

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -124,6 +125,42 @@ func TestRunAllFuncOrder(t *testing.T) {
 				t.Fatalf("jobs=%d: emission order %v", jobs, got)
 			}
 		}
+	}
+}
+
+// TestRunAllFuncFailingPoint checks that a failing point stops the
+// emitted stream at the experiments before its own, at any worker count,
+// and that RunAllFunc returns the point's error.
+func TestRunAllFuncFailingPoint(t *testing.T) {
+	const failID = "test-failing-point"
+	errPoint := errors.New("point failed")
+	register(failID, "one good point, one failing point",
+		func(o Options, p *Plan) ([]*report.Table, error) {
+			p.Value(func() (float64, error) { return 1, nil })
+			p.Value(func() (float64, error) { return 0, errPoint })
+			return []*report.Table{{ID: failID}}, nil
+		})
+	t.Cleanup(func() { delete(registry, failID) })
+
+	ids := []string{"table1", "fig2b", failID, "fig10a"}
+	for _, tc := range []struct {
+		name string
+		jobs int
+	}{{"jobs=1", 1}, {"jobs=4", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			err := RunAllFunc(ids, quick(), tc.jobs,
+				func(idx int, id string, tables []*report.Table) error {
+					got = append(got, id)
+					return nil
+				})
+			if !errors.Is(err, errPoint) {
+				t.Errorf("error %v, want the failing point's", err)
+			}
+			if strings.Join(got, ",") != "table1,fig2b" {
+				t.Errorf("emitted %v, want [table1 fig2b]", got)
+			}
+		})
 	}
 }
 

@@ -79,16 +79,10 @@ type Config struct {
 	PreemptNs   int64
 
 	// Crashes schedules fail-stop process failures (rank or node scope).
-	// A non-empty schedule arms the runtime's heartbeat failure detector;
-	// an empty one arms zero timers, keeping fault-free runs
-	// byte-identical.
+	// A non-empty schedule arms the runtime's heartbeat failure detector
+	// (100µs period, dead after 3 silent periods); an empty one arms zero
+	// timers, keeping fault-free runs byte-identical.
 	Crashes []CrashSpec
-	// HeartbeatNs is the failure-detector heartbeat period (default
-	// 100µs). Only consulted when Crashes is non-empty.
-	HeartbeatNs int64
-	// HeartbeatMiss is how many consecutive silent periods declare a
-	// peer dead (default 3).
-	HeartbeatMiss int
 
 	// Resilient-transport tuning, consumed by the MPI runtime whenever
 	// the plane is enabled.
@@ -148,14 +142,6 @@ func (c Config) withDefaults(worldSeed uint64) Config {
 	}
 	if c.RTONs <= 0 {
 		c.RTONs = 50_000
-	}
-	if len(c.Crashes) > 0 {
-		if c.HeartbeatNs <= 0 {
-			c.HeartbeatNs = 100_000
-		}
-		if c.HeartbeatMiss <= 0 {
-			c.HeartbeatMiss = 3
-		}
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 16

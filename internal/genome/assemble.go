@@ -10,23 +10,24 @@ import (
 	"mpicontend/internal/simlock"
 )
 
+// Fixed shape of the assembly model.
+const (
+	readLen   = 36  // paper: 36-nucleotide reads
+	kmerLen   = 21  // k, the k-mer length
+	perKmerNs = 80  // compute cost per k-mer hashed/inserted
+	batchLen  = 256 // k-mers per phase-1 message
+)
+
 // Params configures an assembly run.
 type Params struct {
-	Lock    simlock.Kind
-	Binding machine.Binding
+	Lock simlock.Kind
 	// Procs is the number of MPI processes; the paper runs four per node
 	// with two threads each, filling all eight cores.
 	Procs        int
 	ProcsPerNode int
 	GenomeLen    int
-	ReadLen      int
 	Reads        int
-	K            int
 	Seed         uint64
-	// PerKmerNs is the compute cost per k-mer hashed/inserted.
-	PerKmerNs int64
-	// Batch is the number of k-mers per phase-1 message.
-	Batch int
 	// Fault configures the fault-injection plane (zero = perfect network).
 	Fault fault.Config
 	// MaxWall bounds real run time in wall-clock ns (0 = unlimited).
@@ -43,23 +44,11 @@ func (p Params) withDefaults() Params {
 	if p.GenomeLen <= 0 {
 		p.GenomeLen = 10000
 	}
-	if p.ReadLen <= 0 {
-		p.ReadLen = 36 // paper: 36-nucleotide reads
-	}
 	if p.Reads <= 0 {
 		p.Reads = 2000
 	}
-	if p.K <= 0 {
-		p.K = 21
-	}
 	if p.Seed == 0 {
 		p.Seed = 42
-	}
-	if p.PerKmerNs <= 0 {
-		p.PerKmerNs = 80
-	}
-	if p.Batch <= 0 {
-		p.Batch = 256
 	}
 	return p
 }
@@ -141,7 +130,6 @@ func Run(p Params) (Result, error) {
 	w, err := mpi.NewWorld(mpi.Config{
 		Topo:         machine.Nehalem2x4(nodes),
 		Lock:         p.Lock,
-		Binding:      p.Binding,
 		ProcsPerNode: p.ProcsPerNode,
 		Seed:         p.Seed,
 		Fault:        p.Fault,
@@ -152,7 +140,7 @@ func Run(p Params) (Result, error) {
 	}
 
 	genome := SynthesizeGenome(p.GenomeLen, p.Seed)
-	reads := SampleReads(genome, p.ReadLen, p.Reads, p.Seed)
+	reads := SampleReads(genome, readLen, p.Reads, p.Seed)
 
 	a := &assembly{
 		p: p, c: w.Comm(), states: make([]*procState, p.Procs),
@@ -237,7 +225,7 @@ func n50(lens []int, total int64) int {
 // sends; phase 2 walks unitig chains, querying remote shards.
 func senderThread(th *mpi.Thread, a *assembly, st *procState) {
 	p, c := a.p, a.c
-	k := p.K
+	k := kmerLen
 	rank := st.rank
 	batches := make([]*workMsg, p.Procs) // the open batch per owner, or nil
 
@@ -268,12 +256,12 @@ func senderThread(th *mpi.Thread, a *assembly, st *procState) {
 			dst := m.Owner(p.Procs)
 			b := batches[dst]
 			if b == nil {
-				b = st.takeBatch(2 * p.Batch)
+				b = st.takeBatch(2 * batchLen)
 				batches[dst] = b
 			}
 			b.batch = append(b.batch, int64(m), int64(prev)<<8|int64(uint8(next)))
-			if len(b.batch) >= 2*p.Batch {
-				th.S.Sleep(int64(p.Batch) * p.PerKmerNs)
+			if len(b.batch) >= 2*batchLen {
+				th.S.Sleep(int64(batchLen) * perKmerNs)
 				flush(dst)
 			}
 			if i+k >= len(read) {
@@ -287,7 +275,7 @@ func senderThread(th *mpi.Thread, a *assembly, st *procState) {
 		if b != nil {
 			n = len(b.batch)
 		}
-		th.S.Sleep(int64(n/2) * p.PerKmerNs)
+		th.S.Sleep(int64(n/2) * perKmerNs)
 		flush(dst)
 	}
 	for dst := 0; dst < p.Procs; dst++ {
@@ -314,7 +302,7 @@ func senderThread(th *mpi.Thread, a *assembly, st *procState) {
 		r := th.Recv(c, owner, tagReply).(*replyMsg)
 		return *r, r.exists
 	}
-	maxLen := p.GenomeLen + p.K
+	maxLen := p.GenomeLen + kmerLen
 	// Deterministic iteration order (Go map order is randomized, which
 	// would break simulation reproducibility).
 	keys := make([]Kmer, 0, len(st.shard.nodes))
@@ -335,24 +323,24 @@ func senderThread(th *mpi.Thread, a *assembly, st *procState) {
 					prevBase = i
 				}
 			}
-			predK := Kmer(prevBase<<uint(2*(p.K-1)) | uint64(m)>>2)
+			predK := Kmer(prevBase<<uint(2*(kmerLen-1)) | uint64(m)>>2)
 			info, ok := lookup(predK)
 			if ok && info.outdeg == 1 {
 				continue // true chain-internal node
 			}
 		}
-		contig := []byte(m.String(p.K))
+		contig := []byte(m.String(kmerLen))
 		cur := m
 		curOut := outdeg
 		curBase := safeOutBase(n)
 		for curOut == 1 && len(contig) < maxLen {
-			nextK := cur.Shift(curBase, p.K)
+			nextK := cur.Shift(curBase, kmerLen)
 			info, ok := lookup(nextK)
 			if !ok || info.indeg != 1 {
 				break
 			}
 			contig = append(contig, baseAlphabet[curBase])
-			th.S.Sleep(p.PerKmerNs)
+			th.S.Sleep(perKmerNs)
 			cur = nextK
 			curOut = info.outdeg
 			curBase = info.outBase
@@ -413,7 +401,7 @@ func receiverThread(th *mpi.Thread, a *assembly, st *procState) {
 		v := th.Recv(c, mpi.AnySource, tagWork).(*workMsg)
 		switch v.kind {
 		case 1:
-			th.S.Sleep(int64(len(v.batch)/2) * p.PerKmerNs)
+			th.S.Sleep(int64(len(v.batch)/2) * perKmerNs)
 			for i := 0; i+1 < len(v.batch); i += 2 {
 				m := Kmer(v.batch[i])
 				prev := int8(v.batch[i+1] >> 8)
@@ -448,7 +436,7 @@ func serveQueries(th *mpi.Thread, a *assembly, st *procState) {
 		v := th.Recv(c, mpi.AnySource, tagWork).(*workMsg)
 		switch v.kind {
 		case 3:
-			th.S.Sleep(p.PerKmerNs)
+			th.S.Sleep(perKmerNs)
 			r := &st.replies[v.from]
 			*r = replyMsg{}
 			if n, ok := st.shard.nodes[v.query]; ok {

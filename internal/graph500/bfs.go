@@ -10,14 +10,18 @@ import (
 	"mpicontend/internal/simlock"
 )
 
+// Fixed costs of the BFS model.
+const (
+	perEdgeNs    = 25  // compute cost charged per scanned edge
+	batchEntries = 256 // (vertex,parent) pairs per message
+)
+
 // Params configures a distributed BFS run.
 type Params struct {
 	Lock    simlock.Kind
 	Binding machine.Binding
 	// Procs is the number of MPI processes.
 	Procs int
-	// ProcsPerNode places that many processes on each node (default 1).
-	ProcsPerNode int
 	// Threads per process.
 	Threads int
 	// Scale is log2 of the vertex count; EdgeFactor is edges per vertex.
@@ -26,10 +30,6 @@ type Params struct {
 	Seed       uint64
 	// Roots is the number of BFS runs from distinct roots (default 1).
 	Roots int
-	// PerEdgeNs is the compute cost charged per scanned edge.
-	PerEdgeNs int64
-	// BatchEntries is the number of (vertex,parent) pairs per message.
-	BatchEntries int
 	// Fault configures the fault-injection plane (zero = perfect network).
 	Fault fault.Config
 	// MaxWall bounds real run time in wall-clock ns (0 = unlimited).
@@ -39,9 +39,6 @@ type Params struct {
 func (p Params) withDefaults() Params {
 	if p.Procs <= 0 {
 		p.Procs = 1
-	}
-	if p.ProcsPerNode <= 0 {
-		p.ProcsPerNode = 1
 	}
 	if p.Threads <= 0 {
 		p.Threads = 1
@@ -57,12 +54,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.Roots <= 0 {
 		p.Roots = 1
-	}
-	if p.PerEdgeNs <= 0 {
-		p.PerEdgeNs = 25
-	}
-	if p.BatchEntries <= 0 {
-		p.BatchEntries = 256
 	}
 	return p
 }
@@ -135,19 +126,14 @@ func Run(p Params) (Result, error) {
 	p = p.withDefaults()
 	var res Result
 
-	if p.ProcsPerNode > p.Procs {
-		p.ProcsPerNode = p.Procs // a partially filled single node
-	}
-	nodes := (p.Procs + p.ProcsPerNode - 1) / p.ProcsPerNode
-	topo := machine.Nehalem2x4(nodes)
+	// One process per node.
 	w, err := mpi.NewWorld(mpi.Config{
-		Topo:         topo,
-		Lock:         p.Lock,
-		Binding:      p.Binding,
-		ProcsPerNode: p.ProcsPerNode,
-		Seed:         p.Seed,
-		Fault:        p.Fault,
-		MaxWall:      p.MaxWall,
+		Topo:    machine.Nehalem2x4(p.Procs),
+		Lock:    p.Lock,
+		Binding: p.Binding,
+		Seed:    p.Seed,
+		Fault:   p.Fault,
+		MaxWall: p.MaxWall,
 	})
 	if err != nil {
 		return res, err
@@ -279,7 +265,7 @@ func bfsThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int, root
 		}
 		charge := func() {
 			if sinceCharge > 0 {
-				th.S.Sleep(sinceCharge * p.PerEdgeNs * numaPct / 100)
+				th.S.Sleep(sinceCharge * perEdgeNs * numaPct / 100)
 				sinceCharge = 0
 			}
 		}
@@ -306,7 +292,7 @@ func bfsThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int, root
 				} else {
 					dst := part.Owner(v)
 					outBufs[dst] = append(outBufs[dst], v, u)
-					if len(outBufs[dst]) >= 2*p.BatchEntries {
+					if len(outBufs[dst]) >= 2*batchEntries {
 						flush(dst)
 					}
 				}

@@ -22,11 +22,15 @@ import (
 // executing, mid-call, exactly like a process that lost power.
 type rankCrashed struct{}
 
+// The heartbeat failure detector's timing: a rank silent for
+// heartbeatMiss consecutive periods is declared dead.
+const (
+	heartbeatNs   sim.Time = 100_000 // heartbeat period (100µs)
+	heartbeatMiss          = 3
+)
+
 // ftWorld is the world-wide fault-tolerance state (nil without crashes).
 type ftWorld struct {
-	hbNs      sim.Time // heartbeat period
-	timeoutNs sim.Time // silence that declares a peer dead (hb * miss)
-
 	// crashedAt[r] is rank r's actual kill time (-1 while alive);
 	// detectedAt[r] is the earliest time any survivor declared r dead.
 	crashedAt  []sim.Time
@@ -82,8 +86,6 @@ func (w *World) setupFT() {
 	fc := w.plane.Config()
 	n := len(w.Procs)
 	w.ft = &ftWorld{
-		hbNs:       fc.HeartbeatNs,
-		timeoutNs:  fc.HeartbeatNs * sim.Time(fc.HeartbeatMiss),
 		crashedAt:  make([]sim.Time, n),
 		detectedAt: make([]sim.Time, n),
 	}
@@ -184,13 +186,13 @@ func (w *World) startHeartbeat(p *Proc) {
 			if q == p || p.ft.isDead(q.Rank) {
 				continue
 			}
-			if now-p.ft.lastHeard[q.Rank] > w.ft.timeoutNs {
+			if now-p.ft.lastHeard[q.Rank] > heartbeatNs*heartbeatMiss {
 				p.declareDead(q.Rank, now)
 			}
 		}
-		w.Eng.After(w.ft.hbNs, tick)
+		w.Eng.After(heartbeatNs, tick)
 	}
-	w.Eng.After(w.ft.hbNs, tick)
+	w.Eng.After(heartbeatNs, tick)
 }
 
 // declareDead records this process's local detection of rank r's failure

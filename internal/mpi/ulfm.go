@@ -280,12 +280,6 @@ func isProcFailed(err error) bool {
 	return ok && e.Code == ErrProcFailed
 }
 
-// isRevoked reports whether err is an ErrRevoked request error.
-func isRevoked(err error) bool {
-	e, ok := err.(*Error)
-	return ok && e.Code == ErrRevoked
-}
-
 // sortInts sorts ascending (tiny slices; avoids pulling sort into the
 // protocol hot path signature).
 func sortInts(xs []int) {

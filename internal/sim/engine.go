@@ -57,8 +57,6 @@ type Engine struct {
 	// MaxEvents aborts the run when exceeded (safety against runaway
 	// simulations). Zero means no limit.
 	MaxEvents uint64
-	// MaxTime aborts the run once the clock passes it. Zero means no limit.
-	MaxTime Time
 	// MaxWall aborts the run with a thread-state dump once Run has
 	// consumed this much real (wall-clock) time — a watchdog so chaos
 	// soaks and runaway simulations cannot hang CI. Zero means no limit.
@@ -114,13 +112,12 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // wakesNext reports whether a dispatch of the running thread at w would be
 // the very next thing Run does: the queue holds nothing at or before w, and
-// no check of Run's loop — Stop, MaxTime, MaxEvents or the wall-clock
+// no check of Run's loop — Stop, MaxEvents or the wall-clock
 // watchdog's stride — would fire on that event. Sleep then wakes in place.
 // Sleep outside its thread's own dispatch (engine shutdown included)
 // panics before asking.
 func (e *Engine) wakesNext(w Time) bool {
 	return !e.stopped &&
-		(e.MaxTime <= 0 || w <= e.MaxTime) &&
 		(e.MaxEvents == 0 || e.stats.Events < e.MaxEvents) &&
 		(e.MaxWall <= 0 || e.stats.Events%wallCheckEvery != 0) &&
 		e.q.before(w)
@@ -287,10 +284,6 @@ func (e *Engine) Run() (err error) {
 		ev := e.q.pop()
 		if ev == nil {
 			break
-		}
-		if e.MaxTime > 0 && ev.when > e.MaxTime {
-			e.q.recycle(ev)
-			return fmt.Errorf("sim: exceeded MaxTime %d at event time %d", e.MaxTime, ev.when)
 		}
 		if e.MaxWall > 0 && e.stats.Events%wallCheckEvery == 0 {
 			//simcheck:allow nodeterm wall-clock watchdog; aborts hung runs, never feeds simulation state

@@ -673,21 +673,6 @@ func TestInlineWakeAcrossWheelLevels(t *testing.T) {
 	}
 }
 
-func TestInlineWakeMaxTime(t *testing.T) {
-	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
-		e.MaxTime = 1000
-		e.Spawn("a", func(th *Thread) {
-			sleep(th, 1000) // w == MaxTime runs
-			logf("a@%d", th.Now())
-			sleep(th, 1) // w == MaxTime+1 fails the run
-			logf("a@%d", th.Now())
-		})
-	})
-	if in.stats.InlineWakes != 1 || in.err != "sim: exceeded MaxTime 1000 at event time 1001" {
-		t.Fatalf("inline wakes %d, error %q", in.stats.InlineWakes, in.err)
-	}
-}
-
 func TestInlineWakeMaxEvents(t *testing.T) {
 	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
 		e.MaxEvents = 3 // the spawn and two wakes; the third wake exceeds it

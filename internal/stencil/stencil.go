@@ -19,8 +19,7 @@ import (
 
 // Params configures a stencil run.
 type Params struct {
-	Lock    simlock.Kind
-	Binding machine.Binding
+	Lock simlock.Kind
 	// Procs is the number of MPI processes (one per node).
 	Procs   int
 	Threads int
@@ -30,8 +29,6 @@ type Params struct {
 	NX, NY, NZ int
 	Iters      int
 	Seed       uint64
-	// PointNs is the compute cost per grid point per iteration.
-	PointNs int64
 	// KeepField records the final global field in the result (tests).
 	KeepField bool
 	// Funneled switches to the MPI_THREAD_FUNNELED structure the paper
@@ -83,9 +80,6 @@ func (p Params) withDefaults() Params {
 	if p.Seed == 0 {
 		p.Seed = 42
 	}
-	if p.PointNs <= 0 {
-		p.PointNs = 5
-	}
 	return p
 }
 
@@ -106,6 +100,10 @@ type Result struct {
 	// Partitioned was set).
 	Part mpi.PartStats
 }
+
+// pointCostNs is the compute cost per grid point per iteration on the
+// socket that owns the memory.
+const pointCostNs = 5
 
 // flopsPerPoint is the 7-point update's floating-point operation count.
 const flopsPerPoint = 8
@@ -198,7 +196,6 @@ func Run(p Params) (Result, error) {
 		Topo:        machine.Nehalem2x4(p.Procs),
 		Lock:        p.Lock,
 		ThreadLevel: level,
-		Binding:     p.Binding,
 		Seed:        p.Seed,
 		Fault:       p.Fault,
 		MaxWall:     p.MaxWall,
@@ -464,7 +461,7 @@ func stencilThread(th *mpi.Thread, c *mpi.Comm, p Params, st *procState, t int) 
 	}
 
 	cost := th.P.Cost()
-	pointNs := p.PointNs
+	pointNs := int64(pointCostNs)
 	if th.Place().Socket != 0 {
 		pointNs = pointNs * (100 + cost.RemoteMemPenaltyPct) / 100
 	}

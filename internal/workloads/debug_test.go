@@ -139,100 +139,3 @@ func TestDebugRMAGrants(t *testing.T) {
 			classes[telemetry.ClassHigh], classes[telemetry.ClassLow], r.SimNs)
 	}
 }
-
-// TestDebugN2NClasses inspects grant class composition under the priority
-// lock in the N2N benchmark.
-func TestDebugN2NClasses(t *testing.T) {
-	for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority} {
-		tel := telemetry.NewTrace()
-		p := N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64, Windows: 6, Mode: N2NStream, Tel: tel}
-		r, err := N2N(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		grants := lockWaits(tel, "cs[r0]")
-		classes := map[uint8]int{}
-		var maxGap, sumGap int64
-		for i, g := range grants {
-			classes[g.Class]++
-			if i > 0 {
-				gap := g.End - grants[i-1].End
-				sumGap += gap
-				if gap > maxGap {
-					maxGap = gap
-				}
-			}
-		}
-		t.Logf("%v: rate=%.0f grants=%d high/low=%d/%d avgGap=%d maxGap=%d unexpected=%d",
-			k, r.RateMsgsPerSec, len(grants), classes[telemetry.ClassHigh], classes[telemetry.ClassLow],
-			sumGap/int64(len(grants)), maxGap, r.UnexpectedHits)
-	}
-}
-
-// TestDebugN2NWindowDepth sweeps the in-flight window to find where the
-// priority lock's request-generation promotion pays off.
-func TestDebugN2NWindowDepth(t *testing.T) {
-	for _, win := range []int{3, 6, 9, 18} {
-		var line string
-		for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority} {
-			r, err := N2N(N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64,
-				Window: win, Windows: 12, Mode: N2NStream})
-			if err != nil {
-				t.Fatal(err)
-			}
-			line += k.String() + "=" + itoa(int64(r.RateMsgsPerSec)) + " unexp=" + itoa(r.UnexpectedHits) + "  "
-		}
-		t.Logf("window=%d: %s", win, line)
-	}
-}
-
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
-// TestDebugN2NTagged tries per-thread tagged pairing (shallow match pools).
-func TestDebugN2NTagged(t *testing.T) {
-	for _, win := range []int{3, 6, 12} {
-		var line string
-		for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority} {
-			r, err := N2N(N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64,
-				Window: win, Windows: 12, Mode: N2NStream, PerThreadTags: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			line += k.String() + "=" + itoa(int64(r.RateMsgsPerSec)) + " unexp=" + itoa(r.UnexpectedHits) + "  "
-		}
-		t.Logf("tagged window=%d: %s", win, line)
-	}
-}
-
-// TestDebugN2NFreeRun tries free-running send windows: sends gated only by
-// send completion, receives reposted independently.
-func TestDebugN2NFreeRun(t *testing.T) {
-	for _, k := range []simlock.Kind{simlock.KindTicket, simlock.KindPriority, simlock.KindMutex} {
-		r, err := N2N(N2NParams{Lock: k, Procs: 4, Threads: 8, MsgBytes: 64,
-			Window: 9, Windows: 12, Mode: N2NFreeRun})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("freerun %v: rate=%.0f unexp=%d", k, r.RateMsgsPerSec, r.UnexpectedHits)
-	}
-}

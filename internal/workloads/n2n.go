@@ -12,34 +12,6 @@ import (
 	"mpicontend/internal/telemetry"
 )
 
-// N2NMode selects how each thread structures its message stream.
-type N2NMode int
-
-const (
-	// N2NBatch posts a window of sends, then a window of receives, and
-	// completes them with Waitall — the structure of the paper's
-	// benchmark, which derives from the windowed throughput benchmark.
-	N2NBatch N2NMode = iota
-	// N2NStream keeps a sliding window: wait for the oldest request,
-	// re-issue its replacement (fully self-clocked continuous stream).
-	N2NStream
-	// N2NFreeRun replenishes sends on send completion and receives on
-	// receive completion, independently.
-	N2NFreeRun
-)
-
-// String names the mode.
-func (m N2NMode) String() string {
-	switch m {
-	case N2NBatch:
-		return "batch"
-	case N2NStream:
-		return "stream"
-	default:
-		return "freerun"
-	}
-}
-
 // N2NParams configures the all-to-all streaming benchmark of §5.2: every
 // process runs a team of threads, each streaming windows of messages to and
 // from all other processes. Unlike the point-to-point benchmark, a thread's
@@ -47,31 +19,25 @@ func (m N2NMode) String() string {
 // late posting (a starving main path) sends traffic through the unexpected
 // queue and delays matching — the case the priority lock targets.
 type N2NParams struct {
-	Lock    simlock.Kind
-	Binding machine.Binding
-	// Procs is the number of processes (paper: 4), one per node.
+	Lock simlock.Kind
+	// Procs is the number of processes (paper: 4), one per node; at
+	// least 2.
 	Procs    int
 	Threads  int
 	MsgBytes int64
-	// Window is the number of send (and receive) requests per thread per
-	// cycle; rounded up to a multiple of the peer count.
-	Window  int
+	// Windows is the number of cycles each thread runs.
 	Windows int
 	Seed    uint64
-	// Mode selects the streaming structure (default N2NBatch, the
-	// paper's shape).
-	Mode N2NMode
 	// PerThreadTags pairs thread t of each rank with thread t of every
 	// peer via tags, making match pools per-thread (shallow) instead of
 	// pooled per-process.
 	PerThreadTags bool
 	// Partitioned replaces each thread's per-message eager sends with
 	// MPI-4 partitioned channels: one persistent Psend/Precv pair per
-	// peer, Window/peers partitions per window, each Pready a lock-free
+	// peer, window/peers partitions per window, each Pready a lock-free
 	// bitmap update, and a single aggregated transfer per (peer, window)
 	// — so the send path acquires the runtime lock once per aggregate
-	// instead of once per message. Uses the batch shape regardless of
-	// Mode.
+	// instead of once per message.
 	Partitioned bool
 	// VCIs shards each proc's runtime into this many virtual communication
 	// interfaces (0/1 = the unsharded byte-identical runtime); VCIPolicy
@@ -108,23 +74,26 @@ func (p N2NParams) withDefaults() N2NParams {
 	if p.MsgBytes <= 0 {
 		p.MsgBytes = 1
 	}
-	if p.Window <= 0 {
-		p.Window = 32
-	}
 	if p.Windows <= 0 {
 		p.Windows = 8
 	}
 	if p.Seed == 0 {
 		p.Seed = 42
 	}
-	// Round the window up to a multiple of the peer count so every
-	// (src,dst) pair exchanges the same number of messages per cycle;
-	// otherwise receives posted for a specific peer could outnumber that
-	// peer's sends and the final Waitall would never finish.
-	if peers := p.Procs - 1; peers > 0 && p.Window%peers != 0 {
-		p.Window += peers - p.Window%peers
-	}
 	return p
+}
+
+// n2nWindow is the number of send (and receive) requests per thread per
+// cycle: 32, rounded up to a multiple of the peer count so every
+// (src,dst) pair exchanges the same number of messages per cycle;
+// otherwise receives posted for a specific peer could outnumber that
+// peer's sends and the final Waitall would never finish.
+func n2nWindow(peers int) int {
+	const window = 32
+	if window%peers == 0 {
+		return window
+	}
+	return window + peers - window%peers
 }
 
 // N2NResult aggregates the run.
@@ -146,10 +115,13 @@ type N2NResult struct {
 func N2N(p N2NParams) (N2NResult, error) {
 	p = p.withDefaults()
 	var res N2NResult
+	if p.Procs < 2 {
+		return res, fmt.Errorf("n2n: needs at least 2 processes, got %d", p.Procs)
+	}
+	window := n2nWindow(p.Procs - 1)
 	w, err := mpi.NewWorld(mpi.Config{
 		Topo:      machine.Nehalem2x4(p.Procs),
 		Lock:      p.Lock,
-		Binding:   p.Binding,
 		Seed:      p.Seed,
 		Fault:     p.Fault,
 		MaxWall:   p.MaxWall,
@@ -186,14 +158,14 @@ func N2N(p N2NParams) (N2NResult, error) {
 				tc = comms[t]
 			}
 			w.Spawn(rank, "n2n", func(th *mpi.Thread) {
-				runN2NThread(th, tc, p, rank, t, &endAt)
+				runN2NThread(th, tc, p, window, rank, t, &endAt)
 			})
 		}
 	}
 	if err := w.Run(); err != nil {
 		return res, fmt.Errorf("n2n(%v,%dB): %w", p.Lock, p.MsgBytes, err)
 	}
-	res.Messages = int64(p.Procs) * int64(p.Threads) * int64(p.Window) * int64(p.Windows)
+	res.Messages = int64(p.Procs) * int64(p.Threads) * int64(window) * int64(p.Windows)
 	res.SimNs = endAt
 	if endAt > 0 {
 		res.RateMsgsPerSec = float64(res.Messages) / (float64(endAt) / 1e9)
@@ -212,8 +184,11 @@ func N2N(p N2NParams) (N2NResult, error) {
 	return res, nil
 }
 
-// runN2NThread drives one benchmark thread in the configured mode.
-func runN2NThread(th *mpi.Thread, c *mpi.Comm, p N2NParams, rank, t int, endAt *int64) {
+// runN2NThread drives one benchmark thread: each cycle posts a window of
+// sends, then a window of receives, and completes them with Waitall — the
+// structure of the paper's benchmark, which derives from the windowed
+// throughput benchmark.
+func runN2NThread(th *mpi.Thread, c *mpi.Comm, p N2NParams, window, rank, t int, endAt *int64) {
 	peers := make([]int, 0, p.Procs-1)
 	for q := 0; q < p.Procs; q++ {
 		if q != rank {
@@ -231,93 +206,37 @@ func runN2NThread(th *mpi.Thread, c *mpi.Comm, p N2NParams, rank, t int, endAt *
 	}
 
 	if p.Partitioned {
-		runN2NPartitioned(th, c, p, t, peers, tag, stamp)
+		runN2NPartitioned(th, c, p, window, t, peers, tag, stamp)
 		return
 	}
 
-	type slot struct {
-		req  *mpi.Request
-		peer int
-		recv bool
-	}
-	issue := func(peer int, recv bool) slot {
-		th.S.Sleep(th.P.Cost().AppPerMessageWork)
-		if recv {
-			return slot{th.Irecv(c, peer, tag), peer, true}
+	// Sends go first, so arrivals race the receive posting: a thread
+	// starved at the main-path entry posts late and its peers' messages
+	// detour through the unexpected queue (§5.2).
+	rs := make([]*mpi.Request, 0, 2*window)
+	for win := 0; win < p.Windows; win++ {
+		rs = rs[:0]
+		for i := 0; i < window; i++ {
+			th.S.Sleep(th.P.Cost().AppPerMessageWork)
+			rs = append(rs, th.Isend(c, peers[(i+t)%len(peers)], tag, p.MsgBytes, nil))
 		}
-		return slot{th.Isend(c, peer, tag, p.MsgBytes, nil), peer, false}
-	}
-
-	switch p.Mode {
-	case N2NBatch:
-		// Sends go first, so arrivals race the receive posting: a thread
-		// starved at the main-path entry posts late and its peers'
-		// messages detour through the unexpected queue (§5.2).
-		rs := make([]*mpi.Request, 0, 2*p.Window)
-		for win := 0; win < p.Windows; win++ {
-			rs = rs[:0]
-			for i := 0; i < p.Window; i++ {
-				s := issue(peers[(i+t)%len(peers)], false)
-				rs = append(rs, s.req)
-			}
-			for i := 0; i < p.Window; i++ {
-				s := issue(peers[(i+t)%len(peers)], true)
-				rs = append(rs, s.req)
-			}
-			th.Waitall(rs) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Waitall
-			stamp()
+		for i := 0; i < window; i++ {
+			th.S.Sleep(th.P.Cost().AppPerMessageWork)
+			rs = append(rs, th.Irecv(c, peers[(i+t)%len(peers)], tag))
 		}
-
-	case N2NStream:
-		var q []slot
-		for i := 0; i < p.Window; i++ {
-			peer := peers[(i+t)%len(peers)]
-			q = append(q, issue(peer, false), issue(peer, true))
-		}
-		remaining := p.Window * (p.Windows - 1)
-		for len(q) > 0 {
-			s := q[0]
-			q = q[1:]
-			th.Wait(s.req) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
-			if s.recv && remaining > 0 {
-				remaining--
-				q = append(q, issue(s.peer, false), issue(s.peer, true))
-			}
-			stamp()
-		}
-
-	case N2NFreeRun:
-		var q []slot
-		for i := 0; i < p.Window; i++ {
-			peer := peers[(i+t)%len(peers)]
-			q = append(q, issue(peer, false), issue(peer, true))
-		}
-		sendsLeft := p.Window * (p.Windows - 1)
-		recvsLeft := sendsLeft
-		for len(q) > 0 {
-			s := q[0]
-			q = q[1:]
-			th.Wait(s.req) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
-			if s.recv && recvsLeft > 0 {
-				recvsLeft--
-				q = append(q, issue(s.peer, true))
-			} else if !s.recv && sendsLeft > 0 {
-				sendsLeft--
-				q = append(q, issue(s.peer, false))
-			}
-			stamp()
-		}
+		th.Waitall(rs) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Waitall
+		stamp()
 	}
 }
 
 // runN2NPartitioned drives one thread of the partitioned variant: the same
-// traffic volume as the batch shape — Window messages to and from every
+// traffic volume as the batch shape — window messages to and from every
 // peer group per cycle — but each per-message eager send becomes a Pready
 // on a persistent partitioned channel. The per-message application work is
 // identical; what disappears is the per-message runtime lock traffic,
 // replaced by one trigger (and one Pstart/Pwait pair) per peer per window.
-func runN2NPartitioned(th *mpi.Thread, c *mpi.Comm, p N2NParams, t int, peers []int, tag int, stamp func()) {
-	parts := p.Window / len(peers) // Window is rounded to a peer multiple
+func runN2NPartitioned(th *mpi.Thread, c *mpi.Comm, p N2NParams, window, t int, peers []int, tag int, stamp func()) {
+	parts := window / len(peers) // window is rounded to a peer multiple
 	psend := make([]*mpi.Prequest, len(peers))
 	precv := make([]*mpi.Prequest, len(peers))
 	for i, peer := range peers {
@@ -334,7 +253,7 @@ func runN2NPartitioned(th *mpi.Thread, c *mpi.Comm, p N2NParams, t int, peers []
 		// same application-level work per message, but the runtime call is
 		// a lock-free bitmap update (the last one per peer triggers that
 		// peer's aggregate).
-		for i := 0; i < p.Window; i++ {
+		for i := 0; i < window; i++ {
 			pi := (i + t) % len(peers)
 			th.S.Sleep(th.P.Cost().AppPerMessageWork)
 			th.Pready(psend[pi], next[pi]) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Pready

@@ -60,9 +60,7 @@ type PatternParams struct {
 	MsgBytes int64
 	// Msgs is the number of messages per thread pair.
 	Msgs int
-	// ComputeNs is the per-message computation in PatternComputeOverlap.
-	ComputeNs int64
-	Seed      uint64
+	Seed uint64
 	// Fault configures the fault-injection plane (zero = perfect network).
 	Fault fault.Config
 	// MaxWall bounds real run time in wall-clock ns (0 = unlimited).
@@ -78,9 +76,6 @@ func (p PatternParams) withDefaults() PatternParams {
 	}
 	if p.Msgs <= 0 {
 		p.Msgs = 64
-	}
-	if p.ComputeNs <= 0 {
-		p.ComputeNs = 2000
 	}
 	if p.Seed == 0 {
 		p.Seed = 42
@@ -188,20 +183,23 @@ func RunPattern(p PatternParams) (PatternResult, error) {
 		res.Messages = int64(p.Threads) * int64(p.Msgs)
 
 	case PatternComputeOverlap:
+		// overlapComputeNs is the per-message computation each side
+		// overlaps with its outstanding request.
+		const overlapComputeNs = 2000
 		for t := 0; t < p.Threads; t++ {
 			t := t
 			w.Spawn(0, "send", func(th *mpi.Thread) {
 				for i := 0; i < p.Msgs; i++ {
 					r := th.Isend(c, 1, t, p.MsgBytes, nil)
-					th.S.Sleep(p.ComputeNs) // overlapped computation
-					th.Wait(r)              //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
+					th.S.Sleep(overlapComputeNs) // overlapped computation
+					th.Wait(r)                   //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
 				}
 				stamp(th)
 			})
 			w.Spawn(1, "recv", func(th *mpi.Thread) {
 				for i := 0; i < p.Msgs; i++ {
 					r := th.Irecv(c, 0, t)
-					th.S.Sleep(p.ComputeNs)
+					th.S.Sleep(overlapComputeNs)
 					th.Wait(r) //simcheck:allow errdrop benchmark loop under the fatal handler; errors panic inside Wait
 				}
 				stamp(th)

@@ -58,7 +58,7 @@ func TestPatternFairLocksHelpConcurrentPairs(t *testing.T) {
 // sanity-check that Isend/Wait overlap works at all.
 func TestPatternOverlapBenefit(t *testing.T) {
 	r, err := RunPattern(PatternParams{Lock: simlock.KindTicket,
-		Pattern: PatternComputeOverlap, Threads: 4, Msgs: 32, ComputeNs: 2000})
+		Pattern: PatternComputeOverlap, Threads: 4, Msgs: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,6 +71,13 @@ const (
 	tagN2N       = 14
 )
 
+// Fixed shape of the recovery kernel.
+const (
+	recoveryMsgBytes    = 1024      // per-neighbour halo (or per-peer) message size
+	recoveryComputeNs   = 2000      // per-iteration computation time
+	recoveryDomainBytes = 256 << 10 // global domain redistributed after a shrink
+)
+
 // RecoveryParams configures the fault-tolerant iterative workload.
 type RecoveryParams struct {
 	Lock simlock.Kind
@@ -81,10 +88,6 @@ type RecoveryParams struct {
 	ProcsPerNode int
 	// Iters is the iteration count each rank must complete (default 64).
 	Iters int
-	// MsgBytes is the per-neighbour halo (or per-peer) message size.
-	MsgBytes int64
-	// ComputeNs is the per-iteration computation time (default 2µs).
-	ComputeNs int64
 	// Strategy selects the recovery scheme (default RecoverShrink).
 	Strategy RecoveryStrategy
 	// Kernel selects the communication structure (default KernelRing).
@@ -92,13 +95,6 @@ type RecoveryParams struct {
 	// CkptInterval is the checkpoint period in iterations (default 8;
 	// RecoverCheckpoint only).
 	CkptInterval int
-	// DomainBytes is the global domain size redistributed after a shrink
-	// (default 256 KiB).
-	DomainBytes int64
-	// NoAsyncProgress disables the per-rank asynchronous progress thread.
-	// By default it runs, so recovery traffic contends with the paper's
-	// §6.1.2 lock-monopolizing daemon — the regime the experiment studies.
-	NoAsyncProgress bool
 	// Fault configures the fault plane; Fault.Crashes is the failure
 	// schedule this workload exists to survive.
 	Fault fault.Config
@@ -116,17 +112,8 @@ func (p RecoveryParams) withDefaults() RecoveryParams {
 	if p.Iters <= 0 {
 		p.Iters = 64
 	}
-	if p.MsgBytes <= 0 {
-		p.MsgBytes = 1024
-	}
-	if p.ComputeNs <= 0 {
-		p.ComputeNs = 2000
-	}
 	if p.CkptInterval <= 0 {
 		p.CkptInterval = 8
-	}
-	if p.DomainBytes <= 0 {
-		p.DomainBytes = 256 << 10
 	}
 	if p.Seed == 0 {
 		p.Seed = 42
@@ -230,9 +217,10 @@ func Recovery(p RecoveryParams) (RecoveryResult, error) {
 
 	for rank := 0; rank < p.Procs; rank++ {
 		rank := rank
-		if !p.NoAsyncProgress {
-			w.SpawnAsyncProgress(rank)
-		}
+		// Every rank runs an asynchronous progress thread, so recovery
+		// traffic contends with the paper's §6.1.2 lock-monopolizing
+		// daemon — the regime the experiment studies.
+		w.SpawnAsyncProgress(rank)
 		w.Spawn(rank, "recovery", func(th *mpi.Thread) {
 			runRecoveryRank(th, c, p, rank, store, recoverNs, recoveries, finals)
 			finished[rank] = true
@@ -303,8 +291,8 @@ func runRecoveryRank(th *mpi.Thread, c *mpi.Comm, p RecoveryParams, rank int,
 			right := (me + 1) % n
 			rl := th.Irecv(cur, left, tagHaloRight)
 			rr := th.Irecv(cur, right, tagHaloLeft)
-			sr := th.Isend(cur, right, tagHaloRight, p.MsgBytes, nil)
-			sl := th.Isend(cur, left, tagHaloLeft, p.MsgBytes, nil)
+			sr := th.Isend(cur, right, tagHaloRight, recoveryMsgBytes, nil)
+			sl := th.Isend(cur, left, tagHaloLeft, recoveryMsgBytes, nil)
 			return th.Waitall([]*mpi.Request{rl, rr, sr, sl})
 		default: // KernelN2N
 			rs := make([]*mpi.Request, 0, 2*(n-1))
@@ -318,7 +306,7 @@ func runRecoveryRank(th *mpi.Thread, c *mpi.Comm, p RecoveryParams, rank int,
 				if q == me {
 					continue
 				}
-				rs = append(rs, th.Isend(cur, q, tagN2N, p.MsgBytes, nil))
+				rs = append(rs, th.Isend(cur, q, tagN2N, recoveryMsgBytes, nil))
 			}
 			return th.Waitall(rs)
 		}
@@ -375,7 +363,7 @@ func runRecoveryRank(th *mpi.Thread, c *mpi.Comm, p RecoveryParams, rank int,
 				// of the lost partition from its ring predecessor.
 				if n := cur.Size(); n > 1 {
 					me := cur.Rank(th)
-					share := p.DomainBytes / int64(n)
+					share := recoveryDomainBytes / int64(n)
 					rr := th.Irecv(cur, (me-1+n)%n, tagRedist)
 					sr := th.Isend(cur, (me+1)%n, tagRedist, share, nil)
 					if err := th.Waitall([]*mpi.Request{sr, rr}); err != nil {
@@ -399,7 +387,7 @@ func runRecoveryRank(th *mpi.Thread, c *mpi.Comm, p RecoveryParams, rank int,
 			recoverRound()
 			continue
 		}
-		th.S.Sleep(p.ComputeNs)
+		th.S.Sleep(recoveryComputeNs)
 		localSum += int64(iter)*7 + int64(rank) + 1
 		iter++
 	}

@@ -60,12 +60,6 @@ type ThroughputParams struct {
 	Tel *telemetry.Recorder
 }
 
-// throughputWithCost runs the benchmark under an explicit cost model.
-func throughputWithCost(p ThroughputParams, cm machine.CostModel) (ThroughputResult, error) {
-	p.Cost = cm
-	return Throughput(p)
-}
-
 // withDefaults fills unset fields.
 func (p ThroughputParams) withDefaults() ThroughputParams {
 	if p.Threads <= 0 {

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"mpicontend/internal/machine"
@@ -183,6 +185,45 @@ func TestN2NRuns(t *testing.T) {
 	}
 }
 
+// TestN2NOneProcRejected checks that N2N refuses a single process, which
+// has no peer to stream to, with a parameter error instead of a panic
+// inside a simthread, on the eager and the partitioned path.
+func TestN2NOneProcRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		partitioned bool
+	}{{"eager", false}, {"partitioned", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := N2N(N2NParams{Procs: 1, Threads: 2, Windows: 1, Partitioned: tc.partitioned})
+			var pe *sim.PanicError
+			if err == nil || errors.As(err, &pe) {
+				t.Fatalf("error %v, want a parameter error", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "n2n") || !strings.Contains(msg, "got 1") {
+				t.Errorf("error %q should name n2n and the process count", msg)
+			}
+		})
+	}
+}
+
+// TestN2NWindowShape checks the per-thread window: 32 requests, rounded
+// up to a multiple of the peer count, and that a run moves exactly
+// procs x threads x window x windows messages.
+func TestN2NWindowShape(t *testing.T) {
+	for _, tc := range []struct{ peers, want int }{{1, 32}, {2, 32}, {3, 33}, {5, 35}, {7, 35}} {
+		if got := n2nWindow(tc.peers); got != tc.want {
+			t.Errorf("n2nWindow(%d) = %d, want %d", tc.peers, got, tc.want)
+		}
+	}
+	r, err := N2N(N2NParams{Lock: simlock.KindTicket, Procs: 4, Threads: 2, MsgBytes: 64, Windows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(4 * 2 * 33 * 2); r.Messages != want {
+		t.Errorf("messages %d, want %d", r.Messages, want)
+	}
+}
+
 // TestN2NPriorityCompetitive checks the Fig. 6b comparison. Known
 // deviation (documented in EXPERIMENTS.md): the paper reports priority
 // +33% over ticket below 32 KB via avoided unexpected-queue detours; in
@@ -257,7 +298,7 @@ func TestN2NPartitioned(t *testing.T) {
 	for _, k := range []simlock.Kind{simlock.KindMutex, simlock.KindTicket, simlock.KindPriority, simlock.KindCohort} {
 		p := N2NParams{
 			Lock: k, Procs: 3, Threads: 4, MsgBytes: 64,
-			Window: 8, Windows: 3, PerThreadTags: true, Partitioned: true,
+			Windows: 3, PerThreadTags: true, Partitioned: true,
 		}
 		r, err := N2N(p)
 		if err != nil {
@@ -268,7 +309,7 @@ func TestN2NPartitioned(t *testing.T) {
 		}
 		p = p.withDefaults()
 		peers := p.Procs - 1
-		parts := p.Window / peers
+		parts := n2nWindow(peers) / peers
 		wantAgg := int64(p.Procs) * int64(p.Threads) * int64(peers) * int64(p.Windows)
 		if r.Part.Aggregates != wantAgg {
 			t.Errorf("%v: %d aggregates, want %d (one per peer per window per thread)", k, r.Part.Aggregates, wantAgg)
