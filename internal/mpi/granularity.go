@@ -100,7 +100,7 @@ func (c *csLock) enter(th *Thread, cl simlock.Class) {
 		from = th.S.Now()
 		c.tel.LockRequest(c.id, th.S.ID(), th.lctx.Place, from)
 	}
-	//simcheck:allow hotalloc lock layer: the futex mutex is checked from its own hotpath roots; the queue and priority locks still allocate per-waiter records
+	//simcheck:allow hotalloc lock layer: the futex mutex and the queue lock are checked from their own hotpath roots; the cohort lock builds a socket's lock on first use
 	c.lock.Acquire(&th.lctx, cl)
 	if c.tel != nil {
 		now := th.S.Now()

@@ -13,25 +13,18 @@ const cohortBatch = 8
 // inter-socket-traffic savings the paper's §7 wants from socket-aware
 // arbitration — but only for a bounded batch, so remote sockets cannot
 // starve (the failure mode §7 predicts for the naive policy, and which
-// SocketPriorityLock exhibits). It is an extension beyond the paper,
+// KindSocketPriority exhibits). It is an extension beyond the paper,
 // benchmarked in the "ablation-socketprio" experiment.
 type CohortLock struct {
 	cfg    *Config
-	global *TicketLock
+	global *queueLock
 	socks  map[int]*cohortSock
 }
 
 type cohortSock struct {
-	tl         *TicketLock
+	tl         *queueLock
 	cohortOwns bool // the global lock is held on behalf of this socket
 	batch      int
-}
-
-// NewCohortLock builds the two-level cohort lock.
-func NewCohortLock(cfg *Config) *CohortLock {
-	g := NewTicketLock(cfg)
-	g.name = "cohort_global"
-	return &CohortLock{cfg: cfg, global: g, socks: map[int]*cohortSock{}}
 }
 
 // Name returns the figure label of the lock.
@@ -41,9 +34,7 @@ func (l *CohortLock) sock(p machine.Place) *cohortSock {
 	key := p.Node*64 + p.Socket
 	s := l.socks[key]
 	if s == nil {
-		tl := NewTicketLock(l.cfg)
-		tl.name = "cohort_local"
-		s = &cohortSock{tl: tl}
+		s = &cohortSock{tl: newTicket(l.cfg, "cohort_local")}
 		l.socks[key] = s
 	}
 	return s
@@ -62,6 +53,8 @@ func (l *CohortLock) Acquire(c *Ctx, cl Class) {
 
 // Release hands off within the socket while waiters remain and the batch
 // allows; otherwise it releases the global lock so another socket runs.
+// The global lock was taken by whichever cohort member arrived first, so
+// its ownership moves to the releaser before it is released.
 func (l *CohortLock) Release(c *Ctx, cl Class) {
 	s := l.sock(c.Place)
 	if s.tl.HasWaiters() && s.batch < cohortBatch {
@@ -71,6 +64,7 @@ func (l *CohortLock) Release(c *Ctx, cl Class) {
 		return
 	}
 	s.batch = 0
+	l.global.TransferOwnership(c)
 	l.global.Release(c, cl)
 	s.tl.Release(c, cl)
 }

@@ -13,7 +13,7 @@ func TestDebugIncumbentVsOutsider(t *testing.T) {
 	eng := sim.NewEngine(3)
 	eng.MaxEvents = 5_000_000
 	cfg := &Config{Eng: eng, Cost: machine.Default()}
-	m := NewFutexMutex(cfg)
+	m := New(KindMutex, cfg)
 	topo := machine.Nehalem2x4(1)
 
 	incPlace := topo.PlaceOf(0, 1)

@@ -1,17 +1,24 @@
 // Package simlock implements the paper's critical-section arbitration
-// models on top of the discrete-event simulator: the NPTL futex mutex whose
-// user-space CAS race is biased by the memory hierarchy (§2.2, §4), the
-// FCFS ticket lock (§5.1, Fig. 4), and the two-level priority lock built
-// from ticket locks (§5.2, Fig. 7). TAS and MCS locks are included for the
-// related-work comparison (§8).
+// models on top of the discrete-event simulator, all built by New(kind):
+//
+//   - FutexMutex, the NPTL futex mutex whose user-space CAS race is biased
+//     by the memory hierarchy (§2.2, §4); without its futex sleep path it
+//     is the TAS spinlock of related work §8.
+//   - queueLock, one FCFS hand-off core for the ticket lock (§5.1, Fig. 4),
+//     the CLH and MCS queue locks (§8) and §7's socket-first ablation; the
+//     kinds differ only in three physics facts New sets.
+//   - PriorityLock, the two-level priority lock of §5.2 (Fig. 7), built
+//     from ticket locks, or from futex mutexes for §7's rejected variant.
+//   - CohortLock, a NUMA-aware extension nesting per-socket ticket locks
+//     under a global one.
 //
 // Arbitration emerges from modelled cache physics rather than being
 // scripted: a release dirties the lock's cache line at the releaser's core,
 // and each contender observes the release only after the line-transfer
 // latency from that core, plus its own spin-phase alignment and a small
 // seeded jitter. Futex-slept threads additionally pay a kernel wake-up
-// penalty. The earliest observer wins a mutex CAS race; a ticket release
-// instead hands off to the unique next ticket holder.
+// penalty. The earliest observer wins a mutex CAS race; a queue-lock
+// release instead hands off to the one waiter its kind serves next.
 //
 // The locks carry no observation hooks. The §4.3/§4.4 grant stream is
 // observed once, in the MPI runtime's critical-section wrapper, which
@@ -78,19 +85,26 @@ type Kind int
 const (
 	// KindMutex is the NPTL futex-based pthread mutex model (baseline).
 	KindMutex Kind = iota
-	// KindTicket is the FCFS ticket lock (§5.1).
+	// KindTicket is the FCFS ticket lock (§5.1): a queue lock whose
+	// waiters spin on the shared now_serving line, so a hand-off lands
+	// at the successor's next spin check.
 	KindTicket
-	// KindPriority is the two-level priority lock (§5.2, Fig. 7).
+	// KindPriority is the two-level priority lock (§5.2, Fig. 7) built
+	// from three ticket locks.
 	KindPriority
-	// KindTAS is a test-and-set spinlock (related work §8).
+	// KindTAS is a test-and-set spinlock (related work §8): the futex
+	// mutex's CAS race without its sleep path.
 	KindTAS
-	// KindMCS is the MCS queue lock (related work §8).
+	// KindMCS is the MCS queue lock (related work §8): FCFS, each waiter
+	// spinning on its own line, and an uncontended acquire charges no
+	// line fetch.
 	KindMCS
-	// KindPrioMutex stacks three futex mutexes in the priority-lock
-	// shape; §7 argues this cannot work. Included as an ablation.
+	// KindPrioMutex is the Fig. 7 shape built from three futex mutexes;
+	// §7 argues this cannot work. Included as an ablation.
 	KindPrioMutex
-	// KindSocketPriority is the socket-aware priority variant §7 warns
-	// may starve remote sockets. Included as an ablation.
+	// KindSocketPriority is the queue lock serving the releaser's socket
+	// first, the socket-aware variant §7 warns may starve remote
+	// sockets. Included as an ablation.
 	KindSocketPriority
 	// KindNone disables locking entirely, modelling MPI_THREAD_SINGLE
 	// (valid only with one runtime thread per process).
@@ -99,9 +113,9 @@ const (
 	// hand-offs with a bounded batch (extension; the principled version
 	// of §7's socket-aware idea).
 	KindCohort
-	// KindCLH is the CLH queue lock: FCFS like the ticket lock, but each
-	// waiter spins locally on its predecessor's node line, so hand-offs
-	// skip the shared-line spin-phase alignment (related work §8).
+	// KindCLH is the CLH queue lock (related work §8): FCFS like the
+	// ticket lock, but each waiter spins locally on its predecessor's
+	// node line, so hand-offs skip the shared-line spin-check rounding.
 	KindCLH
 )
 
@@ -164,29 +178,34 @@ func (NullLock) Release(*Ctx, Class) {}
 // Name returns the figure label ("Single").
 func (NullLock) Name() string { return "Single" }
 
-// New constructs a lock of the given kind.
+// New constructs a lock of the given kind. It is the only constructor:
+// the queue-lock kinds differ only in the physics facts set here.
 func New(k Kind, cfg *Config) Lock {
 	switch k {
 	case KindMutex:
-		return NewFutexMutex(cfg)
+		return newFutexMutex(cfg, "Mutex", false)
 	case KindTicket:
-		return NewTicketLock(cfg)
+		return newTicket(cfg, "Ticket")
 	case KindPriority:
-		return NewPriorityLock(cfg)
+		b := newTicket(cfg, "ticket_B")
+		b.fetchFree = false // fetched alongside ticket_H's line
+		return &PriorityLock{name: "Priority", h: newTicket(cfg, "ticket_H"),
+			l: newTicket(cfg, "ticket_L"), b: b}
 	case KindTAS:
-		return NewTASLock(cfg)
+		return newFutexMutex(cfg, "TAS", true)
 	case KindMCS:
-		return NewMCSLock(cfg)
+		return &queueLock{cfg: cfg, name: "MCS"}
 	case KindPrioMutex:
-		return NewPrioMutexLock(cfg)
+		return &PriorityLock{name: "PrioMutex", h: newFutexMutex(cfg, "Mutex", false),
+			l: newFutexMutex(cfg, "Mutex", false), b: newFutexMutex(cfg, "Mutex", false)}
 	case KindSocketPriority:
-		return NewSocketPriorityLock(cfg)
+		return &queueLock{cfg: cfg, name: "SocketPriority", fetchFree: true, socketFirst: true}
 	case KindNone:
 		return NullLock{}
 	case KindCohort:
-		return NewCohortLock(cfg)
+		return &CohortLock{cfg: cfg, global: newTicket(cfg, "cohort_global"), socks: map[int]*cohortSock{}}
 	case KindCLH:
-		return NewCLHLock(cfg)
+		return &queueLock{cfg: cfg, name: "CLH", fetchFree: true}
 	default:
 		panic("simlock: unknown kind")
 	}

@@ -244,7 +244,7 @@ func TestPriorityHighBeatsLow(t *testing.T) {
 	topo := machine.Nehalem2x4(1)
 	var waiting telemetry.WaitSet
 	var grants []telemetry.Grant
-	lock := NewPriorityLock(&Config{Eng: eng, Cost: machine.Default()})
+	lock := New(KindPriority, &Config{Eng: eng, Cost: machine.Default()})
 	// Three low-priority pollers hammer the lock.
 	for i := 0; i < 3; i++ {
 		place := topo.Bind(machine.Compact, 0, 0, 8, i)
@@ -337,6 +337,51 @@ func TestSocketPriorityStarvation(t *testing.T) {
 	}
 	if s0 <= s1*2 {
 		t.Errorf("expected socket-0 hoarding, got s0=%d s1=%d", s0, s1)
+	}
+}
+
+// TestSocketPriorityServesOldestRemote: when the releaser's socket has no
+// waiter, the socket-priority lock serves the oldest waiter anywhere, not
+// the head of whichever socket queued first. The rules differ only with
+// three or more sockets waiting at once, so the threads sit on three
+// sockets across two nodes. Socket b queues first (t=1000), a next
+// (x at ~10100), c last-but-one (22000) and b again (~25000): x's second
+// release, with a empty, must serve c before b's younger waiter.
+func TestSocketPriorityServesOldestRemote(t *testing.T) {
+	eng := sim.NewEngine(1)
+	lock := New(KindSocketPriority, &Config{Eng: eng, Cost: machine.Default()})
+	var order []string
+	spawn := func(name string, place machine.Place, script func(cs func(), th *sim.Thread)) {
+		eng.Spawn(name, func(th *sim.Thread) {
+			c := &Ctx{T: th, Place: place}
+			script(func() {
+				lock.Acquire(c, High)
+				order = append(order, name)
+				th.Sleep(10_000)
+				lock.Release(c, High)
+			}, th)
+		})
+	}
+	spawn("x", machine.Place{Node: 0, Socket: 0}, func(cs func(), th *sim.Thread) {
+		cs() // 0 .. 10000: b queues behind it
+		th.Sleep(100)
+		cs() // queues behind b; granted at b's release
+	})
+	spawn("b", machine.Place{Node: 0, Socket: 1}, func(cs func(), th *sim.Thread) {
+		th.Sleep(1_000)
+		cs() // ~10000 .. ~20000, then serves x: socket 1 has no waiter
+		th.Sleep(5_000)
+		cs() // queues at ~25000, behind c
+	})
+	spawn("c", machine.Place{Node: 1, Socket: 0}, func(cs func(), th *sim.Thread) {
+		th.Sleep(22_000)
+		cs() // queues while x holds
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, ","), "x,b,x,c,b"; got != want {
+		t.Fatalf("grant order %s, want %s", got, want)
 	}
 }
 

@@ -105,22 +105,13 @@ type FutexMutex struct {
 	sleepFn func(interface{})
 
 	// spinForever disables the futex path entirely, turning the model
-	// into a plain test-and-set spinlock (used by TASLock).
+	// into a plain test-and-set spinlock (KindTAS).
 	spinForever bool
 	name        string
 }
 
-// NewFutexMutex returns the baseline pthread-mutex model.
-func NewFutexMutex(cfg *Config) *FutexMutex {
-	return newFutexMutex(cfg, "Mutex", false)
-}
-
-// NewTASLock returns a test-and-set spinlock: the same CAS race as the
-// mutex but without the futex sleep path (related work §8).
-func NewTASLock(cfg *Config) *FutexMutex {
-	return newFutexMutex(cfg, "TAS", true)
-}
-
+// newFutexMutex returns the pthread-mutex model named name; spinForever
+// drops the futex sleep path, leaving a test-and-set spinlock (TAS).
 func newFutexMutex(cfg *Config, name string, spinForever bool) *FutexMutex {
 	m := &FutexMutex{cfg: cfg, spinForever: spinForever, name: name}
 	m.grantFn = func(w interface{}) { m.grant(w.(*mutexWaiter)) }
@@ -130,9 +121,6 @@ func newFutexMutex(cfg *Config, name string, spinForever bool) *FutexMutex {
 
 // Name returns the figure label of the lock.
 func (m *FutexMutex) Name() string { return m.name }
-
-// Holder returns the current owner context, or nil when free.
-func (m *FutexMutex) Holder() *Ctx { return m.holder }
 
 // TransferOwnership reassigns the held lock to ctx so that ctx may release
 // it. Used by lock compositions where logical ownership migrates between
@@ -144,8 +132,9 @@ func (m *FutexMutex) TransferOwnership(to *Ctx) {
 	m.holder = to
 }
 
-// ContenderCount returns the number of threads currently waiting.
-func (m *FutexMutex) ContenderCount() int { return m.spinners.n + m.sleepers.n }
+// HasWaiters reports whether any thread is spinning or sleeping on the
+// mutex.
+func (m *FutexMutex) HasWaiters() bool { return m.spinners.n+m.sleepers.n > 0 }
 
 // casArrival computes when ctx's compare-and-swap would land if issued in
 // reaction to the line being (or becoming) visible at base time.

@@ -87,33 +87,40 @@ func (h *contention) run(t *testing.T, nthreads, iters int) {
 	}
 }
 
-// TestMutexAllocsPerGrant is the allocation gate of the futex mutex: once
-// its waiter pool and the engine's event pool have warmed up, an
-// acquire/grant/release cycle — steal, spinner-to-sleeper and FUTEX_WAKE
-// paths included — allocates nothing. The bound leaves room for stray
-// runtime allocations only.
+// TestMutexAllocsPerGrant is the allocation gate of every lock kind: once
+// the locks' waiter pools and rings and the engine's event pool have
+// warmed up, an acquire/grant/release cycle allocates nothing. For the
+// futex mutex that includes the steal, spinner-to-sleeper and FUTEX_WAKE
+// paths. The bound leaves room for stray runtime allocations only.
 func TestMutexAllocsPerGrant(t *testing.T) {
 	const threads, iters, warm = 8, 2000, 1000
-	h := newContention(KindMutex, 11)
-	var ms runtime.MemStats
-	var mallocs0 uint64
-	h.onGrant = func(g int) {
-		if g == warm {
-			runtime.ReadMemStats(&ms)
-			mallocs0 = ms.Mallocs
+	for k := KindMutex; k.Valid(); k++ {
+		if k == KindNone {
+			continue
 		}
-	}
-	h.run(t, threads, iters)
-	runtime.ReadMemStats(&ms)
-	if h.steals == 0 || h.wakes == 0 {
-		t.Fatalf("workload missed a path: %d steals, %d futex wakes", h.steals, h.wakes)
-	}
-	measured := h.grants - warm
-	perGrant := float64(ms.Mallocs-mallocs0) / float64(measured)
-	t.Logf("%d grants (%d steals, %d futex wakes): %.4f allocs/grant after warm-up",
-		h.grants, h.steals, h.wakes, perGrant)
-	if perGrant > 0.1 {
-		t.Fatalf("%.4f allocs per mutex grant, want <= 0.1", perGrant)
+		t.Run(k.String(), func(t *testing.T) {
+			h := newContention(k, 11)
+			var ms runtime.MemStats
+			var mallocs0 uint64
+			h.onGrant = func(g int) {
+				if g == warm {
+					runtime.ReadMemStats(&ms)
+					mallocs0 = ms.Mallocs
+				}
+			}
+			h.run(t, threads, iters)
+			runtime.ReadMemStats(&ms)
+			if h.mutex != nil && (h.steals == 0 || h.wakes == 0) {
+				t.Fatalf("workload missed a path: %d steals, %d futex wakes", h.steals, h.wakes)
+			}
+			measured := h.grants - warm
+			perGrant := float64(ms.Mallocs-mallocs0) / float64(measured)
+			t.Logf("%d grants (%d steals, %d futex wakes): %.4f allocs/grant after warm-up",
+				h.grants, h.steals, h.wakes, perGrant)
+			if perGrant > 0.1 {
+				t.Fatalf("%.4f allocs per %s grant, want <= 0.1", perGrant, k)
+			}
+		})
 	}
 }
 

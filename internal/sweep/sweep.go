@@ -19,7 +19,9 @@
 // early groups finish, and stream out, first. Scheduling order is
 // intentionally unobservable: results land in a slice indexed by job, and
 // OrderedMerge re-serializes streamed completions, so callers cannot
-// distinguish worker counts by anything but wall-clock time.
+// distinguish worker counts by anything but wall-clock time. A failing job
+// stops the claiming of jobs above it at any worker count; the jobs below
+// it still run, so the reported failure is the lowest failing index.
 package sweep
 
 import (
@@ -48,48 +50,44 @@ func clampWorkers(workers, n int) int {
 	return workers
 }
 
-// Map runs fn(0) .. fn(n-1) across a pool of workers goroutines and
-// returns the results in index order. workers <= 1 runs serially on the
-// calling goroutine (the exact code path a serial caller would have
-// written); workers <= 0 means DefaultWorkers.
+// Map runs fn(0) .. fn(n-1) across workers workers and returns the results
+// in index order. The calling goroutine is one of the workers, so one
+// worker runs every job serially on the caller; workers <= 0 means
+// DefaultWorkers.
 //
-// Every job runs to completion even if another job fails, so a partial
-// failure still yields a deterministic outcome: the returned error is the
-// one from the lowest failing index, independent of scheduling.
+// A failure stops the claiming of jobs above it: a job whose index is
+// higher than a known failure is skipped, and its result stays the zero
+// value. Every job below the lowest failing index still runs, so the
+// returned error is the one from the lowest failing index, independent of
+// scheduling.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
-	if n == 0 {
-		return results, nil
-	}
-	if workers = clampWorkers(workers, n); workers == 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("sweep: job %d: %w", i, err)
-			}
-			results[i] = v
-		}
-		return results, firstErr
-	}
-
-	var next atomic.Int64 // the lowest unclaimed job index
 	errs := make([]error, n)
+	var next atomic.Int64   // the lowest unclaimed job index
+	var failed atomic.Int64 // the lowest failing job index, n while none
+	failed.Store(int64(n))
+	work := func() {
+		for i := next.Add(1) - 1; i < failed.Load(); i = next.Add(1) - 1 {
+			results[i], errs[i] = fn(int(i))
+			if errs[i] == nil {
+				continue
+			}
+			for f := failed.Load(); i < f && !failed.CompareAndSwap(f, i); f = failed.Load() {
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := clampWorkers(workers, n); w > 1; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				results[i], errs[i] = fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return results, fmt.Errorf("sweep: job %d: %w", i, err)
-		}
+	if f := failed.Load(); f < int64(n) {
+		return results, fmt.Errorf("sweep: job %d: %w", f, errs[f])
 	}
 	return results, nil
 }

@@ -72,14 +72,18 @@ func TestMapZeroAndDefaults(t *testing.T) {
 	}
 }
 
-// TestMapErrorIsLowestIndex checks the deterministic error contract: all
-// jobs run, and the reported error is the lowest failing index no matter
-// the scheduling.
+// TestMapErrorIsLowestIndex checks the deterministic error contract: the
+// reported error is the lowest failing index no matter the scheduling,
+// every job below it runs, and no job above a known failure is claimed.
+// One worker claims in order, so it runs exactly jobs 0..13.
 func TestMapErrorIsLowestIndex(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		var ran int64
+		var mu sync.Mutex
+		ran := map[int]bool{}
 		_, err := Map(workers, 50, func(i int) (int, error) {
-			atomic.AddInt64(&ran, 1)
+			mu.Lock()
+			ran[i] = true
+			mu.Unlock()
 			if i == 13 || i == 37 {
 				return 0, fmt.Errorf("boom %d", i)
 			}
@@ -88,15 +92,20 @@ func TestMapErrorIsLowestIndex(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "job 13") {
 			t.Fatalf("workers=%d: err = %v, want job 13", workers, err)
 		}
-		if ran != 50 {
-			t.Fatalf("workers=%d: ran %d jobs, want all 50", workers, ran)
+		for i := 0; i <= 13; i++ {
+			if !ran[i] {
+				t.Fatalf("workers=%d: job %d below the failure did not run", workers, i)
+			}
+		}
+		if workers == 1 && len(ran) != 14 {
+			t.Fatalf("workers=1: ran %d jobs, want exactly jobs 0..13", len(ran))
 		}
 	}
 }
 
 // TestMapSimthreadPanicIsJobError checks that a point whose simthread
 // panics fails as that job's error instead of crashing the sweep, and
-// that the other points' results are intact.
+// that the results of the points below it are intact.
 func TestMapSimthreadPanicIsJobError(t *testing.T) {
 	job := func(i int) (sim.Time, error) {
 		e := sim.NewEngine(uint64(i + 1))
@@ -120,8 +129,13 @@ func TestMapSimthreadPanicIsJobError(t *testing.T) {
 		if pe.Thread != "point2" || pe.Time != 12 {
 			t.Fatalf("workers=%d: panic in %q at %d, want point2 at 12", workers, pe.Thread, pe.Time)
 		}
-		if want := []sim.Time{10, 11, 0, 13}; fmt.Sprint(res) != fmt.Sprint(want) {
-			t.Fatalf("workers=%d: results %v, want %v", workers, res, want)
+		// Jobs below the failure keep their results; job 3, above it, is
+		// skipped unless a second worker claimed it before job 2 failed.
+		if want := []sim.Time{10, 11, 0}; fmt.Sprint(res[:3]) != fmt.Sprint(want) {
+			t.Fatalf("workers=%d: results %v, want %v first", workers, res, want)
+		}
+		if workers == 1 && res[3] != 0 {
+			t.Fatalf("workers=1: job 3 above the failure ran (result %v)", res[3])
 		}
 	}
 }

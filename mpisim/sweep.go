@@ -72,9 +72,10 @@ func SweepFunc(c SweepConfig, emit func(SweepResult) error) error {
 }
 
 // RunPoints exposes the sweep orchestrator for custom parameter studies:
-// it executes run(0) .. run(n-1) across jobs workers (jobs 1 = serial,
-// <= 0 = one per CPU) and returns the lowest failing index's error, if
-// any. Each callback must be self-contained the way the library's own
+// it executes run(0) .. run(n-1) across jobs workers (jobs 1 = serial on
+// the caller, <= 0 = one per CPU) and returns the lowest failing index's
+// error, if any. Once an index fails, no index above it is started. Each
+// callback must be self-contained the way the library's own
 // experiment points are — build a fresh config per index and let the
 // facade construct its own engine — and then any jobs value yields
 // identical results.
