@@ -1,17 +1,16 @@
 // Package errdrop flags completion calls on the simulated MPI runtime
 // whose result is silently discarded: a bare statement (or a blank
-// assignment) of Thread.Wait, Waitall, Waitany, Waitsome, Test or
-// Testall, or of the partitioned Pready, PreadyRange, Parrived and Pwait,
-// and a multi-value assignment that sends the error result of one of
-// them (Test's, Parrived's) to the blank identifier. With the fault plane
+// assignment) of Thread.Wait, Waitall, Test or Testall, or of the
+// partitioned Pready, Parrived and Pwait, and a multi-value assignment
+// that sends the error result of one of them (Test's, Parrived's) to the
+// blank identifier. With the fault plane
 // armed these calls are the only place ErrProcFailed, ErrRevoked, or
 // ErrTimeout can surface; dropping the result turns a detected rank
 // failure back into a silent hang or wrong answer — the exact bug class
 // the recovery machinery exists to prevent.
-// Waitany, Waitsome and Testall return no error themselves, but under
-// MPI_ERRORS_RETURN their result is the only way to learn which
-// request's Err to read, and a dropped Testall result also loses the
-// requests still pending.
+// Testall returns no error itself, but under MPI_ERRORS_RETURN its result
+// is the only way to learn which requests are still pending; dropping it
+// leaks them.
 //
 // Call sites that are legitimately fire-and-forget (benchmark inner loops
 // on fault-free worlds, fatal-error-handler code where errors panic
@@ -30,8 +29,8 @@ import (
 // Analyzer is the errdrop rule.
 var Analyzer = &analysis.Analyzer{
 	Name: "errdrop",
-	Doc: "the result of Thread.Wait/Waitall/Waitany/Waitsome/Test/Testall " +
-		"and of the partitioned Pready/PreadyRange/Parrived/Pwait " +
+	Doc: "the result of Thread.Wait/Waitall/Test/Testall " +
+		"and of the partitioned Pready/Parrived/Pwait " +
 		"must be consumed; a discarded result swallows process-failure, " +
 		"revocation, and timeout errors",
 	Applies: func(path string) bool {
@@ -43,17 +42,14 @@ var Analyzer = &analysis.Analyzer{
 // dropped names the completion methods whose result must be consumed,
 // with the reason shown in the diagnostic.
 var dropped = map[string]string{
-	"Wait":     "error",
-	"Waitall":  "first error",
-	"Waitany":  "index of the request whose error to read",
-	"Waitsome": "indices of the requests whose errors to read",
-	"Test":     "completion flag and error",
-	"Testall":  "pending requests (dropping it leaks them)",
+	"Wait":    "error",
+	"Waitall": "first error",
+	"Test":    "completion flag and error",
+	"Testall": "pending requests (dropping it leaks them)",
 
-	"Pready":      "error",
-	"PreadyRange": "error",
-	"Parrived":    "arrival flag and error",
-	"Pwait":       "error",
+	"Pready":   "error",
+	"Parrived": "arrival flag and error",
+	"Pwait":    "error",
 }
 
 func run(pass *analysis.Pass) error {

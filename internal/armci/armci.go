@@ -107,11 +107,6 @@ func (rt *Runtime) Get(th *mpi.Thread, target int, offset, n int64) []float64 {
 	return rt.Wait(th, rt.NbGet(th, target, offset, n))
 }
 
-// Acc is the blocking contiguous accumulate.
-func (rt *Runtime) Acc(th *mpi.Thread, target int, offset int64, vals []float64) {
-	rt.Wait(th, rt.NbAcc(th, target, offset, vals))
-}
-
 // Fence completes all outstanding operations this process issued to the
 // target. With the blocking API above, operations complete eagerly; Fence
 // exists for the nonblocking path: pass the handles still in flight.

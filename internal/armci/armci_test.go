@@ -52,7 +52,7 @@ func TestAccumulate(t *testing.T) {
 	w.SpawnAsyncProgress(3)
 	w.Spawn(0, "client", func(th *mpi.Thread) {
 		for i := 0; i < 4; i++ {
-			rt.Acc(th, 3, 0, []float64{2, 5})
+			rt.Wait(th, rt.NbAcc(th, 3, 0, []float64{2, 5}))
 		}
 	})
 	if err := w.Run(); err != nil {

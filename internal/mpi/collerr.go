@@ -1,9 +1,9 @@
 package mpi
 
 // Error-propagating collectives: they return the first failure, which
-// recovery code needs under MPI_ERRORS_RETURN. Barrier, AllreduceSum and
-// AllreduceMax in coll.go are these with the error dropped (acceptable
-// under MPI_ERRORS_ARE_FATAL, where the handler panics first).
+// recovery code needs under MPI_ERRORS_RETURN. Barrier and AllreduceSum
+// in coll.go are these with the error dropped (acceptable under
+// MPI_ERRORS_ARE_FATAL, where the handler panics first).
 //
 // Deadline audit (see also the regression test in ft_test.go): collectives
 // are built entirely on the point-to-point issue paths, so armDeadline —
@@ -43,7 +43,8 @@ func (th *Thread) AllreduceSumErr(c *Comm, val int64) (int64, error) {
 	return th.allreduceErr(c, val, func(a, b int64) int64 { return a + b })
 }
 
-// AllreduceMaxErr is AllreduceMax with error propagation.
+// AllreduceMaxErr reduces val with max across ranks, with error
+// propagation.
 func (th *Thread) AllreduceMaxErr(c *Comm, val int64) (int64, error) {
 	return th.allreduceErr(c, val, func(a, b int64) int64 {
 		if a > b {

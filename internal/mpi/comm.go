@@ -5,9 +5,9 @@ import (
 	"sort"
 )
 
-// This file generalizes communicators beyond MPI_COMM_WORLD: Dup creates a
-// disjoint matching context over the same group, Split partitions a
-// communicator by color, as in MPI_Comm_split. Point-to-point source/dest
+// This file generalizes communicators beyond MPI_COMM_WORLD: SetupComm
+// gives a disjoint matching context over the world group, Split partitions
+// a communicator by color, as in MPI_Comm_split. Point-to-point source/dest
 // arguments and collective ranks are always communicator-local; the
 // runtime translates to world ranks for routing and matches on
 // (context, comm-local source, tag).
@@ -89,24 +89,10 @@ func (w *World) allocCtx() int {
 // communicator the application dup'ed in its init phase, outside the
 // timed region — the per-thread-communicator pattern the VCI literature
 // recommends — without simulating the setup collective itself. Context
-// ids come from the same counter as Dup/Split, so setup comms and
+// ids come from the same counter as Split and Shrink, so setup comms and
 // run-time comms never collide.
 func (w *World) SetupComm() *Comm {
 	return &Comm{w: w, ctx: w.allocCtx(), size: len(w.Procs)}
-}
-
-// Dup creates a communicator over the same group with a fresh matching
-// context. Collective: every member must call it.
-func (th *Thread) Dup(c *Comm) *Comm {
-	if !c.Member(th) {
-		panic("mpi: Dup by non-member")
-	}
-	var ctx int64
-	if c.Rank(th) == 0 {
-		ctx = int64(c.w.allocCtx())
-	}
-	ctx = int64(th.Bcast(c, 0, 8, ctx).(int64))
-	return &Comm{w: c.w, ctx: int(ctx), size: c.size, ranks: c.ranks}
 }
 
 // splitEntry is one rank's contribution to a Split.

@@ -5,15 +5,14 @@ import "testing"
 func TestCommDupSeparatesMatching(t *testing.T) {
 	w := testWorld(t, 2)
 	c := w.Comm()
+	dup := w.SetupComm()
 	var fromDup, fromWorld interface{}
 	w.Spawn(0, "s", func(th *Thread) {
-		dup := th.Dup(c)
 		// Same (dst, tag) on both communicators; contexts must separate.
 		th.Send(dup, 1, 3, 8, "dup")
 		th.Send(c, 1, 3, 8, "world")
 	})
 	w.Spawn(1, "r", func(th *Thread) {
-		dup := th.Dup(c)
 		fromWorld = th.Recv(c, 0, 3)
 		fromDup = th.Recv(dup, 0, 3)
 	})
@@ -148,11 +147,11 @@ func TestCommDupCollectives(t *testing.T) {
 	for r := 0; r < nodes; r++ {
 		r := r
 		w.Spawn(r, "p", func(th *Thread) {
-			dup := th.Dup(c)
-			if got := th.AllreduceSum(dup, 1); got != int64(nodes) {
-				t.Errorf("rank %d: allreduce on dup = %d", r, got)
+			sub := th.Split(c, 0, r)
+			if got := th.AllreduceSum(sub, 1); got != int64(nodes) {
+				t.Errorf("rank %d: allreduce on split comm = %d", r, got)
 			}
-			th.Barrier(dup)
+			th.Barrier(sub)
 		})
 	}
 	if err := w.Run(); err != nil {

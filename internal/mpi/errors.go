@@ -29,10 +29,10 @@ const (
 	// ErrRevoked reports an operation on (or interrupted by) a revoked
 	// communicator (ULFM MPI_ERR_REVOKED).
 	ErrRevoked
-	// ErrPartInactive reports Pready/PreadyRange/Parrived on a
-	// partitioned request with no active epoch: before the first Start,
-	// or after Wait consumed the epoch (MPI-4.0 semantics; documented
-	// error of partitioned.go).
+	// ErrPartInactive reports Pready/Parrived on a partitioned request
+	// with no active epoch: before the first Start, or after Wait
+	// consumed the epoch (MPI-4.0 semantics; documented error of
+	// partitioned.go).
 	ErrPartInactive
 	// ErrPartDoubleReady reports Pready on a partition already marked
 	// ready in the current epoch. MPI-4.0 declares this erroneous; the
@@ -95,8 +95,8 @@ const (
 	ErrhandlerInherit Errhandler = iota
 	// ErrorsAreFatal panics on the first request error (the MPI default).
 	ErrorsAreFatal
-	// ErrorsReturn surfaces errors as return values of Wait/Waitall and
-	// via Request.Err after Waitany, Waitsome, Test and Testall.
+	// ErrorsReturn surfaces errors as return values of Wait, Waitall
+	// and Test, and via Request.Err after Testall.
 	ErrorsReturn
 )
 

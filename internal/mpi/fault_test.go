@@ -484,7 +484,7 @@ func TestPartitionedRetransmitOnlyUnackedRanges(t *testing.T) {
 		ps := th.PsendInit(c, 1, 7, parts, 64, "chaos")
 		for e := 0; e < epochs; e++ {
 			th.Pstart(ps)
-			if err := th.PreadyRange(ps, 0, parts); err != nil {
+			if err := th.preadyRange(ps, 0, parts); err != nil {
 				t.Errorf("epoch %d: %v", e, err)
 			}
 			if err := th.Pwait(ps); err != nil {

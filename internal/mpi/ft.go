@@ -4,7 +4,7 @@ package mpi
 // fail-stop crashes (fault.CrashSpec), the deterministic sim-time heartbeat
 // failure detector, and the bookkeeping that turns a peer's silence into
 // ErrProcFailed on every request that can no longer complete. The ULFM-style
-// recovery primitives built on top (Revoke/Shrink/Agree) live in ulfm.go.
+// recovery primitives built on top (Revoke/Shrink) live in ulfm.go.
 //
 // Everything here is gated on a non-empty crash schedule: with no crashes
 // configured, no ftProc is allocated, zero timers are armed and every hook
@@ -37,13 +37,13 @@ type ftWorld struct {
 	detectedAt []sim.Time
 
 	// errPathLocks counts critical-section acquisitions made by threads
-	// inside recovery code (Revoke/Shrink/Agree and workload error
+	// inside recovery code (Revoke/Shrink and workload error
 	// handling) — the "lock acquisitions spent on the error path" metric.
 	errPathLocks int64
 
 	// Recovery-primitive counters.
-	revokes, shrinks, agrees int64
-	deadAborts               int64 // transport sends aborted into dead peers
+	revokes, shrinks int64
+	deadAborts       int64 // transport sends aborted into dead peers
 }
 
 // ftProc is one process's fault-tolerance state (nil without crashes).
@@ -336,8 +336,8 @@ type RecoveryStats struct {
 	// ErrPathLocks counts critical-section acquisitions by threads
 	// executing recovery code.
 	ErrPathLocks int64
-	// Revokes/Shrinks/Agrees count recovery-primitive invocations.
-	Revokes, Shrinks, Agrees int64
+	// Revokes/Shrinks count recovery-primitive invocations.
+	Revokes, Shrinks int64
 	// DeadAborts counts transport sends aborted at a dead-peer check
 	// instead of retransmitting into the blackhole.
 	DeadAborts int64
@@ -367,7 +367,6 @@ func (w *World) Recovery() RecoveryStats {
 	s.ErrPathLocks = w.ft.errPathLocks
 	s.Revokes = w.ft.revokes
 	s.Shrinks = w.ft.shrinks
-	s.Agrees = w.ft.agrees
 	s.DeadAborts = w.ft.deadAborts
 	return s
 }

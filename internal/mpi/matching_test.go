@@ -174,8 +174,8 @@ func TestPartitionedChannelDisjoint(t *testing.T) {
 		// already-posted regular receives would capture the aggregate.
 		ps := th.PsendInit(c, 1, tag, parts, 64, "partitioned")
 		th.Pstart(ps)
-		if err := th.PreadyRange(ps, 0, parts); err != nil {
-			t.Errorf("PreadyRange: %v", err)
+		if err := th.preadyRange(ps, 0, parts); err != nil {
+			t.Errorf("preadyRange: %v", err)
 		}
 		if err := th.Pwait(ps); err != nil {
 			t.Errorf("Pwait: %v", err)
@@ -236,9 +236,9 @@ func TestPartitionedErrorCodes(t *testing.T) {
 			t.Errorf("first Pready: %v", err)
 		}
 		wantCode(th.Pready(ps, 0), ErrPartDoubleReady, "second Pready")
-		wantCode(th.PreadyRange(ps, 0, parts), ErrPartDoubleReady, "overlapping PreadyRange")
-		if err := th.PreadyRange(ps, 1, parts); err != nil {
-			t.Errorf("completing PreadyRange: %v", err)
+		wantCode(th.preadyRange(ps, 0, parts), ErrPartDoubleReady, "overlapping preadyRange")
+		if err := th.preadyRange(ps, 1, parts); err != nil {
+			t.Errorf("completing preadyRange: %v", err)
 		}
 		if err := th.Pwait(ps); err != nil {
 			t.Errorf("Pwait: %v", err)

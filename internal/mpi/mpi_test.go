@@ -444,9 +444,9 @@ func TestAllreduceMax(t *testing.T) {
 	for r := 0; r < nodes; r++ {
 		r := r
 		w.Spawn(r, "p", func(th *Thread) {
-			got := th.AllreduceMax(c, int64(r*10))
-			if got != 40 {
-				t.Errorf("rank %d: max = %d", r, got)
+			got, err := th.AllreduceMaxErr(c, int64(r*10))
+			if err != nil || got != 40 {
+				t.Errorf("rank %d: max = %d, %v", r, got, err)
 			}
 		})
 	}
@@ -584,9 +584,9 @@ func TestIntraNodeMessaging(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		r := r
 		w.Spawn(r, "p", func(th *Thread) {
-			got := th.Sendrecv(c, (r+1)%4, 0, 8, r, (r+3)%4, 0)
-			if got != (r+3)%4 {
-				t.Errorf("rank %d got %v", r, got)
+			got, err := th.sendrecvE(c, (r+1)%4, 0, 8, r, (r+3)%4, 0)
+			if err != nil || got != (r+3)%4 {
+				t.Errorf("rank %d got %v, %v", r, got, err)
 			}
 		})
 	}
@@ -737,138 +737,4 @@ func TestIprobeAndProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-}
-
-func TestWaitany(t *testing.T) {
-	forEachVCI(t, func(t *testing.T, opt func(*Config)) {
-		w := testWorld(t, 2, opt)
-		c := w.Comm()
-		w.Spawn(0, "s", func(th *Thread) {
-			th.S.Sleep(2000)
-			th.Send(c, 1, 5, 8, "fast") // only tag 5 is ever sent
-		})
-		w.Spawn(1, "r", func(th *Thread) {
-			var got interface{}
-			slow := th.Irecv(c, 0, 9)
-			fast := th.IrecvN(c, 0, 5, -1, &got)
-			// Posted after fast, so the tag-5 message matches fast; the
-			// wildcard stays unmatched (and, under a tag-hashed mapping,
-			// unbound and cross-posted on every shard).
-			wild := th.Irecv(c, 0, AnyTag)
-			idx := th.Waitany([]*Request{slow, fast, wild})
-			if idx != 1 {
-				t.Errorf("Waitany picked %d", idx)
-			}
-			if got != "fast" {
-				t.Errorf("payload %v", got)
-			}
-			th.CancelRecv(slow)
-			th.CancelRecv(wild)
-		})
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got := w.Proc(1).Outstanding(); got != 0 {
-			t.Fatalf("outstanding after cancel: %d", got)
-		}
-	})
-}
-
-func TestWaitsome(t *testing.T) {
-	forEachVCI(t, func(t *testing.T, opt func(*Config)) {
-		w := testWorld(t, 2, opt)
-		c := w.Comm()
-		w.Spawn(0, "s", func(th *Thread) {
-			for i := 0; i < 3; i++ {
-				th.Send(c, 1, i, 8, i)
-			}
-		})
-		w.Spawn(1, "r", func(th *Thread) {
-			bufs := make([]interface{}, 3)
-			rs := []*Request{th.IrecvN(c, 0, 0, -1, &bufs[0]), th.IrecvN(c, 0, 1, -1, &bufs[1]), th.IrecvN(c, 0, 2, -1, &bufs[2])}
-			got := map[int]bool{}
-			for len(got) < 3 {
-				for _, i := range th.Waitsome(rs) {
-					if got[i] {
-						t.Errorf("Waitsome returned index %d twice", i)
-					}
-					got[i] = true
-					if bufs[i] != i {
-						t.Errorf("request %d got %v", i, bufs[i])
-					}
-				}
-			}
-		})
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if w.DanglingNow() != 0 {
-			t.Fatalf("dangling: %d", w.DanglingNow())
-		}
-	})
-}
-
-func TestAllgather(t *testing.T) {
-	nodes := 5
-	w := testWorld(t, nodes)
-	c := w.Comm()
-	for r := 0; r < nodes; r++ {
-		r := r
-		w.Spawn(r, "p", func(th *Thread) {
-			vals := th.AllgatherInt64(c, int64(r*r))
-			for i, v := range vals {
-				if v != int64(i*i) {
-					t.Errorf("rank %d: allgather[%d] = %d", r, i, v)
-				}
-			}
-		})
-	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	nodes := 4
-	w := testWorld(t, nodes)
-	c := w.Comm()
-	for r := 0; r < nodes; r++ {
-		r := r
-		w.Spawn(r, "p", func(th *Thread) {
-			send := make([]interface{}, nodes)
-			for i := range send {
-				send[i] = r*100 + i // value destined for rank i
-			}
-			got := th.Alltoall(c, 8, send)
-			for i, v := range got {
-				if v != i*100+r {
-					t.Errorf("rank %d: alltoall[%d] = %v, want %d", r, i, v, i*100+r)
-				}
-			}
-		})
-	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	nodes := 4
-	w := testWorld(t, nodes)
-	c := w.Comm()
-	for r := 0; r < nodes; r++ {
-		r := r
-		w.Spawn(r, "p", func(th *Thread) {
-			got := th.ReduceSum(c, 2, int64(r+1))
-			if r == 2 && got != 10 {
-				t.Errorf("root got %d", got)
-			}
-			if r != 2 && got != 0 {
-				t.Errorf("non-root got %d", got)
-			}
-		})
-	}
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -251,17 +251,11 @@ func (th *Thread) recvE(c *Comm, src, tag int) (interface{}, error) {
 	return data, err
 }
 
-// Sendrecv concurrently sends to dst and receives from src, blocking until
-// both complete. It returns the received payload.
-func (th *Thread) Sendrecv(c *Comm, dst, dtag int, bytes int64, payload interface{},
-	src, stag int) interface{} {
-	data, _ := th.sendrecvE(c, dst, dtag, bytes, payload, src, stag) // the handler ran inside Waitall
-	return data
-}
-
-// sendrecvE is Sendrecv with error propagation: both requests are always
-// waited for; the first error is returned. The payload lands in the
-// thread's scratch slot, as in recvE.
+// sendrecvE concurrently sends to dst and receives from src, blocking
+// until both complete, and returns the received payload (MPI_Sendrecv
+// with error propagation): both requests are always waited for; the first
+// error is returned. The payload lands in the thread's scratch slot, as
+// in recvE.
 func (th *Thread) sendrecvE(c *Comm, dst, dtag int, bytes int64, payload interface{},
 	src, stag int) (interface{}, error) {
 	rr := th.IrecvN(c, src, stag, -1, &th.slot)

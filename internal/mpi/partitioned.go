@@ -116,8 +116,8 @@ type penvelope struct {
 
 // PartStats are the world-wide partitioned-communication counters.
 type PartStats struct {
-	// PreadyFast counts Pready/PreadyRange calls that stayed on the
-	// lock-free path (did not complete the mask: no critical section).
+	// PreadyFast counts Pready calls that stayed on the lock-free path
+	// (did not complete the mask: no critical section).
 	PreadyFast int64
 	// PreadyTrigger counts the readiness-completing calls that entered
 	// the shard section and injected the aggregate — one per epoch.
@@ -180,9 +180,8 @@ type Prequest struct {
 	epochs int64 // completed Pstart count (diagnostics)
 }
 
-// Request returns the current epoch's inner request — the handle to pass
-// to OnComplete, CompletionQueue.Add or the Wait family for completion
-// integration. Nil before the first Pstart.
+// Request returns the current epoch's inner request (read-only: the epoch
+// is completed through Pwait). Nil before the first Pstart.
 func (pr *Prequest) Request() *Request { return pr.r }
 
 // Parts returns the partition count.
@@ -356,13 +355,9 @@ func (th *Thread) Pready(pr *Prequest, i int) error {
 	return th.preadyRange(pr, i, i+1)
 }
 
-// PreadyRange marks partitions [lo, hi) ready in one call
+// preadyRange marks partitions [lo, hi) ready in one call
 // (MPI_Pready_range); same semantics and cost model as Pready, one pair of
 // modeled atomics per partition.
-func (th *Thread) PreadyRange(pr *Prequest, lo, hi int) error {
-	return th.preadyRange(pr, lo, hi)
-}
-
 func (th *Thread) preadyRange(pr *Prequest, lo, hi int) error {
 	if !pr.send {
 		panic("mpi: Pready on a partitioned receive")

@@ -79,8 +79,8 @@ func TestPartitionedPersistentEpochs(t *testing.T) {
 		ps := th.PsendInit(c, 1, 3, parts, 128, "aggregate")
 		for e := 0; e < epochs; e++ {
 			th.Pstart(ps)
-			if err := th.PreadyRange(ps, 0, parts); err != nil {
-				t.Errorf("epoch %d PreadyRange: %v", e, err)
+			if err := th.preadyRange(ps, 0, parts); err != nil {
+				t.Errorf("epoch %d preadyRange: %v", e, err)
 			}
 			if err := th.Pwait(ps); err != nil {
 				t.Errorf("epoch %d Pwait: %v", e, err)
@@ -122,8 +122,8 @@ func TestPartitionedUnexpected(t *testing.T) {
 	w.Spawn(0, "sender", func(th *Thread) {
 		ps := th.PsendInit(c, 1, 9, parts, 32, 42)
 		th.Pstart(ps)
-		if err := th.PreadyRange(ps, 0, parts); err != nil {
-			t.Errorf("PreadyRange: %v", err)
+		if err := th.preadyRange(ps, 0, parts); err != nil {
+			t.Errorf("preadyRange: %v", err)
 		}
 		if err := th.Pwait(ps); err != nil {
 			t.Errorf("Pwait: %v", err)
@@ -149,9 +149,9 @@ func TestPartitionedUnexpected(t *testing.T) {
 	}
 }
 
-// TestPartitionedContinuation integrates the inner request with OnComplete
-// continuations: the callback fires exactly once per epoch under the
-// continuation progress mode.
+// TestPartitionedContinuation runs a partitioned epoch under the
+// continuation progress mode: the progress daemons complete the inner
+// requests and both sides' Pwait return the epoch, its payload delivered.
 func TestPartitionedContinuation(t *testing.T) {
 	w := testWorld(t, 2, func(cfg *Config) {
 		cfg.ThreadLevel = ThreadMultiple
@@ -159,7 +159,7 @@ func TestPartitionedContinuation(t *testing.T) {
 	})
 	c := w.Comm()
 	const parts = 6
-	fired := 0
+	var got interface{}
 	w.Spawn(0, "sender", func(th *Thread) {
 		ps := th.PsendInit(c, 1, 5, parts, 64, "cont")
 		th.Pstart(ps)
@@ -175,23 +175,16 @@ func TestPartitionedContinuation(t *testing.T) {
 	w.Spawn(1, "receiver", func(th *Thread) {
 		pr := th.PrecvInit(c, 0, 5, parts, 64)
 		th.Pstart(pr)
-		done := false
-		pr.Request().OnComplete(th, func(r *Request, err error) {
-			fired++
-			if err != nil {
-				t.Errorf("continuation error: %v", err)
-			}
-			done = true
-		})
-		for !done {
-			th.S.Sleep(1000)
+		if err := th.Pwait(pr); err != nil {
+			t.Errorf("receiver Pwait: %v", err)
 		}
+		got = pr.Data()
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 1 {
-		t.Fatalf("continuation fired %d times, want 1", fired)
+	if got != "cont" {
+		t.Fatalf("receiver got %v, want cont", got)
 	}
 }
 
@@ -232,7 +225,7 @@ func (rf *refReadiness) reset(n int) {
 }
 
 // TestPartBitmapFuzz drives the readiness bitmap directly against the
-// reference with random Pready/PreadyRange/get interleavings: same
+// reference with random Pready/preadyRange/get interleavings: same
 // already/trigger verdicts on every op, same membership on every probe,
 // and trigger exactly once per epoch (word-boundary partition counts
 // included).
@@ -280,7 +273,7 @@ func TestPartBitmapFuzz(t *testing.T) {
 }
 
 // TestPartitionedReadinessProperty is the end-to-end property test:
-// random Pready/PreadyRange/Parrived interleavings across simthreads
+// random Pready/preadyRange/Parrived interleavings across simthreads
 // (several sender threads sharing one Psend, several receiver threads
 // probing one Precv) must agree with the mutex-guarded reference on every
 // verdict, trigger exactly once per epoch, and keep Parrived monotone.
@@ -372,7 +365,7 @@ func TestPartitionedReadinessProperty(t *testing.T) {
 						if o.hi == o.lo+1 {
 							err = th.Pready(ps, o.lo)
 						} else {
-							err = th.PreadyRange(ps, o.lo, o.hi)
+							err = th.preadyRange(ps, o.lo, o.hi)
 						}
 						if err == nil {
 							// Successful Preadys mark pairwise-disjoint
@@ -525,7 +518,7 @@ func TestPartitionedVCIShardMapping(t *testing.T) {
 		for _, tag := range tags {
 			ps := th.PsendInit(c, 1, tag, parts, 64, tag)
 			th.Pstart(ps)
-			if err := th.PreadyRange(ps, 0, parts); err != nil {
+			if err := th.preadyRange(ps, 0, parts); err != nil {
 				t.Errorf("tag %d: %v", tag, err)
 			}
 			if err := th.Pwait(ps); err != nil {

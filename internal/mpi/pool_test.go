@@ -22,7 +22,7 @@ func poolSize(p *Proc) int {
 	return n
 }
 
-// TestRecvReusesItsRequest: the receive of a Recv or a Sendrecv goes back
+// TestRecvReusesItsRequest: the receive of a Recv or a sendrecvE goes back
 // to its shard's pool once its wait consumed it, so the next Irecv on that
 // shard gets the same object, and the payload the call returned (read
 // from the thread's slot) is not touched by the reuse.
@@ -35,8 +35,8 @@ func TestRecvReusesItsRequest(t *testing.T) {
 				w.Spawn(0, "sender", func(th *Thread) {
 					th.Send(c, 1, 5, 8, "x")
 					th.Send(c, 1, 5, 8, "y")
-					if got := th.Sendrecv(c, 1, 6, 8, "p", 1, 6); got != "q" {
-						t.Errorf("sender's Sendrecv got %v, want q", got)
+					if got, err := th.sendrecvE(c, 1, 6, 8, "p", 1, 6); err != nil || got != "q" {
+						t.Errorf("sender's sendrecvE got %v, %v, want q", got, err)
 					}
 				})
 				w.Spawn(1, "receiver", func(th *Thread) {
@@ -58,15 +58,18 @@ func TestRecvReusesItsRequest(t *testing.T) {
 						t.Errorf("Recv returned %v and the reused request delivered %v, want x and y", got, next)
 					}
 
-					got = th.Sendrecv(c, 0, 6, 8, "q", 0, 6)
+					got, err := th.sendrecvE(c, 0, 6, 8, "q", 0, 6)
+					if err != nil {
+						t.Errorf("sendrecvE: %v", err)
+					}
 					head = p.vcis[p.selectVCI(c, 6)].reqFree
 					r = th.Irecv(c, 0, 6)
 					if head == nil || r != head {
-						t.Errorf("Irecv after Sendrecv got %p, want its pooled receive %p", r, head)
+						t.Errorf("Irecv after sendrecvE got %p, want its pooled receive %p", r, head)
 					}
 					th.CancelRecv(r)
 					if got != "p" {
-						t.Errorf("Sendrecv returned %v, want p", got)
+						t.Errorf("sendrecvE returned %v, want p", got)
 					}
 				})
 				if err := w.Run(); err != nil {
@@ -160,10 +163,7 @@ func TestReceivesNotPooled(t *testing.T) {
 // get that delivers into slot; complete finishes it. send, if set, runs
 // on rank 0.
 type slotCase struct {
-	name string
-	// events marks a cell that needs completion-time dispatch (strong
-	// progress or continuations).
-	events   bool
+	name     string
 	send     func(th *Thread, c *Comm)
 	post     func(th *Thread, c *Comm, win *Win, slot *interface{}) *Request
 	complete func(t *testing.T, th *Thread, r *Request, slot *interface{}) error
@@ -216,35 +216,6 @@ var slotCases = []slotCase{
 			return th.IrecvN(c, 0, AnyTag, -1, slot)
 		},
 		complete: waitSlot},
-	{name: "continuation", want: "c", events: true,
-		send: func(th *Thread, c *Comm) { th.S.Sleep(50_000); th.Send(c, 1, 1, 8, "c") },
-		post: recvSlot,
-		complete: func(t *testing.T, th *Thread, r *Request, slot *interface{}) error {
-			var seen interface{}
-			var cerr error
-			fired := false
-			r.OnComplete(th, func(r *Request, err error) {
-				seen, cerr, fired = *slot, err, true
-			})
-			for !fired {
-				th.S.Sleep(1_000)
-			}
-			if seen != "c" {
-				t.Errorf("continuation saw %v in the slot, want c", seen)
-			}
-			return cerr
-		}},
-	{name: "completion-queue", want: "q", events: true,
-		send: func(th *Thread, c *Comm) { th.S.Sleep(50_000); th.Send(c, 1, 1, 8, "q") },
-		post: recvSlot,
-		complete: func(t *testing.T, th *Thread, r *Request, slot *interface{}) error {
-			q := th.NewCompletionQueue()
-			q.Add(r)
-			if got := q.WaitAny(); got != r {
-				t.Errorf("completion queue delivered %p, want %p", got, r)
-			}
-			return r.Err()
-		}},
 	{name: "truncated", want: "untouched",
 		send: func(th *Thread, c *Comm) { th.Send(c, 1, 1, 64, "wide") },
 		post: func(th *Thread, c *Comm, win *Win, slot *interface{}) *Request {
@@ -265,16 +236,12 @@ var slotCases = []slotCase{
 
 // TestSlotDelivery: a receive or get writes its payload into the slot its
 // caller gave at post time, on every delivery path — posted eager and
-// rendezvous matches, an unexpected-queue match, wildcard receives, a
-// continuation and a completion queue (which see the slot already filled)
-// and an RMA get — in every progress mode and shard layout. A truncated
+// rendezvous matches, an unexpected-queue match, wildcard receives and an
+// RMA get — in every progress mode and shard layout. A truncated
 // receive leaves the slot untouched.
 func TestSlotDelivery(t *testing.T) {
 	for _, mode := range progressModes {
 		for _, sc := range slotCases {
-			if sc.events && mode == ProgressPolling {
-				continue
-			}
 			mode, sc := mode, sc
 			t.Run(mode.String()+"/"+sc.name, func(t *testing.T) {
 				forEachVCI(t, func(t *testing.T, opt func(*Config)) {

@@ -15,19 +15,17 @@ package mpi
 //     the whole queue, so most daemon wakes find their own shard empty;
 //     the daemon parks with WaitUntil, and the engine re-queues such a
 //     daemon without switching into it (a quiet wake). Application threads
-//     blocked in any wait call (Wait, Waitall, Waitany, Waitsome: the
-//     wait engine, wait.go) park instead of iterating the progress loop,
-//     so they never acquire the critical section at low (progress) class
-//     at all.
+//     blocked in a wait call (Wait or Waitall: the wait engine, wait.go)
+//     park instead of iterating the progress loop, so they never acquire
+//     the critical section at low (progress) class at all.
 //
 //   - Continuations (ProgressContinuation): strong progress plus
-//     completion-time callbacks. Request.OnComplete registers a function
-//     the progress engine runs when the request completes; a
-//     CompletionQueue turns a Waitall over n requests into one batched
-//     enqueue and a drain of n completion events, with the runtime
-//     freeing each request at dispatch time inside the critical section
-//     it already holds. A queue's owner parks with WaitUntil too, so a
-//     wake that delivered nothing to its queue is quiet.
+//     completion-time queue delivery. Waitall over n requests becomes one
+//     batched enqueue onto the thread's completion queue and a drain of n
+//     completion events, with the runtime freeing each request at
+//     delivery time inside the critical section it already holds. The
+//     queue's owner parks with WaitUntil too, so a wake that delivered
+//     nothing to its queue is quiet.
 
 import (
 	"fmt"
@@ -48,8 +46,8 @@ const (
 	// application threads block without polling.
 	ProgressStrong
 	// ProgressContinuation is strong progress plus completion-time
-	// callbacks (Request.OnComplete) and CompletionQueue draining;
-	// Waitall becomes one batched enqueue plus a drain.
+	// queue delivery: Waitall becomes one batched enqueue onto the
+	// thread's completion queue plus a drain.
 	ProgressContinuation
 	// ProgressSelective is the paper's §9 future-work design: blocked
 	// threads still drive progress from Wait, but after an empty poll
@@ -127,71 +125,13 @@ func progressDaemon(th *Thread, p *Proc, v int) {
 	}
 }
 
-// OnComplete registers fn as the request's continuation: the progress
-// engine calls fn(r, r.Err()) exactly once, at completion time, from the
-// completing context (a progress daemon or the issuing call), with the
-// request's shard critical section held. The runtime then frees the
-// request itself — a continuation request must not be passed to
-// Wait/Test afterwards; fn observes its payload and error instead. If
-// the request already completed, fn fires during this call. Callbacks
-// must not make blocking MPI calls; their typical job is to hand the
-// completion to application state (or a CompletionQueue does it for
-// them).
-func (r *Request) OnComplete(th *Thread, fn func(r *Request, err error)) {
-	if fn == nil {
-		panic("mpi: OnComplete with nil callback")
-	}
-	if !th.P.w.eventDriven() {
-		// Polling mode has no completion-time dispatch context: a callback
-		// registered on a pending request would never fire.
-		panic("mpi: OnComplete requires ProgressStrong or ProgressContinuation")
-	}
-	tel := th.telStart()
-	v := reqShard(r)
-	th.stateBegin(v, simlock.High)
-	if r.freed {
-		th.stateEnd(v, simlock.High)
-		panic("mpi: OnComplete on a freed request")
-	}
-	if r.onComplete != nil || r.cq != nil {
-		th.stateEnd(v, simlock.High)
-		panic("mpi: OnComplete registered twice")
-	}
-	r.onComplete = fn
-	if r.complete {
-		// Late registration: the completion already happened, so the
-		// dispatch the progress engine would have done runs here, still
-		// exactly once and still under the shard section.
-		r.fire(th.S.Now())
-	}
-	th.stateEnd(v, simlock.High)
-	th.telCall("OnComplete", tel)
-}
-
-// fire dispatches the registered continuation exactly once: the callback
-// observes the completed request (payload, error code), then the runtime
-// frees it and recycles provably-dead fault-free objects. Runs in engine
-// or CS context, from markComplete or a late OnComplete registration.
-// Errors reach the callback as the err argument — continuation delivery
-// replaces the Wait-side error handler, so a failed request's code is
-// always seen by fn before the object can be recycled (errored requests
-// are never pooled, the PR-6 invariant).
-func (r *Request) fire(at sim.Time) {
-	fn := r.onComplete
-	r.onComplete = nil
-	fn(r, r.Err())
-	r.free()
-	r.p.recycle(r)
-}
-
-// CompletionQueue is the event-queue completion API of continuation mode:
-// completed requests are delivered onto it by the progress engine and the
-// owning thread drains them with Poll/WaitAny, paying the completion-
-// object processing cost once per event instead of holding the critical
-// section to poll. Delivered requests are already freed by the runtime;
-// the drain side reads their payload and error, nothing more. A queue
-// belongs to the thread that created it.
-type CompletionQueue struct {
+// completionQueue is the drain of continuation-mode Waitall: completed
+// requests are delivered onto it by the progress engine and the owning
+// thread drains them with waitAny, paying the completion-object processing
+// cost once per event instead of holding the critical section to poll.
+// Delivered requests are already freed by the runtime; the drain side
+// reads their error and recycles them. Each thread owns one (Thread.cq).
+type completionQueue struct {
 	th *Thread
 	// done holds the delivered completions, oldest first from head. Like
 	// a shard's pktQueue, it keeps its backing array: drains advance head
@@ -202,32 +142,14 @@ type CompletionQueue struct {
 	head int
 }
 
-// NewCompletionQueue creates a completion queue owned by this thread.
-func (th *Thread) NewCompletionQueue() *CompletionQueue {
-	if !th.P.w.eventDriven() {
-		panic("mpi: CompletionQueue requires ProgressStrong or ProgressContinuation")
-	}
-	return &CompletionQueue{th: th}
-}
-
-// Add registers the request for delivery onto the queue when it
-// completes (immediately, if it already has). Like OnComplete, the
-// runtime frees the request at delivery; it must not be waited on.
-func (q *CompletionQueue) Add(r *Request) {
-	th := q.th
-	v := reqShard(r)
-	th.stateBegin(v, simlock.High)
-	q.addLocked(r, th.S.Now())
-	th.stateEnd(v, simlock.High)
-}
-
-// addLocked registers one request; the caller holds r's shard section.
-func (q *CompletionQueue) addLocked(r *Request, at sim.Time) {
+// addLocked registers one request for delivery when it completes
+// (immediately, if it already has); the caller holds r's shard section.
+func (q *completionQueue) addLocked(r *Request, at sim.Time) {
 	if r.freed {
-		panic("mpi: CompletionQueue.Add on a freed request")
+		panic("mpi: completion-queue registration of a freed request")
 	}
-	if r.onComplete != nil || r.cq != nil {
-		panic("mpi: CompletionQueue.Add on a request with a continuation")
+	if r.cq != nil {
+		panic("mpi: request registered on a completion queue twice")
 	}
 	if r.complete {
 		r.free()
@@ -239,7 +161,7 @@ func (q *CompletionQueue) addLocked(r *Request, at sim.Time) {
 
 // push appends a delivered completion and wakes the owner if it is
 // parked. Runs in engine or CS context.
-func (q *CompletionQueue) push(r *Request, at sim.Time) {
+func (q *completionQueue) push(r *Request, at sim.Time) {
 	if len(q.done) == cap(q.done) && q.head > 0 && 2*q.head >= len(q.done) {
 		n := copy(q.done, q.done[q.head:])
 		clear(q.done[n:])
@@ -249,46 +171,37 @@ func (q *CompletionQueue) push(r *Request, at sim.Time) {
 	q.done = append(q.done, r)
 	p := q.th.P
 	if w := p.w; w.tel != nil {
-		w.tel.CQDepth(at, int64(q.Len()))
+		w.tel.CQDepth(at, int64(q.len()))
 	}
 	p.activity.WakeAll(at)
 }
 
-// Len returns the number of delivered, undrained completions.
-func (q *CompletionQueue) Len() int { return len(q.done) - q.head }
+// len returns the number of delivered, undrained completions.
+func (q *completionQueue) len() int { return len(q.done) - q.head }
 
-// Poll drains one delivered completion, or returns nil if none is
-// queued. Never blocks and never acquires the critical section.
-func (q *CompletionQueue) Poll() *Request {
-	if q.Len() == 0 {
-		return nil
-	}
-	return q.take()
-}
-
-// WaitAny blocks until a completion is delivered, then drains it. The
+// waitAny blocks until a completion is delivered, then drains it. The
 // owner parks on the proc's activity queue until the queue is Ready;
 // completions, failure events and crash unwinding all wake it.
-func (q *CompletionQueue) WaitAny() *Request {
+func (q *completionQueue) waitAny() *Request {
 	th := q.th
-	for q.Len() == 0 {
+	for q.len() == 0 {
 		th.checkCrashed()
 		th.P.activity.WaitUntil(th.S, q)
 	}
 	return q.take()
 }
 
-// Ready is WaitAny's wake condition (sim.WaitQueue.WaitUntil): a
+// Ready is waitAny's wake condition (sim.WaitQueue.WaitUntil): a
 // completion was delivered, or the owner's proc crashed and the owner
 // must unwind.
 //
 //simcheck:hotpath checked by the engine on every owner wake; stays allocation-free
-func (q *CompletionQueue) Ready() bool { return q.Len() != 0 || q.th.P.crashed }
+func (q *completionQueue) Ready() bool { return q.len() != 0 || q.th.P.crashed }
 
 // take removes the oldest delivered completion, charging the completion-
 // object processing cost (the drain side's analogue of Wait's
 // RequestFreeWork; the free itself already ran at delivery).
-func (q *CompletionQueue) take() *Request {
+func (q *completionQueue) take() *Request {
 	r := q.done[q.head]
 	q.done[q.head] = nil
 	q.head++
@@ -298,14 +211,14 @@ func (q *CompletionQueue) take() *Request {
 	th := q.th
 	th.S.Sleep(th.cost().RequestFreeWork)
 	if w := th.P.w; w.tel != nil {
-		w.tel.CQDepth(th.S.Now(), int64(q.Len()))
+		w.tel.CQDepth(th.S.Now(), int64(q.len()))
 	}
 	return r
 }
 
-// ensureCQ returns the thread's internal completion queue (continuation-
-// mode Waitall drains through it; it is always empty between calls).
-func (th *Thread) ensureCQ() *CompletionQueue {
+// ensureCQ returns the thread's completion queue (continuation-mode
+// Waitall drains through it; it is always empty between calls).
+func (th *Thread) ensureCQ() *completionQueue {
 	th.cq.th = th
 	return &th.cq
 }
@@ -341,7 +254,7 @@ func (th *Thread) waitallCont(w *waiter) error {
 	}
 	var firstErr error
 	for n := len(w.list); n > 0; n-- {
-		r := q.WaitAny()
+		r := q.waitAny()
 		if r.err != nil {
 			// Continuation delivery replaces Wait's error-handler site:
 			// raise through the communicator handler (panic under
@@ -351,9 +264,9 @@ func (th *Thread) waitallCont(w *waiter) error {
 			}
 		}
 		// Waitall consumes its requests, so a provably dead one goes
-		// back to its shard's pool here, on the drain side: the
-		// completing context cannot tell this queue from a user's, whose
-		// drained objects must stay readable.
+		// back to its shard's pool here, on the drain side: pooled at
+		// delivery, it could be handed out again by a later issue before
+		// this loop reads it.
 		r.p.recycle(r)
 	}
 	th.telCall("Waitall", tel)

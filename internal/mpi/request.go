@@ -81,13 +81,10 @@ type Request struct {
 	// nextFree links the shard's request free list while pooled.
 	nextFree *Request
 
-	// onComplete is the registered continuation (progressd.go): dispatched
-	// by the progress engine exactly once, at completion time, after which
-	// the runtime frees the request itself.
-	onComplete func(r *Request, err error)
-	// cq, when non-nil, delivers the completed request onto the owning
-	// thread's completion queue instead of a callback.
-	cq *CompletionQueue
+	// cq, when non-nil, delivers the completed request onto the waiting
+	// thread's completion queue (continuation-mode Waitall, progressd.go);
+	// the runtime frees it at delivery.
+	cq *completionQueue
 
 	// vci is the virtual communication interface the request lives on
 	// (always 0 on a one-shard proc). A cross-VCI wildcard receive
@@ -137,8 +134,7 @@ func (r *Request) Kind() ReqKind { return r.live().kind }
 
 // deliver completes a successful receive or get: the payload lands in the
 // caller's slot, as MPI fills the receive buffer, before markComplete
-// runs any continuation or completion-queue delivery. Must run in engine
-// or CS context.
+// runs any completion-queue delivery. Must run in engine or CS context.
 func (r *Request) deliver(payload interface{}, at sim.Time) {
 	if r.buf != nil {
 		*r.buf = payload
@@ -166,14 +162,11 @@ func (r *Request) markComplete(at sim.Time) {
 	if r.p.w.eventDriven() {
 		// Strong/continuation progress (progressd.go): bump the proc's
 		// completion sequence (closes the check-then-park window of the
-		// wait engine, wait.go) and dispatch any registered continuation
-		// or completion-queue delivery from right here — the completing
-		// context.
+		// wait engine, wait.go) and run any completion-queue delivery from
+		// right here — the completing context.
 		r.p.completeSeq++
 		if r.cq != nil {
 			r.deliverCQ(at)
-		} else if r.onComplete != nil {
-			r.fire(at)
 		}
 	}
 	if r.p.w.Cfg.Progress != ProgressPolling {
@@ -185,10 +178,8 @@ func (r *Request) markComplete(at sim.Time) {
 
 // deliverCQ hands the completed request to its completion queue: the
 // runtime frees it here, in the completing context, and the drain side
-// reads its error afterwards (a receive's payload is already in its
-// slot). Delivery never recycles: a user's CompletionQueue hands the
-// drained object out readable, and only continuation-mode Waitall, which
-// consumes its requests, pools them on its drain side (waitallCont).
+// reads its error and pools it afterwards (waitallCont; a receive's
+// payload is already in its slot).
 func (r *Request) deliverCQ(at sim.Time) {
 	q := r.cq
 	r.cq = nil

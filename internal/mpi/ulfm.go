@@ -2,9 +2,9 @@ package mpi
 
 // This file implements the ULFM-style recovery primitives on
 // communicators: Revoke (in-band revocation interrupting blocked waits and
-// collectives with ErrRevoked), Agree (a sim-time consensus over the
-// surviving members) and Shrink (deterministic surviving-rank renumbering
-// onto a fresh context). All three require the fault-tolerance plane
+// collectives with ErrRevoked) and Shrink (a sim-time consensus over the
+// surviving members, then deterministic surviving-rank renumbering onto a
+// fresh context). Both require the fault-tolerance plane
 // (a configured crash schedule, see ft.go) and are single-threaded per
 // process: at most one thread per rank may run them at a time, the way
 // production recovery code funnels through one coordinator thread.
@@ -17,8 +17,8 @@ import (
 
 // agreeBase reserves a context range for the recovery protocol itself,
 // disjoint from user contexts (>= 0) and collective shadows (collCtx - c).
-// Agree and Shrink must keep working on a revoked communicator, so their
-// traffic runs on agreeBase - c.ctx, which applyRevoke never marks.
+// Shrink must keep working on a revoked communicator, so its traffic runs
+// on agreeBase - c.ctx, which applyRevoke never marks.
 const agreeBase = -1_000_000
 
 // Tags of the recovery protocol messages.
@@ -35,16 +35,9 @@ type revokeMeta struct {
 	ranks []int
 }
 
-// agreeMsg is a participant's contribution to one Agree round.
-type agreeMsg struct {
-	flags uint64
-}
-
 // agreeResult is the root's decision, broadcast to every contributor.
 type agreeResult struct {
-	flags uint64
-	// ctx is a fresh communicator context when the round was started by
-	// Shrink, 0 otherwise.
+	// ctx is the fresh context of the shrunk communicator.
 	ctx int
 	// survivors lists the contributing members as communicator-local
 	// ranks of the original comm, ascending.
@@ -97,7 +90,7 @@ func (th *Thread) Revoked(c *Comm) bool {
 // Failed returns the communicator-local ranks this process currently
 // believes dead, ascending (the ULFM failure_ack/get_acked pair collapsed
 // into one query — local knowledge, not consensus; peers may disagree
-// until an Agree round). Nil without the fault-tolerance plane.
+// until a Shrink round). Nil without the fault-tolerance plane.
 func (th *Thread) Failed(c *Comm) []int {
 	ft := th.P.ft
 	if ft == nil {
@@ -144,27 +137,8 @@ func (p *Proc) floodRevoke(ctx int, ranks []int, size int) {
 	}
 }
 
-// Agree runs a fault-tolerant consensus over the communicator's surviving
-// members (MPI_Comm_agree): every live member contributes flags, the
-// result is their bitwise AND, and all survivors receive the same value —
-// even on a revoked communicator, and even when members die mid-protocol.
-// Returns ErrProcFailed only if consensus itself became impossible.
-func (th *Thread) Agree(c *Comm, flags uint64) (uint64, error) {
-	th.requireFT("Agree")
-	tel := th.telStart()
-	th.BeginErrPath()
-	th.P.w.ft.agrees++
-	res, err := th.agreeRound(c, flags, false)
-	th.EndErrPath()
-	th.telCall("Agree", tel)
-	if err != nil {
-		return 0, err
-	}
-	return res.flags, nil
-}
-
 // Shrink builds a new communicator over the surviving members
-// (MPI_Comm_shrink): one Agree round determines the survivor set, the
+// (MPI_Comm_shrink): one consensus round determines the survivor set, the
 // round's root allocates a fresh matching context, and every survivor
 // renumbers deterministically — members keep their relative order, ranks
 // compact to 0..n-1.
@@ -173,7 +147,7 @@ func (th *Thread) Shrink(c *Comm) (*Comm, error) {
 	tel := th.telStart()
 	th.BeginErrPath()
 	th.P.w.ft.shrinks++
-	res, err := th.agreeRound(c, ^uint64(0), true)
+	res, err := th.agreeRound(c)
 	th.EndErrPath()
 	th.telCall("Shrink", tel)
 	if err != nil {
@@ -186,20 +160,19 @@ func (th *Thread) Shrink(c *Comm) (*Comm, error) {
 	return &Comm{w: c.w, ctx: res.ctx, size: len(ranks), ranks: ranks}, nil
 }
 
-// agreeRound is the consensus core shared by Agree and Shrink. The root is
-// the lowest member this process believes alive; it collects one
-// contribution from every member it believes alive, ANDs the flags,
-// optionally allocates a fresh context (Shrink), and replies to every
-// contributor. Non-roots contribute and wait for the decision; when the
-// root dies mid-protocol (ErrProcFailed), they recompute the root from
-// their updated failure knowledge and retry — detection latency bounds
-// every retry.
-func (th *Thread) agreeRound(c *Comm, flags uint64, freshCtx bool) (agreeResult, error) {
+// agreeRound is Shrink's consensus on the survivor set. The root is the
+// lowest member this process believes alive; it collects one contribution
+// from every member it believes alive, allocates a fresh context, and
+// replies to every contributor. Non-roots contribute and wait for the
+// decision; when the root dies mid-protocol (ErrProcFailed), they
+// recompute the root from their updated failure knowledge and retry —
+// detection latency bounds every retry.
+func (th *Thread) agreeRound(c *Comm) (agreeResult, error) {
 	p := th.P
 	rc := c.recoveryComm()
 	me := c.Rank(th)
 	if me < 0 {
-		panic("mpi: Agree/Shrink by non-member")
+		panic("mpi: Shrink by non-member")
 	}
 	for {
 		root := -1
@@ -214,9 +187,10 @@ func (th *Thread) agreeRound(c *Comm, flags uint64, freshCtx bool) (agreeResult,
 				Detail: fmt.Sprintf("agree on ctx %d: no live members", c.ctx)}
 		}
 		if root == me {
-			return th.agreeRoot(c, rc, me, flags, freshCtx)
+			return th.agreeRoot(c, rc, me)
 		}
-		if err := th.sendE(rc, root, tagAgreeContrib, 8, agreeMsg{flags: flags}); err != nil {
+		// The contribution carries no data: arriving is the vote.
+		if err := th.sendE(rc, root, tagAgreeContrib, 8, nil); err != nil {
 			if isProcFailed(err) {
 				continue // root died before hearing us: re-elect
 			}
@@ -234,27 +208,23 @@ func (th *Thread) agreeRound(c *Comm, flags uint64, freshCtx bool) (agreeResult,
 }
 
 // agreeRoot runs the root side of one consensus round.
-func (th *Thread) agreeRoot(c *Comm, rc *Comm, me int, flags uint64, freshCtx bool) (agreeResult, error) {
+func (th *Thread) agreeRoot(c *Comm, rc *Comm, me int) (agreeResult, error) {
 	p := th.P
-	res := agreeResult{flags: flags, survivors: []int{me}}
+	res := agreeResult{survivors: []int{me}}
 	for i := 0; i < c.size; i++ {
 		if i == me || p.ft.isDead(c.world(i)) {
 			continue
 		}
-		v, err := th.recvE(rc, i, tagAgreeContrib)
-		if err != nil {
+		if _, err := th.recvE(rc, i, tagAgreeContrib); err != nil {
 			if isProcFailed(err) {
 				continue // the member died; it is simply not a survivor
 			}
 			return agreeResult{}, err
 		}
-		res.flags &= v.(agreeMsg).flags
 		res.survivors = append(res.survivors, i)
 	}
 	sortInts(res.survivors)
-	if freshCtx {
-		res.ctx = p.w.allocCtx()
-	}
+	res.ctx = p.w.allocCtx()
 	for _, i := range res.survivors {
 		if i == me {
 			continue

@@ -57,14 +57,6 @@ type Config struct {
 	Policy Policy
 }
 
-// Normalize returns c with N clamped to at least 1.
-func (c Config) Normalize() Config {
-	if c.N < 1 {
-		c.N = 1
-	}
-	return c
-}
-
 // Validate rejects nonsensical configurations.
 func (c Config) Validate() error {
 	if c.N < 0 {

@@ -94,13 +94,7 @@ func TestWildcard(t *testing.T) {
 	}
 }
 
-func TestNormalizeValidate(t *testing.T) {
-	if (Config{}).Normalize().N != 1 {
-		t.Fatal("zero config must normalize to one VCI")
-	}
-	if (Config{N: 4}).Normalize().N != 4 {
-		t.Fatal("normalize must keep explicit N")
-	}
+func TestConfigValidate(t *testing.T) {
 	if err := (Config{N: 16, Policy: PerTagHash}).Validate(); err != nil {
 		t.Fatal(err)
 	}

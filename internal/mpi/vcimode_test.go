@@ -354,7 +354,7 @@ func TestPartitionedWildcardVCIDeterministic(t *testing.T) {
 			w.Spawn(src, "sender", func(th *Thread) {
 				ps := th.PsendInit(c, 2, tag, parts, 64, fmt.Sprintf("from-%d", src))
 				th.Pstart(ps)
-				if err := th.PreadyRange(ps, 0, parts); err != nil {
+				if err := th.preadyRange(ps, 0, parts); err != nil {
 					t.Errorf("sender %d: %v", src, err)
 				}
 				if err := th.Pwait(ps); err != nil {

@@ -1,17 +1,16 @@
 package mpi
 
 // This file is the wait engine: the one completion path behind Wait,
-// Waitall, Waitany, Waitsome, Test and Testall in every progress mode.
-// Each public call is a thin wrapper naming which completed requests it
-// takes and when it is done; the engine owns the check, the pre-check and
-// the loop (waitRun), and Test and Testall are one high-class sweep of it
-// without the loop. Every request a call reaps meets one rule (take): it
-// is freed and its error runs through the handler; a provably dead request
-// goes back to its shard's pool unless the caller's list still names it
-// (Waitany, Waitsome). A nil request is MPI_REQUEST_NULL everywhere.
-// Continuation-mode Waitall keeps its batched CompletionQueue registration
-// (waitallCont, progressd.go), a different mechanism rather than another
-// copy of this loop.
+// Waitall, Test and Testall in every progress mode. Each public call is a
+// thin wrapper naming whether it waits on one request or a list; the
+// engine owns the check, the pre-check and the loop (waitRun), and Test
+// and Testall are one high-class sweep of it without the loop. Every
+// request a call reaps meets one rule (take): it is freed, its error runs
+// through the handler, and a provably dead request goes back to its
+// shard's pool. A nil request is MPI_REQUEST_NULL everywhere.
+// Continuation-mode Waitall keeps its batched completion-queue
+// registration (waitallCont, progressd.go), a different mechanism rather
+// than another copy of this loop.
 
 import (
 	"slices"
@@ -19,15 +18,13 @@ import (
 	"mpicontend/internal/simlock"
 )
 
-// waitMode says which completed requests a wait-family call takes and
-// when it is done.
+// waitMode says whether a wait-family call waits on one request or a
+// list; either way it is done when it has taken every request.
 type waitMode int
 
 const (
-	waitOne  waitMode = iota // Wait (and Test): its one request
-	waitAll                  // Waitall (and Testall): every request
-	waitAny                  // Waitany: the first completed request
-	waitSome                 // Waitsome: every completed request, at least one
+	waitOne waitMode = iota // Wait (and Test): its one request
+	waitAll                 // Waitall (and Testall): every request
 )
 
 // waitEntry is one active request of a wait call with its index in the
@@ -111,13 +108,13 @@ func (w *waiter) marks(nv int) shardSet {
 	return w.shards
 }
 
-// waitRun is the wait loop. A call with no active request returns at once
-// (MPI_UNDEFINED for Waitany/Waitsome, success for Waitall). Under strong
-// progress and continuations it checks, then parks until a completion
-// event; the completion-sequence snapshot closes the window between the
-// check and the park, since any completion in between bumps the sequence
-// and the waiter re-checks instead of parking. Under polling it checks
-// once, then runs low-class progress sweeps separated by progressYield.
+// waitRun is the wait loop. A call with no active request returns at once,
+// successfully. Under strong progress and continuations it checks, then
+// parks until a completion event; the completion-sequence snapshot closes
+// the window between the check and the park, since any completion in
+// between bumps the sequence and the waiter re-checks instead of parking.
+// Under polling it checks once, then runs low-class progress sweeps
+// separated by progressYield.
 func (th *Thread) waitRun(w *waiter, name string) {
 	if w.n == 0 {
 		return
@@ -129,7 +126,7 @@ func (th *Thread) waitRun(w *waiter, name string) {
 			th.checkCrashed()
 			seq := p.completeSeq
 			th.waitCheck(w)
-			if w.done() {
+			if w.n == 0 {
 				break
 			}
 			if p.completeSeq == seq {
@@ -138,7 +135,7 @@ func (th *Thread) waitRun(w *waiter, name string) {
 		}
 	} else {
 		th.waitCheck(w)
-		if !w.done() {
+		if w.n != 0 {
 			th.pollBackoff = 0
 			for !th.waitSweep(w, simlock.Low) {
 				th.progressYield()
@@ -147,23 +144,6 @@ func (th *Thread) waitRun(w *waiter, name string) {
 	}
 	th.telCall(name, tel)
 }
-
-// done reports whether the call has taken what it waits for.
-func (w *waiter) done() bool {
-	if w.mode == waitAll {
-		return w.n == 0
-	}
-	return w.n < len(w.list)
-}
-
-// full reports whether the call must take nothing more (Waitany took one).
-func (w *waiter) full() bool { return w.mode == waitAny && w.n < len(w.list) }
-
-// keeps reports whether the caller's list outlives the call: Waitany and
-// Waitsome are called again on the same list until it is drained, so what
-// they take must stay a freed request there, never a pooled object that a
-// later Isend hands out as active again.
-func (w *waiter) keeps() bool { return w.mode == waitAny || w.mode == waitSome }
 
 // waitCheck is the look before polling or parking. Wait locks its
 // request's shard and then checks, every time. N-dependent rule for the
@@ -195,7 +175,7 @@ func (th *Thread) waitSweep(w *waiter, cl simlock.Class) bool {
 	if w.mode == waitOne && w.list[0].r.vci >= 0 {
 		// The common case, spelled out for speed: a bound request's one shard.
 		th.progressRound(w.list[0].r.vci, cl, th.reap)
-		return w.done()
+		return w.n == 0
 	}
 	s := w.marks(len(th.P.vcis))
 	none := true
@@ -214,15 +194,15 @@ func (th *Thread) waitSweep(w *waiter, cl simlock.Class) bool {
 			continue
 		}
 		th.progressRound(v, cl, th.reap)
-		if w.done() {
+		if w.n == 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// reap takes the completed pending requests, in pending order (only the
-// first under Waitany). The caller holds the section guarding them.
+// reap takes the completed pending requests, in pending order. The caller
+// holds the section guarding them.
 func (th *Thread) reap() {
 	w := &th.wait
 	for k := 0; k < w.n; {
@@ -231,9 +211,6 @@ func (th *Thread) reap() {
 			continue
 		}
 		th.take(k) // list[k] now holds what was the last pending entry
-		if w.full() {
-			return
-		}
 	}
 }
 
@@ -272,7 +249,7 @@ func (th *Thread) sweepDone(w *waiter) {
 		th.stateBegin(v, simlock.High)
 		for _, p := range peek {
 			r := p.r
-			if reqShard(r) != v || !r.complete || r.freed || w.full() {
+			if reqShard(r) != v || !r.complete || r.freed {
 				continue
 			}
 			for k, e := range w.list[:w.n] {
@@ -290,9 +267,8 @@ func (th *Thread) sweepDone(w *waiter) {
 // its error through the handler (a panic under MPI_ERRORS_ARE_FATAL),
 // keeping the first error in w.err. This is the one rule for every reaped
 // request, whichever call reaps it. A provably dead request then returns
-// to its shard's pool, unless the call keeps the caller's list (keeps).
-// Errored requests are never pooled, so under MPI_ERRORS_RETURN their Err
-// stays readable after the call.
+// to its shard's pool. Errored requests are never pooled, so under
+// MPI_ERRORS_RETURN their Err stays readable after the call.
 func (th *Thread) take(k int) {
 	w := &th.wait
 	w.n--
@@ -303,9 +279,7 @@ func (th *Thread) take(k int) {
 	if err := r.raise(); err != nil && w.err == nil {
 		w.err = err
 	}
-	if !w.keeps() {
-		r.p.recycle(r)
-	}
+	r.p.recycle(r)
 }
 
 // Wait blocks until the request completes, then frees it. Under polling
@@ -345,36 +319,6 @@ func (th *Thread) Waitall(rs []*Request) error {
 	return w.err
 }
 
-// Waitany blocks until one of the requests completes, frees it, and
-// returns its index. It returns -1 (MPI_UNDEFINED) at once when no request
-// is active (every entry nil or freed, or the list empty). A failed
-// request raises through the error handler; under MPI_ERRORS_RETURN its
-// error is read through Request.Err. The request it takes is freed but not
-// pooled, so rs can be passed in again until it is drained.
-func (th *Thread) Waitany(rs []*Request) int {
-	w := th.waitBegin(waitAny, rs)
-	th.waitRun(w, "Waitany")
-	if w.n == len(w.list) {
-		return -1
-	}
-	return w.list[w.n].i
-}
-
-// Waitsome blocks until at least one request completes, frees all the
-// completed ones, and returns their indices in the order they were taken.
-// It returns nil (MPI_UNDEFINED) at once when no request is active.
-// Failed requests raise, and taken requests stay out of the pool, as in
-// Waitany.
-func (th *Thread) Waitsome(rs []*Request) []int {
-	w := th.waitBegin(waitSome, rs)
-	th.waitRun(w, "Waitsome")
-	var done []int
-	for k := len(w.list) - 1; k >= w.n; k-- {
-		done = append(done, w.list[k].i)
-	}
-	return done
-}
-
 // Test polls the runtime once and reports whether the request completed;
 // if so, the request is freed. Like MPI_Test it returns a flag and an
 // error: the request's error, once a failed request completes, after the
@@ -409,7 +353,9 @@ func (th *Thread) Test(r *Request) (bool, error) {
 // shard 0 (graph500 drains already-empty lists, and the fig10 lock
 // sequence counts that round). On a sharded proc a request that already
 // completed adds no round of its own: it is reaped by whichever round runs
-// next, as in Waitall's sweep. Failed requests raise as in Waitany.
+// next, as in Waitall's sweep. Failed requests raise through the error
+// handler; under MPI_ERRORS_RETURN their error is read through
+// Request.Err.
 func (th *Thread) Testall(rs []*Request) []*Request {
 	tel := th.telStart()
 	w := th.waitBegin(waitAll, rs)

@@ -3,7 +3,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -32,16 +31,6 @@ func TestWaitFamilyProgressModes(t *testing.T) {
 		{"Waitall", func(t *testing.T, th *Thread, r *Request) {
 			if err := th.Waitall([]*Request{r}); err != nil {
 				t.Errorf("Waitall: %v", err)
-			}
-		}},
-		{"Waitany", func(t *testing.T, th *Thread, r *Request) {
-			if i := th.Waitany([]*Request{nil, r}); i != 1 {
-				t.Errorf("Waitany = %d, want 1", i)
-			}
-		}},
-		{"Waitsome", func(t *testing.T, th *Thread, r *Request) {
-			if got := th.Waitsome([]*Request{r, nil}); len(got) != 1 || got[0] != 0 {
-				t.Errorf("Waitsome = %v, want [0]", got)
 			}
 		}},
 	}
@@ -83,33 +72,18 @@ func TestWaitFamilyProgressModes(t *testing.T) {
 	}
 }
 
-// TestWaitUndefined: with no active request — an empty list, only nil
-// entries, or a list a previous call already drained — Waitany returns -1
-// and Waitsome nil (MPI_UNDEFINED), and Waitall succeeds, all at once:
-// no virtual time passes and no progress loop spins.
+// TestWaitUndefined: with no active request — an empty list or only nil
+// entries — Waitall succeeds at once: no virtual time passes and no
+// progress loop spins.
 func TestWaitUndefined(t *testing.T) {
 	for _, mode := range progressModes {
 		mode := mode
 		t.Run(mode.String(), func(t *testing.T) {
 			forEachVCI(t, func(t *testing.T, opt func(*Config)) {
 				w := testWorld(t, 2, opt, withProgress(mode), func(c *Config) { c.MaxEvents = 200_000 })
-				c := w.Comm()
-				w.Spawn(0, "sender", func(th *Thread) {
-					th.Send(c, 1, 0, 8, "x")
-				})
 				w.Spawn(1, "receiver", func(th *Thread) {
-					rs := []*Request{th.Irecv(c, 0, 0)}
-					if got := th.Waitsome(rs); len(got) != 1 || got[0] != 0 {
-						t.Errorf("Waitsome = %v, want [0]", got)
-					}
 					start := th.S.Now()
-					for _, list := range [][]*Request{nil, {nil, nil}, rs} {
-						if i := th.Waitany(list); i != -1 {
-							t.Errorf("Waitany(%v) = %d, want -1", list, i)
-						}
-						if got := th.Waitsome(list); got != nil {
-							t.Errorf("Waitsome(%v) = %v, want nil", list, got)
-						}
+					for _, list := range [][]*Request{nil, {nil, nil}} {
 						if err := th.Waitall(list); err != nil {
 							t.Errorf("Waitall(%v): %v", list, err)
 						}
@@ -126,15 +100,14 @@ func TestWaitUndefined(t *testing.T) {
 	}
 }
 
-// completionCall is one of the six completion calls. reap drives it until
-// it has reaped r, or calls it once when r is inactive (nil or already
-// freed), and returns the error the call reports: the return value of
-// Wait, Waitall and Test, and Request.Err for the other three, whose
-// results only say which request finished. active says whether r is expected to be reaped, so the call
-// can check its own result (an index, a list, a flag).
+// completionCall is one of the four completion calls. reap drives it
+// until it has reaped r, or calls it once when r is inactive (nil or
+// already freed), and returns the error the call reports: the return value
+// of Wait, Waitall and Test, and Request.Err for Testall, whose result
+// only lists the requests still pending.
 type completionCall struct {
 	name string
-	reap func(t *testing.T, th *Thread, r *Request, active bool) error
+	reap func(t *testing.T, th *Thread, r *Request) error
 }
 
 // errOf reads r's error, or nil for MPI_REQUEST_NULL and for a request
@@ -147,33 +120,13 @@ func errOf(r *Request) error {
 }
 
 var completionCalls = []completionCall{
-	{"Wait", func(t *testing.T, th *Thread, r *Request, active bool) error {
+	{"Wait", func(t *testing.T, th *Thread, r *Request) error {
 		return th.Wait(r)
 	}},
-	{"Waitall", func(t *testing.T, th *Thread, r *Request, active bool) error {
+	{"Waitall", func(t *testing.T, th *Thread, r *Request) error {
 		return th.Waitall([]*Request{r})
 	}},
-	{"Waitany", func(t *testing.T, th *Thread, r *Request, active bool) error {
-		want := -1
-		if active {
-			want = 0
-		}
-		if i := th.Waitany([]*Request{r}); i != want {
-			t.Errorf("Waitany = %d, want %d", i, want)
-		}
-		return errOf(r)
-	}},
-	{"Waitsome", func(t *testing.T, th *Thread, r *Request, active bool) error {
-		var want []int
-		if active {
-			want = []int{0}
-		}
-		if got := th.Waitsome([]*Request{r}); !slices.Equal(got, want) {
-			t.Errorf("Waitsome = %v, want %v", got, want)
-		}
-		return errOf(r)
-	}},
-	{"Test", func(t *testing.T, th *Thread, r *Request, active bool) error {
+	{"Test", func(t *testing.T, th *Thread, r *Request) error {
 		for {
 			done, err := th.Test(r)
 			if done {
@@ -182,7 +135,7 @@ var completionCalls = []completionCall{
 			th.S.Sleep(500)
 		}
 	}},
-	{"Testall", func(t *testing.T, th *Thread, r *Request, active bool) error {
+	{"Testall", func(t *testing.T, th *Thread, r *Request) error {
 		for rs := th.Testall([]*Request{r}); len(rs) > 0; rs = th.Testall(rs) {
 			th.S.Sleep(500)
 		}
@@ -196,13 +149,13 @@ func isCode(err error, code Errcode) bool {
 	return errors.As(err, &merr) && merr.Code == code
 }
 
-// TestCompletionErrorTable: the six completion calls meet one rule for
+// TestCompletionErrorTable: the four completion calls meet one rule for
 // what they reap, in every progress mode and shard layout, under both
 // error handlers.
 //   - A truncated receive raises MPI_ERR_TRUNCATE through the handler: the
 //     run ends with a *sim.PanicError under MPI_ERRORS_ARE_FATAL, and under
-//     MPI_ERRORS_RETURN the call reports it (Wait and Waitall return it;
-//     the others leave it readable on Request.Err).
+//     MPI_ERRORS_RETURN the call reports it (Wait, Waitall and Test return
+//     it; Testall leaves it readable on Request.Err).
 //   - A nil request is MPI_REQUEST_NULL: no error, and no virtual time
 //     except Testall's one progress round (TestTestallEmptyPolls).
 //   - A freed request is MPI_ERR_REQUEST for Wait and Test; the list
@@ -243,7 +196,7 @@ func completionCell(t *testing.T, opt func(*Config), h Errhandler, mode Progress
 		var r *Request
 		switch cell {
 		case "truncated":
-			got = call.reap(t, th, th.IrecvN(c, 0, 0, 8, nil), true)
+			got = call.reap(t, th, th.IrecvN(c, 0, 0, 8, nil))
 			return
 		case "freed":
 			r = th.Irecv(c, 0, 0)
@@ -252,7 +205,7 @@ func completionCell(t *testing.T, opt func(*Config), h Errhandler, mode Progress
 			}
 		}
 		start, polls := th.S.Now(), th.P.Polls
-		got = call.reap(t, th, r, false)
+		got = call.reap(t, th, r)
 		if call.name == "Testall" {
 			if n := th.P.Polls - polls; n != 1 {
 				t.Errorf("Testall on an inactive list ran %d progress rounds, want 1", n)
@@ -305,9 +258,8 @@ func pooled(r *Request) bool {
 // Waitall, Test or Testall goes back to its shard's pool in every progress
 // mode (continuation-mode Waitall on its drain side), so the next Isend or
 // Irecv on that shard reuses the object; the receive's payload is already
-// in its slot. Waitany and Waitsome never pool what they take: the
-// caller's list still names it (TestWaitanyKeepsList). A failed send is
-// never pooled, and its error stays readable.
+// in its slot. A failed send is never pooled, and its error stays
+// readable.
 func TestCompletionRecycles(t *testing.T) {
 	for _, mode := range progressModes {
 		for _, call := range completionCalls {
@@ -317,15 +269,14 @@ func TestCompletionRecycles(t *testing.T) {
 					w := testWorld(t, 2, opt, withProgress(mode), func(c *Config) { c.MaxEvents = 200_000 })
 					w.SetErrhandler(ErrorsReturn)
 					c := w.Comm()
-					recycles := call.name != "Waitany" && call.name != "Waitsome"
 					w.Spawn(0, "sender", func(th *Thread) {
 						s := th.Isend(c, 1, 5, 8, "x")
-						if err := call.reap(t, th, s, true); err != nil {
+						if err := call.reap(t, th, s); err != nil {
 							t.Errorf("send: %v", err)
 						}
 						next := th.Isend(c, 1, 5, 8, "y")
-						if reused := next == s; reused != recycles {
-							t.Errorf("next Isend reused the reaped send: %v, want %v", reused, recycles)
+						if next != s {
+							t.Error("next Isend did not reuse the reaped send")
 						}
 						if err := th.Wait(next); err != nil {
 							t.Errorf("second send: %v", err)
@@ -338,7 +289,7 @@ func TestCompletionRecycles(t *testing.T) {
 						*bad = Request{p: p, kind: SendReq, dst: 1, comm: c, maxBytes: -1, poolable: true, vci: v}
 						p.outstanding++
 						bad.fail(ErrProcFailed, th.S.Now())
-						if err := call.reap(t, th, bad, true); !isCode(err, ErrProcFailed) {
+						if err := call.reap(t, th, bad); !isCode(err, ErrProcFailed) {
 							t.Errorf("failed send reported %v, want MPI_ERR_PROC_FAILED", err)
 						}
 						if pooled(bad) || !isCode(bad.Err(), ErrProcFailed) {
@@ -348,15 +299,15 @@ func TestCompletionRecycles(t *testing.T) {
 					w.Spawn(1, "receiver", func(th *Thread) {
 						var got interface{}
 						r := th.IrecvN(c, 0, 5, -1, &got)
-						if err := call.reap(t, th, r, true); err != nil {
+						if err := call.reap(t, th, r); err != nil {
 							t.Errorf("recv: %v", err)
 						}
-						if pooled(r) != recycles || got != "x" {
-							t.Errorf("receive pooled=%v data=%v; want pooled=%v, data x", pooled(r), got, recycles)
+						if !pooled(r) || got != "x" {
+							t.Errorf("receive pooled=%v data=%v; want pooled, data x", pooled(r), got)
 						}
 						next := th.Irecv(c, 0, 5)
-						if reused := next == r; reused != recycles {
-							t.Errorf("next Irecv reused the reaped receive: %v, want %v", reused, recycles)
+						if next != r {
+							t.Error("next Irecv did not reuse the reaped receive")
 						}
 						if err := th.Wait(next); err != nil {
 							t.Errorf("second recv: %v", err)
@@ -368,59 +319,6 @@ func TestCompletionRecycles(t *testing.T) {
 				})
 			})
 		}
-	}
-}
-
-// TestWaitanyKeepsList: Waitany and Waitsome are called again on the same
-// list until it is drained, so a send they took stays a freed entry there
-// even when the thread posts more sends on the same shard: Waitany never
-// returns an index twice and ends at -1 (MPI_UNDEFINED), Waitsome ends at
-// nil, and the later sends complete on their own.
-func TestWaitanyKeepsList(t *testing.T) {
-	for _, mode := range progressModes {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			forEachVCI(t, func(t *testing.T, opt func(*Config)) {
-				w := testWorld(t, 2, opt, withProgress(mode), func(c *Config) { c.MaxEvents = 200_000 })
-				c := w.Comm()
-				w.Spawn(0, "sender", func(th *Thread) {
-					rs := []*Request{th.Isend(c, 1, 5, 8, "a"), th.Isend(c, 1, 5, 8, "b")}
-					if i := th.Waitany(rs); i != 0 {
-						t.Errorf("first Waitany = %d, want 0", i)
-					}
-					next := th.Isend(c, 1, 5, 8, "c")
-					if i := th.Waitany(rs); i != 1 {
-						t.Errorf("second Waitany = %d, want 1", i)
-					}
-					if i := th.Waitany(rs); i != -1 {
-						t.Errorf("Waitany on the drained list = %d, want -1", i)
-					}
-					if err := th.Wait(next); err != nil {
-						t.Errorf("later send: %v", err)
-					}
-
-					rs = []*Request{th.Isend(c, 1, 5, 8, "d"), th.Isend(c, 1, 5, 8, "e")}
-					for n := 0; n < len(rs); {
-						n += len(th.Waitsome(rs))
-					}
-					next = th.Isend(c, 1, 5, 8, "f")
-					if got := th.Waitsome(rs); got != nil {
-						t.Errorf("Waitsome on the drained list = %v, want nil", got)
-					}
-					if err := th.Wait(next); err != nil {
-						t.Errorf("later send: %v", err)
-					}
-				})
-				w.Spawn(1, "receiver", func(th *Thread) {
-					for range 6 {
-						th.Recv(c, 0, 5)
-					}
-				})
-				if err := w.Run(); err != nil {
-					t.Fatal(err)
-				}
-			})
-		})
 	}
 }
 

@@ -16,8 +16,8 @@
 // default, polling, is the paper's shape above. Strong progress moves the
 // progress loop onto a dedicated daemon simthread per VCI shard so blocked
 // application threads park instead of polling; continuation mode adds
-// completion-time callbacks (Request.OnComplete) and CompletionQueue
-// draining on top, removing the per-request wait loop entirely.
+// completion-time queue delivery on top, turning Waitall into one batched
+// registration and a drain and removing its per-request wait loop.
 //
 // mpi is part of the deterministic core (docs/ARCHITECTURE.md); the
 // lockpair analyzer enforces its critical-section discipline.
@@ -104,7 +104,7 @@ type Config struct {
 	// threads iterate the progress loop of their requests' shards),
 	// ProgressStrong (a dedicated progress daemon per VCI shard; blocked
 	// threads park), ProgressContinuation (strong progress plus
-	// OnComplete callbacks and CompletionQueue draining), or
+	// completion-queue delivery for Waitall), or
 	// ProgressSelective (polling, but a thread whose poll came up empty
 	// parks until an arrival or completion wakes it — the paper's §9
 	// selective wake-up, which removes the wasted lock acquisitions the
@@ -133,7 +133,7 @@ type World struct {
 	wins        []*Win
 	danglingNow int
 	appThreads  int  // live non-daemon threads; world stops at zero
-	nextCtx     int  // user context ids handed out by Dup/Split
+	nextCtx     int  // user context ids handed out by SetupComm/Split/Shrink
 	progressd   bool // progress daemons started (strong/continuation modes)
 
 	// Fault/resilience plane (nil and zero on a perfect network).
@@ -324,8 +324,8 @@ func (w *World) Run() error {
 func (w *World) FaultPlane() *fault.Plane { return w.plane }
 
 // Comm is a communicator: a matching context over a group of processes.
-// The world communicator has a nil ranks slice (identity mapping); Dup and
-// Split create communicators with explicit groups.
+// The world communicator has a nil ranks slice (identity mapping); Split
+// and Shrink create communicators with explicit groups.
 type Comm struct {
 	w    *World
 	ctx  int
@@ -489,9 +489,9 @@ type Thread struct {
 	// acquisitions made while set are counted as error-path traffic
 	// (only ever set when the fault-tolerance plane is armed).
 	errPath bool
-	// cq is the thread's internal completion queue, used by the
-	// continuation-mode Waitall (empty between calls).
-	cq CompletionQueue
+	// cq is the thread's completion queue, used by the continuation-mode
+	// Waitall (empty between calls).
+	cq completionQueue
 	// wait is the wait engine's per-thread state (wait.go).
 	wait waiter
 	// slot is the receive slot of the blocking receives (recvE,

@@ -10,7 +10,6 @@ package report
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -142,33 +141,6 @@ func formatNum(v float64) string {
 	default:
 		return fmt.Sprintf("%.4f", v)
 	}
-}
-
-// Ratio returns sa/sb evaluated pointwise at their shared x values.
-func Ratio(sa, sb *Series) *Series {
-	out := &Series{Name: sa.Name + "/" + sb.Name}
-	for _, p := range sa.Points {
-		if y, ok := sb.Y(p.X); ok && y != 0 {
-			out.Add(p.X, p.Y/y)
-		}
-	}
-	return out
-}
-
-// GeoMean returns the geometric mean of the series' y values (0 if empty
-// or any y <= 0).
-func GeoMean(s *Series) float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	prod := 1.0
-	for _, p := range s.Points {
-		if p.Y <= 0 {
-			return 0
-		}
-		prod *= p.Y
-	}
-	return math.Pow(prod, 1.0/float64(len(s.Points)))
 }
 
 // FigureSchema tags the figure JSON layout: the flat results schema of

@@ -3,10 +3,8 @@ package report
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestSeriesAddAndY(t *testing.T) {
@@ -93,62 +91,6 @@ func TestFormatNum(t *testing.T) {
 		if got := formatNum(in); got != want {
 			t.Errorf("formatNum(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestRatio(t *testing.T) {
-	a := &Series{Name: "a"}
-	a.Add(1, 10)
-	a.Add(2, 20)
-	a.Add(3, 30)
-	b := &Series{Name: "b"}
-	b.Add(1, 5)
-	b.Add(2, 0) // division by zero skipped
-	r := Ratio(a, b)
-	if len(r.Points) != 1 || r.Points[0].Y != 2 {
-		t.Fatalf("ratio = %+v", r.Points)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	s := &Series{}
-	s.Add(1, 2)
-	s.Add(2, 8)
-	if gm := GeoMean(s); math.Abs(gm-4) > 1e-9 {
-		t.Fatalf("geomean = %v", gm)
-	}
-	if GeoMean(&Series{}) != 0 {
-		t.Fatal("empty geomean should be 0")
-	}
-	z := &Series{}
-	z.Add(1, 0)
-	if GeoMean(z) != 0 {
-		t.Fatal("non-positive y should yield 0")
-	}
-}
-
-func TestGeoMeanBetweenMinMax(t *testing.T) {
-	f := func(raw []uint16) bool {
-		s := &Series{}
-		min, max := math.Inf(1), 0.0
-		for i, v := range raw {
-			y := float64(v) + 1
-			s.Add(float64(i), y)
-			if y < min {
-				min = y
-			}
-			if y > max {
-				max = y
-			}
-		}
-		if len(s.Points) == 0 {
-			return true
-		}
-		gm := GeoMean(s)
-		return gm >= min-1e-9 && gm <= max+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -171,19 +171,18 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 // The zero Timer refers to no event; Cancel on it is a no-op and Pending
 // reports false. The handle stays valid after the callback fires: Cancel
 // becomes a no-op (the generation snapshot detects that the pooled event
-// moved on) and When still reports the scheduled time.
+// moved on).
 type Timer struct {
-	q    *eventQueue
-	ev   *event
-	gen  uint32
-	when Time
+	q   *eventQueue
+	ev  *event
+	gen uint32
 }
 
 // AtTimer schedules fn at time t and returns a handle that can cancel it.
 func (e *Engine) AtTimer(t Time, fn func()) Timer {
 	ev := e.schedule(t)
 	ev.fn = fn
-	return Timer{q: &e.q, ev: ev, gen: ev.gen, when: ev.when}
+	return Timer{q: &e.q, ev: ev, gen: ev.gen}
 }
 
 // AtTimerArg schedules fn(arg) at time t and returns a cancellable
@@ -193,11 +192,8 @@ func (e *Engine) AtTimerArg(t Time, fn func(interface{}), arg interface{}) Timer
 	ev := e.schedule(t)
 	ev.argFn = fn
 	ev.arg = arg
-	return Timer{q: &e.q, ev: ev, gen: ev.gen, when: ev.when}
+	return Timer{q: &e.q, ev: ev, gen: ev.gen}
 }
-
-// When returns the scheduled fire time (zero for the zero Timer).
-func (tm Timer) When() Time { return tm.when }
 
 // Pending reports whether the callback is still due: armed, not yet
 // fired and not cancelled.

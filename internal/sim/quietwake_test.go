@@ -99,7 +99,7 @@ type quietAction struct {
 	kind   int
 	q, c   int
 	delay  Time
-	cancel Time // kind 4: when to cancel the timer; 0 leaves it armed
+	cancel Time // kind 3: when to cancel the timer; 0 leaves it armed
 }
 
 // randomQuietScenario draws a schedule from seed: four WaitUntil waiters
@@ -159,11 +159,11 @@ func randomQuietScenario(seed uint64) quietScenario {
 		})
 		acts := make([]quietAction, 80)
 		for k := range acts {
-			a := quietAction{at: r.Int63n(5000), kind: r.Intn(5), q: r.Intn(2), c: r.Intn(len(conds))}
+			a := quietAction{at: r.Int63n(5000), kind: r.Intn(4), q: r.Intn(2), c: r.Intn(len(conds))}
 			if r.Intn(3) == 0 {
 				a.delay = r.Int63n(50)
 			}
-			if a.kind == 4 && r.Intn(2) == 0 {
+			if a.kind == 3 && r.Intn(2) == 0 {
 				a.cancel = a.at + r.Int63n(2*a.delay+1)
 			}
 			acts[k] = a
@@ -180,10 +180,6 @@ func randomQuietScenario(seed uint64) quietScenario {
 				case 2:
 					logf("wake all q%d: %d@%d", a.q, q.WakeAll(e.Now()+a.delay), e.Now())
 				case 3:
-					if th := q.WakeOne(e.Now()); th != nil {
-						logf("wake one q%d: %s@%d", a.q, th.Name(), e.Now())
-					}
-				case 4:
 					tm := e.AtTimer(e.Now()+a.delay, func() {
 						c.on = true
 						logf("timer q%d: %d@%d", a.q, q.WakeAll(e.Now()), e.Now())

@@ -55,17 +55,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Fork returns a new generator whose stream is derived from this one,
 // useful for giving subsystems independent deterministic streams.
 func (r *Rand) Fork() *Rand { return NewRand(r.Uint64()) }

@@ -18,7 +18,7 @@ func (w *WaitQueue) push(t *Thread) {
 	w.q = append(w.q, t)
 }
 
-// Wait parks the calling thread until a matching WakeOne/WakeAll.
+// Wait parks the calling thread until a WakeAll.
 func (w *WaitQueue) Wait(t *Thread) {
 	w.push(t)
 	t.Park()
@@ -51,19 +51,6 @@ func (w *WaitQueue) WaitUntil(t *Thread, c Cond) {
 	t.until, t.untilQ = c, w
 	t.Park()
 	t.until, t.untilQ = nil, nil
-}
-
-// WakeOne unparks the oldest waiter at time at and returns it, or nil if
-// the queue is empty.
-func (w *WaitQueue) WakeOne(at Time) *Thread {
-	if len(w.q) == 0 {
-		return nil
-	}
-	t := w.q[0]
-	copy(w.q, w.q[1:])
-	w.q = w.q[:len(w.q)-1]
-	t.Unpark(at)
-	return t
 }
 
 // WakeAll unparks every waiter at time at and returns how many were woken.

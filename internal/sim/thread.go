@@ -188,16 +188,6 @@ func (t *Thread) Unpark(at Time) {
 	t.wake = t.eng.atThread(at, t)
 }
 
-// UnparkCancel cancels a pending Unpark, leaving the thread parked again.
-// It is a no-op if no wake is pending.
-func (t *Thread) UnparkCancel() {
-	if t.wake != nil {
-		t.eng.q.cancelEvent(t.wake)
-		t.wake = nil
-		t.setState(StateParked)
-	}
-}
-
 // Parked reports whether the thread is currently parked with no pending
 // wake event.
 func (t *Thread) Parked() bool { return t.state == StateParked && t.wake == nil }

@@ -213,9 +213,9 @@ func (r *Recorder) RegisterLock(name string) int {
 	return len(r.lockNames) - 1
 }
 
-// PreadyFast counts one lock-free (non-triggering) Pready/PreadyRange
-// call. Counter-only and allocation-free: it sits on the partitioned fast
-// path, which takes no lock and records no span.
+// PreadyFast counts one lock-free (non-triggering) Pready call.
+// Counter-only and allocation-free: it sits on the partitioned fast path,
+// which takes no lock and records no span.
 func (r *Recorder) PreadyFast() {
 	if r == nil {
 		return

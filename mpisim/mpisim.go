@@ -263,8 +263,7 @@ const (
 	// blocked application threads park instead of polling.
 	StrongProgress = mpi.ProgressStrong
 	// ContinuationProgress is strong progress plus completion-time
-	// callbacks and completion-queue draining: Waitall becomes one
-	// batched enqueue and a drain.
+	// queue delivery: Waitall becomes one batched enqueue and a drain.
 	ContinuationProgress = mpi.ProgressContinuation
 	// SelectiveProgress is polling with the paper's §9 selective
 	// wake-up: a thread whose poll came up empty parks until an arrival
