@@ -94,7 +94,7 @@ func TestWildcard(t *testing.T) {
 	}
 }
 
-func TestConfigValidate(t *testing.T) {
+func TestNormalizeValidate(t *testing.T) {
 	if err := (Config{N: 16, Policy: PerTagHash}).Validate(); err != nil {
 		t.Fatal(err)
 	}

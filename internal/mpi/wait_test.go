@@ -14,7 +14,8 @@ import (
 var progressModes = []ProgressMode{ProgressPolling, ProgressStrong, ProgressContinuation}
 
 // TestWaitFamilyProgressModes: each wait call completes a receive whose
-// send arrives 200 µs late, in every progress mode and shard layout. Under
+// send arrives 200 µs late, alone or behind a null entry, in every
+// progress mode and shard layout. Under
 // polling the blocked caller spins the progress loop and wastes low-class
 // acquisitions; under strong progress and continuations it parks, so no
 // low-class acquisition is wasted, whichever wait call blocks.
@@ -30,6 +31,11 @@ func TestWaitFamilyProgressModes(t *testing.T) {
 		}},
 		{"Waitall", func(t *testing.T, th *Thread, r *Request) {
 			if err := th.Waitall([]*Request{r}); err != nil {
+				t.Errorf("Waitall: %v", err)
+			}
+		}},
+		{"Waitall+null", func(t *testing.T, th *Thread, r *Request) {
+			if err := th.Waitall([]*Request{nil, r}); err != nil {
 				t.Errorf("Waitall: %v", err)
 			}
 		}},
@@ -100,14 +106,19 @@ func TestWaitUndefined(t *testing.T) {
 	}
 }
 
-// completionCall is one of the four completion calls. reap drives it
-// until it has reaped r, or calls it once when r is inactive (nil or
-// already freed), and returns the error the call reports: the return value
-// of Wait, Waitall and Test, and Request.Err for Testall, whose result
-// only lists the requests still pending.
+// completionCall is one way of reaping a request with the four
+// completion calls. reap drives it until it has reaped r, or calls it once
+// when r is inactive (nil or already freed), and returns the error the
+// call reports: the return value of Wait, Waitall and Test, and
+// Request.Err for Testall, whose result only lists the requests still
+// pending. list marks the calls that take a request list and so skip a
+// freed entry, where Wait and Test raise MPI_ERR_REQUEST; polls marks
+// Testall, which runs one progress round even on an inactive list.
 type completionCall struct {
-	name string
-	reap func(t *testing.T, th *Thread, r *Request) error
+	name  string
+	list  bool
+	polls bool
+	reap  func(t *testing.T, th *Thread, r *Request) error
 }
 
 // errOf reads r's error, or nil for MPI_REQUEST_NULL and for a request
@@ -120,13 +131,18 @@ func errOf(r *Request) error {
 }
 
 var completionCalls = []completionCall{
-	{"Wait", func(t *testing.T, th *Thread, r *Request) error {
+	{"Wait", false, false, func(t *testing.T, th *Thread, r *Request) error {
 		return th.Wait(r)
 	}},
-	{"Waitall", func(t *testing.T, th *Thread, r *Request) error {
+	{"Waitall", true, false, func(t *testing.T, th *Thread, r *Request) error {
 		return th.Waitall([]*Request{r})
 	}},
-	{"Test", func(t *testing.T, th *Thread, r *Request) error {
+	// r among MPI_REQUEST_NULL entries: the nulls are skipped, and r is
+	// reaped by the same rule as alone.
+	{"Waitall+null", true, false, func(t *testing.T, th *Thread, r *Request) error {
+		return th.Waitall([]*Request{nil, r, nil})
+	}},
+	{"Test", false, false, func(t *testing.T, th *Thread, r *Request) error {
 		for {
 			done, err := th.Test(r)
 			if done {
@@ -135,8 +151,28 @@ var completionCalls = []completionCall{
 			th.S.Sleep(500)
 		}
 	}},
-	{"Testall", func(t *testing.T, th *Thread, r *Request) error {
+	// One Test, then Wait if it did not complete: a Test that reports
+	// false leaves r pending for the Wait that follows.
+	{"Test+Wait", false, false, func(t *testing.T, th *Thread, r *Request) error {
+		if done, err := th.Test(r); done {
+			return err
+		}
+		return th.Wait(r)
+	}},
+	{"Testall", true, true, func(t *testing.T, th *Thread, r *Request) error {
 		for rs := th.Testall([]*Request{r}); len(rs) > 0; rs = th.Testall(rs) {
+			th.S.Sleep(500)
+		}
+		return errOf(r)
+	}},
+	// Testall drops the null entry from the list it returns, so the loop
+	// ends once r is reaped.
+	{"Testall+null", true, true, func(t *testing.T, th *Thread, r *Request) error {
+		for rs := th.Testall([]*Request{nil, r}); len(rs) > 0; rs = th.Testall(rs) {
+			if len(rs) != 1 || rs[0] != r {
+				t.Errorf("Testall left %v pending, want only %p", rs, r)
+				return errOf(r)
+			}
 			th.S.Sleep(500)
 		}
 		return errOf(r)
@@ -149,9 +185,10 @@ func isCode(err error, code Errcode) bool {
 	return errors.As(err, &merr) && merr.Code == code
 }
 
-// TestCompletionErrorTable: the four completion calls meet one rule for
-// what they reap, in every progress mode and shard layout, under both
-// error handlers.
+// TestCompletionErrorTable: the four completion calls, alone, over lists
+// with null entries and Test followed by Wait, meet one rule for what they
+// reap, in every progress mode and shard layout, under both error
+// handlers.
 //   - A truncated receive raises MPI_ERR_TRUNCATE through the handler: the
 //     run ends with a *sim.PanicError under MPI_ERRORS_ARE_FATAL, and under
 //     MPI_ERRORS_RETURN the call reports it (Wait, Waitall and Test return
@@ -159,7 +196,7 @@ func isCode(err error, code Errcode) bool {
 //   - A nil request is MPI_REQUEST_NULL: no error, and no virtual time
 //     except Testall's one progress round (TestTestallEmptyPolls).
 //   - A freed request is MPI_ERR_REQUEST for Wait and Test; the list
-//     calls skip it.
+//     calls skip it, as they skip null entries.
 func TestCompletionErrorTable(t *testing.T) {
 	cells := []string{"truncated", "nil", "freed"}
 	for _, h := range []Errhandler{ErrorsAreFatal, ErrorsReturn} {
@@ -206,7 +243,7 @@ func completionCell(t *testing.T, opt func(*Config), h Errhandler, mode Progress
 		}
 		start, polls := th.S.Now(), th.P.Polls
 		got = call.reap(t, th, r)
-		if call.name == "Testall" {
+		if call.polls {
 			if n := th.P.Polls - polls; n != 1 {
 				t.Errorf("Testall on an inactive list ran %d progress rounds, want 1", n)
 			}
@@ -220,7 +257,7 @@ func completionCell(t *testing.T, opt func(*Config), h Errhandler, mode Progress
 	switch {
 	case cell == "truncated":
 		want = ErrTruncate
-	case cell == "freed" && (call.name == "Wait" || call.name == "Test"):
+	case cell == "freed" && !call.list:
 		want = ErrRequest
 	}
 	if want == ErrSuccess || h == ErrorsReturn {
@@ -319,6 +356,59 @@ func TestCompletionRecycles(t *testing.T) {
 				})
 			})
 		}
+	}
+}
+
+// TestTestallDrainsList: Testall is called again on the list it returned
+// until that list is empty. A receive it took goes back to its shard's
+// pool at once, so an Irecv posted while the rest of the list is still
+// pending reuses the object; the returned list no longer names it, so the
+// drain never sees the reuse, and every receive gets its own payload.
+func TestTestallDrainsList(t *testing.T) {
+	for _, mode := range progressModes {
+		mode := mode
+		t.Run(mode.String(), func(t *testing.T) {
+			forEachVCI(t, func(t *testing.T, opt func(*Config)) {
+				w := testWorld(t, 2, opt, withProgress(mode), func(c *Config) { c.MaxEvents = 200_000 })
+				c := w.Comm()
+				w.Spawn(0, "sender", func(th *Thread) {
+					th.Send(c, 1, 5, 8, "a")
+					th.S.Sleep(100_000)
+					th.Send(c, 1, 5, 8, "b")
+					th.Send(c, 1, 5, 8, "c")
+				})
+				w.Spawn(1, "receiver", func(th *Thread) {
+					var a, b, next interface{}
+					first, second := th.IrecvN(c, 0, 5, -1, &a), th.IrecvN(c, 0, 5, -1, &b)
+					rs := []*Request{first, second}
+					for rs = th.Testall(rs); len(rs) == 2; rs = th.Testall(rs) {
+						th.S.Sleep(500)
+					}
+					if len(rs) != 1 || rs[0] != second {
+						t.Fatalf("Testall left %v pending, want only the second receive", rs)
+					}
+					r := th.IrecvN(c, 0, 5, -1, &next)
+					if r != first {
+						t.Errorf("Irecv got %p, want the taken first receive %p from the pool", r, first)
+					}
+					for ; len(rs) > 0; rs = th.Testall(rs) {
+						th.S.Sleep(500)
+					}
+					if err := th.Wait(r); err != nil {
+						t.Errorf("later receive: %v", err)
+					}
+					if a != "a" || b != "b" || next != "c" {
+						t.Errorf("payloads %v, %v, %v; want a, b, c", a, b, next)
+					}
+				})
+				if err := w.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if n := w.DanglingNow(); n != 0 {
+					t.Fatalf("dangling requests: %d", n)
+				}
+			})
+		})
 	}
 }
 
