@@ -563,3 +563,43 @@ func TestPartitionedCrashRecvSide(t *testing.T) {
 		t.Fatal("partitioned inner request marked poolable: the pool would reclaim it under the live Prequest")
 	}
 }
+
+// TestCrashedThreadReturnsToHost: rank 0's host thread sleeps across rank
+// 1's crash, so its event loop takes the victim's start and switches into
+// it, and the victim's polls run in the victim's own loop. At its first
+// poll after the crash the victim unwinds by rankCrashed, its coroutine
+// returns to the host's loop, and the host takes its own wake there. Only
+// two switches into a coroutine happen, each with its switch back: Run
+// into the host, and the host into the victim.
+func TestCrashedThreadReturnsToHost(t *testing.T) {
+	const crashAt, hostWake = 150_000, 1_000_000
+	w := testWorld(t, 2, withCrash(fault.CrashSpec{Rank: 1, AtNs: crashAt}))
+	w.SetErrhandler(ErrorsReturn)
+	c := w.Comm()
+	var woke sim.Time = -1
+	w.Spawn(0, "host", func(th *Thread) {
+		th.S.Sleep(hostWake)
+		woke = th.S.Now()
+	})
+	victim := w.Spawn(1, "victim", func(th *Thread) {
+		for {
+			th.Recv(c, 0, 7)
+		}
+	})
+	var unwound sim.Time = -1
+	w.Eng.OnThreadState = func(st *sim.Thread, s sim.ThreadState) {
+		if st == victim.S && s == sim.StateDone {
+			unwound = w.Eng.Now()
+		}
+	}
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if unwound < crashAt || unwound >= hostWake || woke != hostWake {
+		t.Fatalf("victim unwound at %d, host woke at %d; want the unwind in [%d, %d) and the wake at %d",
+			unwound, woke, crashAt, hostWake, hostWake)
+	}
+	if s := w.Eng.Stats(); s.Switches != 4 {
+		t.Fatalf("stats %+v: want 4 switches, Run's into the host and the host's into the victim", s)
+	}
+}

@@ -340,8 +340,7 @@ func TestRecycledRequestPanics(t *testing.T) {
 			read func()
 		}{
 			{"Err", func() { r.Err() }}, {"Complete", func() { r.Complete() }},
-			{"Freed", func() { r.Freed() }}, {"Bytes", func() { r.Bytes() }},
-			{"Kind", func() { r.Kind() }},
+			{"Freed", func() { r.Freed() }}, {"Kind", func() { r.Kind() }},
 		}
 		for _, a := range reads {
 			func() {

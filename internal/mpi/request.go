@@ -126,9 +126,6 @@ func (r *Request) Complete() bool { return r.live().complete }
 // Freed reports whether the request was freed.
 func (r *Request) Freed() bool { return r.live().freed }
 
-// Bytes returns the message size.
-func (r *Request) Bytes() int64 { return r.live().bytes }
-
 // Kind returns the request kind.
 func (r *Request) Kind() ReqKind { return r.live().kind }
 

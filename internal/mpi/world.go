@@ -343,9 +343,6 @@ type Comm struct {
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return c.size }
 
-// Ctx returns the matching context id (exported for tests).
-func (c *Comm) Ctx() int { return c.ctx }
-
 // Proc is one MPI process: a rank with its own runtime state and global
 // critical section.
 type Proc struct {

@@ -3,21 +3,30 @@
 //
 // The engine owns a virtual clock measured in integer nanoseconds and an
 // event queue ordered by (time, sequence). Exactly one simthread executes at
-// any moment; a simthread runs until it blocks (Sleep, Park) or returns, at
-// which point control transfers back to the engine, which dispatches the
-// next event. Ties are broken by insertion order, so a simulation with a
-// fixed seed is fully reproducible.
+// any moment; a simthread runs until it blocks (Sleep, Park) or returns.
+// Ties are broken by insertion order, so a simulation with a fixed seed is
+// fully reproducible.
 //
-// Each simthread is a stdlib iter.Pull coroutine: dispatching a thread
-// switches straight into it, and blocking switches straight back, so the
-// simulation is sequential and race-free by construction and the Go
-// scheduler never decides who runs next. A Sleep whose wake is the next
-// event anyway does not return to the engine at all: the thread advances
-// the clock in place, exactly as the dispatch would have, and runs on
-// without a switch (Stats counts these inline wakes). Symmetrically, a
-// waiter parked in WaitQueue.WaitUntil whose condition still fails when
-// it is woken is never switched into: the engine re-queues it in place,
-// exactly as the thread's own wait loop would have (quiet wakes).
+// Each simthread is a stdlib iter.Pull coroutine, so the simulation is
+// sequential and race-free by construction and the Go scheduler never
+// decides who runs next. A simthread that blocks does not switch back to
+// Run: it runs the event loop on its own stack (Engine.loop). Engine
+// callbacks and quiet wakes run in place, its own wake returns with no
+// switch, and another simthread's wake switches straight into that
+// thread. Such switches chain: Run switched into A, whose loop switched
+// into B, and so on up to the running thread. A wake for a thread lower
+// in that chain, blocked inside its own switch, yields back down the
+// chain to it instead. A blocked thread leaves to Run
+// the events on which Run's checks may fire — Stop, MaxEvents, the
+// wall-clock watchdog and an empty queue — so every event is still taken
+// once, in (time, sequence) order, and runs as Run would have run it.
+// Stats counts the switches.
+//
+// A Sleep whose wake is the next event anyway skips even the loop: it
+// advances the clock in place and runs on (inline wakes). A waiter parked
+// in WaitQueue.WaitUntil whose condition still fails when it is woken is
+// never resumed: the loop re-queues it in place, exactly as the thread's
+// own wait loop would have done (quiet wakes).
 //
 // sim is the foundation of the deterministic core (docs/ARCHITECTURE.md).
 // Like every core package it uses no goroutines, channels or sync
@@ -49,10 +58,16 @@ type Engine struct {
 	rng *Rand
 
 	threads []*Thread
-	running *Thread // thread whose coroutine is executing, nil if engine runs
+	running *Thread // thread whose code is executing, nil while an event is taken
+	// handoff is the thread whose wake a loop higher in the hand-off
+	// chain took while it was blocked inside a switch; the chain unwinds
+	// down to it (loop).
+	handoff *Thread
 
-	stopped bool
-	stats   Stats
+	stopped   bool
+	failed    *PanicError // the panic that ended the run, if one did
+	stats     Stats
+	wallStart time.Time // when Run started, for the watchdog
 
 	// MaxEvents aborts the run when exceeded (safety against runaway
 	// simulations). Zero means no limit.
@@ -85,7 +100,7 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random stream.
 func (e *Engine) Rand() *Rand { return e.rng }
 
-// EventsRun reports how many events have been dispatched so far.
+// EventsRun reports how many events have run so far.
 func (e *Engine) EventsRun() uint64 { return e.stats.Events }
 
 // Stats are the engine's scheduling counters. They are a pure function of
@@ -93,8 +108,11 @@ func (e *Engine) EventsRun() uint64 { return e.stats.Events }
 type Stats struct {
 	// Events counts the events run, inline wakes included (EventsRun).
 	Events uint64
-	// Dispatches counts switches into a simthread's coroutine.
+	// Dispatches counts the wakes that ran a simthread: a switch into
+	// it, or its own wake taken in its own event loop.
 	Dispatches uint64
+	// Switches counts coroutine switches, into a simthread and back.
+	Switches uint64
 	// Sleeps counts Thread.Sleep calls.
 	Sleeps uint64
 	// InlineWakes counts the Sleeps whose wake was the next event and
@@ -103,29 +121,35 @@ type Stats struct {
 	// Parks counts Thread.Park calls. A quiet wake re-parks without one.
 	Parks uint64
 	// QuietWakes counts the wakes of WaitUntil waiters whose condition
-	// still failed, re-queued by the engine with no switch.
+	// still failed, re-queued in place with no switch.
 	QuietWakes uint64
 }
 
 // Stats returns the scheduling counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// wakesNext reports whether a dispatch of the running thread at w would be
-// the very next thing Run does: the queue holds nothing at or before w, and
-// no check of Run's loop — Stop, MaxEvents or the wall-clock
-// watchdog's stride — would fire on that event. Sleep then wakes in place.
-// Sleep outside its thread's own dispatch (engine shutdown included)
-// panics before asking.
-func (e *Engine) wakesNext(w Time) bool {
+// free reports whether none of Run's checks — Stop, MaxEvents or the
+// wall-clock watchdog's stride — could fire on the next event. Only then
+// may a blocked simthread take that event in its own loop, or a Sleep
+// wake in place (wakesNext).
+func (e *Engine) free() bool {
 	return !e.stopped &&
 		(e.MaxEvents == 0 || e.stats.Events < e.MaxEvents) &&
-		(e.MaxWall <= 0 || e.stats.Events%wallCheckEvery != 0) &&
-		e.q.before(w)
+		(e.MaxWall <= 0 || e.stats.Events%wallCheckEvery != 0)
+}
+
+// wakesNext reports whether a wake of the running thread at w would be
+// the very next event taken, and taken outside Run's checks: the queue
+// holds nothing at or before w, and the engine is free. Sleep then wakes
+// in place. Sleep outside its thread's own context (engine shutdown
+// included) panics before asking.
+func (e *Engine) wakesNext(w Time) bool {
+	return e.free() && e.q.before(w)
 }
 
 // schedule allocates a pooled event at time t (clamped to now) and queues
 // it. The caller fills in exactly one callback field afterwards; nothing
-// fires until control returns to Run, so late binding is safe.
+// fires until the caller's code returns or blocks, so late binding is safe.
 func (e *Engine) schedule(t Time) *event {
 	if t < e.now {
 		t = e.now
@@ -154,8 +178,8 @@ func (e *Engine) AtArg(t Time, fn func(interface{}), arg interface{}) {
 	ev.arg = arg
 }
 
-// atThread schedules a dispatch of th at time t — the closure-free form of
-// At(t, func() { e.dispatch(th) }) used by Sleep, Unpark and SpawnAt.
+// atThread schedules a wake of th at time t, the closure-free event that
+// Sleep, Unpark and SpawnAt queue.
 func (e *Engine) atThread(t Time, th *Thread) *event {
 	ev := e.schedule(t)
 	ev.thread = th
@@ -227,26 +251,6 @@ func (e *Engine) SpawnAt(start Time, name string, fn func(t *Thread)) *Thread {
 	return t
 }
 
-// dispatch switches into t's coroutine and returns once t blocks or
-// finishes. A WaitUntil waiter whose condition still fails is re-queued
-// instead (quietWake).
-//
-//simcheck:hotpath runs once per thread wakeup; stays allocation-free
-func (e *Engine) dispatch(t *Thread) {
-	if t.state == StateDone {
-		return
-	}
-	if t.until != nil && !t.until.Ready() {
-		e.quietWake(t)
-		return
-	}
-	t.setState(StateRunning)
-	e.stats.Dispatches++
-	e.running = t
-	t.next()
-	e.running = nil
-}
-
 // quietWake does, in engine context, what a WaitUntil waiter woken with
 // its condition still false would do on its own stack: run, go back to
 // the tail of its queue and park again. No coroutine switch happens.
@@ -259,69 +263,23 @@ func (e *Engine) quietWake(t *Thread) {
 	t.setState(StateParked)
 }
 
-// Run dispatches events until the queue is empty or the simulation is
+// Run runs events until the queue is empty or the simulation is
 // stopped. It returns an error if simthreads remain parked when no events
 // are left (a deadlock), if a configured limit was exceeded, or, as a
-// *PanicError, if a dispatched event panicked.
+// *PanicError, if an event panicked.
 func (e *Engine) Run() (err error) {
 	defer e.shutdown()
 	defer func() {
 		if r := recover(); r != nil {
-			// Snapshot before shutdown marks every thread done.
-			pe := &PanicError{Value: r, Time: e.now, Events: e.stats.Events, Dump: e.ThreadDump()}
-			if e.running != nil {
-				pe.Thread = e.running.name
-			}
-			err = pe
+			e.fail(r)
+		}
+		if e.failed != nil {
+			err, e.failed = e.failed, nil
 		}
 	}()
-	wallStart := time.Now() //simcheck:allow nodeterm wall-clock watchdog; never feeds simulation state
-	for !e.stopped {
-		ev := e.q.pop()
-		if ev == nil {
-			break
-		}
-		if e.MaxWall > 0 && e.stats.Events%wallCheckEvery == 0 {
-			//simcheck:allow nodeterm wall-clock watchdog; aborts hung runs, never feeds simulation state
-			if elapsed := time.Since(wallStart); elapsed > e.MaxWall {
-				e.q.recycle(ev)
-				return fmt.Errorf("sim: wall-clock watchdog: run exceeded %v (elapsed %v) at virtual time %d after %d events\n%s",
-					e.MaxWall, elapsed.Round(time.Millisecond), e.now, e.stats.Events, e.ThreadDump())
-			}
-		}
-		if ev.when < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %d < %d", ev.when, e.now))
-		}
-		e.now = ev.when
-		e.stats.Events++
-		if e.MaxEvents > 0 && e.stats.Events > e.MaxEvents {
-			e.q.recycle(ev)
-			return fmt.Errorf("sim: exceeded MaxEvents %d", e.MaxEvents)
-		}
-		// Copy the callback out and recycle before invoking, so a
-		// callback that cancels its own (already fired) timer sees the
-		// generation bump, and the object is immediately reusable by
-		// events the callback schedules.
-		switch {
-		case ev.thread != nil:
-			th := ev.thread
-			if th.wake == ev {
-				th.wake = nil
-			}
-			e.q.recycle(ev)
-			e.dispatch(th)
-		case ev.argFn != nil:
-			fn, arg := ev.argFn, ev.arg
-			e.q.recycle(ev)
-			fn(arg)
-		default:
-			fn := ev.fn
-			e.q.recycle(ev)
-			fn()
-		}
-	}
-	if e.stopped {
-		return nil
+	e.wallStart = time.Now() //simcheck:allow nodeterm wall-clock watchdog; never feeds simulation state
+	if err := e.loop(nil); err != nil || e.stopped {
+		return err
 	}
 	var parked []string
 	for _, t := range e.threads {
@@ -335,6 +293,144 @@ func (e *Engine) Run() (err error) {
 			len(parked), strings.Join(parked, ", "))
 	}
 	return nil
+}
+
+// loop takes events in (time, seq) order and runs each by kind. Run runs
+// it with self nil; a simthread that blocks runs it on its own stack, with
+// self set, until its own wake:
+//
+//   - an engine callback runs in place, with no simthread running;
+//   - a wake that finds a WaitUntil condition false is re-queued in
+//     place (quietWake);
+//   - self's own wake returns, and self runs on with no switch;
+//   - another simthread's wake switches straight into it. If that thread
+//     is itself blocked inside a switch lower in the current hand-off
+//     chain (inNext), self yields back down the chain to it instead.
+//
+// A blocked thread takes an event only when none of Run's checks could
+// fire on it (free); otherwise it yields, and the chain unwinds to Run,
+// which takes that event itself. Either way, each event is taken once, in
+// order, and runs exactly as Run would have run it.
+//
+//simcheck:hotpath runs every event, and every blocked simthread's wait; stays allocation-free
+func (e *Engine) loop(self *Thread) error {
+	for {
+		if !e.free() || e.q.live == 0 {
+			if self != nil {
+				self.yield()
+				return nil
+			}
+			if e.stopped || e.q.live == 0 {
+				return nil
+			}
+			if e.MaxWall > 0 && e.stats.Events%wallCheckEvery == 0 {
+				if err := e.watchdog(); err != nil { //simcheck:allow hotalloc builds its error once, when the watchdog aborts the run
+					return err
+				}
+			}
+		}
+		ev := e.q.pop()
+		if ev.when < e.now {
+			panic(fmt.Sprintf("sim: time went backwards: %d < %d", ev.when, e.now))
+		}
+		e.now = ev.when
+		e.stats.Events++
+		if e.MaxEvents > 0 && e.stats.Events > e.MaxEvents {
+			e.q.recycle(ev)
+			return fmt.Errorf("sim: exceeded MaxEvents %d", e.MaxEvents) //simcheck:allow hotalloc runs once, when the run exceeds MaxEvents
+		}
+		// Copy the callback out and recycle before invoking, so a
+		// callback that cancels its own (already fired) timer sees the
+		// generation bump, and the object is immediately reusable by
+		// events the callback schedules.
+		th := ev.thread
+		if th == nil {
+			if fn := ev.argFn; fn != nil {
+				arg := ev.arg
+				e.q.recycle(ev)
+				fn(arg)
+			} else {
+				fn := ev.fn
+				e.q.recycle(ev)
+				fn()
+			}
+			continue
+		}
+		if th.wake == ev {
+			th.wake = nil
+		}
+		e.q.recycle(ev)
+		if th.state == StateDone {
+			continue
+		}
+		if th.until != nil && !th.until.Ready() {
+			e.quietWake(th)
+			continue
+		}
+		th.setState(StateRunning)
+		e.stats.Dispatches++
+		switch {
+		case th == self: // its own wake: run on
+		case th.inNext: // lower in the chain: hand the wake down to it
+			e.handoff = th
+			self.yield()
+			return nil
+		default:
+			if self == nil {
+				e.switchTo(th)
+				continue
+			}
+			self.inNext = true
+			e.switchTo(th)
+			self.inNext = false
+			// th returned, or yielded: to leave an event to Run, or to
+			// hand a wake down the chain, to self or further down.
+			if e.handoff == nil {
+				continue
+			}
+			if e.handoff != self {
+				self.yield()
+				return nil
+			}
+			e.handoff = nil
+		}
+		e.running = self
+		return nil
+	}
+}
+
+// fail records a panic that escaped an event as the run's error and stops
+// the run. It snapshots the failing event's time and count and the thread
+// states now, before shutdown marks every thread done.
+func (e *Engine) fail(r interface{}) {
+	pe := &PanicError{Value: r, Time: e.now, Events: e.stats.Events, Dump: e.ThreadDump()}
+	if e.running != nil {
+		pe.Thread = e.running.name
+	}
+	e.failed = pe
+	e.stopped = true
+}
+
+// watchdog fails the run, with a thread dump, once Run has used up MaxWall
+// of real time.
+func (e *Engine) watchdog() error {
+	//simcheck:allow nodeterm wall-clock watchdog; aborts hung runs, never feeds simulation state
+	if elapsed := time.Since(e.wallStart); elapsed > e.MaxWall {
+		return fmt.Errorf("sim: wall-clock watchdog: run exceeded %v (elapsed %v) at virtual time %d after %d events\n%s",
+			e.MaxWall, elapsed.Round(time.Millisecond), e.now, e.stats.Events, e.ThreadDump())
+	}
+	return nil
+}
+
+// switchTo runs t's coroutine until t returns, or yields: to hand a wake
+// down the chain, or to leave an event to Run.
+//
+//simcheck:hotpath runs once per switch into a simthread; stays allocation-free
+func (e *Engine) switchTo(t *Thread) {
+	e.stats.Switches += 2 // into t, and back out when it yields or returns
+	e.running = t
+	t.next()
+	e.running = nil
 }
 
 // ThreadDump renders every simthread's name and state, one per line — the
@@ -367,14 +463,14 @@ func (e *Engine) shutdown() {
 	e.q.drain()
 }
 
-// PanicError is Run's error when a panic escapes a dispatched event: a
+// PanicError is Run's error when a panic escapes an event: a
 // simthread's function or an engine callback. It names where and when
 // the simulation failed.
 type PanicError struct {
 	Value  interface{} // the panic value
 	Thread string      // the running simthread's name; empty for an engine callback
 	Time   Time        // virtual time of the failing event
-	Events uint64      // events dispatched, the failing one included
+	Events uint64      // events run, the failing one included
 	Dump   string      // ThreadDump taken before shutdown
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -490,18 +492,14 @@ func TestInt63nPanicsOnNonPositive(t *testing.T) {
 
 // --- inline wakes ---
 
-// wakeRun is what one run of a scenario leaves behind: everything an
-// inline wake must reproduce exactly as the queued path produced it.
+// wakeRun is what one run of a scenario leaves behind: everything a
+// shortcut of the scheduler must reproduce exactly.
 type wakeRun struct {
 	now   Time
 	log   []string // the scenario's own records and every state change
 	err   string
 	stats Stats // Events is EventsRun
 }
-
-// wakeScenario sets an engine's limits and spawns its threads. It calls
-// sleep instead of Thread.Sleep and records through logf.
-type wakeScenario func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{}))
 
 // runLogged runs a scenario's setup on a fresh engine whose OnThreadState
 // observer logs every transition with its thread, state and time, and
@@ -521,47 +519,60 @@ func runLogged(setup func(e *Engine, logf func(string, ...interface{}))) wakeRun
 	return r
 }
 
-// runWake runs a scenario on a fresh engine. With queued set, every Sleep
-// first arms and cancels a timer at the current instant: Sleep's check
-// counts cancelled events, so that bounds the queue at now and forces the
-// queued path, while the cancelled event itself never runs or counts.
-func runWake(sc wakeScenario, queued bool) wakeRun {
-	return runLogged(func(e *Engine, logf func(string, ...interface{})) {
-		sleep := func(th *Thread, d Time) {
-			if queued {
-				e.AtTimer(e.Now(), func() {}).Cancel()
-			}
-			th.Sleep(d)
-		}
-		sc(e, sleep, logf)
-	})
+// record renders what a run must reproduce: clock, events, error text and
+// the log, one record a line.
+func (r wakeRun) record() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "clock %d\nevents %d\nerror %q\n", r.now, r.stats.Events, r.err)
+	for _, l := range r.log {
+		b.WriteString(l)
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
-// checkInlineMatchesQueued runs a scenario on both paths, requires the
-// same events, clock, log and error text, and returns the inline run.
-func checkInlineMatchesQueued(t *testing.T, sc wakeScenario) wakeRun {
+// checkRecord requires a run to match the record testdata/sched keeps
+// for the calling test. The records were made by the scheduler that took
+// every event in Run and switched into and back out of a simthread for
+// each of its wakes, so they pin the order that every shortcut of it —
+// inline wakes, quiet wakes, events taken in a blocked thread's own
+// loop — must reproduce.
+func checkRecord(t *testing.T, r wakeRun) {
 	t.Helper()
-	in, q := runWake(sc, false), runWake(sc, true)
-	if q.stats.InlineWakes != 0 {
-		t.Fatalf("queued run woke %d sleeps inline", q.stats.InlineWakes)
+	path := filepath.Join("testdata", "sched", strings.ReplaceAll(t.Name(), "/", "_")+".txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if in.stats.Events != q.stats.Events || in.stats.Sleeps != q.stats.Sleeps || in.now != q.now || in.err != q.err {
-		t.Fatalf("inline run: %d events, %d sleeps, clock %d, error %q\nqueued run: %d events, %d sleeps, clock %d, error %q",
-			in.stats.Events, in.stats.Sleeps, in.now, in.err, q.stats.Events, q.stats.Sleeps, q.now, q.err)
+	got := r.record()
+	if got == string(want) {
+		return
 	}
-	if strings.Join(in.log, "\n") != strings.Join(q.log, "\n") {
-		t.Fatalf("logs differ\ninline: %v\nqueued: %v", in.log, q.log)
+	g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("%s: run parts from the record at line %d: got %q, want %q", path, i+1, g[i], w[i])
+		}
 	}
-	return in
+	t.Fatalf("%s: run has %d lines, the record %d", path, len(g), len(w))
+}
+
+// checkLogged runs a scenario, requires it to match its record and
+// returns the run.
+func checkLogged(t *testing.T, setup func(e *Engine, logf func(string, ...interface{}))) wakeRun {
+	t.Helper()
+	r := runLogged(setup)
+	checkRecord(t, r)
+	return r
 }
 
 func TestInlineWakeSleepZeroYieldsToSameInstant(t *testing.T) {
-	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.Spawn("a", func(th *Thread) {
 			e.At(th.Now(), func() { logf("event@%d", e.Now()) })
-			sleep(th, 0) // the event is queued at now: it runs first
+			th.Sleep(0) // the event is queued at now: it runs first
 			logf("a@%d", th.Now())
-			sleep(th, 0) // nothing queued: wakes in place
+			th.Sleep(0) // nothing queued: wakes in place
 			logf("a@%d", th.Now())
 		})
 	})
@@ -571,15 +582,15 @@ func TestInlineWakeSleepZeroYieldsToSameInstant(t *testing.T) {
 }
 
 func TestInlineWakeTieGoesToEarlierSeq(t *testing.T) {
-	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.At(100, func() { logf("e100@%d", e.Now()) })
 		e.At(120, func() { logf("e120@%d", e.Now()) })
 		e.Spawn("a", func(th *Thread) {
-			sleep(th, 100) // ties the event at 100, which was queued first
+			th.Sleep(100) // ties the event at 100, which was queued first
 			logf("a@%d", th.Now())
-			sleep(th, 19) // strictly before the event at 120
+			th.Sleep(19) // strictly before the event at 120
 			logf("a@%d", th.Now())
-			sleep(th, 1) // ties it again
+			th.Sleep(1) // ties it again
 			logf("a@%d", th.Now())
 		})
 	})
@@ -592,14 +603,14 @@ func TestInlineWakeTieGoesToEarlierSeq(t *testing.T) {
 // wheel level and in the far heap, and queues new events from a thread
 // whose clock has run ahead of the wheel's anchor.
 func TestInlineWakeAcrossWheelLevels(t *testing.T) {
-	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		for _, at := range []Time{40, 1 << 8, 5 << 12, 3 << 18, 1 << 24, 1 << 30, 1<<30 + 1} {
 			at := at
 			e.At(at, func() { logf("e%d@%d", at, e.Now()) })
 		}
 		e.Spawn("a", func(th *Thread) {
 			for _, d := range []Time{39, 1, 1, 200, 20000, 1 << 19, 1 << 20, 1 << 22, 1 << 24, 1 << 29, 1 << 30} {
-				sleep(th, d)
+				th.Sleep(d)
 				logf("a@%d", th.Now())
 				at := th.Now() + d/2 + 1
 				e.At(at, func() { logf("late%d@%d", at, e.Now()) })
@@ -607,7 +618,7 @@ func TestInlineWakeAcrossWheelLevels(t *testing.T) {
 		})
 		e.Spawn("b", func(th *Thread) {
 			for i := 0; i < 40; i++ {
-				sleep(th, Time(1)<<uint(i%31))
+				th.Sleep(Time(1) << uint(i%31))
 				logf("b@%d", th.Now())
 			}
 		})
@@ -618,11 +629,11 @@ func TestInlineWakeAcrossWheelLevels(t *testing.T) {
 }
 
 func TestInlineWakeMaxEvents(t *testing.T) {
-	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.MaxEvents = 3 // the spawn and two wakes; the third wake exceeds it
 		e.Spawn("a", func(th *Thread) {
 			for i := 0; i < 5; i++ {
-				sleep(th, 10)
+				th.Sleep(10)
 				logf("a@%d", th.Now())
 			}
 		})
@@ -633,11 +644,11 @@ func TestInlineWakeMaxEvents(t *testing.T) {
 }
 
 func TestInlineWakeAfterStop(t *testing.T) {
-	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.Spawn("a", func(th *Thread) {
 			defer func() { logf("a unwound@%d", th.Now()) }()
 			e.Stop()
-			sleep(th, 10)
+			th.Sleep(10)
 			logf("a ran past Stop")
 		})
 	})
@@ -651,11 +662,11 @@ func TestInlineWakeAfterStop(t *testing.T) {
 // clock; every other sleep wakes in place.
 func TestInlineWakeWatchdogStride(t *testing.T) {
 	const sleeps = 3000
-	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.MaxWall = time.Hour
 		e.Spawn("a", func(th *Thread) {
 			for i := 0; i < sleeps; i++ {
-				sleep(th, 1)
+				th.Sleep(1)
 			}
 			logf("a@%d", th.Now())
 		})
@@ -668,10 +679,10 @@ func TestInlineWakeWatchdogStride(t *testing.T) {
 }
 
 func TestInlineWakePanicError(t *testing.T) {
-	in := checkInlineMatchesQueued(t, func(e *Engine, sleep func(*Thread, Time), logf func(string, ...interface{})) {
+	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.Spawn("a", func(th *Thread) {
-			sleep(th, 5)
-			sleep(th, 7)
+			th.Sleep(5)
+			th.Sleep(7)
 			panic("boom")
 		})
 	})
@@ -681,8 +692,10 @@ func TestInlineWakePanicError(t *testing.T) {
 }
 
 // TestStatsCountDispatches: a thread that parks and a thread that sleeps
-// past it. Every dispatch is a switch, and the sleeps that wake with
-// nothing queued before them do not switch.
+// past it. The parker switches into the sleeper from its event loop, and
+// the sleeper yields back to it when the parker's wake comes up; Run
+// switches into each thread once more. The sleep that wakes with nothing
+// queued before it does not leave its thread at all.
 func TestStatsCountDispatches(t *testing.T) {
 	e := NewEngine(1)
 	var p *Thread
@@ -695,7 +708,7 @@ func TestStatsCountDispatches(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{Events: 5, Dispatches: 4, Sleeps: 2, InlineWakes: 1, Parks: 1}
+	want := Stats{Events: 5, Dispatches: 4, Switches: 6, Sleeps: 2, InlineWakes: 1, Parks: 1}
 	if got := e.Stats(); got != want {
 		t.Fatalf("stats %+v, want %+v", got, want)
 	}

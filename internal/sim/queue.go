@@ -69,7 +69,7 @@ const (
 
 // event is a scheduled callback. Exactly one of fn, argFn, thread is set:
 // fn is a plain closure, argFn+arg is the closure-free form (AtArg), and
-// thread marks a dispatch event that switches into a simthread's coroutine.
+// thread marks a simthread's wake.
 type event struct {
 	when Time
 	seq  uint64

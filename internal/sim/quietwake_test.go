@@ -42,15 +42,13 @@ func runQuiet(sc quietScenario, wait waitFunc) wakeRun {
 
 // checkQuietMatchesLoop runs a scenario through WaitUntil and through the
 // open-coded loop, requires the same log (state stream, queue orders and
-// the scenario's own records), events, clock and error, and returns the
-// WaitUntil run. Each quiet wake stands for one dispatch and one Park of
-// the loop.
+// the scenario's own records), events, clock and error, requires both to
+// match the scenario's record (checkRecord), and returns the WaitUntil
+// run. Each quiet wake stands for one Park of the loop, and for one wake
+// that resumed it (quietIdentities).
 func checkQuietMatchesLoop(t *testing.T, sc quietScenario) wakeRun {
 	t.Helper()
 	q, l := runQuiet(sc, waitQuiet), runQuiet(sc, waitLoop)
-	if l.stats.QuietWakes != 0 {
-		t.Fatalf("open-coded run counted %d quiet wakes", l.stats.QuietWakes)
-	}
 	if q.stats.Events != l.stats.Events || q.now != l.now || q.err != l.err {
 		t.Fatalf("WaitUntil run: %d events, clock %d, error %q\nloop run: %d events, clock %d, error %q",
 			q.stats.Events, q.now, q.err, l.stats.Events, l.now, l.err)
@@ -63,14 +61,25 @@ func checkQuietMatchesLoop(t *testing.T, sc quietScenario) wakeRun {
 		}
 		t.Fatalf("logs differ in length: WaitUntil %d records, loop %d", len(q.log), len(l.log))
 	}
-	want := l.stats
-	want.Dispatches -= q.stats.QuietWakes
-	want.Parks -= q.stats.QuietWakes
-	want.QuietWakes = q.stats.QuietWakes
-	if q.stats != want {
-		t.Fatalf("WaitUntil stats %+v, want the loop's %+v less one dispatch and one park per quiet wake", q.stats, l.stats)
-	}
+	checkQuietIdentities(t, q.stats, l.stats)
+	checkRecord(t, q)
 	return q
+}
+
+// checkQuietIdentities relates the counters of a WaitUntil run, q, to
+// those of the same schedule through the open-coded loop, l: each quiet
+// wake stands for one Park of the loop and one wake that resumed it, in
+// place or not.
+func checkQuietIdentities(t *testing.T, q, l Stats) {
+	t.Helper()
+	if l.QuietWakes != 0 {
+		t.Fatalf("open-coded run counted %d quiet wakes", l.QuietWakes)
+	}
+	if q.Sleeps != l.Sleeps || q.Parks+q.QuietWakes != l.Parks ||
+		q.Dispatches+q.InlineWakes+q.QuietWakes != l.Dispatches+l.InlineWakes {
+		t.Fatalf("WaitUntil stats %+v against the loop's %+v: want the same sleeps, Parks+QuietWakes = the loop's Parks, "+
+			"and Dispatches+InlineWakes+QuietWakes = the loop's Dispatches+InlineWakes", q, l)
+	}
 }
 
 // logQueues chains an observer after runQuiet's that records the order of
@@ -294,15 +303,17 @@ func TestQuietWakeCrashSwitchesIn(t *testing.T) {
 // TestStatsCountQuietWakes pins every counter for a waiter woken three
 // times with its condition false and once with it true, which then
 // sleeps with nothing queued. Through the loop, each quiet wake is a
-// dispatch and a Park instead.
+// Park and a wake that resumes the waiter instead; the waiter takes every
+// wake in its own event loop, so either way only its start switches.
 func TestStatsCountQuietWakes(t *testing.T) {
-	for _, tc := range []struct {
+	var got [2]Stats
+	for i, tc := range []struct {
 		name string
 		wait waitFunc
 		want Stats
 	}{
-		{"WaitUntil", waitQuiet, Stats{Events: 10, Dispatches: 2, Sleeps: 1, InlineWakes: 1, Parks: 1, QuietWakes: 3}},
-		{"loop", waitLoop, Stats{Events: 10, Dispatches: 5, Sleeps: 1, InlineWakes: 1, Parks: 4}},
+		{"WaitUntil", waitQuiet, Stats{Events: 10, Dispatches: 2, Switches: 2, Sleeps: 1, InlineWakes: 1, Parks: 1, QuietWakes: 3}},
+		{"loop", waitLoop, Stats{Events: 10, Dispatches: 5, Switches: 2, Sleeps: 1, InlineWakes: 1, Parks: 4}},
 	} {
 		e := NewEngine(1)
 		var wq WaitQueue
@@ -321,44 +332,36 @@ func TestStatsCountQuietWakes(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if got := e.Stats(); got != tc.want || e.Now() != 45 {
-			t.Fatalf("%s: stats %+v at %d, want %+v at 45", tc.name, got, e.Now(), tc.want)
+		if got[i] = e.Stats(); got[i] != tc.want || e.Now() != 45 {
+			t.Fatalf("%s: stats %+v at %d, want %+v at 45", tc.name, got[i], e.Now(), tc.want)
 		}
 	}
+	checkQuietIdentities(t, got[0], got[1])
 }
 
 // TestQuietWakeAllocs is the quiet path's allocation gate: a wake of a
 // WaitUntil waiter whose condition is false — WakeAll, the pooled wake
-// event, and the engine's re-queue, taken as Run takes a thread event —
-// allocates nothing.
+// event, and the re-queue, taken in the waker's own event loop while it
+// sleeps — allocates nothing.
 func TestQuietWakeAllocs(t *testing.T) {
 	e := NewEngine(1)
 	var wq WaitQueue
 	c := &flagCond{}
 	var allocs float64
-	var quiet uint64
 	w := e.Spawn("waiter", func(th *Thread) { wq.WaitUntil(th, c) })
-	e.At(1, func() {
-		before := e.stats.QuietWakes
+	e.Spawn("waker", func(th *Thread) {
 		allocs = testing.AllocsPerRun(1000, func() {
-			wq.WakeAll(e.Now())
-			ev := e.q.pop()
-			if ev == nil || ev.thread != w {
-				panic("the wake is not the next event")
-			}
-			w.wake = nil
-			e.q.recycle(ev)
-			e.dispatch(w)
+			wq.WakeAll(th.Now())
+			th.Sleep(1)
 		})
-		quiet = e.stats.QuietWakes - before
 		c.on = true
-		wq.WakeAll(e.Now())
+		wq.WakeAll(th.Now())
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if quiet != 1001 || !w.Done() {
-		t.Fatalf("%d quiet wakes, waiter done %v; want 1001 and done", quiet, w.Done())
+	if s := e.Stats(); s.QuietWakes != 1001 || !w.Done() {
+		t.Fatalf("%d quiet wakes, waiter done %v; want 1001 and done", s.QuietWakes, w.Done())
 	}
 	if allocs != 0 {
 		t.Fatalf("%.2f allocs per quiet wake, want 0", allocs)

@@ -9,9 +9,6 @@ type WaitQueue struct {
 	q []*Thread
 }
 
-// Len returns the number of waiting threads.
-func (w *WaitQueue) Len() int { return len(w.q) }
-
 // push appends a waiter.
 func (w *WaitQueue) push(t *Thread) {
 	//simcheck:allow hotalloc the queue keeps its backing array across wakes; it grows only to the largest set of waiters

@@ -50,11 +50,15 @@ type killed struct{}
 // at a time, so no further synchronization is needed).
 type Thread struct {
 	eng *Engine
-	id  int32 // beside daemon, so the struct stays in the 96-byte size class
+	id  int32 // beside the flags, so the struct stays in the 96-byte size class
 	// daemon marks threads that may legitimately be parked when the
 	// simulation ends (background pollers); they do not count as a
 	// deadlock.
 	daemon bool
+	// inNext marks a blocked thread whose event loop has switched into
+	// another thread and waits for it to yield or return: a loop higher
+	// in the chain that takes its wake must yield back down to it.
+	inNext bool
 	name   string
 	state  ThreadState
 
@@ -96,14 +100,12 @@ func (t *Thread) setState(s ThreadState) {
 // Name returns the label given at Spawn time.
 func (t *Thread) Name() string { return t.name }
 
-// Engine returns the engine this thread belongs to.
-func (t *Thread) Engine() *Engine { return t.eng }
-
 // Now returns the current virtual time.
 func (t *Thread) Now() Time { return t.eng.now }
 
 // start wraps fn in the thread's coroutine. The body recovers the killed
-// unwind of a shutdown; any other panic escapes through next into Run.
+// unwind of a shutdown; any other panic escapes through next, to the
+// loop that switched into the thread (hold) or to Run.
 func (t *Thread) start(fn func(*Thread)) {
 	t.next, t.stop = iter.Pull(func(yield func(struct{}) bool) {
 		t.coYield = yield
@@ -119,23 +121,50 @@ func (t *Thread) start(fn func(*Thread)) {
 	})
 }
 
-// yield suspends the thread's coroutine, returning control to the
-// engine's dispatch, until the engine runs it again. It panics killed
-// when the engine stops the coroutine instead.
+// yield suspends the thread's coroutine, returning control to whoever
+// switched into it, until its wake is taken and an event loop switches
+// into it again. It panics killed when the engine stops the coroutine
+// instead.
 func (t *Thread) yield() {
 	if !t.coYield(struct{}{}) {
 		panic(killed{})
 	}
-	t.setState(StateRunning)
+}
+
+// block waits, running the event loop on the thread's own stack, until
+// the thread's wake has been taken (Engine.loop).
+func (t *Thread) block() {
+	t.eng.running = nil
+	defer t.hold()
+	t.eng.loop(t) // nil: a blocked thread leaves every check that can fail to Run
+}
+
+// hold keeps a panic that escapes a blocked thread's loop — from an event
+// run in place, or from a thread further up the chain — from unwinding
+// the thread. The engine records the failure, as Run would (Engine.fail),
+// and the thread yields down the chain to Run, suspended like every other
+// blocked thread until shutdown unwinds it. Shutdown's own killed unwind
+// passes on.
+func (t *Thread) hold() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if _, ok := r.(killed); ok {
+		panic(r)
+	}
+	t.inNext = false
+	t.eng.fail(r) //simcheck:allow hotalloc runs once, when a panic ends the run
+	t.yield()
 }
 
 // Sleep advances this thread's local time by d nanoseconds, letting other
 // events run meanwhile. Negative durations are treated as zero.
 //
-// When the wake would be the very next event Run dispatches, the thread
-// stays on its own stack and does in place what Run and dispatch would
-// have done (Engine.wakesNext): the same state transitions, sequence
-// number, clock and event count, with no coroutine switch.
+// When the wake would be the very next event taken, the thread does in
+// place what the event loop would have done (Engine.wakesNext): the same
+// state transitions, sequence number, clock and event count, without
+// queueing the wake.
 //
 //simcheck:hotpath every simulated delay passes through here; the inline wake stays allocation-free
 func (t *Thread) Sleep(d Time) {
@@ -158,7 +187,7 @@ func (t *Thread) Sleep(d Time) {
 		return
 	}
 	e.atThread(w, t)
-	t.yield()
+	t.block()
 }
 
 // Park blocks the thread until another party calls Unpark. A thread parked
@@ -169,7 +198,7 @@ func (t *Thread) Park() {
 	}
 	t.eng.stats.Parks++
 	t.setState(StateParked)
-	t.yield()
+	t.block()
 }
 
 // Unpark schedules the parked thread to run again at virtual time at

@@ -341,13 +341,35 @@ func TestLockstormWakesInline(t *testing.T) {
 	checkSchedCounts(t, s)
 }
 
+// TestLockstormHandsOffDirectly runs the lockstorm configuration and
+// checks that most wakes need no switch into a coroutine: a blocked
+// thread takes its own wake in its event loop, or gets it handed back
+// down the chain, and a switch into another thread comes back only when
+// it blocks in turn. Every wake going through Run would cost two
+// switches per dispatch; here fewer than half the dispatches switch.
+func TestLockstormHandsOffDirectly(t *testing.T) {
+	r := runTP(t, ThroughputParams{Lock: simlock.KindMutex, Threads: 8, MsgBytes: 64, Windows: 64, Seed: 0x5eed})
+	s := r.Sched
+	t.Logf("%+v: %.2f switches per dispatch", s, float64(s.Switches)/float64(s.Dispatches))
+	if s.Switches >= s.Dispatches {
+		t.Fatalf("%d switches for %d dispatches, want fewer than one per dispatch", s.Switches, s.Dispatches)
+	}
+	checkSchedCounts(t, s)
+}
+
 // checkSchedCounts requires the events run to cover every dispatch,
-// inline wake and quiet wake: each is a distinct event.
+// inline wake and quiet wake: each is a distinct event. Each switch into a
+// thread resumes it for one dispatch and comes back once, and Run's first
+// dispatch is always a switch, so the switches are even, nonzero and at
+// most twice the dispatches.
 func checkSchedCounts(t *testing.T, s sim.Stats) {
 	t.Helper()
 	if s.Events < s.Dispatches+s.InlineWakes+s.QuietWakes {
 		t.Fatalf("%d events cannot hold %d dispatches, %d inline wakes and %d quiet wakes",
 			s.Events, s.Dispatches, s.InlineWakes, s.QuietWakes)
+	}
+	if s.Switches%2 != 0 || s.Switches == 0 || s.Switches > 2*s.Dispatches {
+		t.Fatalf("%d switches for %d dispatches: want an even count in [2, %d]", s.Switches, s.Dispatches, 2*s.Dispatches)
 	}
 }
 
