@@ -244,9 +244,6 @@ func (f *Fabric) Endpoint(id int) *Endpoint { return f.eps[id] }
 // they were on the wire when the process died.
 func (f *Fabric) Kill(id int) { f.eps[id].dead = true }
 
-// Dead reports whether endpoint id has been killed.
-func (f *Fabric) Dead(id int) bool { return f.eps[id].dead }
-
 // Send injects p from ep. It returns the time at which injection completes
 // (when the local NIC is free again and a send buffer may be reused). The
 // packet is delivered to the destination handler after the path latency.
@@ -326,9 +323,6 @@ func (ep *Endpoint) Send(p *Packet, notifyTx bool) sim.Time {
 
 // ID returns the endpoint id.
 func (ep *Endpoint) ID() int { return ep.id }
-
-// Node returns the node the endpoint lives on.
-func (ep *Endpoint) Node() int { return ep.node }
 
 // TxFreeAt returns when the NIC finishes its current injections.
 func (ep *Endpoint) TxFreeAt() sim.Time { return ep.txFree }

@@ -69,9 +69,6 @@ type CSR struct {
 	Rows    int64   // number of local rows
 }
 
-// Degree returns the degree of local row r.
-func (g *CSR) Degree(r int64) int64 { return g.Offsets[r+1] - g.Offsets[r] }
-
 // Neighbors returns the adjacency slice of local row r.
 func (g *CSR) Neighbors(r int64) []int64 {
 	return g.Targets[g.Offsets[r]:g.Offsets[r+1]]

@@ -33,9 +33,6 @@ func (p Place) SameSocket(q Place) bool {
 	return p.Node == q.Node && p.Socket == q.Socket
 }
 
-// SameNode reports whether a and b share a node.
-func (p Place) SameNode(q Place) bool { return p.Node == q.Node }
-
 // Topology describes the shape of the simulated cluster.
 type Topology struct {
 	Nodes          int

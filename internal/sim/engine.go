@@ -22,11 +22,9 @@
 // once, in (time, sequence) order, and runs as Run would have run it.
 // Stats counts the switches.
 //
-// A Sleep whose wake is the next event anyway skips even the loop: it
-// advances the clock in place and runs on (inline wakes). A waiter parked
-// in WaitQueue.WaitUntil whose condition still fails when it is woken is
-// never resumed: the loop re-queues it in place, exactly as the thread's
-// own wait loop would have done (quiet wakes).
+// A waiter parked in WaitQueue.WaitUntil whose condition still fails when
+// it is woken is never resumed: the loop re-queues it in place, exactly
+// as the thread's own wait loop would have done (quiet wakes).
 //
 // sim is the foundation of the deterministic core (docs/ARCHITECTURE.md).
 // Like every core package it uses no goroutines, channels or sync
@@ -106,7 +104,7 @@ func (e *Engine) EventsRun() uint64 { return e.stats.Events }
 // Stats are the engine's scheduling counters. They are a pure function of
 // the simulation, as deterministic as its output.
 type Stats struct {
-	// Events counts the events run, inline wakes included (EventsRun).
+	// Events counts the events run (EventsRun).
 	Events uint64
 	// Dispatches counts the wakes that ran a simthread: a switch into
 	// it, or its own wake taken in its own event loop.
@@ -115,9 +113,6 @@ type Stats struct {
 	Switches uint64
 	// Sleeps counts Thread.Sleep calls.
 	Sleeps uint64
-	// InlineWakes counts the Sleeps whose wake was the next event and
-	// ran in place, with no switch.
-	InlineWakes uint64
 	// Parks counts Thread.Park calls. A quiet wake re-parks without one.
 	Parks uint64
 	// QuietWakes counts the wakes of WaitUntil waiters whose condition
@@ -130,21 +125,11 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // free reports whether none of Run's checks — Stop, MaxEvents or the
 // wall-clock watchdog's stride — could fire on the next event. Only then
-// may a blocked simthread take that event in its own loop, or a Sleep
-// wake in place (wakesNext).
+// may a blocked simthread take that event in its own loop.
 func (e *Engine) free() bool {
 	return !e.stopped &&
 		(e.MaxEvents == 0 || e.stats.Events < e.MaxEvents) &&
 		(e.MaxWall <= 0 || e.stats.Events%wallCheckEvery != 0)
-}
-
-// wakesNext reports whether a wake of the running thread at w would be
-// the very next event taken, and taken outside Run's checks: the queue
-// holds nothing at or before w, and the engine is free. Sleep then wakes
-// in place. Sleep outside its thread's own context (engine shutdown
-// included) panics before asking.
-func (e *Engine) wakesNext(w Time) bool {
-	return e.free() && e.q.before(w)
 }
 
 // schedule allocates a pooled event at time t (clamped to now) and queues

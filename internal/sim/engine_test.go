@@ -490,7 +490,7 @@ func TestInt63nPanicsOnNonPositive(t *testing.T) {
 	NewRand(1).Int63n(0)
 }
 
-// --- inline wakes ---
+// --- scheduler records ---
 
 // wakeRun is what one run of a scenario leaves behind: everything a
 // shortcut of the scheduler must reproduce exactly.
@@ -535,8 +535,8 @@ func (r wakeRun) record() string {
 // for the calling test. The records were made by the scheduler that took
 // every event in Run and switched into and back out of a simthread for
 // each of its wakes, so they pin the order that every shortcut of it —
-// inline wakes, quiet wakes, events taken in a blocked thread's own
-// loop — must reproduce.
+// quiet wakes, events taken in a blocked thread's own loop — must
+// reproduce.
 func checkRecord(t *testing.T, r wakeRun) {
 	t.Helper()
 	path := filepath.Join("testdata", "sched", strings.ReplaceAll(t.Name(), "/", "_")+".txt")
@@ -566,23 +566,23 @@ func checkLogged(t *testing.T, setup func(e *Engine, logf func(string, ...interf
 	return r
 }
 
-func TestInlineWakeSleepZeroYieldsToSameInstant(t *testing.T) {
+func TestSleepZeroYieldsToSameInstant(t *testing.T) {
 	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.Spawn("a", func(th *Thread) {
 			e.At(th.Now(), func() { logf("event@%d", e.Now()) })
 			th.Sleep(0) // the event is queued at now: it runs first
 			logf("a@%d", th.Now())
-			th.Sleep(0) // nothing queued: wakes in place
+			th.Sleep(0) // nothing queued: its own wake is next
 			logf("a@%d", th.Now())
 		})
 	})
-	if in.stats.InlineWakes != 1 || in.log[2] != "event@0" {
-		t.Fatalf("inline wakes %d, log %v; want 1, the event before a's wake", in.stats.InlineWakes, in.log)
+	if in.log[2] != "event@0" {
+		t.Fatalf("log %v; want the event before a's wake", in.log)
 	}
 }
 
-func TestInlineWakeTieGoesToEarlierSeq(t *testing.T) {
-	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
+func TestSleepTieGoesToEarlierSeq(t *testing.T) {
+	checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.At(100, func() { logf("e100@%d", e.Now()) })
 		e.At(120, func() { logf("e120@%d", e.Now()) })
 		e.Spawn("a", func(th *Thread) {
@@ -594,16 +594,12 @@ func TestInlineWakeTieGoesToEarlierSeq(t *testing.T) {
 			logf("a@%d", th.Now())
 		})
 	})
-	if in.stats.InlineWakes != 1 {
-		t.Fatalf("inline wakes %d, want 1 (log %v)", in.stats.InlineWakes, in.log)
-	}
 }
 
-// TestInlineWakeAcrossWheelLevels sleeps towards events queued at every
-// wheel level and in the far heap, and queues new events from a thread
-// whose clock has run ahead of the wheel's anchor.
-func TestInlineWakeAcrossWheelLevels(t *testing.T) {
-	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
+// TestSleepAcrossWheelLevels sleeps towards events queued at every
+// wheel level and in the far heap, and queues new events as it goes.
+func TestSleepAcrossWheelLevels(t *testing.T) {
+	checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		for _, at := range []Time{40, 1 << 8, 5 << 12, 3 << 18, 1 << 24, 1 << 30, 1<<30 + 1} {
 			at := at
 			e.At(at, func() { logf("e%d@%d", at, e.Now()) })
@@ -623,12 +619,9 @@ func TestInlineWakeAcrossWheelLevels(t *testing.T) {
 			}
 		})
 	})
-	if in.stats.InlineWakes == 0 {
-		t.Fatal("no sleep woke inline")
-	}
 }
 
-func TestInlineWakeMaxEvents(t *testing.T) {
+func TestSleepMaxEvents(t *testing.T) {
 	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.MaxEvents = 3 // the spawn and two wakes; the third wake exceeds it
 		e.Spawn("a", func(th *Thread) {
@@ -638,12 +631,12 @@ func TestInlineWakeMaxEvents(t *testing.T) {
 			}
 		})
 	})
-	if in.stats.InlineWakes != 2 || in.stats.Events != 4 || in.err != "sim: exceeded MaxEvents 3" {
-		t.Fatalf("inline wakes %d, %d events, error %q", in.stats.InlineWakes, in.stats.Events, in.err)
+	if in.stats.Events != 4 || in.err != "sim: exceeded MaxEvents 3" {
+		t.Fatalf("%d events, error %q", in.stats.Events, in.err)
 	}
 }
 
-func TestInlineWakeAfterStop(t *testing.T) {
+func TestSleepAfterStop(t *testing.T) {
 	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.Spawn("a", func(th *Thread) {
 			defer func() { logf("a unwound@%d", th.Now()) }()
@@ -652,15 +645,15 @@ func TestInlineWakeAfterStop(t *testing.T) {
 			logf("a ran past Stop")
 		})
 	})
-	if in.stats.InlineWakes != 0 || in.stats.Events != 1 || in.err != "" {
-		t.Fatalf("inline wakes %d, %d events, error %q", in.stats.InlineWakes, in.stats.Events, in.err)
+	if in.stats.Events != 1 || in.err != "" {
+		t.Fatalf("%d events, error %q", in.stats.Events, in.err)
 	}
 }
 
-// TestInlineWakeWatchdogStride: with the watchdog armed, the sleeps that
-// would land on its check stride go through Run, which checks the wall
-// clock; every other sleep wakes in place.
-func TestInlineWakeWatchdogStride(t *testing.T) {
+// TestSleepWatchdogStride: with the watchdog armed, the wakes that land
+// on its check stride go through Run, which checks the wall clock; the
+// thread takes every other wake in its own event loop.
+func TestSleepWatchdogStride(t *testing.T) {
 	const sleeps = 3000
 	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.MaxWall = time.Hour
@@ -672,13 +665,14 @@ func TestInlineWakeWatchdogStride(t *testing.T) {
 		})
 	})
 	// The i-th sleep (from 1) starts with i events run: the spawn and
-	// i-1 wakes. Sleeps 1024 and 2048 fall on the stride.
-	if in.stats.InlineWakes != sleeps-2 {
-		t.Fatalf("inline wakes %d, want %d", in.stats.InlineWakes, sleeps-2)
+	// i-1 wakes. Sleeps 1024 and 2048 fall on the stride, and Run
+	// switches into the thread for each, as for the spawn.
+	if in.stats.Switches != 6 {
+		t.Fatalf("%d switches, want 6", in.stats.Switches)
 	}
 }
 
-func TestInlineWakePanicError(t *testing.T) {
+func TestSleepPanicError(t *testing.T) {
 	in := checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		e.Spawn("a", func(th *Thread) {
 			th.Sleep(5)
@@ -686,8 +680,8 @@ func TestInlineWakePanicError(t *testing.T) {
 			panic("boom")
 		})
 	})
-	if in.stats.InlineWakes != 2 || !strings.Contains(in.err, `simthread "a" at virtual time 12 after 3 events: boom`) {
-		t.Fatalf("inline wakes %d, error %q", in.stats.InlineWakes, in.err)
+	if !strings.Contains(in.err, `simthread "a" at virtual time 12 after 3 events: boom`) {
+		t.Fatalf("error %q", in.err)
 	}
 }
 
@@ -695,21 +689,43 @@ func TestInlineWakePanicError(t *testing.T) {
 // past it. The parker switches into the sleeper from its event loop, and
 // the sleeper yields back to it when the parker's wake comes up; Run
 // switches into each thread once more. The sleep that wakes with nothing
-// queued before it does not leave its thread at all.
+// queued before it takes its wake in its own loop, with no switch.
 func TestStatsCountDispatches(t *testing.T) {
 	e := NewEngine(1)
 	var p *Thread
 	p = e.Spawn("parker", func(th *Thread) { th.Park() })
 	e.Spawn("sleeper", func(th *Thread) {
-		th.Sleep(10) // wakes in place
+		th.Sleep(10) // its own wake is next
 		p.Unpark(th.Now() + 5)
 		th.Sleep(10) // the unpark runs first
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{Events: 5, Dispatches: 4, Switches: 6, Sleeps: 2, InlineWakes: 1, Parks: 1}
+	want := Stats{Events: 5, Dispatches: 5, Switches: 6, Sleeps: 2, Parks: 1}
 	if got := e.Stats(); got != want {
 		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+}
+
+// TestStatsCountLoneSleeps: a thread that sleeps with nothing else queued
+// takes every wake in its own event loop. Run switches into it once, to
+// start it, and the clock ends at the sum of the sleeps.
+func TestStatsCountLoneSleeps(t *testing.T) {
+	const n = 50
+	e := NewEngine(1)
+	var sum Time
+	e.Spawn("a", func(th *Thread) {
+		for i := Time(1); i <= n; i++ {
+			th.Sleep(i)
+			sum += i
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s := e.Stats()
+	if s.Switches != 2 || s.Dispatches != n+1 || e.Now() != sum {
+		t.Fatalf("stats %+v, clock %d; want 2 switches, %d dispatches, clock %d", s, e.Now(), n+1, sum)
 	}
 }

@@ -28,12 +28,6 @@ package sim
 //     precedes every level-(l+1) event, and every wheel event precedes
 //     every heap event, because they differ from the anchor in
 //     progressively higher bit groups while times never run backwards.
-//   - The anchor may lag the clock. An inline wake (Thread.Sleep) moves
-//     the clock without a pop, so the anchor stays where the last pop or
-//     cascade left it until the next one. Nothing above needs the anchor
-//     to equal the clock: every queued time is still >= the anchor, and
-//     pushes are classified against the same anchor as the events already
-//     queued, so the bit-group argument holds unchanged.
 //
 // Cancellation is lazy: Timer.Cancel marks the event and it is skipped
 // (and recycled) when popped. So that cancel-heavy workloads — the
@@ -98,8 +92,7 @@ type slot struct {
 type eventQueue struct {
 	// wt is the wheel anchor: the time of the most recently popped event
 	// (it also ratchets to window starts while the pop path cascades).
-	// All queued events have when >= wt. It may lag the engine clock
-	// after inline wakes, which advance the clock without popping.
+	// All queued events have when >= wt.
 	wt Time
 
 	live int // queued, non-cancelled events
@@ -181,27 +174,6 @@ func (q *eventQueue) insert(ev *event) {
 	}
 	sl.tail = ev
 	q.bitmap[l] |= 1 << uint(s)
-}
-
-// before reports whether w is strictly earlier than every queued event,
-// cancelled ones included: an event pushed now at w would then be the next
-// one popped. It compares w with a lower bound on the queue: the exact
-// minimum when level 0 is occupied (level 0 precedes every other level),
-// else the window start of the lowest occupied slot at the lowest occupied
-// level, else the earliest far event. An empty queue is later than any w.
-//
-//simcheck:hotpath asked by every Sleep; stays allocation-free
-func (q *eventQueue) before(w Time) bool {
-	if b := q.bitmap[0]; b != 0 {
-		return w < q.wt&^wheelMask|Time(bits.TrailingZeros64(b))
-	}
-	for l := 1; l < wheelLevels; l++ {
-		if b := q.bitmap[l]; b != 0 {
-			shift := uint(l) * wheelBits
-			return w < q.wt&^(Time(1)<<(shift+wheelBits)-1)|Time(bits.TrailingZeros64(b))<<shift
-		}
-	}
-	return len(q.far) == 0 || w < q.far[0].when
 }
 
 // pop removes and returns the earliest live event in (when, seq) order,

@@ -252,9 +252,7 @@ func (m *modelSide) run(t *testing.T) {
 
 // checkSchedulerMatchesReference runs the same random program through the
 // real engine and the reference scheduler and requires identical logs and
-// event counts. The reference has no inline wakes: each of its sleeps is
-// a queued event, so a thread's wake the engine ran in place must still
-// be counted and logged exactly as the reference fired it.
+// event counts.
 func checkSchedulerMatchesReference(t *testing.T, seed uint64, budget int) {
 	t.Helper()
 	progs := genPrograms(seed, 97)

@@ -161,12 +161,7 @@ func (t *Thread) hold() {
 // Sleep advances this thread's local time by d nanoseconds, letting other
 // events run meanwhile. Negative durations are treated as zero.
 //
-// When the wake would be the very next event taken, the thread does in
-// place what the event loop would have done (Engine.wakesNext): the same
-// state transitions, sequence number, clock and event count, without
-// queueing the wake.
-//
-//simcheck:hotpath every simulated delay passes through here; the inline wake stays allocation-free
+//simcheck:hotpath every simulated delay passes through here; stays allocation-free
 func (t *Thread) Sleep(d Time) {
 	e := t.eng
 	if e.running != t {
@@ -177,16 +172,7 @@ func (t *Thread) Sleep(d Time) {
 	}
 	e.stats.Sleeps++
 	t.setState(StateSleeping)
-	w := e.now + d
-	if e.wakesNext(w) {
-		e.seq++
-		e.now = w
-		e.stats.Events++
-		e.stats.InlineWakes++
-		t.setState(StateRunning)
-		return
-	}
-	e.atThread(w, t)
+	e.atThread(e.now+d, t)
 	t.block()
 }
 

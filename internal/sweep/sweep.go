@@ -18,7 +18,7 @@
 // while a job is unclaimed. Jobs also start in index order, so MapGroups'
 // early groups finish, and stream out, first. Scheduling order is
 // intentionally unobservable: results land in a slice indexed by job, and
-// OrderedMerge re-serializes streamed completions, so callers cannot
+// MapGroups emits streamed completions in group order, so callers cannot
 // distinguish worker counts by anything but wall-clock time. A failing job
 // stops the claiming of jobs above it at any worker count; the jobs below
 // it still run, so the reported failure is the lowest failing index.
@@ -100,129 +100,75 @@ func Run(workers, n int, fn func(i int) error) error {
 	return err
 }
 
-// OrderedMerge re-serializes indexed completions: Put may be called from
-// any goroutine in any order, and emit is invoked exactly once per index,
-// in strictly increasing index order, as soon as all predecessors have
-// arrived. Emission happens on whichever goroutine closes the gap, under
-// an internal lock, so emit itself never needs synchronization.
-//
-// If emit returns an error the merge turns sticky: no further emissions
-// happen and Err reports the first failure. Indices that never arrive
-// simply leave the merge parked at their position — callers that can fail
-// mid-stream use this to guarantee the emitted prefix matches what a
-// serial run would have produced before the failure.
-type OrderedMerge[T any] struct {
-	mu      sync.Mutex
-	next    int
-	pending map[int]T
-	emit    func(i int, v T) error
-	err     error
-}
-
-// NewOrderedMerge returns a merge that starts emitting at index 0.
-func NewOrderedMerge[T any](emit func(i int, v T) error) *OrderedMerge[T] {
-	return &OrderedMerge[T]{pending: map[int]T{}, emit: emit}
-}
-
-// Put delivers index i's value and drains every now-contiguous index.
-func (m *OrderedMerge[T]) Put(i int, v T) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pending[i] = v
-	for m.err == nil {
-		nv, ok := m.pending[m.next]
-		if !ok {
-			return
-		}
-		delete(m.pending, m.next)
-		if err := m.emit(m.next, nv); err != nil {
-			m.err = fmt.Errorf("sweep: emit %d: %w", m.next, err)
-			return
-		}
-		m.next++
-	}
-}
-
-// Err returns the first emit failure, if any.
-func (m *OrderedMerge[T]) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
-// Emitted reports how many leading indices have been emitted so far.
-func (m *OrderedMerge[T]) Emitted() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.next
-}
-
 // MapGroups runs fn over a flat index space partitioned into contiguous
 // groups (group g spans sizes[g] consecutive indices) and delivers each
 // group's results, in group order, as soon as the group completes. It is
 // the orchestrator behind `mpistorm -experiment all -jobs N`: experiment
 // points from all groups share one worker pool so expensive and
-// cheap experiments keep every worker fed, while the ordered merge makes
-// the streamed per-group output byte-identical to a serial run.
+// cheap experiments keep every worker fed, while the in-order emission
+// makes the streamed per-group output byte-identical to a serial run.
 //
 // A group whose jobs all succeed is emitted only after every earlier
-// group has been emitted. If any job fails, groups from the first failing
-// group onward are withheld — exactly the prefix a serial run would have
-// produced — and the error of the lowest failing flat index is returned.
+// group has been emitted. emit runs under an internal lock, on whichever
+// worker finishes the last job it was waiting for, so it never runs
+// concurrently with itself. If any job fails, groups from the first
+// failing group onward are withheld — exactly the prefix a serial run
+// would have produced — and the error of the lowest failing flat index is
+// returned. If emit fails, nothing more is emitted and, absent a job
+// failure, its error is returned.
 func MapGroups[T any](workers int, sizes []int, fn func(i int) (T, error),
 	emit func(g int, results []T) error) error {
-	starts := make([]int, len(sizes))
-	total := 0
+	starts := make([]int, len(sizes)+1) // starts[g] is group g's first index
 	for g, sz := range sizes {
 		if sz < 0 {
 			return fmt.Errorf("sweep: group %d has negative size %d", g, sz)
 		}
-		starts[g] = total
-		total += sz
+		starts[g+1] = starts[g] + sz
 	}
-
-	merge := NewOrderedMerge[[]T](emit)
-	var mu sync.Mutex // guards remaining and firstErr bookkeeping
-	remaining := make([]int, len(sizes))
-	groupOK := make([]bool, len(sizes))
-	for g, sz := range sizes {
-		remaining[g] = sz
-		groupOK[g] = true
-	}
-	results := make([]T, total)
+	results := make([]T, starts[len(sizes)])
 
 	// groupOf maps a flat index to its group: the last group whose start
 	// is <= i. Zero-size groups share their successor's start, so the
 	// search always lands on the nonzero group that owns i.
 	groupOf := func(i int) int {
-		return sort.Search(len(starts), func(g int) bool { return starts[g] > i }) - 1
+		return sort.Search(len(sizes), func(g int) bool { return starts[g] > i }) - 1
 	}
 
-	// Empty groups have no jobs to trigger them; seed the merge up front.
-	for g, sz := range sizes {
-		if sz == 0 {
-			merge.Put(g, nil)
+	// mu guards the bookkeeping below and serializes emit. remaining[g]
+	// counts group g's jobs not yet succeeded; a failed job never counts
+	// down, so its group holds next, and every group after it, back for
+	// good.
+	var mu sync.Mutex
+	remaining := append([]int(nil), sizes...)
+	next := 0 // the first group not yet emitted
+	var emitErr error
+	// drain emits every complete group from next on, in order. Empty
+	// groups have no jobs to trigger them and pass straight through.
+	drain := func() {
+		for emitErr == nil && next < len(sizes) && remaining[next] == 0 {
+			if err := emit(next, results[starts[next]:starts[next+1]]); err != nil {
+				emitErr = fmt.Errorf("sweep: emit %d: %w", next, err)
+			}
+			next++
 		}
 	}
+	drain()
 
-	runErr := Run(workers, total, func(i int) error {
+	runErr := Run(workers, len(results), func(i int) error {
 		v, err := fn(i)
+		if err != nil {
+			return err
+		}
 		results[i] = v
 		g := groupOf(i)
 		mu.Lock()
-		if err != nil {
-			groupOK[g] = false
-		}
+		defer mu.Unlock()
 		remaining[g]--
-		done := remaining[g] == 0 && groupOK[g]
-		mu.Unlock()
-		if done {
-			merge.Put(g, results[starts[g]:starts[g]+sizes[g]])
-		}
-		return err
+		drain()
+		return nil
 	})
 	if runErr != nil {
 		return runErr
 	}
-	return merge.Err()
+	return emitErr
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -140,41 +141,6 @@ func TestMapSimthreadPanicIsJobError(t *testing.T) {
 	}
 }
 
-// TestOrderedMergeShuffled feeds completions in adversarial orders and
-// asserts emissions always come out 0,1,2,...
-func TestOrderedMergeShuffled(t *testing.T) {
-	const n = 64
-	orders := [][]int{
-		reversed(n),      // strictly worst case: everything buffers
-		evensThenOdds(n), // interleaved gaps
-		identity(n),      // already ordered
-	}
-	for oi, order := range orders {
-		var got []int
-		m := NewOrderedMerge[int](func(i, v int) error {
-			if v != i*3 {
-				t.Fatalf("order %d: emit(%d) = %d, want %d", oi, i, v, i*3)
-			}
-			got = append(got, i)
-			return nil
-		})
-		for _, i := range order {
-			m.Put(i, i*3)
-		}
-		if len(got) != n {
-			t.Fatalf("order %d: emitted %d of %d", oi, len(got), n)
-		}
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("order %d: emission %d was index %d", oi, i, v)
-			}
-		}
-		if m.Err() != nil {
-			t.Fatalf("order %d: unexpected err %v", oi, m.Err())
-		}
-	}
-}
-
 func identity(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -200,70 +166,6 @@ func evensThenOdds(n int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-
-// TestOrderedMergeGap checks that a missing index parks the merge: only
-// the contiguous prefix is emitted.
-func TestOrderedMergeGap(t *testing.T) {
-	var got []int
-	m := NewOrderedMerge[int](func(i, v int) error { got = append(got, i); return nil })
-	for _, i := range []int{0, 1, 3, 4, 5} { // 2 never arrives
-		m.Put(i, i)
-	}
-	if want := []int{0, 1}; len(got) != len(want) || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("emitted %v, want %v", got, want)
-	}
-	if m.Emitted() != 2 {
-		t.Fatalf("Emitted() = %d, want 2", m.Emitted())
-	}
-}
-
-// TestOrderedMergeEmitError checks the sticky-error contract.
-func TestOrderedMergeEmitError(t *testing.T) {
-	var emitted int
-	m := NewOrderedMerge[int](func(i, v int) error {
-		emitted++
-		if i == 1 {
-			return errors.New("sink full")
-		}
-		return nil
-	})
-	for _, i := range []int{2, 1, 0, 3} {
-		m.Put(i, i)
-	}
-	if emitted != 2 { // 0 ok, 1 fails, 2 and 3 withheld
-		t.Fatalf("emitted %d times, want 2", emitted)
-	}
-	if err := m.Err(); err == nil || !strings.Contains(err.Error(), "emit 1") {
-		t.Fatalf("Err() = %v", err)
-	}
-}
-
-// TestOrderedMergeConcurrent hammers Put from many goroutines under the
-// race detector; emissions must still be a permutation-free 0..n-1 walk.
-func TestOrderedMergeConcurrent(t *testing.T) {
-	const n = 300
-	var got []int
-	m := NewOrderedMerge[int](func(i, v int) error { got = append(got, i); return nil })
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += 8 {
-				m.Put(i, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if len(got) != n {
-		t.Fatalf("emitted %d of %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("emission %d was index %d", i, v)
-		}
-	}
 }
 
 // TestMapGroupsOrder runs uneven groups across worker counts and checks
@@ -341,5 +243,140 @@ func TestMapGroupsFailurePrefix(t *testing.T) {
 		if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 			t.Fatalf("workers=%d: emitted groups %v, want [0 1]", workers, order)
 		}
+	}
+}
+
+// TestMapGroupsShuffledCompletion runs every job on its own worker and
+// lets the jobs finish in adversarial orders. Whatever the order, groups
+// emit strictly in order, each with its own results, only once every job
+// of the group and of every earlier group is done, and never while
+// another emit is running.
+func TestMapGroupsShuffledCompletion(t *testing.T) {
+	sizes := []int{2, 0, 1, 3, 0, 1, 4, 2, 1, 0}
+	starts := []int{0}
+	for _, sz := range sizes {
+		starts = append(starts, starts[len(starts)-1]+sz)
+	}
+	n := starts[len(sizes)]
+	for oi, order := range [][]int{reversed(n), evensThenOdds(n), identity(n)} {
+		gates := make([]chan struct{}, n)
+		for i := range gates {
+			gates[i] = make(chan struct{})
+		}
+		done := make([]atomic.Bool, n)
+		finished := make(chan struct{})
+		go func() {
+			for _, i := range order {
+				close(gates[i])
+				<-finished
+			}
+		}()
+		var emitting atomic.Bool
+		emitted := 0
+		err := MapGroups(n, sizes, func(i int) (int, error) {
+			<-gates[i]
+			done[i].Store(true)
+			finished <- struct{}{}
+			return i * 3, nil
+		}, func(g int, results []int) error {
+			if !emitting.CompareAndSwap(false, true) {
+				t.Errorf("order %d: emit of group %d overlaps another", oi, g)
+			}
+			defer emitting.Store(false)
+			if g != emitted {
+				t.Errorf("order %d: emission %d was group %d", oi, emitted, g)
+			}
+			emitted++
+			for j := 0; j < starts[g+1]; j++ {
+				if !done[j].Load() {
+					t.Errorf("order %d: group %d emitted before job %d finished", oi, g, j)
+				}
+			}
+			for k, v := range results {
+				if want := (starts[g] + k) * 3; v != want {
+					t.Errorf("order %d: group %d result %d = %d, want %d", oi, g, k, v, want)
+				}
+			}
+			return nil
+		})
+		if err != nil || emitted != len(sizes) {
+			t.Fatalf("order %d: emitted %d of %d groups, err %v", oi, emitted, len(sizes), err)
+		}
+	}
+}
+
+// TestMapGroupsEmitError checks the sticky emit error: the failing emit
+// is the last one, whatever finishes after it, and its error is returned.
+func TestMapGroupsEmitError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var order []int
+		err := MapGroups(workers, []int{1, 1, 1, 1}, func(i int) (int, error) { return i, nil },
+			func(g int, results []int) error {
+				order = append(order, g)
+				if g == 1 {
+					return errors.New("sink full")
+				}
+				return nil
+			})
+		if err == nil || !strings.Contains(err.Error(), "emit 1") || !strings.Contains(err.Error(), "sink full") {
+			t.Fatalf("workers=%d: err = %v, want emit 1's sink full", workers, err)
+		}
+		if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+			t.Fatalf("workers=%d: emitted groups %v, want [0 1]", workers, order)
+		}
+	}
+}
+
+// TestMapGroupsConcurrent has eight workers finish 300 one-job groups in
+// whatever order the scheduler picks; under the race detector the
+// emissions must still walk 0..n-1 once each, never overlapping.
+func TestMapGroupsConcurrent(t *testing.T) {
+	const n = 300
+	sizes := make([]int, n)
+	for g := range sizes {
+		sizes[g] = 1
+	}
+	var emitting atomic.Bool
+	var got []int
+	err := MapGroups(8, sizes, func(i int) (int, error) {
+		if i%7 == 0 {
+			runtime.Gosched()
+		}
+		return i, nil
+	}, func(g int, results []int) error {
+		if !emitting.CompareAndSwap(false, true) {
+			t.Errorf("emit of group %d overlaps another", g)
+		}
+		defer emitting.Store(false)
+		if len(results) != 1 || results[0] != g {
+			t.Errorf("group %d results = %v", g, results)
+		}
+		got = append(got, g)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("emitted %d of %d groups", len(got), n)
+	}
+	for i, g := range got {
+		if g != i {
+			t.Fatalf("emission %d was group %d", i, g)
+		}
+	}
+}
+
+// TestMapGroupsNegativeSize checks that a negative group size is refused
+// before any job runs or any group emits.
+func TestMapGroupsNegativeSize(t *testing.T) {
+	ran, emitted := 0, 0
+	err := MapGroups(2, []int{1, -1, 1}, func(i int) (int, error) { ran++; return i, nil },
+		func(g int, results []int) error { emitted++; return nil })
+	if err == nil || !strings.Contains(err.Error(), "group 1 has negative size -1") {
+		t.Fatalf("err = %v, want group 1's negative size", err)
+	}
+	if ran != 0 || emitted != 0 {
+		t.Fatalf("ran %d jobs and emitted %d groups, want none", ran, emitted)
 	}
 }

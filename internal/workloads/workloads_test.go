@@ -326,21 +326,6 @@ func TestN2NPartitioned(t *testing.T) {
 	}
 }
 
-// TestLockstormWakesInline runs the lockstorm configuration (eight
-// threads behind the futex mutex, 64-byte messages, polling) and checks
-// that the engine wakes at least a fifth of its sleeps in place, with no
-// coroutine switch: each poll and critical-section entry is a Sleep, and
-// in this regime its wake is very often the next event anyway.
-func TestLockstormWakesInline(t *testing.T) {
-	r := runTP(t, ThroughputParams{Lock: simlock.KindMutex, Threads: 8, MsgBytes: 64, Windows: 64, Seed: 0x5eed})
-	s := r.Sched
-	t.Logf("%+v: %.1f%% of sleeps inline", s, 100*float64(s.InlineWakes)/float64(s.Sleeps))
-	if s.Sleeps == 0 || 5*s.InlineWakes < s.Sleeps {
-		t.Fatalf("%d of %d sleeps woke inline, want at least a fifth", s.InlineWakes, s.Sleeps)
-	}
-	checkSchedCounts(t, s)
-}
-
 // TestLockstormHandsOffDirectly runs the lockstorm configuration and
 // checks that most wakes need no switch into a coroutine: a blocked
 // thread takes its own wake in its event loop, or gets it handed back
@@ -357,16 +342,16 @@ func TestLockstormHandsOffDirectly(t *testing.T) {
 	checkSchedCounts(t, s)
 }
 
-// checkSchedCounts requires the events run to cover every dispatch,
-// inline wake and quiet wake: each is a distinct event. Each switch into a
+// checkSchedCounts requires the events run to cover every dispatch and
+// quiet wake: each is a distinct event. Each switch into a
 // thread resumes it for one dispatch and comes back once, and Run's first
 // dispatch is always a switch, so the switches are even, nonzero and at
 // most twice the dispatches.
 func checkSchedCounts(t *testing.T, s sim.Stats) {
 	t.Helper()
-	if s.Events < s.Dispatches+s.InlineWakes+s.QuietWakes {
-		t.Fatalf("%d events cannot hold %d dispatches, %d inline wakes and %d quiet wakes",
-			s.Events, s.Dispatches, s.InlineWakes, s.QuietWakes)
+	if s.Events < s.Dispatches+s.QuietWakes {
+		t.Fatalf("%d events cannot hold %d dispatches and %d quiet wakes",
+			s.Events, s.Dispatches, s.QuietWakes)
 	}
 	if s.Switches%2 != 0 || s.Switches == 0 || s.Switches > 2*s.Dispatches {
 		t.Fatalf("%d switches for %d dispatches: want an even count in [2, %d]", s.Switches, s.Dispatches, 2*s.Dispatches)
