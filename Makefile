@@ -9,10 +9,11 @@
 #   make parity  prove -jobs 1 and -jobs 4 output (mpistorm stdout, mpitrace tree) is byte-identical
 #   make golden  prove the full sweep still prints full_run.txt byte for byte
 #   make simcheck-bench  time the whole-module analysis; fail beyond 60s
+#   make fuzz    fuzz the event queue against its reference scheduler for 20s
 
 GO ?= go
 
-.PHONY: check fmt build vet simcheck simcheck-bench test perfbench race shuffle soak figures trace parity golden
+.PHONY: check fmt build vet simcheck simcheck-bench test perfbench race shuffle soak figures trace parity golden fuzz
 
 check: fmt build vet simcheck test perfbench
 
@@ -57,6 +58,12 @@ perfbench:
 
 race:
 	$(GO) test -race ./...
+
+# Bounded fuzz run: the timer-wheel event queue against the naive
+# reference scheduler in internal/sim/queue_test.go. New failing inputs
+# land in internal/sim/testdata/fuzz/ and replay under make test.
+fuzz:
+	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzSchedulerMatchesReference$$' -fuzztime 20s
 
 shuffle:
 	$(GO) test -shuffle=on ./...

@@ -365,37 +365,6 @@ func (g *Graph) nodesFor(keys []string) []*Node {
 	return out
 }
 
-// Reachable walks the graph from the given roots, skipping edges for which
-// skip returns true (nil skips nothing), and returns the reached nodes
-// (roots included) sorted by key.
-func (g *Graph) Reachable(roots []*Node, skip func(*Node, *Edge) bool) []*Node {
-	seen := map[*Node]bool{}
-	var visit func(n *Node)
-	visit = func(n *Node) {
-		if n == nil || seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, e := range n.Edges {
-			if skip != nil && skip(n, e) {
-				continue
-			}
-			for _, c := range g.Callees(e) {
-				visit(c)
-			}
-		}
-	}
-	for _, r := range roots {
-		visit(r)
-	}
-	out := make([]*Node, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
 // contains reports whether s holds v.
 func contains(s []string, v string) bool {
 	for _, x := range s {

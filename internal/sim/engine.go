@@ -207,16 +207,16 @@ func (e *Engine) AtTimerArg(t Time, fn func(interface{}), arg interface{}) Timer
 // Pending reports whether the callback is still due: armed, not yet
 // fired and not cancelled.
 func (tm Timer) Pending() bool {
-	return tm.ev != nil && tm.ev.gen == tm.gen && !tm.ev.cancelled
+	return tm.ev != nil && tm.ev.gen == tm.gen
 }
 
 // Cancel prevents the callback from running. It is a no-op on the zero
 // Timer, after the callback fired and after an earlier Cancel.
 func (tm Timer) Cancel() {
-	if tm.ev == nil || tm.ev.gen != tm.gen {
-		return // no event, or already fired (or cancelled and compacted away)
+	if !tm.Pending() {
+		return // no event, or already fired or cancelled
 	}
-	tm.q.cancelEvent(tm.ev)
+	tm.q.cancel(tm.ev)
 }
 
 // Spawn creates a simthread that begins executing fn at the current virtual
@@ -300,12 +300,12 @@ func (e *Engine) Run() (err error) {
 //simcheck:hotpath runs every event, and every blocked simthread's wait; stays allocation-free
 func (e *Engine) loop(self *Thread) error {
 	for {
-		if !e.free() || e.q.live == 0 {
+		if !e.free() || e.q.len() == 0 {
 			if self != nil {
 				self.yield()
 				return nil
 			}
-			if e.stopped || e.q.live == 0 {
+			if e.stopped || e.q.len() == 0 {
 				return nil
 			}
 			if e.MaxWall > 0 && e.stats.Events%wallCheckEvery == 0 {

